@@ -1,9 +1,19 @@
 """Groebner-basis engine: Buchberger, elimination, colon ideals, Hilbert series.
 
-Internals work on plain {monomial: coefficient} dicts with monic reducers;
-`Polynomial` objects appear only at the API boundary.  Pair management uses
-the Gebauer-Moeller criteria (coprime leading terms and the chain rule) with
-normal selection, which for homogeneous input is degree-by-degree.
+One Buchberger engine (`_Engine`) serves both ideals and submodules of free
+modules.  It works on plain {term: coefficient} dicts with monic reducers;
+`Polynomial` objects appear only at the API boundary.  For an ideal a term is
+a monomial (exponent tuple).  For a module a term of component c is the flat
+tuple (c, -c) + monomial, so `mono_divides` and `mono_lcm` only ever relate
+terms of one component and the reducer and S-polynomial code is shared as is;
+the module's term order is supplied by the caller (see resolutions.py).
+
+Pair management uses the Gebauer-Moeller criteria with normal selection,
+which for homogeneous input is degree-by-degree.  The chain rule applies to
+both kinds; the coprime-leading-terms (product) criterion holds only for
+ideals.  Module pairs are formed only between elements of one component, and
+reducers are bucketed by component.  Minimalizing and interreducing the
+final basis is a step only `buchberger` runs.
 """
 
 from __future__ import annotations
@@ -35,32 +45,26 @@ def _negkey(key):
     return tuple(-v for v in key)
 
 
-def _nf_dict(work: dict, reducers, ring: RingSpec) -> dict:
+def _nf_dict(work: dict, reducers: dict, key, mod, width: int = 0) -> dict:
     """Full normal form of `work` (consumed) modulo monic reducers.
 
-    reducers: list of (lm, tail_terms); each reducer is monic.
+    reducers: component -> list of (lead, tail_terms), each reducer monic; a
+    term's component is its first `width` entries (none for an ideal).
     """
-    mod = ring.modulus
-    keyf = ring.key
-    heap = [(_negkey(keyf(m)), m) for m in work]
+    heap = [(_negkey(key(m)), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     while heap:
         _, m = heapq.heappop(heap)
-        c = work.get(m)
+        c = work.pop(m, None)
         if not c:
             continue
-        hit = None
-        for lm, tail in reducers:
+        for lm, tail in reducers.get(m[:width], ()):
             if mono_divides(lm, m):
-                hit = (lm, tail)
                 break
-        if hit is None:
+        else:
             remainder[m] = c
-            del work[m]
             continue
-        del work[m]
-        lm, tail = hit
         shift = tuple(a - b for a, b in zip(m, lm))
         if mod is None:
             for tm, tc in tail:
@@ -68,7 +72,7 @@ def _nf_dict(work: dict, reducers, ring: RingSpec) -> dict:
                 nc = work.get(m2, 0) - c * tc
                 if nc:
                     if m2 not in work:
-                        heapq.heappush(heap, (_negkey(keyf(m2)), m2))
+                        heapq.heappush(heap, (_negkey(key(m2)), m2))
                     work[m2] = nc
                 else:
                     work.pop(m2, None)
@@ -78,16 +82,15 @@ def _nf_dict(work: dict, reducers, ring: RingSpec) -> dict:
                 nc = (work.get(m2, 0) - c * tc) % mod
                 if nc:
                     if m2 not in work:
-                        heapq.heappush(heap, (_negkey(keyf(m2)), m2))
+                        heapq.heappush(heap, (_negkey(key(m2)), m2))
                     work[m2] = nc
                 else:
                     work.pop(m2, None)
     return remainder
 
 
-def _monic_dict(d: dict, ring: RingSpec) -> dict:
-    lm = max(d, key=ring.key)
-    c = d[lm]
+def _monic_dict(d: dict, key, ring: RingSpec) -> dict:
+    c = d[max(d, key=key)]
     if c == 1:
         return d
     inv = ring.cinv(c)
@@ -97,18 +100,17 @@ def _monic_dict(d: dict, ring: RingSpec) -> dict:
     return {m: co * inv % mod for m, co in d.items()}
 
 
-def _reducer(d: dict, ring: RingSpec):
-    """(lm, tail) pair for a monic dict."""
-    lm = max(d, key=ring.key)
+def _reducer(d: dict, key):
+    """(lead, tail) pair for a monic dict."""
+    lm = max(d, key=key)
     tail = tuple((m, c) for m, c in d.items() if m != lm)
     return (lm, tail)
 
 
-def _spoly_dict(di, dj, lmi, lmj, ring: RingSpec) -> dict:
+def _spoly_dict(di, dj, lmi, lmj, mod) -> dict:
     gamma = mono_lcm(lmi, lmj)
     si = tuple(a - b for a, b in zip(gamma, lmi))
     sj = tuple(a - b for a, b in zip(gamma, lmj))
-    mod = ring.modulus
     out: dict = {}
     for m, c in di.items():
         out[tuple(a + b for a, b in zip(si, m))] = c
@@ -124,60 +126,104 @@ def _spoly_dict(di, dj, lmi, lmj, ring: RingSpec) -> dict:
     return out
 
 
-def _update_pairs(lms, pairs, new, ring: RingSpec):
-    """Gebauer-Moeller pair update after appending basis element `new`."""
-    lmf = lms[new]
-    kept = []
-    for i, j in pairs:
-        lij = mono_lcm(lms[i], lms[j])
-        if (not mono_divides(lmf, lij)
-                or mono_lcm(lms[i], lmf) == lij
-                or mono_lcm(lms[j], lmf) == lij):
-            kept.append((i, j))
-    groups: dict = {}
-    for i in range(new):
-        groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
-    minimal = []
-    for lcm in sorted(groups, key=ring.key):
-        if not any(mono_divides(m, lcm) for m in minimal):
-            minimal.append(lcm)
-    for lcm in minimal:
-        grp = groups[lcm]
-        if any(mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
-            continue
-        kept.append((min(grp), new))
-    return kept
+class _Engine:
+    """Incremental Buchberger state: basis, leads, reducers and pending pairs.
+
+    `key` orders terms (the ring's monomial order for an ideal).  With
+    `module` set, terms are encoded module terms (c, -c) + monomial: the
+    product criterion is off and reducers and pairs are kept per component.
+    """
+
+    def __init__(self, ring: RingSpec, key=None, module: bool = False):
+        self.ring = ring
+        self.key = key or ring.key
+        self.module = module
+        self.width = 1 if module else 0
+        self.basis: list[dict] = []
+        self.leads: list[tuple] = []
+        self.reducers: dict = {}  # component -> [(lead, tail)]
+        self.members: dict = {}  # component -> basis indices
+        self.pairs: list[tuple[int, int]] = []
+
+    def reduce(self, v: dict) -> dict:
+        return _nf_dict(dict(v), self.reducers, self.key, self.ring.modulus, self.width)
+
+    def add(self, v: dict) -> bool:
+        """Adjoin v; False if it was already in the span (basis unchanged)."""
+        if not self._insert(dict(v)):
+            return False
+        self._saturate()
+        return True
+
+    def extend(self, vectors) -> "_Engine":
+        """Adjoin all vectors, in ascending order of lead, then close under pairs."""
+        key = self.key
+        for v in sorted((v for v in vectors if v), key=lambda v: key(max(v, key=key))):
+            self._insert(dict(v))
+        self._saturate()
+        return self
+
+    def _insert(self, work: dict) -> bool:
+        r = _nf_dict(work, self.reducers, self.key, self.ring.modulus, self.width)
+        if not r:
+            return False
+        r = _monic_dict(r, self.key, self.ring)
+        lead, tail = _reducer(r, self.key)
+        comp = lead[:self.width]
+        new = len(self.basis)
+        self.basis.append(r)
+        self.leads.append(lead)
+        members = self.members.setdefault(comp, [])
+        self._update_pairs(new, members)
+        members.append(new)
+        self.reducers.setdefault(comp, []).append((lead, tail))
+        return True
+
+    def _update_pairs(self, new: int, members):
+        """Gebauer-Moeller pair update after appending basis element `new`.
+
+        members: earlier basis indices in the component of `new`.
+        """
+        lms = self.leads
+        lmf = lms[new]
+        kept = []
+        for i, j in self.pairs:
+            lij = mono_lcm(lms[i], lms[j])
+            if (not mono_divides(lmf, lij)
+                    or mono_lcm(lms[i], lmf) == lij
+                    or mono_lcm(lms[j], lmf) == lij):
+                kept.append((i, j))
+        groups: dict = {}
+        for i in members:
+            groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
+        minimal = []
+        for lcm in sorted(groups, key=self.key):
+            if not any(mono_divides(m, lcm) for m in minimal):
+                minimal.append(lcm)
+        for lcm in minimal:
+            grp = groups[lcm]
+            if not self.module and any(
+                    mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
+                continue
+            kept.append((min(grp), new))
+        self.pairs = kept
+
+    def _saturate(self):
+        lms, key = self.leads, self.key
+        while self.pairs:
+            pairs = self.pairs
+            best = min(range(len(pairs)),
+                       key=lambda k: key(mono_lcm(lms[pairs[k][0]], lms[pairs[k][1]])))
+            i, j = pairs.pop(best)
+            self._insert(_spoly_dict(self.basis[i], self.basis[j], lms[i], lms[j],
+                                     self.ring.modulus))
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):
     """Reduced Groebner basis (list of monic dicts) of the input dicts."""
     keyf = ring.key
-    basis: list[dict] = []
-    lms: list[tuple] = []
-    reducers: list = []
-    pairs: list[tuple[int, int]] = []
-    for d in sorted((d for d in inputs if d), key=lambda d: keyf(max(d, key=keyf))):
-        r = _nf_dict(dict(d), reducers, ring)
-        if not r:
-            continue
-        r = _monic_dict(r, ring)
-        basis.append(r)
-        lms.append(max(r, key=keyf))
-        reducers.append(_reducer(r, ring))
-        pairs = _update_pairs(lms, pairs, len(basis) - 1, ring)
-    while pairs:
-        best = min(range(len(pairs)),
-                   key=lambda k: keyf(mono_lcm(lms[pairs[k][0]], lms[pairs[k][1]])))
-        i, j = pairs.pop(best)
-        s = _spoly_dict(basis[i], basis[j], lms[i], lms[j], ring)
-        r = _nf_dict(s, reducers, ring)
-        if not r:
-            continue
-        r = _monic_dict(r, ring)
-        basis.append(r)
-        lms.append(max(r, key=keyf))
-        reducers.append(_reducer(r, ring))
-        pairs = _update_pairs(lms, pairs, len(basis) - 1, ring)
+    engine = _Engine(ring).extend(inputs)
+    basis, lms = engine.basis, engine.leads
     # minimalize: drop elements whose lead is divisible by another kept lead
     order = sorted(range(len(basis)), key=lambda k: keyf(lms[k]))
     kept: list[int] = []
@@ -187,9 +233,9 @@ def _buchberger_dicts(inputs, ring: RingSpec):
     # interreduce tails
     final = []
     for k in kept:
-        others = [_reducer(basis[i], ring) for i in kept if i != k]
-        r = _nf_dict(dict(basis[k]), others, ring)
-        final.append(_monic_dict(r, ring))
+        others = {(): [_reducer(basis[i], keyf) for i in kept if i != k]}
+        r = _nf_dict(dict(basis[k]), others, keyf, ring.modulus)
+        final.append(_monic_dict(r, keyf, ring))
     final.sort(key=lambda d: keyf(max(d, key=keyf)))
     return final
 
@@ -220,12 +266,13 @@ class GroebnerBasis:
 
     @cached_property
     def _reducers(self):
-        return [_reducer(_to_dict(g), self.ring) for g in self.basis]
+        return {(): [_reducer(_to_dict(g), self.ring.key) for g in self.basis]}
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
-        return _to_poly(_nf_dict(_to_dict(p), self._reducers, self.ring), self.ring)
+        ring = self.ring
+        return _to_poly(_nf_dict(_to_dict(p), self._reducers, ring.key, ring.modulus), ring)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -267,9 +314,10 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring != g.ring:
         raise RingMismatchError("polynomials live in different rings")
     ring = f.ring
-    df, dg = _monic_dict(_to_dict(f), ring), _monic_dict(_to_dict(g), ring)
     keyf = ring.key
-    return _to_poly(_spoly_dict(df, dg, max(df, key=keyf), max(dg, key=keyf), ring), ring)
+    df, dg = _monic_dict(_to_dict(f), keyf, ring), _monic_dict(_to_dict(g), keyf, ring)
+    return _to_poly(_spoly_dict(df, dg, max(df, key=keyf), max(dg, key=keyf), ring.modulus),
+                    ring)
 
 
 def ideal_equal(gens_a, gens_b) -> bool:

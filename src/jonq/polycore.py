@@ -188,7 +188,7 @@ class RingSpec:
         return tuple(self.variable(i) for i in range(self.nvars))
 
     def monomial(self, exps, c=1) -> "Polynomial":
-        return normalize([(tuple(exps), c)], self)
+        return Polynomial(self, [(tuple(exps), c)])
 
     def with_order(self, order: MonomialOrder) -> "RingSpec":
         if order == self.order:
@@ -404,15 +404,6 @@ class Polynomial:
 
 
 # ---------- core operations ----------
-
-def normalize(term_list, ring: RingSpec) -> Polynomial:
-    """Merge raw (monomial, coefficient) pairs into a canonical polynomial."""
-    return Polynomial(ring, term_list)
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
 
 def substitute(p: Polynomial, assignment: dict) -> Polynomial:
     """Image of p under the ring morphism sending variables per `assignment`.

@@ -26,17 +26,13 @@ from .polycore import (
 )
 
 
-def working_ring(j: DeJonquieresMap) -> RingSpec:
-    return j.working_ring()
-
-
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     """Reduced Groebner basis of the presentation ideal, by eliminating t.
 
     The t-free part of the reduced elimination basis is itself the reduced
     grevlex basis of the contraction, so no second Buchberger run is needed.
     """
-    s_ring = working_ring(j)
+    s_ring = j.working_ring()
     big = RingSpec(("t",) + s_ring.names, s_ring.modulus)
     t = big.variable("t")
     gens = []
@@ -49,7 +45,7 @@ def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
 
 def minor_generators(j: DeJonquieresMap) -> list[Polynomial]:
     """The 2-minors p_ij = x_j y_i - x_i y_j, 1 <= i < j <= n."""
-    s_ring = working_ring(j)
+    s_ring = j.working_ring()
     xs = [s_ring.variable(nm) for nm in j.source.names]
     ys = [s_ring.variable(nm) for nm in j.target.names]
     out = []
@@ -87,7 +83,7 @@ class ReesPresentation:
 def rees_presentation(j: DeJonquieresMap) -> ReesPresentation:
     seq = downgraded_sequence(j)
     return ReesPresentation(
-        ring=working_ring(j),
+        ring=j.working_ring(),
         eliminated=rees_ideal(j),
         predicted=tuple(predicted_generators(j, seq)),
         chain=chain(j, seq),
@@ -178,7 +174,7 @@ def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     """P_0 : F_0 = P_0, and P_i : F_i = (x_1..x_n) for 1 <= i <= d-2."""
     seq = downgraded_sequence(j)
     links = chain(j, seq)
-    s_ring = working_ring(j)
+    s_ring = j.working_ring()
     witnesses = []
 
     base = list(links[0])

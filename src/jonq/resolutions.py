@@ -1,10 +1,13 @@
 """Syzygies and minimal graded free resolutions over free modules.
 
-A module element is a dict {(component, monomial): coefficient}.  Syzygies
-of columns f_1..f_m inside R^s are computed by running module Buchberger on
-the augmented vectors (f_i, e_i) in R^(s+m) under an order whose first s
-components dominate: basis elements supported entirely on the tag block are
-a Groebner basis of the syzygy module.
+Module elements run on the Buchberger engine of groebner.py.  An element of
+R^s is a dict {term: coefficient} whose term of component c and monomial m
+is the flat tuple (c, -c) + m.  Syzygies of columns f_1..f_m inside R^s are
+computed by running the engine on the augmented vectors (f_i, e_i) in
+R^(s+m) under an order whose first s components dominate: basis elements
+supported entirely on the tag block are a Groebner basis of the syzygy
+module.  The engine applies only the chain criterion to modules, since the
+product criterion does not hold over free modules.
 
 Resolutions iterate: take a minimal generating set of the current syzygy
 module (ascending-degree greedy, so minimality holds by graded Nakayama),
@@ -15,7 +18,6 @@ unit-stripping pass is needed.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .polycore import (
@@ -23,8 +25,6 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
-    mono_divides,
-    mono_lcm,
 )
 
 
@@ -37,189 +37,20 @@ class ResolutionBoundError(JonqError):
 
 
 def _module_key(ring: RingSpec, block: int | None):
-    """Sort key on (component, monomial); components < block dominate."""
+    """Sort key on module terms (c, -c) + mono; components c < block dominate."""
     ringkey = ring.key
     if block is None:
         def key(term):
-            comp, mono = term
-            return ringkey(mono) + (-comp,)
+            return ringkey(term[2:]) + (term[1],)
     else:
         def key(term):
-            comp, mono = term
-            return ((1 if comp < block else 0,) + ringkey(mono) + (-comp,))
+            return (1 if term[0] < block else 0,) + ringkey(term[2:]) + (term[1],)
     return key
 
 
-def _neg(key):
-    return tuple(-v for v in key)
-
-
-def _mv_lead(v: dict, key):
-    return max(v, key=key)
-
-
-def _mv_monic(v: dict, ring: RingSpec, key) -> dict:
-    c = v[_mv_lead(v, key)]
-    if c == 1:
-        return v
-    inv = ring.cinv(c)
-    mod = ring.modulus
-    if mod is None:
-        return {t: co * inv for t, co in v.items()}
-    return {t: co * inv % mod for t, co in v.items()}
-
-
-def _mv_reduce(work: dict, reducers, ring: RingSpec, key) -> dict:
-    """Full normal form of a module element modulo monic reducers.
-
-    reducers: list of ((comp, mono) lead, tail terms).
-    """
-    mod = ring.modulus
-    heap = [(_neg(key(t)), t) for t in work]
-    heapq.heapify(heap)
-    remainder: dict = {}
-    while heap:
-        _, t = heapq.heappop(heap)
-        c = work.get(t)
-        if not c:
-            continue
-        comp, mono = t
-        hit = None
-        for (lcomp, lmono), tail in reducers:
-            if lcomp == comp and mono_divides(lmono, mono):
-                hit = (lmono, tail)
-                break
-        if hit is None:
-            remainder[t] = c
-            del work[t]
-            continue
-        del work[t]
-        lmono, tail = hit
-        shift = tuple(a - b for a, b in zip(mono, lmono))
-        for (tcomp, tmono), tc in tail:
-            t2 = (tcomp, tuple(a + b for a, b in zip(shift, tmono)))
-            nc = work.get(t2, 0) - c * tc
-            if mod is not None:
-                nc %= mod
-            if nc:
-                if t2 not in work:
-                    heapq.heappush(heap, (_neg(key(t2)), t2))
-                work[t2] = nc
-            else:
-                work.pop(t2, None)
-    return remainder
-
-
-def _mv_reducer(v: dict, key):
-    lead = _mv_lead(v, key)
-    tail = tuple((t, c) for t, c in v.items() if t != lead)
-    return (lead, tail)
-
-
-def _mv_spair(vi: dict, vj: dict, leadi, leadj, ring: RingSpec) -> dict:
-    gamma = mono_lcm(leadi[1], leadj[1])
-    si = tuple(a - b for a, b in zip(gamma, leadi[1]))
-    sj = tuple(a - b for a, b in zip(gamma, leadj[1]))
-    mod = ring.modulus
-    out: dict = {}
-    for (c0, m), co in vi.items():
-        out[(c0, tuple(a + b for a, b in zip(si, m)))] = co
-    for (c0, m), co in vj.items():
-        t2 = (c0, tuple(a + b for a, b in zip(sj, m)))
-        nc = out.get(t2, 0) - co
-        if mod is not None:
-            nc %= mod
-        if nc:
-            out[t2] = nc
-        else:
-            out.pop(t2, None)
-    return out
-
-
-class _ModuleGB:
-    """Incremental module Groebner basis (chain criterion only).
-
-    The product criterion is not valid over free modules, so pair pruning
-    uses only the Gebauer-Moeller divisibility rules.
-    """
-
-    def __init__(self, ring: RingSpec, block: int | None = None):
-        self.ring = ring
-        self.key = _module_key(ring, block)
-        self.basis: list[dict] = []
-        self.leads: list[tuple] = []
-        self.reducers: list = []
-        self.pairs: list[tuple[int, int]] = []
-
-    def reduce(self, v: dict) -> dict:
-        return _mv_reduce(dict(v), self.reducers, self.ring, self.key)
-
-    def _update_pairs(self, new: int):
-        leads = self.leads
-        lead_new = leads[new]
-        comp = lead_new[0]
-        kept = []
-        for i, j in self.pairs:
-            if leads[i][0] != comp:
-                kept.append((i, j))
-                continue
-            lij = mono_lcm(leads[i][1], leads[j][1])
-            if (not mono_divides(lead_new[1], lij)
-                    or mono_lcm(leads[i][1], lead_new[1]) == lij
-                    or mono_lcm(leads[j][1], lead_new[1]) == lij):
-                kept.append((i, j))
-        groups: dict = {}
-        for i in range(new):
-            if leads[i][0] == comp:
-                groups.setdefault(mono_lcm(leads[i][1], lead_new[1]), []).append(i)
-        ringkey = self.ring.key
-        minimal: list = []
-        for lcm in sorted(groups, key=ringkey):
-            if not any(mono_divides(m, lcm) for m in minimal):
-                minimal.append(lcm)
-        for lcm in minimal:
-            kept.append((min(groups[lcm]), new))
-        self.pairs = kept
-
-    def _append(self, v: dict):
-        self.basis.append(v)
-        self.leads.append(_mv_lead(v, self.key))
-        self.reducers.append(_mv_reducer(v, self.key))
-        self._update_pairs(len(self.basis) - 1)
-
-    def _saturate(self):
-        while self.pairs:
-            best = min(
-                range(len(self.pairs)),
-                key=lambda k: self.key(
-                    (self.leads[self.pairs[k][0]][0],
-                     mono_lcm(self.leads[self.pairs[k][0]][1],
-                              self.leads[self.pairs[k][1]][1]))))
-            i, j = self.pairs.pop(best)
-            s = _mv_spair(self.basis[i], self.basis[j], self.leads[i], self.leads[j], self.ring)
-            r = _mv_reduce(s, self.reducers, self.ring, self.key)
-            if r:
-                self._append(_mv_monic(r, self.ring, self.key))
-
-    def add(self, v: dict) -> bool:
-        """Adjoin v; False if it was already in the module (basis unchanged)."""
-        r = self.reduce(v)
-        if not r:
-            return False
-        self._append(_mv_monic(r, self.ring, self.key))
-        self._saturate()
-        return True
-
-
-def _module_groebner(vectors, ring: RingSpec, block: int | None = None) -> _ModuleGB:
-    gb = _ModuleGB(ring, block)
-    sortkey = gb.key
-    for v in sorted((v for v in vectors if v), key=lambda v: sortkey(_mv_lead(v, sortkey))):
-        r = gb.reduce(v)
-        if r:
-            gb._append(_mv_monic(r, ring, gb.key))
-    gb._saturate()
-    return gb
+def _module_groebner(vectors, ring: RingSpec, block: int | None = None):
+    """Groebner basis of the submodule spanned by `vectors` (an engine to extend)."""
+    return groebner._Engine(ring, _module_key(ring, block), module=True).extend(vectors)
 
 
 # ---------- columns <-> module dicts ----------
@@ -230,14 +61,15 @@ def _column_to_dict(column, ring: RingSpec) -> dict:
         if p.ring != ring:
             raise RingMismatchError("column entries live in different rings")
         for mono, c in p.terms:
-            out[(comp, mono)] = c
+            out[(comp, -comp) + mono] = c
     return out
 
 
-def _dict_to_column(v: dict, ring: RingSpec, rank: int):
-    parts: list[dict] = [dict() for _ in range(rank)]
-    for (comp, mono), c in v.items():
-        parts[comp][mono] = c
+def _dict_to_column(v: dict, ring: RingSpec, first: int, length: int):
+    """Column of components first..first+length-1 of a module dict."""
+    parts: list[dict] = [dict() for _ in range(length)]
+    for term, c in v.items():
+        parts[term[0] - first][term[2:]] = c
     return tuple(Polynomial(ring, d) for d in parts)
 
 
@@ -252,7 +84,7 @@ def _column_degree(column, shifts) -> int:
     return degs.pop()
 
 
-def syzygies(gens, shifts=None) -> list[tuple[Polynomial, ...]]:
+def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     """Generating syzygies of scalar polynomials or of module columns.
 
     `gens` is either a list of polynomials (syzygies of an ideal's
@@ -276,15 +108,11 @@ def syzygies(gens, shifts=None) -> list[tuple[Polynomial, ...]]:
     augmented = []
     for i, col in enumerate(columns):
         v = _column_to_dict(col, ring)
-        v[(rank + i, zero_mono)] = ring.coeff(1)
+        v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
     gb = _module_groebner(augmented, ring, block=rank)
-    out = []
-    for v in gb.basis:
-        if all(comp >= rank for comp, _ in v):
-            shifted = {(comp - rank, mono): c for (comp, mono), c in v.items()}
-            out.append(_dict_to_column(shifted, ring, m))
-    return out
+    return [_dict_to_column(v, ring, rank, m) for v in gb.basis
+            if all(term[0] >= rank for term in v)]
 
 
 def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
@@ -294,7 +122,7 @@ def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
-    gb = _ModuleGB(ring)
+    gb = _module_groebner((), ring)
     kept = []
     for deg, _, col in degreed:
         if gb.add(_column_to_dict(col, ring)):
@@ -414,3 +242,8 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
         syz = syzygies([col for _, col in current])
         current = minimal_generators(syz, ring, len(shifts[-1]), shifts[-1])
     return Resolution(ring, tuple(shifts), tuple(matrices), True)
+
+
+# Imported last: groebner re-exports names of this module at its own end, so
+# either module can be imported first.
+from . import groebner  # noqa: E402

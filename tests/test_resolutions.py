@@ -1,11 +1,17 @@
 """Syzygies, minimal free resolutions, Betti tables."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jonq
 from jonq import groebner as gb
-from jonq.polycore import RingSpec, parse_polynomial, random_form
+from jonq.polycore import RingSpec, format_polynomial, parse_polynomial, random_form
 from jonq.resolutions import BettiTable, ResolutionBoundError, minimal_free_resolution, syzygies
 
 
@@ -59,6 +65,16 @@ def test_syzygies_generate_randomized():
                 assert not red
 
 
+def test_resolutions_imports_alone():
+    # resolutions runs on groebner's engine while groebner re-exports
+    # resolutions: importing resolutions first must still work
+    src = str(Path(jonq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "import jonq.resolutions"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_resolution_bound_flagged():
     R = RingSpec(["x1", "x2", "x3"])
     with pytest.raises(ResolutionBoundError) as info:
@@ -99,3 +115,46 @@ def test_module_column_resolution():
     columns = [(x1,), (x2,)]
     res = minimal_free_resolution(columns)
     assert res.betti.ranks() == (1, 2, 1)
+
+
+# sha256 of the outputs of _pinned_outputs() as computed before the ideal and
+# module Buchberger loops were merged into one engine; any change in pair
+# order, reducer choice or output order shows up here even when Betti tables
+# agree.
+PINNED_DIGEST = "df5556671e67967033a05911cd51dbea1629ce598468e496e08af79b296eeff3"
+
+
+def _pinned_outputs():
+    Q = RingSpec(["x1", "x2", "x3", "x4"])
+    F = RingSpec(["x1", "x2", "x3"], modulus=32003)
+    x1, x2, x3, x4 = Q.variables()
+    rng = random.Random(31)
+    ideals = [
+        [P("x1*x3 - x2^2", Q), P("x2*x4 - x3^2", Q), P("x1*x4 - x2*x3", Q)],
+        [P("x1^2 - 1/2*x2*x3", Q), P("x2^2 - 3*x1*x4", Q), P("x3^2 + x1*x2", Q),
+         P("x1*x4 - x2*x4", Q)],
+        [random_form(F, 2, rng, terms=3) for _ in range(4)],
+        [random_form(F, rng.randrange(1, 4), rng, terms=2) for _ in range(3)],
+    ]
+    columns = [
+        [(x1, x2), (x2, x3), (x3, x4), (x4, x1)],
+        [tuple(random_form(F, d, rng, terms=2) for _ in range(3))
+         for d in (1, 1, 2, 2, 2)],
+    ]
+    out = []
+    for gens in ideals:
+        out.append([format_polynomial(g) for g in gb.buchberger(gens).basis])
+    for gens in ideals + columns:
+        out.append([[format_polynomial(p) for p in col] for col in syzygies(gens)])
+        res = minimal_free_resolution(gens)
+        out.append((res.shifts, [[[format_polynomial(p) for p in col] for col in matrix]
+                                 for matrix in res.matrices]))
+    return out
+
+
+def test_pinned_outputs():
+    # reduced bases, syzygy columns and resolution matrices over Q and
+    # GF(32003), for polynomial and column input
+    outputs = _pinned_outputs()
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
