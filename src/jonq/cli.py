@@ -38,6 +38,15 @@ class CaseFileError(ParseError):
     pass
 
 
+def _parse_checks(text: str) -> tuple[str, ...]:
+    """Comma list of report checks; empty entries are dropped."""
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    unknown = [c for c in checks if c not in rees.REPORT_CHECKS]
+    if unknown:
+        raise CaseFileError(f"unknown checks: {', '.join(unknown)}")
+    return checks
+
+
 @dataclass
 class CaseFile:
     n: int
@@ -88,10 +97,7 @@ def parse_case_file(text: str) -> CaseFile:
             raise CaseFileError(f"bad seed {data['seed']!r}") from None
     checks = None
     if "checks" in data:
-        checks = tuple(c.strip() for c in data["checks"].split(",") if c.strip())
-        unknown = [c for c in checks if c not in rees.REPORT_CHECKS]
-        if unknown:
-            raise CaseFileError(f"unknown checks: {', '.join(unknown)}")
+        checks = _parse_checks(data["checks"])
     return CaseFile(n=n, d=d, field=field, modulus=modulus,
                     f_text=data["f"], g_text=data["g"], seed=seed, checks=checks)
 
@@ -196,10 +202,7 @@ def cmd_rees(args) -> int:
     j, case = load_map(args.file, args)
     checks = case.checks or rees.REPORT_CHECKS
     if args.checks:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        unknown = [c for c in checks if c not in rees.REPORT_CHECKS]
-        if unknown:
-            raise CaseFileError(f"unknown checks: {', '.join(unknown)}")
+        checks = _parse_checks(args.checks)
     report = rees.case_report(j, seed=case.seed, checks=checks)
     _print_json(report)
     failed = any(report.get(k) == "fail" for k in ("theorem", "colon", "cone_hilbert", "special"))
@@ -207,11 +210,16 @@ def cmd_rees(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    """'lo..hi' or a single integer, as an inclusive (lo, hi) with lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise CaseFileError(f"bad range {text!r}") from None
+    if lo > hi:
+        raise CaseFileError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _explore_case(task):
@@ -231,11 +239,7 @@ def cmd_explore(args) -> int:
             modulus = int(env) if env else DEFAULT_MODULUS
         except ValueError:
             raise CaseFileError(f"bad JONQ_MODULUS value {env!r}") from None
-    checks = tuple(c.strip() for c in args.checks.split(",")) if args.checks \
-        else rees.REPORT_CHECKS
-    unknown = [c for c in checks if c not in rees.REPORT_CHECKS]
-    if unknown:
-        raise CaseFileError(f"unknown checks: {', '.join(unknown)}")
+    checks = _parse_checks(args.checks) if args.checks else rees.REPORT_CHECKS
     tasks = []
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, d_hi + 1):

@@ -1,19 +1,33 @@
 """Groebner-basis engine: Buchberger, elimination, colon ideals, Hilbert series.
 
 One Buchberger engine (`_Engine`) serves both ideals and submodules of free
-modules.  It works on plain {term: coefficient} dicts with monic reducers;
-`Polynomial` objects appear only at the API boundary.  For an ideal a term is
-a monomial (exponent tuple).  For a module a term of component c is the flat
-tuple (c, -c) + monomial, so `mono_divides` and `mono_lcm` only ever relate
-terms of one component and the reducer and S-polynomial code is shared as is;
-the module's term order is supplied by the caller (see resolutions.py).
+modules.  At its boundary a vector is a {term: coefficient} dict.  For an
+ideal a term is a monomial (exponent tuple); for a module a term of
+component c is the flat tuple (c, -c) + monomial, ordered by a key the
+caller supplies (see resolutions.py).
 
-Pair management uses the Gebauer-Moeller criteria with normal selection,
-which for homogeneous input is degree-by-degree.  The chain rule applies to
-both kinds; the coprime-leading-terms (product) criterion holds only for
-ideals.  Module pairs are formed only between elements of one component, and
-reducers are bucketed by component.  Minimalizing and interreducing the
-final basis is a step only `buchberger` runs.
+Inside the engine every term is one int (packed exponent vectors, after
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007; see `_Packing`).  The high part holds
+the digits of the term's order key in a balanced mixed radix, so int
+comparison is the term order.  The low part holds one non-negative field per
+exponent, each with a clear guard bit on top, and for a module term the
+fields c and K - c, so divisibility never relates two components.  Every
+order key is linear in the exponents within a component, so multiplying
+terms is adding ints, the reducer's heap holds negated ints, `max` finds a
+lead term, and divisibility is one subtraction and a mask test.  Fields are
+sized from the input terms.  A reduction that carries a field into its guard
+bit raises `_Overflow`; the engine then widens its fields and redoes that
+reduction, so exponents never wrap.
+
+Tuples remain at the boundary (`Polynomial.terms`, `GroebnerBasis.basis`,
+`_Engine.basis`/`reduce`/`add`/`extend`) and in the Gebauer-Moeller pair
+update, which works on the lead tuples `_Engine.leads`.  Pair selection is
+normal, which for homogeneous input is degree-by-degree.  The chain rule
+applies to both kinds; the coprime-leading-terms (product) criterion holds
+only for ideals.  Module pairs are formed only between elements of one
+component, and reducers are bucketed by component.  Minimalizing and
+interreducing the final basis is a step only `buchberger` runs.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .orders import elimination_order
 from .polycore import (
@@ -41,56 +56,121 @@ class InhomogeneousError(JonqError):
     pass
 
 
-def _negkey(key):
-    return tuple(-v for v in key)
+class _Overflow(Exception):
+    """A reduction carried an exponent field into its guard bit."""
 
 
-def _nf_dict(work: dict, reducers: dict, key, mod, width: int = 0) -> dict:
-    """Full normal form of `work` (consumed) modulo monic reducers.
+class _Packing:
+    """Packs the terms of one ring (or free module) into ints and back.
 
-    reducers: component -> list of (lead, tail_terms), each reducer monic; a
-    term's component is its first `width` entries (none for an ideal).
+    Every coordinate of a term gets a field of `bits` bits whose top (guard)
+    bit stays clear, so a field holds 0..cap.  An ideal term has one field
+    per variable.  A module term (`comps` > 0 components) has the fields c
+    and comps - 1 - c below its exponent fields.  Above the fields sit the
+    digits of `key(term)`, digit i weighted by `weights[i]`; each radix is
+    2 * bound + 1 for a bound on |digit| over all terms that fit, so int
+    comparison of packed terms is comparison of their keys.
     """
-    heap = [(_negkey(key(m)), m) for m in work]
+
+    def __init__(self, key, nvars: int, comps: int, bits: int):
+        self.key, self.comps, self.bits = key, comps, bits
+        nfields = nvars + 2 if comps else nvars
+        self.cap = (1 << (bits - 1)) - 1
+        self.fmask = (1 << bits) - 1
+        self.lobits = bits * nfields
+        self.lomask = (1 << self.lobits) - 1
+        self.guard = sum(1 << (s + bits - 1) for s in range(0, self.lobits, bits))
+        self.cmask = self.fmask if comps else 0
+        zero = (0,) * nvars
+        units = [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
+        if comps:
+            consts = [key((c, -c) + zero) for c in range(comps)]
+            units = [(0, 0) + u for u in units]
+        else:
+            consts = [key(zero)]
+        slopes = [[a - b for a, b in zip(key(u), consts[0])] for u in units]
+        weights = []
+        w = 1 << self.lobits
+        for d in reversed(range(len(consts[0]))):
+            weights.append(w)
+            w *= 2 * (max(abs(k[d]) for k in consts)
+                      + self.cap * sum(abs(s[d]) for s in slopes)) + 1
+        self.weights = weights[::-1]
+
+    def pack(self, t) -> int:
+        lo = 0
+        for v in reversed((t[0], self.comps - 1 - t[0]) + t[2:] if self.comps else t):
+            lo = lo << self.bits | v
+        return sum(map(mul, self.key(t), self.weights)) + lo
+
+    def unpack(self, m: int) -> tuple:
+        f = tuple(m >> s & self.fmask for s in range(0, self.lobits, self.bits))
+        return (f[0], -f[0]) + f[2:] if self.comps else f
+
+
+def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> dict:
+    """Full normal form of the packed dict `work` (consumed) modulo monic reducers.
+
+    reducers: component -> list of (lead & lomask, lead, tail) with every
+    reducer monic.  Raises _Overflow when a term does not fit `pk`.
+    """
+    lomask, guard, cmask = pk.lomask, pk.guard, pk.cmask
+    if any(m & guard for m in work):
+        raise _Overflow
+    heap = [-m for m in work]
     heapq.heapify(heap)
+    push, pop, get = heapq.heappush, heapq.heappop, work.get
     remainder: dict = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -pop(heap)
         c = work.pop(m, None)
         if not c:
             continue
-        for lm, tail in reducers.get(m[:width], ()):
-            if mono_divides(lm, m):
+        lo = m & lomask
+        for llo, lm, tail in reducers.get(m & cmask, ()):
+            d = lo - llo
+            if d >= 0 and not d & guard:
                 break
         else:
             remainder[m] = c
             continue
-        shift = tuple(a - b for a, b in zip(m, lm))
+        shift = m - lm
         if mod is None:
             for tm, tc in tail:
-                m2 = tuple(a + b for a, b in zip(shift, tm))
-                nc = work.get(m2, 0) - c * tc
-                if nc:
-                    if m2 not in work:
-                        heapq.heappush(heap, (_negkey(key(m2)), m2))
-                    work[m2] = nc
+                m2 = tm + shift
+                old = get(m2)
+                if old is None:
+                    if m2 & guard:
+                        raise _Overflow
+                    push(heap, -m2)
+                    work[m2] = -c * tc
                 else:
-                    work.pop(m2, None)
+                    nc = old - c * tc
+                    if nc:
+                        work[m2] = nc
+                    else:
+                        del work[m2]
         else:
+            negc = mod - c
             for tm, tc in tail:
-                m2 = tuple(a + b for a, b in zip(shift, tm))
-                nc = (work.get(m2, 0) - c * tc) % mod
-                if nc:
-                    if m2 not in work:
-                        heapq.heappush(heap, (_negkey(key(m2)), m2))
-                    work[m2] = nc
+                m2 = tm + shift
+                old = get(m2)
+                if old is None:
+                    if m2 & guard:
+                        raise _Overflow
+                    push(heap, -m2)
+                    work[m2] = negc * tc % mod
                 else:
-                    work.pop(m2, None)
+                    nc = (old + negc * tc) % mod
+                    if nc:
+                        work[m2] = nc
+                    else:
+                        del work[m2]
     return remainder
 
 
-def _monic_dict(d: dict, key, ring: RingSpec) -> dict:
-    c = d[max(d, key=key)]
+def _monic_dict(d: dict, ring: RingSpec) -> dict:
+    c = d[max(d)]
     if c == 1:
         return d
     inv = ring.cinv(c)
@@ -100,34 +180,8 @@ def _monic_dict(d: dict, key, ring: RingSpec) -> dict:
     return {m: co * inv % mod for m, co in d.items()}
 
 
-def _reducer(d: dict, key):
-    """(lead, tail) pair for a monic dict."""
-    lm = max(d, key=key)
-    tail = tuple((m, c) for m, c in d.items() if m != lm)
-    return (lm, tail)
-
-
-def _spoly_dict(di, dj, lmi, lmj, mod) -> dict:
-    gamma = mono_lcm(lmi, lmj)
-    si = tuple(a - b for a, b in zip(gamma, lmi))
-    sj = tuple(a - b for a, b in zip(gamma, lmj))
-    out: dict = {}
-    for m, c in di.items():
-        out[tuple(a + b for a, b in zip(si, m))] = c
-    for m, c in dj.items():
-        m2 = tuple(a + b for a, b in zip(sj, m))
-        nc = out.get(m2, 0) - c
-        if mod is not None:
-            nc %= mod
-        if nc:
-            out[m2] = nc
-        else:
-            out.pop(m2, None)
-    return out
-
-
 class _Engine:
-    """Incremental Buchberger state: basis, leads, reducers and pending pairs.
+    """Incremental Buchberger state: packed elements, lead tuples, pending pairs.
 
     `key` orders terms (the ring's monomial order for an ideal).  With
     `module` set, terms are encoded module terms (c, -c) + monomial: the
@@ -138,45 +192,105 @@ class _Engine:
         self.ring = ring
         self.key = key or ring.key
         self.module = module
-        self.width = 1 if module else 0
-        self.basis: list[dict] = []
+        self.pk = _Packing(self.key, ring.nvars, 1 if module else 0, 8)
+        self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail)
         self.leads: list[tuple] = []
-        self.reducers: dict = {}  # component -> [(lead, tail)]
+        self.reducers: dict = {}  # component -> [elems entries]
         self.members: dict = {}  # component -> basis indices
         self.pairs: list[tuple[int, int]] = []
 
+    @property
+    def basis(self) -> list[dict]:
+        return [self._unpack(self._element(k)) for k in range(len(self.elems))]
+
     def reduce(self, v: dict) -> dict:
-        return _nf_dict(dict(v), self.reducers, self.key, self.ring.modulus, self.width)
+        self._fit((v,))
+        return self._unpack(self._nf(lambda: self._pack(v)))
 
     def add(self, v: dict) -> bool:
         """Adjoin v; False if it was already in the span (basis unchanged)."""
-        if not self._insert(dict(v)):
+        self._fit((v,))
+        if not self._insert(self._nf(lambda: self._pack(v))):
             return False
         self._saturate()
         return True
 
     def extend(self, vectors) -> "_Engine":
         """Adjoin all vectors, in ascending order of lead, then close under pairs."""
-        key = self.key
-        for v in sorted((v for v in vectors if v), key=lambda v: key(max(v, key=key))):
-            self._insert(dict(v))
+        vectors = [v for v in vectors if v]
+        self._fit(vectors)
+        pack = self.pk.pack
+        for v in sorted(vectors, key=lambda v: max(map(pack, v))):
+            self._insert(self._nf(lambda: self._pack(v)))
         self._saturate()
         return self
 
-    def _insert(self, work: dict) -> bool:
-        r = _nf_dict(work, self.reducers, self.key, self.ring.modulus, self.width)
+    def _pack(self, v: dict) -> dict:
+        pack = self.pk.pack
+        return {pack(t): c for t, c in v.items()}
+
+    def _unpack(self, d: dict) -> dict:
+        unpack = self.pk.unpack
+        return {unpack(m): c for m, c in d.items()}
+
+    def _element(self, k: int) -> dict:
+        _, lead, tail = self.elems[k]
+        d = {lead: self.ring.coeff(1)}
+        d.update(tail)
+        return d
+
+    def _fit(self, dicts):
+        """Widen the fields, if need be, so that every term of `dicts` fits."""
+        pk = self.pk
+        top = max((e for d in dicts for t in d for e in t[2 if self.module else 0:]),
+                  default=0)
+        comps = max((t[0] + 1 for d in dicts for t in d), default=0) if self.module else 0
+        if top > pk.cap or comps > pk.comps:
+            comps = max(pk.comps, 2 * comps)
+            self._repack(max(pk.bits, (2 * top).bit_length() + 1, comps.bit_length() + 1),
+                         comps)
+
+    def _repack(self, bits: int, comps: int):
+        old = [self._unpack(self._element(k)) for k in range(len(self.elems))]
+        self.pk = _Packing(self.key, self.ring.nvars, comps, bits)
+        self.elems.clear()
+        self.leads.clear()
+        self.reducers.clear()
+        for d in old:
+            self._install(self._pack(d))
+
+    def _nf(self, make, reducers=None) -> dict:
+        """Normal form of the packed dict make() builds, modulo reducers() or the basis.
+
+        On overflow the fields are widened, and the dict rebuilt and reduced again.
+        """
+        while True:
+            try:
+                return _nf_dict(make(), reducers() if reducers else self.reducers,
+                                self.ring.modulus, self.pk)
+            except _Overflow:
+                self._repack(2 * self.pk.bits, self.pk.comps)
+
+    def _install(self, d: dict) -> int:
+        """Append the monic packed dict d as an element and reducer; returns its component."""
+        pk = self.pk
+        lead = max(d)
+        entry = (lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead))
+        comp = lead & pk.cmask
+        self.elems.append(entry)
+        self.leads.append(pk.unpack(lead))
+        self.reducers.setdefault(comp, []).append(entry)
+        return comp
+
+    def _insert(self, r: dict) -> bool:
+        """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
         if not r:
             return False
-        r = _monic_dict(r, self.key, self.ring)
-        lead, tail = _reducer(r, self.key)
-        comp = lead[:self.width]
-        new = len(self.basis)
-        self.basis.append(r)
-        self.leads.append(lead)
+        comp = self._install(_monic_dict(r, self.ring))
+        new = len(self.elems) - 1
         members = self.members.setdefault(comp, [])
         self._update_pairs(new, members)
         members.append(new)
-        self.reducers.setdefault(comp, []).append((lead, tail))
         return True
 
     def _update_pairs(self, new: int, members):
@@ -208,6 +322,24 @@ class _Engine:
             kept.append((min(grp), new))
         self.pairs = kept
 
+    def _spoly(self, i: int, j: int) -> dict:
+        """S-polynomial of the monic basis elements i and j, from their tails."""
+        _, li, ti = self.elems[i]
+        _, lj, tj = self.elems[j]
+        gamma = self.pk.pack(mono_lcm(self.leads[i], self.leads[j]))
+        si, sj, mod = gamma - li, gamma - lj, self.ring.modulus
+        out = {si + m: c for m, c in ti}
+        for m, c in tj:
+            m2 = sj + m
+            nc = out.get(m2, 0) - c
+            if mod is not None:
+                nc %= mod
+            if nc:
+                out[m2] = nc
+            else:
+                out.pop(m2, None)
+        return out
+
     def _saturate(self):
         lms, key = self.leads, self.key
         while self.pairs:
@@ -215,28 +347,24 @@ class _Engine:
             best = min(range(len(pairs)),
                        key=lambda k: key(mono_lcm(lms[pairs[k][0]], lms[pairs[k][1]])))
             i, j = pairs.pop(best)
-            self._insert(_spoly_dict(self.basis[i], self.basis[j], lms[i], lms[j],
-                                     self.ring.modulus))
+            self._insert(self._nf(lambda: self._spoly(i, j)))
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):
     """Reduced Groebner basis (list of monic dicts) of the input dicts."""
-    keyf = ring.key
     engine = _Engine(ring).extend(inputs)
-    basis, lms = engine.basis, engine.leads
+    lms = engine.leads
     # minimalize: drop elements whose lead is divisible by another kept lead
-    order = sorted(range(len(basis)), key=lambda k: keyf(lms[k]))
     kept: list[int] = []
-    for k in order:
+    for k in sorted(range(len(lms)), key=lambda k: engine.elems[k][1]):
         if not any(mono_divides(lms[i], lms[k]) for i in kept):
             kept.append(k)
-    # interreduce tails
+    # interreduce tails; leads stay, so the result ascends by lead like `kept`
     final = []
     for k in kept:
-        others = {(): [_reducer(basis[i], keyf) for i in kept if i != k]}
-        r = _nf_dict(dict(basis[k]), others, keyf, ring.modulus)
-        final.append(_monic_dict(r, keyf, ring))
-    final.sort(key=lambda d: keyf(max(d, key=keyf)))
+        r = engine._nf(lambda k=k: engine._element(k),
+                       lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
+        final.append(engine._unpack(r))
     return final
 
 
@@ -265,14 +393,18 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]
 
     @cached_property
-    def _reducers(self):
-        return {(): [_reducer(_to_dict(g), self.ring.key) for g in self.basis]}
+    def _engine(self) -> _Engine:
+        engine = _Engine(self.ring)
+        dicts = [_to_dict(g) for g in self.basis]
+        engine._fit(dicts)
+        for d in dicts:
+            engine._install(engine._pack(d))
+        return engine
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
-        ring = self.ring
-        return _to_poly(_nf_dict(_to_dict(p), self._reducers, ring.key, ring.modulus), ring)
+        return _to_poly(self._engine.reduce(_to_dict(p)), self.ring)
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -314,10 +446,13 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ring != g.ring:
         raise RingMismatchError("polynomials live in different rings")
     ring = f.ring
-    keyf = ring.key
-    df, dg = _monic_dict(_to_dict(f), keyf, ring), _monic_dict(_to_dict(g), keyf, ring)
-    return _to_poly(_spoly_dict(df, dg, max(df, key=keyf), max(dg, key=keyf), ring.modulus),
-                    ring)
+    engine = _Engine(ring)
+    dicts = [_to_dict(f), _to_dict(g)]
+    engine._fit(dicts)
+    for d in dicts:
+        engine._install(_monic_dict(engine._pack(d), ring))
+    # fields hold twice the largest input exponent, so the S-polynomial fits
+    return _to_poly(engine._unpack(engine._spoly(0, 1)), ring)
 
 
 def ideal_equal(gens_a, gens_b) -> bool:

@@ -2,8 +2,10 @@
 
 A monomial is an exponent tuple.  An order turns it into a key tuple such
 that key(a) > key(b) iff a > b under the order.  Keys are flat int tuples
-of fixed length per ring, so elementwise negation reverses the comparison;
-the heap-based division loop relies on that.
+of fixed length per ring, and every key is linear in the exponents:
+key(a * b) = key(a) + key(b) elementwise.  The Groebner engine relies on
+that: it packs a term's key digits into one int, so that multiplying terms
+is adding their packed ints (see groebner._Packing).
 """
 
 from __future__ import annotations

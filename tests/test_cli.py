@@ -217,3 +217,22 @@ def test_modulus_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "validate", str(path), "--json")
     assert code == 0
     assert json.loads(out)["modulus"] == 101
+
+
+@pytest.mark.parametrize("bad", ["a..b", "3..2", "3..", "x"])
+def test_explore_bad_range_is_parse_error(capsys, bad):
+    code, out, err = run(capsys, "explore", "--n-range", bad, "--d-range", "2",
+                         "--trials", "1")
+    assert code == 1
+    assert err.startswith("parse error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_explore_checks_ignore_empty_entries(capsys):
+    args = ("explore", "--n-range", "2", "--d-range", "2", "--trials", "1")
+    code, out, _ = run(capsys, *args, "--checks", "theorem,")
+    assert code == 0
+    rep = _json_lines(out)[0]
+    assert rep["theorem"] == "pass" and "cm" not in rep
+    code, _, err = run(capsys, *args, "--checks", "theorem,bogus")
+    assert code == 1 and "unknown checks: bogus" in err

@@ -89,6 +89,32 @@ def test_normal_form_examples(R):
     assert gb.normal_form(R.variable(1), G) == R.variable(1)
 
 
+def test_normal_form_huge_exponent_is_exact():
+    # packed with a fixed 16-bit exponent field, x^70000 once wrapped to x^4464
+    R = RingSpec(["x", "y"], modulus=101)
+    x = P("x^70000", R)
+    assert gb.normal_form(x, [P("y", R)]) == x
+
+
+def test_exponents_growing_past_the_fields_are_exact():
+    # the fields are sized from the input terms; reducing x^200 by x - y^3
+    # under lex carries y far past them, so the engine must widen them and
+    # redo the reduction, both in a normal form and inside Buchberger
+    RL = RingSpec(["x", "y"], modulus=101, order=LEX)
+    assert gb.normal_form(P("x^200", RL), [P("x - y^3", RL)]) == P("y^600", RL)
+    G = gb.buchberger([P("x - y^3", RL), P("x^200 - x", RL)])
+    assert set(G.basis) == {P("x - y^3", RL), P("y^600 - y^3", RL)}
+    # here the growth comes from S-pairs: x^(50-k) z^(3k) climbs to z^150
+    RL3 = RingSpec(["x", "y", "z"], modulus=101, order=LEX)
+    G = gb.buchberger([P("x*y - z^3", RL3), P("x^50 - 1", RL3)])
+    assert len(G.basis) == 52
+    assert G.basis[0] == P("y^50 - z^150", RL3)
+    assert G.contains(P("x^50 - 1", RL3)) and G.contains(P("x*y - z^3", RL3))
+    RQ = RingSpec(["x", "y"], order=LEX)
+    assert gb.normal_form(P("x^100 + 1/2*x", RQ), [P("x - y^3", RQ)]) == \
+        P("y^300 + 1/2*y^3", RQ)
+
+
 def test_normal_form_idempotent_randomized(R):
     rng = random.Random(21)
     for _ in range(100):

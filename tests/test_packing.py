@@ -1,0 +1,96 @@
+"""Packed terms of the Groebner engine against the tuple helpers of polycore."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given = hypothesis.given
+
+from jonq.groebner import _Packing  # noqa: E402
+from jonq.orders import GREVLEX, GRLEX, LEX, elimination_order  # noqa: E402
+from jonq.polycore import RingSpec, mono_divides, mono_mul  # noqa: E402
+from jonq.resolutions import _module_key  # noqa: E402
+
+NVARS = 4
+BITS = 6  # exponent fields hold 0..31
+CAP = (1 << (BITS - 1)) - 1
+COMPS = 5
+
+ORDERS = [GREVLEX, LEX, GRLEX, elimination_order(1), elimination_order(3)]
+# (key, comps): ideal keys have no components, module keys comps > 0
+SCHEMES = ([(o.key_function(NVARS), 0) for o in ORDERS]
+           + [(_module_key(RingSpec([f"x{i}" for i in range(NVARS)], order=o), block), COMPS)
+              for o in (GREVLEX, LEX) for block in (None, 2)])
+PACKINGS = [_Packing(key, NVARS, comps, BITS) for key, comps in SCHEMES]
+
+schemes = st.sampled_from(range(len(SCHEMES)))
+monos = st.tuples(*[st.integers(0, CAP) for _ in range(NVARS)])
+halves = st.tuples(*[st.integers(0, CAP // 2) for _ in range(NVARS)])
+comps = st.integers(0, COMPS - 1)
+
+
+def term(k, c, mono):
+    """The boundary term of scheme k: a monomial, or (c, -c) + monomial."""
+    return (c, -c) + mono if SCHEMES[k][1] else mono
+
+
+def lo_divides(pk, a, b):
+    """The engine's divisibility test on packed terms a, b."""
+    d = (b & pk.lomask) - (a & pk.lomask)
+    return d >= 0 and not d & pk.guard
+
+
+@given(schemes, comps, monos, comps, monos)
+def test_int_order_is_key_order(k, ca, a, cb, b):
+    key, pk = SCHEMES[k][0], PACKINGS[k]
+    ta, tb = term(k, ca, a), term(k, cb, b)
+    assert (pk.pack(ta) < pk.pack(tb)) == (key(ta) < key(tb))
+    assert (pk.pack(ta) == pk.pack(tb)) == (ta == tb)
+
+
+@given(schemes, comps, halves, halves, halves)
+def test_adding_a_shift_multiplies(k, c, t, lead, q):
+    # the reducer's step: shift = pack(lead * q) - pack(lead), then
+    # pack(t) + shift = pack(t * q) for every t of lead's component
+    pk = PACKINGS[k]
+    shift = pk.pack(term(k, c, mono_mul(lead, q))) - pk.pack(term(k, c, lead))
+    assert pk.pack(term(k, c, t)) + shift == pk.pack(term(k, c, mono_mul(t, q)))
+    if not SCHEMES[k][1]:
+        assert pk.pack(t) + pk.pack(q) == pk.pack(mono_mul(t, q))
+
+
+@given(schemes, comps, monos, monos)
+def test_carry_into_a_guard_bit_is_seen(k, c, t, q):
+    # a product whose exponent leaves the fields never reads as a valid term
+    pk = PACKINGS[k]
+    zero = (0,) * NVARS
+    shift = pk.pack(term(k, c, q)) - pk.pack(term(k, c, zero))
+    over = any(e > CAP for e in mono_mul(t, q))
+    assert bool((pk.pack(term(k, c, t)) + shift) & pk.guard) == over
+
+
+@given(schemes, comps, monos, comps, monos)
+def test_guard_bit_test_is_mono_divides(k, ca, a, cb, b):
+    pk = PACKINGS[k]
+    ta, tb = term(k, ca, a), term(k, cb, b)
+    assert lo_divides(pk, pk.pack(ta), pk.pack(tb)) == mono_divides(ta, tb)
+
+
+@given(schemes, comps, monos, monos)
+def test_guard_bit_test_on_multiples(k, c, a, q):
+    # random pairs rarely divide; a multiple always does, in its own component
+    pk = PACKINGS[k]
+    a = tuple(e // 2 for e in a)
+    q = tuple(e // 2 for e in q)
+    assert lo_divides(pk, pk.pack(term(k, c, a)), pk.pack(term(k, c, mono_mul(a, q))))
+    if SCHEMES[k][1]:
+        other = (c + 1) % COMPS
+        assert not lo_divides(pk, pk.pack(term(k, c, a)),
+                              pk.pack(term(k, other, mono_mul(a, q))))
+
+
+@given(schemes, comps, monos)
+def test_unpack_inverts_pack(k, c, mono):
+    pk = PACKINGS[k]
+    t = term(k, c, mono)
+    assert pk.unpack(pk.pack(t)) == t

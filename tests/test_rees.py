@@ -72,6 +72,22 @@ def test_main_theorem_randomized():
             assert report.count == _binomial(n, 2) + d - 1
 
 
+def test_main_theorem_names_redundant_generator(e2, monkeypatch):
+    # a generator that lies in the span of the others fails minimality, and
+    # the report names exactly that generator
+    real = rees.predicted_generators
+
+    def padded(j, seq=None):
+        gens = real(j, seq)
+        return gens + [gens[0] * gens[0].ring.variable(0)]
+    monkeypatch.setattr(rees, "predicted_generators", padded)
+    report = rees.verify_main_theorem(e2)
+    extra = padded(e2)[-1]
+    assert report.ideal_matches and not report.minimal and not report.ok
+    assert report.witnesses == (f"redundant generator: {extra}",
+                                f"generator count 5 != 4")
+
+
 def test_presentation_chain(e3):
     pres = rees.rees_presentation(e3)
     # every predicted generator lies in the eliminated ideal
