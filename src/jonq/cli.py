@@ -102,6 +102,17 @@ def parse_case_file(text: str) -> CaseFile:
                     f_text=data["f"], g_text=data["g"], seed=seed, checks=checks)
 
 
+def _env_modulus() -> int:
+    """The JONQ_MODULUS environment variable, or DEFAULT_MODULUS when unset."""
+    env = os.environ.get("JONQ_MODULUS")
+    if not env:
+        return DEFAULT_MODULUS
+    try:
+        return int(env)
+    except ValueError:
+        raise CaseFileError(f"bad JONQ_MODULUS value {env!r}") from None
+
+
 def _effective_modulus(case: CaseFile, args) -> int | None:
     if case.field == "rational":
         return None
@@ -109,13 +120,7 @@ def _effective_modulus(case: CaseFile, args) -> int | None:
         return case.modulus
     if getattr(args, "modulus", None):
         return args.modulus
-    env = os.environ.get("JONQ_MODULUS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CaseFileError(f"bad JONQ_MODULUS value {env!r}") from None
-    return DEFAULT_MODULUS
+    return _env_modulus()
 
 
 def load_map(path: str, args) -> tuple[dejonq.DeJonquieresMap, CaseFile]:
@@ -209,8 +214,8 @@ def cmd_rees(args) -> int:
     return 3 if failed else 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """'lo..hi' or a single integer, as an inclusive (lo, hi) with lo <= hi."""
+def _parse_range(text: str, least: int) -> tuple[int, int]:
+    """'lo..hi' or a single integer, as an inclusive (lo, hi) with least <= lo <= hi."""
     lo, sep, hi = text.partition("..")
     try:
         lo = int(lo)
@@ -219,6 +224,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise CaseFileError(f"bad range {text!r}") from None
     if lo > hi:
         raise CaseFileError(f"empty range {text!r}")
+    if lo < least:
+        raise CaseFileError(f"range {text!r} starts below {least}")
     return lo, hi
 
 
@@ -230,15 +237,11 @@ def _explore_case(task):
 
 
 def cmd_explore(args) -> int:
-    n_lo, n_hi = _parse_range(args.n_range)
-    d_lo, d_hi = _parse_range(args.d_range)
-    modulus = args.modulus
-    if modulus is None:
-        env = os.environ.get("JONQ_MODULUS", "")
-        try:
-            modulus = int(env) if env else DEFAULT_MODULUS
-        except ValueError:
-            raise CaseFileError(f"bad JONQ_MODULUS value {env!r}") from None
+    n_lo, n_hi = _parse_range(args.n_range, 1)
+    d_lo, d_hi = _parse_range(args.d_range, 2)
+    if args.trials < 1:
+        raise CaseFileError(f"--trials must be at least 1, got {args.trials}")
+    modulus = args.modulus if args.modulus is not None else _env_modulus()
     checks = _parse_checks(args.checks) if args.checks else rees.REPORT_CHECKS
     tasks = []
     for n in range(n_lo, n_hi + 1):

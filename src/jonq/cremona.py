@@ -4,6 +4,11 @@ A map is an ordered tuple of equal-degree forms in its source ring; the
 target ring names the coordinates it maps to.  Birationality is certified
 constructively: composing a candidate inverse with the map must return the
 identity up to a single nonzero form, the inversion factor.
+
+`downgrade_general` is the one downgrading loop: it trades content in the
+first n source variables for support-inverse forms, starting from a syzygy
+of the coordinates.  The identity-support sequence of dejonq is the case
+of the identity support map.
 """
 
 from __future__ import annotations

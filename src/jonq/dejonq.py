@@ -5,12 +5,15 @@ forms f (degree d-1) and g (degree d) in k[x_1..x_{n+1}] that are monoids in
 the distinguished last variable (degree <= 1 in it, at least one degree
 exactly 1) with g inside (x_1,..,x_n); the map is (x_1 f : .. : x_n f : g).
 
-The module builds the downgraded sequence F_0,..,F_{d-2} living in the
-bigraded ring k[x, y], derives the inverse map from the last member's
-partial derivatives, writes down the closed-form minimal free resolution of
-the base ideal, and checks the structural consequences (saturation,
-associated support prime, Cohen-Macaulayness exactly in the plane case,
-plane multiplicity d(d-1)+1).
+The downgraded sequence F_0,..,F_{d-2} in the bigraded ring k[x, y] is the
+general downgrading of cremona.downgrade_general, applied to the syzygy
+(-q_1,..,-q_n, f) with the identity support inverse (y_1,..,y_n).  The
+module derives the inverse map from the last member's partial derivatives,
+writes down the closed-form minimal free resolution of the base ideal (a
+FreeComplex, checked by resolutions.is_graded_complex like the Groebner
+oracle), and checks the structural consequences (saturation, associated
+support prime, Cohen-Macaulayness exactly in the plane case, plane
+multiplicity d(d-1)+1).
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import groebner
-from .cremona import InversionCertificate, RationalMap, inversion_certificate
+from .cremona import (
+    InversionCertificate,
+    RationalMap,
+    downgrade_general,
+    inversion_certificate,
+)
 from .polycore import (
     JonqError,
     Polynomial,
@@ -30,6 +38,7 @@ from .polycore import (
     x_decompose,
     xprime_order,
 )
+from .resolutions import is_graded_complex
 
 
 class ConstructionError(JonqError):
@@ -130,44 +139,33 @@ def q_decomposition(j: DeJonquieresMap) -> tuple[Polynomial, ...]:
 
 @dataclass(frozen=True)
 class DowngradedSequence:
-    """Forms F_0..F_{d-2} with the content matrices used to derive them.
-
-    content[i] holds the tuple (F_{i,1}, .., F_{i,n}) with
-    F_i = sum_k F_{i,k} x_k; the next form is F_{i+1} = sum_k F_{i,k} y_k.
-    """
+    """Forms F_0..F_{d-2} in the bigraded working ring."""
 
     map: DeJonquieresMap
     q: tuple[Polynomial, ...]
     forms: tuple[Polynomial, ...]
-    content: tuple[tuple[Polynomial, ...], ...]
 
     @property
     def ring(self) -> RingSpec:
         return self.forms[0].ring
 
+    @property
+    def content(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """content[i] = (F_{i,1}, .., F_{i,n}) with F_i = sum_k F_{i,k} x_k, so
+        that F_{i+1} = sum_k F_{i,k} y_k; one entry per i < d-2."""
+        block = self.map.support_block()
+        return tuple(x_decompose(form, block=block) for form in self.forms[:-1])
+
 
 def downgraded_sequence(j: DeJonquieresMap) -> DowngradedSequence:
-    """F_0 = f y_{n+1} - sum q_i y_i, then trade x-content for y-variables."""
-    work = j.working_ring()
-    n, d = j.n, j.d
-    ys = [work.variable(nm) for nm in j.target.names]
+    """The general downgrading of the syzygy (-q_1, .., -q_n, f) with support
+    inverse (y_1, .., y_n): F_0 = f y_{n+1} - sum q_i y_i, then each step
+    trades x-content for y-variables.  f or some q_i involves x_{n+1}, so
+    there are exactly d-2 steps."""
     q = q_decomposition(j)
-    f0 = transport(j.f, work) * ys[n]
-    for qi, y in zip(q, ys[:n]):
-        f0 = f0 - transport(qi, work) * y
-    forms = [f0]
-    content = []
-    xblock = j.support_block()
-    for _ in range(d - 2):
-        parts = x_decompose(forms[-1], block=xblock)
-        content.append(parts)
-        nxt = work.zero()
-        for part, y in zip(parts, ys[:n]):
-            nxt = nxt + part * y
-        if nxt.is_zero():
-            raise JonqError("downgrading collapsed to zero on a valid map")
-        forms.append(nxt)
-    return DowngradedSequence(map=j, q=q, forms=tuple(forms), content=tuple(content))
+    syzygy = tuple(-qi for qi in q) + (j.f,)
+    forms = downgrade_general(j.rational_map(), syzygy, j.target.variables()[: j.n])
+    return DowngradedSequence(map=j, q=q, forms=tuple(forms))
 
 
 class InverseError(JonqError):
@@ -213,8 +211,9 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
 class FreeComplex:
     """Explicit graded free complex; matrices[k] maps position k+1 to k.
 
-    Each matrix is stored as a tuple of rows of polynomials; shifts[k] lists
-    the generator degrees of the position-k free module.
+    Each matrix is stored as a tuple of columns of polynomials, as in
+    resolutions.Resolution; shifts[k] lists the generator degrees of the
+    position-k free module.
     """
 
     ring: RingSpec
@@ -228,51 +227,27 @@ class FreeComplex:
         return len(self.shifts) - 1
 
     def verify(self) -> bool:
-        """Consecutive products vanish and entries are homogeneous of the
-        degree dictated by the shifts."""
-        for k, mat in enumerate(self.matrices):
-            rows, cols = len(self.shifts[k]), len(self.shifts[k + 1])
-            for r in range(rows):
-                for c in range(cols):
-                    entry = mat[r][c]
-                    if entry.is_zero():
-                        continue
-                    want = self.shifts[k + 1][c] - self.shifts[k][r]
-                    if not entry.is_homogeneous() or entry.total_degree() != want:
-                        return False
-        for k in range(len(self.matrices) - 1):
-            a, b = self.matrices[k], self.matrices[k + 1]
-            rows, mid, cols = len(self.shifts[k]), len(self.shifts[k + 1]), len(self.shifts[k + 2])
-            for r in range(rows):
-                for c in range(cols):
-                    acc = self.ring.zero()
-                    for m in range(mid):
-                        acc = acc + a[r][m] * b[m][c]
-                    if not acc.is_zero():
-                        return False
-        return True
+        """Entries are homogeneous of the degree dictated by the shifts and
+        consecutive products vanish."""
+        return is_graded_complex(self.ring, self.shifts, self.matrices)
 
 
-def _koszul_differential(ring: RingSpec, vars_idx, p: int):
-    """Matrix of the p-th Koszul differential of the given variables.
+def _koszul_differential(ring: RingSpec, n: int, p: int) -> list[tuple[Polynomial, ...]]:
+    """Columns of the p-th Koszul differential of the first n variables.
 
-    Rows are indexed by (p-1)-subsets, columns by p-subsets, both in
+    Columns are indexed by p-subsets, rows by (p-1)-subsets, both in
     lexicographic order; entry signs follow the alternating convention.
     """
     from itertools import combinations
-    varlist = list(vars_idx)
-    rows = list(combinations(range(len(varlist)), p - 1))
-    cols = list(combinations(range(len(varlist)), p))
-    row_index = {s: i for i, s in enumerate(rows)}
-    zero = ring.zero()
-    mat = [[zero for _ in cols] for _ in rows]
-    for cidx, subset in enumerate(cols):
+    rows = {s: i for i, s in enumerate(combinations(range(n), p - 1))}
+    columns = []
+    for subset in combinations(range(n), p):
+        col = [ring.zero()] * len(rows)
         for t, elem in enumerate(subset):
-            rest = subset[:t] + subset[t + 1:]
-            sign = 1 if t % 2 == 0 else -1
-            entry = ring.variable(varlist[elem])
-            mat[row_index[rest]][cidx] = entry if sign == 1 else -entry
-    return mat
+            entry = ring.variable(elem)
+            col[rows[subset[:t] + subset[t + 1:]]] = entry if t % 2 == 0 else -entry
+        columns.append(tuple(col))
+    return columns
 
 
 def resolution(j: DeJonquieresMap) -> FreeComplex:
@@ -284,32 +259,17 @@ def resolution(j: DeJonquieresMap) -> FreeComplex:
     """
     ring = j.source
     n, d = j.n, j.d
-    q = q_decomposition(j)
-    shifts: list[tuple[int, ...]] = [(0,), (d,) * (n + 1)]
-    matrices: list = []
-    matrices.append((tuple(j.base_forms),))  # single row: the coordinate forms
-    # rows: n+1 coordinates; columns: C(n,2) Koszul + 1 extra
-    koszul2 = _koszul_differential(ring, range(n), 2)
-    ncols = _binomial(n, 2)
-    rows = []
-    for r in range(n + 1):
-        row = []
-        for c in range(ncols):
-            row.append(koszul2[r][c] if r < n else ring.zero())
-        row.append(-q[r] if r < n else j.f)
-        rows.append(tuple(row))
-    matrices.append(tuple(rows))
-    shifts.append((d + 1,) * ncols + (2 * d - 1,))
+    zero = ring.zero()
+    extra = tuple(-qi for qi in q_decomposition(j)) + (j.f,)
+    shifts = [(0,), (d,) * (n + 1), (d + 1,) * _binomial(n, 2) + (2 * d - 1,)]
+    matrices = [tuple((form,) for form in j.base_forms),
+                tuple(col + (zero,) for col in _koszul_differential(ring, n, 2)) + (extra,)]
     for p in range(3, n + 1):
-        kos = _koszul_differential(ring, range(n), p)
-        cols = _binomial(n, p)
-        if p == 3:
-            rows = [tuple(kos[r]) for r in range(len(kos))]
-            rows.append(tuple(ring.zero() for _ in range(cols)))  # extra summand row
-        else:
-            rows = [tuple(kos[r]) for r in range(len(kos))]
-        matrices.append(tuple(rows))
-        shifts.append((d + p - 1,) * cols)
+        columns = _koszul_differential(ring, n, p)
+        if p == 3:  # the zero row of the extra summand R(-(2d-1))
+            columns = [col + (zero,) for col in columns]
+        matrices.append(tuple(columns))
+        shifts.append((d + p - 1,) * _binomial(n, p))
     return FreeComplex(ring=ring, shifts=tuple(shifts), matrices=tuple(matrices))
 
 
@@ -387,6 +347,8 @@ def random_map(n: int, d: int, rng, modulus: int = 32003) -> DeJonquieresMap:
     random forms f0, f1, g0, g1 in the support variables, resampled until the
     gcd, monoid and effectivity conditions hold."""
     from .polycore import random_form
+    if n < 1 or d < 2:
+        raise ConstructionError(f"need n >= 1 and d >= 2, got n = {n}, d = {d}")
     ring = source_ring(n, modulus)
     last = ring.variable(n)
     block = ring.names[:n]

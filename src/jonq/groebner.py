@@ -21,7 +21,7 @@ bit raises `_Overflow`; the engine then widens its fields and redoes that
 reduction, so exponents never wrap.
 
 Tuples remain at the boundary (`Polynomial.terms`, `GroebnerBasis.basis`,
-`_Engine.basis`/`reduce`/`add`/`extend`) and in the Gebauer-Moeller pair
+`_Engine.element`/`reduce`/`add`/`extend`) and in the Gebauer-Moeller pair
 update, which works on the lead tuples `_Engine.leads`.  Pair selection is
 normal, which for homogeneous input is degree-by-degree.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
@@ -45,6 +45,7 @@ from .polycore import (
     RingSpec,
     RingMismatchError,
     exact_div,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -197,11 +198,11 @@ class _Engine:
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
         self.members: dict = {}  # component -> basis indices
-        self.pairs: list[tuple[int, int]] = []
+        self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
 
-    @property
-    def basis(self) -> list[dict]:
-        return [self._unpack(self._element(k)) for k in range(len(self.elems))]
+    def element(self, k: int) -> dict:
+        """Basis element k as a {term: coefficient} dict."""
+        return self._unpack(self._element(k))
 
     def reduce(self, v: dict) -> dict:
         self._fit((v,))
@@ -251,7 +252,7 @@ class _Engine:
                          comps)
 
     def _repack(self, bits: int, comps: int):
-        old = [self._unpack(self._element(k)) for k in range(len(self.elems))]
+        old = [self.element(k) for k in range(len(self.elems))]
         self.pk = _Packing(self.key, self.ring.nvars, comps, bits)
         self.elems.clear()
         self.leads.clear()
@@ -298,20 +299,20 @@ class _Engine:
 
         members: earlier basis indices in the component of `new`.
         """
-        lms = self.leads
+        lms, key = self.leads, self.key
         lmf = lms[new]
         kept = []
-        for i, j in self.pairs:
-            lij = mono_lcm(lms[i], lms[j])
+        for pair in self.pairs:
+            _, lij, i, j = pair
             if (not mono_divides(lmf, lij)
                     or mono_lcm(lms[i], lmf) == lij
                     or mono_lcm(lms[j], lmf) == lij):
-                kept.append((i, j))
+                kept.append(pair)
         groups: dict = {}
         for i in members:
             groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
         minimal = []
-        for lcm in sorted(groups, key=self.key):
+        for lcm in sorted(groups, key=key):
             if not any(mono_divides(m, lcm) for m in minimal):
                 minimal.append(lcm)
         for lcm in minimal:
@@ -319,14 +320,17 @@ class _Engine:
             if not self.module and any(
                     mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
                 continue
-            kept.append((min(grp), new))
+            kept.append((key(lcm), lcm, min(grp), new))
         self.pairs = kept
 
-    def _spoly(self, i: int, j: int) -> dict:
-        """S-polynomial of the monic basis elements i and j, from their tails."""
+    def _spoly(self, i: int, j: int, lcm: tuple) -> dict:
+        """S-polynomial of the monic basis elements i and j, from their tails.
+
+        `lcm` is the lcm of their leads, as a tuple.
+        """
         _, li, ti = self.elems[i]
         _, lj, tj = self.elems[j]
-        gamma = self.pk.pack(mono_lcm(self.leads[i], self.leads[j]))
+        gamma = self.pk.pack(lcm)
         si, sj, mod = gamma - li, gamma - lj, self.ring.modulus
         out = {si + m: c for m, c in ti}
         for m, c in tj:
@@ -341,13 +345,10 @@ class _Engine:
         return out
 
     def _saturate(self):
-        lms, key = self.leads, self.key
         while self.pairs:
-            pairs = self.pairs
-            best = min(range(len(pairs)),
-                       key=lambda k: key(mono_lcm(lms[pairs[k][0]], lms[pairs[k][1]])))
-            i, j = pairs.pop(best)
-            self._insert(self._nf(lambda: self._spoly(i, j)))
+            keys = [p[0] for p in self.pairs]
+            _, lcm, i, j = self.pairs.pop(keys.index(min(keys)))  # ties go to the earliest pair
+            self._insert(self._nf(lambda: self._spoly(i, j, lcm)))
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):
@@ -370,11 +371,6 @@ def _buchberger_dicts(inputs, ring: RingSpec):
 
 def _to_dict(p: Polynomial) -> dict:
     return dict(p.terms)
-
-
-def _to_poly(d: dict, ring: RingSpec) -> Polynomial:
-    keyf = ring.key
-    return Polynomial._raw(ring, sorted(d.items(), key=lambda t: keyf(t[0]), reverse=True))
 
 
 def _common_ring(gens) -> RingSpec:
@@ -404,7 +400,7 @@ class GroebnerBasis:
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
-        return _to_poly(self._engine.reduce(_to_dict(p)), self.ring)
+        return Polynomial._from_dict(self.ring, self._engine.reduce(_to_dict(p)))
 
     def contains(self, p: Polynomial) -> bool:
         return self.reduce(p).is_zero()
@@ -432,7 +428,7 @@ def buchberger(gens, order=None, ring: RingSpec | None = None) -> GroebnerBasis:
         gens = [Polynomial(ring, g.terms) for g in gens]
     dicts = [_to_dict(g) for g in gens if g]
     basis = _buchberger_dicts(dicts, ring)
-    return GroebnerBasis(ring, tuple(gens), tuple(_to_poly(d, ring) for d in basis))
+    return GroebnerBasis(ring, tuple(gens), tuple(Polynomial._from_dict(ring, d) for d in basis))
 
 
 def normal_form(p: Polynomial, gb) -> Polynomial:
@@ -443,16 +439,13 @@ def normal_form(p: Polynomial, gb) -> Polynomial:
 
 
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """x^(gamma/lm f) f/lc f - x^(gamma/lm g) g/lc g, gamma = lcm(lm f, lm g)."""
     if f.ring != g.ring:
         raise RingMismatchError("polynomials live in different rings")
     ring = f.ring
-    engine = _Engine(ring)
-    dicts = [_to_dict(f), _to_dict(g)]
-    engine._fit(dicts)
-    for d in dicts:
-        engine._install(_monic_dict(engine._pack(d), ring))
-    # fields hold twice the largest input exponent, so the S-polynomial fits
-    return _to_poly(engine._unpack(engine._spoly(0, 1)), ring)
+    gamma = mono_lcm(f.lm(), g.lm())
+    return (ring.monomial(mono_div(gamma, f.lm())) * f.monic()
+            - ring.monomial(mono_div(gamma, g.lm())) * g.monic())
 
 
 def ideal_equal(gens_a, gens_b) -> bool:
@@ -478,8 +471,7 @@ def eliminate(gens, nblock: int) -> list[Polynomial]:
     ring = _common_ring(gens)
     if nblock < 1 or nblock >= ring.nvars:
         raise ArityError("elimination block must be a proper nonempty prefix")
-    elim_ring = ring.with_order(elimination_order(nblock))
-    gb = buchberger([Polynomial(elim_ring, g.terms) for g in gens])
+    gb = buchberger(gens, order=elimination_order(nblock))
     out = []
     for g in gb.basis:
         if all(all(e == 0 for e in m[:nblock]) for m, _ in g.terms):
@@ -511,14 +503,7 @@ def intersect(gens_a, gens_b) -> list[Polynomial]:
     one_minus_t = big.one() - t
     lifted = [t * transport(g, big) for g in gens_a]
     lifted += [one_minus_t * transport(g, big) for g in gens_b]
-    gb = buchberger(lifted)
-    out = []
-    for g in gb.basis:
-        if all(m[0] == 0 for m, _ in g.terms):
-            out.append(transport(g, ring))
-    keyf = ring.key
-    out.sort(key=lambda p: keyf(p.lm()))
-    return out
+    return [transport(g, ring) for g in eliminate(lifted, 1)]
 
 
 def colon(gens, f: Polynomial) -> list[Polynomial]:
@@ -663,10 +648,6 @@ def hilbert_series_numerator(gens, weights=None) -> dict[int, int]:
     return _hilb_rec(lts, weights, {})
 
 
-def numerator_eval_at_one(num: dict) -> int:
-    return sum(num.values())
-
-
 def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
     """(Krull dimension, multiplicity) read off the Hilbert numerator.
 
@@ -704,7 +685,7 @@ from .resolutions import (  # noqa: E402
 __all__ = [
     "GroebnerBasis", "buchberger", "normal_form", "spolynomial", "ideal_equal",
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
-    "hilbert_series_numerator", "dim_and_multiplicity", "numerator_eval_at_one",
-    "InhomogeneousError", "BettiTable", "Resolution", "ResolutionBoundError",
+    "hilbert_series_numerator", "dim_and_multiplicity", "InhomogeneousError",
+    "BettiTable", "Resolution", "ResolutionBoundError",
     "minimal_free_resolution", "syzygies",
 ]

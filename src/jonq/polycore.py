@@ -103,10 +103,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a) -> int:
-    return sum(a)
-
-
 class RingSpec:
     """A polynomial ring: named variables over Q or F_p with an active order.
 
@@ -237,10 +233,8 @@ class Polynomial:
                 merged[mono] = c
             else:
                 merged.pop(mono, None)
-        key = ring.key
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms",
-                           tuple(sorted(merged.items(), key=lambda t: key(t[0]), reverse=True)))
+        object.__setattr__(self, "terms", Polynomial._from_dict(ring, merged).terms)
 
     @classmethod
     def _raw(cls, ring: RingSpec, sorted_terms) -> "Polynomial":
@@ -249,6 +243,12 @@ class Polynomial:
         object.__setattr__(p, "ring", ring)
         object.__setattr__(p, "terms", tuple(sorted_terms))
         return p
+
+    @classmethod
+    def _from_dict(cls, ring: RingSpec, d: dict) -> "Polynomial":
+        """Internal: wrap a merged, coerced {monomial: coefficient} dict, sorting it."""
+        key = ring.key
+        return cls._raw(ring, sorted(d.items(), key=lambda t: key(t[0]), reverse=True))
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -283,9 +283,6 @@ class Polynomial:
         d = sum(self.terms[0][0])
         return all(sum(m) == d for m, _ in self.terms)
 
-    def is_bihomogeneous(self) -> bool:
-        return self.bidegree() is not None or not self.terms
-
     def bidegree(self):
         """(x-degree, y-degree) if bihomogeneous and nonzero, else None."""
         if not self.terms or self.ring.split is None:
@@ -295,9 +292,6 @@ class Polynomial:
             if self.ring.bidegree_of(m) != bd:
                 return None
         return bd
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -334,8 +328,7 @@ class Polynomial:
                 d[m] = nc
             else:
                 d.pop(m, None)
-        key = self.ring.key
-        return Polynomial._raw(self.ring, sorted(d.items(), key=lambda t: key(t[0]), reverse=True))
+        return Polynomial._from_dict(self.ring, d)
 
     __radd__ = __add__
 
@@ -375,8 +368,7 @@ class Polynomial:
                     d[m] = nc
                 else:
                     d.pop(m, None)
-        key = self.ring.key
-        return Polynomial._raw(self.ring, sorted(d.items(), key=lambda t: key(t[0]), reverse=True))
+        return Polynomial._from_dict(self.ring, d)
 
     __rmul__ = __mul__
 

@@ -14,6 +14,10 @@ module (ascending-degree greedy, so minimality holds by graded Nakayama),
 record the matrix, continue with its syzygies.  Matrices therefore have all
 entries in the maximal ideal and the resulting resolution is minimal; no
 unit-stripping pass is needed.
+
+A matrix is a tuple of columns.  `is_graded_complex` is the one check that
+such matrices form a graded complex for given shifts; both
+Resolution.verify_complex and dejonq.FreeComplex.verify run it.
 """
 
 from __future__ import annotations
@@ -111,8 +115,10 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
     gb = _module_groebner(augmented, ring, block=rank)
-    return [_dict_to_column(v, ring, rank, m) for v in gb.basis
-            if all(term[0] >= rank for term in v)]
+    # components below rank dominate the order: an element lies on the tag
+    # block iff its lead does
+    return [_dict_to_column(gb.element(k), ring, rank, m)
+            for k, lead in enumerate(gb.leads) if lead[0] >= rank]
 
 
 def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
@@ -197,17 +203,35 @@ class Resolution:
         return len(self.shifts) - 1
 
     def verify_complex(self) -> bool:
-        """Check consecutive matrices compose to zero."""
-        for k in range(len(self.matrices) - 1):
-            rows = len(self.shifts[k])
-            for col in self.matrices[k + 1]:
-                for r in range(rows):
-                    acc = self.ring.zero()
-                    for c, entry in enumerate(col):
-                        acc = acc + self.matrices[k][c][r] * entry
-                    if not acc.is_zero():
-                        return False
-        return True
+        return is_graded_complex(self.ring, self.shifts, self.matrices)
+
+
+def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
+    """True iff `matrices` is a graded complex of free modules with these shifts.
+
+    matrices[k] maps position k+1 to position k as a tuple of columns, one
+    per generator of position k+1.  Every nonzero entry in row r of column c
+    must be homogeneous of degree shifts[k+1][c] - shifts[k][r], and
+    consecutive maps must compose to zero.
+    """
+    for k, mat in enumerate(matrices):
+        rows, cols = shifts[k], shifts[k + 1]
+        if len(mat) != len(cols) or any(len(col) != len(rows) for col in mat):
+            return False
+        for col, top in zip(mat, cols):
+            for entry, low in zip(col, rows):
+                if entry and (not entry.is_homogeneous()
+                              or entry.total_degree() != top - low):
+                    return False
+    for k in range(len(matrices) - 1):
+        for col in matrices[k + 1]:
+            for r in range(len(shifts[k])):
+                acc = ring.zero()
+                for c, entry in enumerate(col):
+                    acc = acc + matrices[k][c][r] * entry
+                if acc:
+                    return False
+    return True
 
 
 def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution:

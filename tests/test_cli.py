@@ -219,7 +219,7 @@ def test_modulus_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["modulus"] == 101
 
 
-@pytest.mark.parametrize("bad", ["a..b", "3..2", "3..", "x"])
+@pytest.mark.parametrize("bad", ["a..b", "3..2", "3..", "x", "0", "0..2"])
 def test_explore_bad_range_is_parse_error(capsys, bad):
     code, out, err = run(capsys, "explore", "--n-range", bad, "--d-range", "2",
                          "--trials", "1")
@@ -236,3 +236,33 @@ def test_explore_checks_ignore_empty_entries(capsys):
     assert rep["theorem"] == "pass" and "cm" not in rep
     code, _, err = run(capsys, *args, "--checks", "theorem,bogus")
     assert code == 1 and "unknown checks: bogus" in err
+
+
+@pytest.mark.parametrize("args", [("--d-range", "1", "--trials", "1"),
+                                  ("--d-range", "2", "--trials", "0"),
+                                  ("--d-range", "2", "--trials", "-1")])
+def test_explore_impossible_degree_or_trials_is_parse_error(capsys, args):
+    code, out, err = run(capsys, "explore", "--n-range", "2", *args)
+    assert code == 1
+    assert err.startswith("parse error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_explore_modulus_env(capsys, monkeypatch):
+    monkeypatch.setenv("JONQ_MODULUS", "101")
+    code, out, _ = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                       "--trials", "1", "--checks", "theorem")
+    assert code == 0
+    assert _json_lines(out)[0]["modulus"] == 101
+
+
+@pytest.mark.parametrize("command", ["validate", "explore"])
+def test_bad_modulus_env_is_parse_error(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "fp.jonq"
+    path.write_text("n: 2\nd: 2\nfield: fp\nf: x3\ng: x1^2 - x2*x3\n")
+    monkeypatch.setenv("JONQ_MODULUS", "p101")
+    argv = ([command, str(path)] if command == "validate"
+            else [command, "--n-range", "2", "--d-range", "2", "--trials", "1"])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "parse error: bad JONQ_MODULUS value 'p101'\n"

@@ -1,6 +1,7 @@
 """Identity-support maps: construction, sequences, inverses, resolutions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -222,6 +223,18 @@ def test_resolution_matches_oracle(e1, e2, e3):
         assert oracle.betti.length() == j.n
 
 
+def test_resolution_verify_rejects_wrong_degree_and_nonzero_composition(e2):
+    fc = dejonq.resolution(e2)
+    x1 = e2.source.variable(0)
+    # scaling one map by x1 keeps every composition zero but breaks the degrees
+    scaled = tuple(tuple(entry * x1 for entry in col) for col in fc.matrices[1])
+    assert not replace(fc, matrices=(fc.matrices[0], scaled) + fc.matrices[2:]).verify()
+    # one entry of the right degree, but the first two maps no longer compose to zero
+    first = fc.matrices[1][0]
+    broken = ((first[0] + x1,) + first[1:],) + fc.matrices[1][1:]
+    assert not replace(fc, matrices=(fc.matrices[0], broken) + fc.matrices[2:]).verify()
+
+
 def test_resolution_random_n3_d3():
     rng = random.Random(33)
     j = dejonq.random_map(3, 3, rng)
@@ -284,3 +297,9 @@ def test_random_map_validity():
             assert j.source.modulus == 32003
             # re-validates all conditions
             dejonq.construct(j.f, j.g, n)
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (2, 1), (-1, 3), (3, 0)])
+def test_random_map_rejects_impossible_grid_points(n, d):
+    with pytest.raises(ConstructionError, match="need n >= 1 and d >= 2"):
+        dejonq.random_map(n, d, random.Random(0))

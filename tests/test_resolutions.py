@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,19 @@ def test_koszul_three_variables():
     assert res.betti.ranks() == (1, 3, 3, 1)
     assert res.shifts[3] == (3,)
     assert res.verify_complex()
+
+
+def test_verify_complex_rejects_wrong_degree_and_nonzero_composition():
+    R = RingSpec(["x1", "x2"])
+    res = minimal_free_resolution([R.variable(0), R.variable(1)])
+    x1 = R.variable(0)
+    # scaling the second map by x1 keeps the composition zero but breaks the degrees
+    scaled = tuple(tuple(entry * x1 for entry in col) for col in res.matrices[1])
+    assert not replace(res, matrices=(res.matrices[0], scaled)).verify_complex()
+    # entries of the right degree whose product with the first map is not zero
+    (col,) = res.matrices[1]
+    broken = ((col[0] + x1, col[1]),)
+    assert not replace(res, matrices=(res.matrices[0], broken)).verify_complex()
 
 
 def test_syzygies_are_syzygies():
