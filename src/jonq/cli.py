@@ -118,7 +118,7 @@ def _effective_modulus(case: CaseFile, args) -> int | None:
         return None
     if case.modulus is not None:
         return case.modulus
-    if getattr(args, "modulus", None):
+    if args.modulus is not None:
         return args.modulus
     return _env_modulus()
 
@@ -241,6 +241,8 @@ def cmd_explore(args) -> int:
     d_lo, d_hi = _parse_range(args.d_range, 2)
     if args.trials < 1:
         raise CaseFileError(f"--trials must be at least 1, got {args.trials}")
+    if args.jobs < 1:
+        raise CaseFileError(f"--jobs must be at least 1, got {args.jobs}")
     modulus = args.modulus if args.modulus is not None else _env_modulus()
     checks = _parse_checks(args.checks) if args.checks else rees.REPORT_CHECKS
     tasks = []

@@ -187,6 +187,14 @@ class _Engine:
     `key` orders terms (the ring's monomial order for an ideal).  With
     `module` set, terms are encoded module terms (c, -c) + monomial: the
     product criterion is off and reducers and pairs are kept per component.
+
+    `origins[k]` is None if basis element k was adjoined as an input, else
+    the lcm tuple of the S-pair it was reduced from (`resolutions.syzygies`
+    reads it); it holds no packed ints, so repacking keeps it.
+
+    `_saturate` and `add` take an optional degree limit d.  Under a key
+    that leads with the degree, closing only the pairs whose key leads with
+    at most d gives a d-truncated Groebner basis of homogeneous input.
     """
 
     def __init__(self, ring: RingSpec, key=None, module: bool = False):
@@ -199,6 +207,7 @@ class _Engine:
         self.reducers: dict = {}  # component -> [elems entries]
         self.members: dict = {}  # component -> basis indices
         self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
+        self.origins: list = []  # basis index -> None (input) or S-pair lcm
 
     def element(self, k: int) -> dict:
         """Basis element k as a {term: coefficient} dict."""
@@ -208,12 +217,20 @@ class _Engine:
         self._fit((v,))
         return self._unpack(self._nf(lambda: self._pack(v)))
 
-    def add(self, v: dict) -> bool:
-        """Adjoin v; False if it was already in the span (basis unchanged)."""
+    def add(self, v: dict, degree: int | None = None) -> bool:
+        """Adjoin v; False if it was already in the span (basis unchanged).
+
+        With `degree` (the leading key digit of every term of v), only the
+        pending pairs up to that degree are closed, before v is reduced:
+        for homogeneous input that decides membership exactly, and the
+        pairs above it stay pending.  Without it the basis is closed.
+        """
+        self._saturate(degree)
         self._fit((v,))
         if not self._insert(self._nf(lambda: self._pack(v))):
             return False
-        self._saturate()
+        if degree is None:
+            self._saturate()
         return True
 
     def extend(self, vectors) -> "_Engine":
@@ -283,11 +300,12 @@ class _Engine:
         self.reducers.setdefault(comp, []).append(entry)
         return comp
 
-    def _insert(self, r: dict) -> bool:
+    def _insert(self, r: dict, origin=None) -> bool:
         """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
         if not r:
             return False
         comp = self._install(_monic_dict(r, self.ring))
+        self.origins.append(origin)
         new = len(self.elems) - 1
         members = self.members.setdefault(comp, [])
         self._update_pairs(new, members)
@@ -344,11 +362,15 @@ class _Engine:
                 out.pop(m2, None)
         return out
 
-    def _saturate(self):
+    def _saturate(self, degree: int | None = None):
+        """Close the basis under its pairs, or only those up to `degree`."""
         while self.pairs:
             keys = [p[0] for p in self.pairs]
-            _, lcm, i, j = self.pairs.pop(keys.index(min(keys)))  # ties go to the earliest pair
-            self._insert(self._nf(lambda: self._spoly(i, j, lcm)))
+            k = keys.index(min(keys))  # ties go to the earliest pair
+            if degree is not None and keys[k][0] > degree:
+                return
+            _, lcm, i, j = self.pairs.pop(k)
+            self._insert(self._nf(lambda: self._spoly(i, j, lcm)), lcm)
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):

@@ -15,6 +15,21 @@ record the matrix, continue with its syzygies.  Matrices therefore have all
 entries in the maximal ideal and the resulting resolution is minimal; no
 unit-stripping pass is needed.
 
+Two facts keep the greedy from redoing the syzygy computation:
+
+- Only primary syzygies need to be offered to it: tag-block elements that
+  were reduced from an input vector or from an S-pair of two elements off
+  the tag block.  An element reduced from an S-pair of two tag-block
+  elements is an R-combination of tag-block elements created before it, all
+  of degree at most its own, so the greedy, which goes by (degree, index),
+  always finds it in the span of the columns before it.  (La Scala &
+  Stillman, "Strategies for computing minimal free resolutions", JSC 1998,
+  build the minimal resolution degree by degree on the same idea.)
+- Membership of a homogeneous column of degree d needs only a d-truncated
+  Groebner basis: before each test the greedy closes the pending pairs up
+  to d, under a key that leads with the shifted degree, and no pair above
+  the largest column degree is ever processed.
+
 A matrix is a tuple of columns.  `is_graded_complex` is the one check that
 such matrices form a graded complex for given shifts; both
 Resolution.verify_complex and dejonq.FreeComplex.verify run it.
@@ -40,10 +55,20 @@ class ResolutionBoundError(JonqError):
         self.partial = partial
 
 
-def _module_key(ring: RingSpec, block: int | None):
-    """Sort key on module terms (c, -c) + mono; components c < block dominate."""
+def _module_key(ring: RingSpec, block: int | None, shifts=None):
+    """Sort key on module terms (c, -c) + mono; components c < block dominate.
+
+    With `shifts` (and no block) the key leads with the shifted degree
+    |mono| + shifts[c], 0 for components past the end of `shifts`.
+    """
     ringkey = ring.key
-    if block is None:
+    if shifts is not None:
+        shift = dict(enumerate(shifts)).get
+
+        def key(term):
+            return ((sum(term[2:]) + shift(term[0], 0),) + ringkey(term[2:])
+                    + (term[1],))
+    elif block is None:
         def key(term):
             return ringkey(term[2:]) + (term[1],)
     else:
@@ -88,17 +113,28 @@ def _column_degree(column, shifts) -> int:
     return degs.pop()
 
 
+class _Syzygies(list):
+    """The columns `syzygies` returns, plus `primary`, the sublist of those
+    reduced from an input vector or from an S-pair off the tag block."""
+
+    def __init__(self):
+        super().__init__()
+        self.primary: list = []
+
+
 def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     """Generating syzygies of scalar polynomials or of module columns.
 
     `gens` is either a list of polynomials (syzygies of an ideal's
     generators) or a list of equal-length polynomial columns.  Returns a
     list of syzygy columns of length len(gens); they generate the full
-    syzygy module (in fact form a Groebner basis of it).
+    syzygy module (in fact form a Groebner basis of it).  Its attribute
+    `primary` lists the primary columns (see the module docstring), which
+    alone generate the syzygy module.
     """
     gens = list(gens)
     if not gens:
-        return []
+        return _Syzygies()
     if isinstance(gens[0], Polynomial):
         columns = [(g,) for g in gens]
     else:
@@ -115,23 +151,37 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
     gb = _module_groebner(augmented, ring, block=rank)
+    out = _Syzygies()
     # components below rank dominate the order: an element lies on the tag
     # block iff its lead does
-    return [_dict_to_column(gb.element(k), ring, rank, m)
-            for k, lead in enumerate(gb.leads) if lead[0] >= rank]
+    for k, lead in enumerate(gb.leads):
+        if lead[0] >= rank:
+            col = _dict_to_column(gb.element(k), ring, rank, m)
+            out.append(col)
+            origin = gb.origins[k]
+            if origin is None or origin[0] < rank:
+                out.primary.append(col)
+    return out
 
 
 def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
-    """Minimal generating subset of homogeneous columns (ascending degree greedy)."""
+    """Minimal generating subset of homogeneous columns (ascending degree greedy).
+
+    Columns go in (shifted degree, index) order, and a column is kept iff
+    it is not in the span of the columns before it.  Before a column of
+    degree d is tested, only the pending pairs up to degree d are closed,
+    under a key that leads with the shifted degree: that decides membership
+    exactly, and no pair above the largest column degree is processed.
+    """
     if shifts is None:
         shifts = (0,) * rank
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
-    gb = _module_groebner((), ring)
+    gb = groebner._Engine(ring, _module_key(ring, None, shifts), module=True)
     kept = []
     for deg, _, col in degreed:
-        if gb.add(_column_to_dict(col, ring)):
+        if gb.add(_column_to_dict(col, ring), deg):
             kept.append((deg, col))
     return kept
 
@@ -264,7 +314,7 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
         syz = syzygies([col for _, col in current])
-        current = minimal_generators(syz, ring, len(shifts[-1]), shifts[-1])
+        current = minimal_generators(syz.primary, ring, len(shifts[-1]), shifts[-1])
     return Resolution(ring, tuple(shifts), tuple(matrices), True)
 
 

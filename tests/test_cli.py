@@ -266,3 +266,26 @@ def test_bad_modulus_env_is_parse_error(tmp_path, capsys, monkeypatch, command):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "parse error: bad JONQ_MODULUS value 'p101'\n"
+
+
+def test_modulus_flag_zero_is_not_replaced_by_default(tmp_path, capsys):
+    path = tmp_path / "fp.jonq"
+    path.write_text("n: 2\nd: 2\nfield: fp\nf: x3\ng: x1^2 - x2*x3\n")
+    code, out, err = run(capsys, "validate", str(path), "--modulus", "0", "--json")
+    assert code == 3 and out == ""
+    assert err == "error: modulus 0 is not prime\n"
+    code, out, _ = run(capsys, "validate", str(path), "--modulus", "101", "--json")
+    assert code == 0
+    assert json.loads(out)["modulus"] == 101
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_explore_jobs_below_one_is_parse_error(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool was started")
+
+    monkeypatch.setattr("jonq.cli.ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                         "--trials", "1", "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert err == f"parse error: --jobs must be at least 1, got {jobs}\n"

@@ -1,0 +1,202 @@
+"""The resolution's shortcuts against the plain algorithm they replace.
+
+`minimal_free_resolution` offers `minimal_generators` only the primary
+syzygy columns, and `minimal_generators` closes pairs only up to the degree
+of the column it tests.  The reference below is the plain algorithm: every
+`syzygies()` column goes to a greedy that closes the basis after each
+column it keeps.  Both must give the same shifts and matrices.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+example, given, settings = hypothesis.example, hypothesis.given, hypothesis.settings
+
+from jonq import groebner, rees  # noqa: E402
+from jonq.groebner import _Packing  # noqa: E402
+from jonq.polycore import Polynomial, RingSpec, parse_polynomial  # noqa: E402
+from jonq.resolutions import (  # noqa: E402
+    _column_degree,
+    _column_to_dict,
+    _module_groebner,
+    _module_key,
+    minimal_free_resolution,
+    minimal_generators,
+    syzygies,
+)
+
+FIELDS = (None, 32003)
+
+
+def reference_greedy(columns, ring, rank, shifts):
+    """(kept (degree, column) pairs, rejected columns), closing the basis fully."""
+    degreed = sorted(((_column_degree(c, shifts), i, c) for i, c in enumerate(columns)
+                      if any(c)), key=lambda t: t[:2])
+    gb = _module_groebner((), ring)
+    kept, rejected = [], []
+    for deg, _, col in degreed:
+        if gb.add(_column_to_dict(col, ring)):
+            kept.append((deg, col))
+        else:
+            rejected.append(col)
+    return kept, rejected
+
+
+def reference_resolution(columns, ring, rank0):
+    """(shifts, matrices, number of unoffered syzygy columns the greedy kept)."""
+    shifts = [(0,) * rank0]
+    matrices = []
+    current, _ = reference_greedy(columns, ring, rank0, shifts[0])
+    strays = 0
+    while current:
+        matrices.append(tuple(col for _, col in current))
+        shifts.append(tuple(deg for deg, _ in current))
+        syz = syzygies([col for _, col in current])
+        current, rejected = reference_greedy(syz, ring, len(shifts[-1]), shifts[-1])
+        offered = {id(col) for col in syz.primary}
+        rejected = {id(col) for col in rejected}
+        strays += sum(id(col) not in offered and id(col) not in rejected for col in syz)
+    return tuple(shifts), tuple(matrices), strays
+
+
+def assert_matches_reference(gens):
+    if isinstance(gens[0], Polynomial):
+        ring, columns = gens[0].ring, [(g,) for g in gens if g]
+    else:
+        ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
+    # Hilbert's syzygy theorem bounds the length by the number of variables
+    res = minimal_free_resolution(gens, length_bound=ring.nvars)
+    shifts, matrices, strays = reference_resolution(columns, ring, len(columns[0]))
+    assert res.complete
+    assert res.shifts == shifts
+    assert res.matrices == matrices
+    assert strays == 0
+
+
+@st.composite
+def forms(draw, ring, degree):
+    """A nonzero homogeneous form of the given degree with 1..4 terms."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(st.integers(0, ring.nvars - 1),
+                                min_size=degree, max_size=degree))
+        mono = tuple(factors.count(v) for v in range(ring.nvars))
+        terms[mono] = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    return Polynomial(ring, terms)
+
+
+rings = st.builds(lambda nvars, modulus: RingSpec([f"x{i}" for i in range(1, nvars + 1)],
+                                                  modulus),
+                  st.integers(2, 4), st.sampled_from(FIELDS))
+
+
+@st.composite
+def ideals(draw):
+    ring = draw(rings)
+    return [draw(forms(ring, draw(st.integers(1, 3))))
+            for _ in range(draw(st.integers(2, 5)))]
+
+
+@st.composite
+def column_sets(draw):
+    """Columns of R^rank, each homogeneous of its own degree for zero shifts."""
+    ring = draw(rings)
+    rank = draw(st.integers(1, 3))
+    columns = []
+    for _ in range(draw(st.integers(2, 5))):
+        deg = draw(st.integers(1, 2))
+        columns.append(tuple(draw(forms(ring, deg)) if draw(st.booleans()) else ring.zero()
+                             for _ in range(rank)))
+    return columns
+
+
+Q3 = RingSpec(["x1", "x2", "x3"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(ideals(), column_sets()))
+# an exponent above the initial 8-bit field cap: the greedy's engine repacks
+# when that column arrives, after elements with origins exist
+@example([parse_polynomial(g, Q3) for g in ("x1^130 - x2^129*x3", "x1*x2 - x3^2",
+                                             "x2^2 + x1*x3")])
+def test_resolution_matches_full_saturation_reference(gens):
+    assert_matches_reference(gens)
+
+
+def test_primary_syzygies_survive_a_repack(monkeypatch):
+    # exponents stay below 64, but the syzygy run overflows the initial
+    # 8-bit fields, so the engine repacks after S-pair elements exist
+    repacked_with = []
+    repack = groebner._Engine._repack
+
+    def recording_repack(self, bits, comps):
+        repacked_with.append(len(self.origins))
+        repack(self, bits, comps)
+
+    monkeypatch.setattr(groebner._Engine, "_repack", recording_repack)
+    for modulus in FIELDS:
+        ring = RingSpec(["x1", "x2", "x3"], modulus)
+        gens = [parse_polynomial(g, ring) for g in (
+            "x1^38*x2^12*x3^13 - x1^17*x2^13*x3^33", "x1^3*x2^25*x3^35 - x1^27*x2^24*x3^12",
+            "x1^50*x2^5*x3^8 - x1^17*x2^3*x3^43")]
+        repacked_with.clear()
+        syzygies(gens)
+        assert any(repacked_with)
+        assert_matches_reference(gens)
+
+
+@st.composite
+def shifted_columns(draw):
+    """(ring, rank, shifts, columns): mixed degrees, zeros, duplicates, any order."""
+    ring = draw(rings)
+    rank = draw(st.integers(1, 3))
+    shifts = tuple(draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        deg = max(shifts) + draw(st.integers(0, 2))
+        columns.append(tuple(draw(forms(ring, deg - s)) if draw(st.booleans()) else ring.zero()
+                             for s in shifts))
+    columns += [tuple(ring.zero() for _ in shifts)] * draw(st.integers(0, 1))
+    columns += draw(st.lists(st.sampled_from(columns), max_size=2))
+    return ring, rank, shifts, draw(st.permutations(columns))
+
+
+R2 = RingSpec(["x1", "x2"], 32003)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_columns())
+# x2^3 lies in (x1^2, x1*x2 + x2^2) only through the S-pair of degree 3
+@example((R2, 1, (0,), [(parse_polynomial(g, R2),) for g in ("x2^3", "x1^2", "x1*x2 + x2^2")]))
+def test_truncated_minimal_generators_match_reference(case):
+    ring, rank, shifts, columns = case
+    kept, _ = reference_greedy(columns, ring, rank, shifts)
+    assert minimal_generators(columns, ring, rank, shifts) == kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(ideals())
+def test_minimal_generator_count_matches_reference(gens):
+    kept, _ = reference_greedy([(g,) for g in gens], gens[0].ring, 1, (0,))
+    assert rees.minimal_generator_count(gens) == len(kept)
+
+
+NVARS, BITS, COMPS = 3, 6, 4
+CAP = (1 << (BITS - 1)) - 1
+SHIFTED = [(shifts, _Packing(_module_key(RingSpec(["x1", "x2", "x3"]), None, shifts),
+                             NVARS, COMPS, BITS))
+           for shifts in ((0,), (3, 0, 5), (2, 2, 1, 0))]
+monos = st.tuples(*[st.integers(0, CAP) for _ in range(NVARS)])
+
+
+@given(st.sampled_from(SHIFTED), st.integers(0, COMPS - 1), monos,
+       st.integers(0, COMPS - 1), monos)
+def test_shifted_key_packs_in_order(scheme, ca, a, cb, b):
+    # components past the end of shifts (the engine doubles its component
+    # fields) pack with shift 0
+    shifts, pk = scheme
+    ta, tb = (ca, -ca) + a, (cb, -cb) + b
+    assert (pk.pack(ta) < pk.pack(tb)) == (pk.key(ta) < pk.key(tb))
+    assert pk.key(ta)[0] == sum(a) + (shifts[ca] if ca < len(shifts) else 0)
+    assert pk.unpack(pk.pack(ta)) == ta
