@@ -284,8 +284,7 @@ def fiber_ideal(f: RationalMap, point) -> list[Polynomial]:
     return groebner.saturate(minors, base)
 
 
-def downgrade_general(j: RationalMap, syzygy, support_inverse,
-                      support_degree: int | None = None) -> list[Polynomial]:
+def downgrade_general(j: RationalMap, syzygy, support_inverse) -> list[Polynomial]:
     """Fully downgraded sequence attached to a syzygy of j's coordinates.
 
     `syzygy` is a tuple of forms in j's source ring with nonzero last entry
@@ -313,14 +312,10 @@ def downgrade_general(j: RationalMap, syzygy, support_inverse,
     support_inverse = tuple(support_inverse)
     if len(support_inverse) != n:
         raise MapError("support inverse must have n coordinates")
-    dprime = support_degree
-    for h in support_inverse:
-        if h.is_zero() or not h.is_homogeneous():
-            raise MapError("support inverse coordinates must be nonzero forms")
-        if dprime is None:
-            dprime = h.total_degree()
-        elif h.total_degree() != dprime:
-            raise MapError("support inverse coordinates have inconsistent degrees")
+    if any(h.is_zero() or not h.is_homogeneous() for h in support_inverse):
+        raise MapError("support inverse coordinates must be nonzero forms")
+    if len({h.total_degree() for h in support_inverse}) > 1:
+        raise MapError("support inverse coordinates have inconsistent degrees")
 
     xblock = j.source.names[:n]
     delta = min(xprime_order(z, block=xblock) for z in syzygy if z)

@@ -8,12 +8,14 @@ exactly 1) with g inside (x_1,..,x_n); the map is (x_1 f : .. : x_n f : g).
 The downgraded sequence F_0,..,F_{d-2} in the bigraded ring k[x, y] is the
 general downgrading of cremona.downgrade_general, applied to the syzygy
 (-q_1,..,-q_n, f) with the identity support inverse (y_1,..,y_n).  The
-module derives the inverse map from the last member's partial derivatives,
-writes down the closed-form minimal free resolution of the base ideal (a
-FreeComplex, checked by resolutions.is_graded_complex like the Groebner
-oracle), and checks the structural consequences (saturation, associated
-support prime, Cohen-Macaulayness exactly in the plane case, plane
-multiplicity d(d-1)+1).
+module derives the inverse map from the last member's partial derivatives
+(one candidate, certified once: the sign of its last coordinate is forced
+because the last member vanishes on the graph of the map), writes down the
+closed-form minimal free resolution of the base ideal (a FreeComplex,
+checked by resolutions.is_graded_complex like the Groebner oracle), and
+checks the structural consequences (saturation, (x_1..x_n) = I : f as the
+associated support prime, Cohen-Macaulayness exactly in the plane case,
+plane multiplicity d(d-1)+1).
 """
 
 from __future__ import annotations
@@ -175,36 +177,30 @@ class InverseError(JonqError):
 def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     """Inverse map from the partials of the last downgraded form.
 
-    The inverse is (f' y_1 : .. : f' y_n : g') with f' the partial of
-    F_{d-2} in the last source variable and g' = s * sum_i (dF_{d-2}/dx_i) y_i,
-    the sign s in {+1,-1} fixed by whichever inversion certificate succeeds.
+    Write F_{d-2} = sum_{i <= n+1} A_i(y) x_i; it is linear in x.  The
+    inverse is (f' y_1 : .. : f' y_n : g') with f' = A_{n+1} and
+    g' = -sum_{i <= n} A_i y_i.  The sign is forced: F_{d-2} vanishes on the
+    graph of the map, so sum_{i <= n} A_i(J) x_i = -A_{n+1}(J) x_{n+1}, and
+    composing gives G(J) = f A_{n+1}(J) (x_1, .., x_{n+1}).  The one candidate
+    is certified once by cremona.inversion_certificate.
     """
-    seq = downgraded_sequence(j)
-    last = seq.forms[-1]
+    last = downgraded_sequence(j).forms[-1]
     work = last.ring
     n = j.n
     fprime_w = partial_derivative(last, j.source.names[n])
     if fprime_w.is_zero():
         raise InverseError("last downgraded form does not involve the last variable")
-    gsum_w = work.zero()
+    gprime_w = work.zero()
     for i in range(n):
-        gsum_w = gsum_w + partial_derivative(last, j.source.names[i]) * work.variable(j.target.names[i])
+        gprime_w = gprime_w - partial_derivative(last, j.source.names[i]) * work.variable(j.target.names[i])
     fprime = transport(fprime_w, j.target)
-    gsum = transport(gsum_w, j.target)
+    gprime = transport(gprime_w, j.target)
     ys = j.target.variables()
-    jmap = j.rational_map()
-    failures = []
-    for sign in (1, -1):
-        gprime = gsum if sign == 1 else -gsum
-        forms = tuple(fprime * ys[i] for i in range(n)) + (gprime,)
-        candidate = RationalMap(j.target, j.source, forms)
-        cert = inversion_certificate(jmap, candidate)
-        if isinstance(cert, InversionCertificate):
-            inv = construct(fprime, gprime, n, target=j.source)
-            return inv, cert
-        failures.append((sign, cert))
-    detail = "; ".join(f"sign {s:+d}: coordinate {c.index} ({c.reason})" for s, c in failures)
-    raise InverseError(f"no sign yields an inversion certificate: {detail}")
+    forms = tuple(fprime * ys[i] for i in range(n)) + (gprime,)
+    cert = inversion_certificate(j.rational_map(), RationalMap(j.target, j.source, forms))
+    if not isinstance(cert, InversionCertificate):
+        raise InverseError(f"inversion certificate fails at coordinate {cert.index} ({cert.reason})")
+    return construct(fprime, gprime, n, target=j.source), cert
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,7 @@ class StructuralReport:
     """Outcome of the structural corollaries for one map."""
 
     saturated: bool
-    colon_contains_support: bool
+    colon_contains_support: bool  # I : f = (x_1..x_n), an associated prime of I
     projdim: int
     cm: bool
     cm_iff_plane: bool
@@ -295,7 +291,11 @@ class StructuralReport:
 
 
 def structural_checks(j: DeJonquieresMap) -> StructuralReport:
-    """Saturation, the associated support prime, CM iff n = 2, plane multiplicity."""
+    """Saturation, the associated support prime, CM iff n = 2, plane multiplicity.
+
+    I : f = (x_1..x_n) holds for every valid map (gcd(f, g) = 1 and g lies
+    in (x_1..x_n)); x_i in I : f alone would be vacuous, as x_i f generates I.
+    """
     ring = j.source
     n = j.n
     base = list(j.base_forms)
@@ -309,11 +309,10 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
         extra = [str(p) for p in sat if not gb.contains(p)]
         witnesses.append(f"saturation added {extra}")
 
-    colon_f = groebner.colon(list(gb.basis), j.f)
-    colon_gb = groebner.buchberger(colon_f)
-    support_ok = all(colon_gb.contains(ring.variable(i)) for i in range(n))
+    support_ok = groebner.ideal_equal(groebner.colon(list(gb.basis), j.f),
+                                      [ring.variable(i) for i in range(n)])
     if not support_ok:
-        witnesses.append("support variables missing from I : f")
+        witnesses.append(f"I : f != (x_1..x_{n})")
 
     res = groebner.minimal_free_resolution(base)
     projdim = res.length()
@@ -349,12 +348,15 @@ def random_map(n: int, d: int, rng, modulus: int = 32003) -> DeJonquieresMap:
     from .polycore import random_form
     if n < 1 or d < 2:
         raise ConstructionError(f"need n >= 1 and d >= 2, got n = {n}, d = {d}")
+    if n == 1 and d >= 3:
+        raise ConstructionError(
+            f"no valid map for n = 1, d = {d}: x1^(d-2) divides both f and g")
     ring = source_ring(n, modulus)
     last = ring.variable(n)
     block = ring.names[:n]
     for _ in range(1000):
         f0 = random_form(ring, d - 1, rng, terms=min(3, d), block=block)
-        f1 = random_form(ring, d - 2, rng, terms=2, block=block) if d >= 2 else ring.zero()
+        f1 = random_form(ring, d - 2, rng, terms=2, block=block)
         g0 = random_form(ring, d, rng, terms=3, block=block)
         g1 = random_form(ring, d - 1, rng, terms=2, block=block)
         drop_f1 = rng.random() < 0.25

@@ -54,9 +54,6 @@ class MonomialOrder:
                     + (sum(b),) + tuple(-e for e in reversed(b)))
         return key
 
-    def is_degree_compatible(self) -> bool:
-        return self.kind in ("grevlex", "grlex")
-
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
                 and self.kind == other.kind and self.block == other.block)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from . import groebner
 from .dejonq import DeJonquieresMap, _binomial, downgraded_sequence, inverse
 from .polycore import (
-    JonqError,
     Polynomial,
     RingSpec,
     exact_div,
@@ -256,9 +255,12 @@ def is_cohen_macaulay(j: DeJonquieresMap, projdim: int | None = None) -> bool:
     return projdim == j.n
 
 
+SPECIALIZATION_TRIES = 25
+
+
 @dataclass(frozen=True)
 class SpecializationReport:
-    lam: Polynomial
+    lam: Polynomial | None
     regular: bool
     implicit_degree: int | None
     degree_ok: bool
@@ -272,14 +274,16 @@ class SpecializationReport:
 
 
 def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
-                         rng: random.Random | None = None,
-                         tries: int = 25) -> SpecializationReport:
+                         rng: random.Random | None = None) -> SpecializationReport:
     """Implicit equation of the specialized map versus the inverse coordinates.
 
     Cuts by a linear form ell = x_{n+1} - lam regular on R/I, eliminates the
     x-variables from the specialized blowup construction to get the implicit
     equation h of degree d, and certifies that ell evaluated on the inverse
-    coordinates is a scalar multiple of h.
+    coordinates is a scalar multiple of h.  Without a given lam, up to
+    SPECIALIZATION_TRIES random forms are tried; if all are rejected (as when
+    R/I has depth 0, e.g. n = 1), the report has regular=False, lam=None and
+    the rejected forms.
     """
     ring = j.source
     n = j.n
@@ -292,25 +296,25 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
         ell_ = ring.variable(last) - cand
         return groebner.ideal_equal(groebner.colon(list(base_gb.basis), ell_), base_gb)
 
-    rejected = []
-    if lam is not None:
-        if not candidate_regular(lam):
-            return SpecializationReport(lam=lam, regular=False, implicit_degree=None,
-                                        degree_ok=False, proportional=False,
-                                        scalar=None, rejected=(lam,))
-    else:
-        for _ in range(tries):
+    def random_candidates():
+        for _ in range(SPECIALIZATION_TRIES):
             coeffs = [rng.randrange(1, 1001) if ring.modulus is None
                       else rng.randrange(0, ring.modulus) for _ in range(n)]
             cand = ring.zero()
             for c, nm in zip(coeffs, ring.names[:n]):
                 cand = cand + ring.variable(nm) * c
-            if candidate_regular(cand):
-                lam = cand
-                break
-            rejected.append(cand)
-        if lam is None:
-            raise JonqError("no regular linear form found; all candidates rejected")
+            yield cand
+
+    rejected = []
+    for cand in ((lam,) if lam is not None else random_candidates()):
+        if candidate_regular(cand):
+            lam = cand
+            break
+        rejected.append(cand)
+    else:
+        return SpecializationReport(lam=lam, regular=False, implicit_degree=None,
+                                    degree_ok=False, proportional=False,
+                                    scalar=None, rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
     small = RingSpec(ring.names[:n], ring.modulus)
@@ -343,8 +347,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
 REPORT_CHECKS = ("theorem", "colon", "cone", "projdim", "special")
 
 
-def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS,
-                length_bound: int | None = None) -> dict:
+def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
     """JSON-ready report for one map; schema used by the CLI and the probe."""
     import time
 
@@ -367,7 +370,7 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS,
         report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
     if "projdim" in checks:
         try:
-            pd = projdim_probe(j, length_bound)
+            pd = projdim_probe(j)
             report["projdim"] = pd
             report["cm"] = pd == j.n
             report["conjecture_expected_cm"] = j.d <= j.n + 1

@@ -289,3 +289,13 @@ def test_explore_jobs_below_one_is_parse_error(capsys, monkeypatch, jobs):
                          "--trials", "1", "--jobs", jobs)
     assert code == 1 and out == ""
     assert err == f"parse error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_explore_n1_reports_failed_specialization(capsys):
+    # I = x1 (x1, x2) has depth 0, so no linear form is regular on R/I
+    code, out, err = run(capsys, "explore", "--n-range", "1", "--d-range", "2",
+                         "--trials", "3")
+    assert code == 0 and err == ""
+    lines = _json_lines(out)
+    assert len(lines) == 3
+    assert all(rep["special"] == "fail" and rep["case"]["n"] == 1 for rep in lines)

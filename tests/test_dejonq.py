@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from jonq import dejonq, groebner as gb
-from jonq.cremona import inversion_certificate, normalize_map
+from jonq.cremona import CertificateFailure, inversion_certificate, normalize_map
 from jonq.dejonq import ConstructionError
 from jonq.polycore import degree_in, parse_polynomial, substitute, transport, xprime_order
 from conftest import make_map
@@ -197,6 +197,35 @@ def test_double_inverse_proportional(e1, e3):
         assert isinstance(cert2, InversionCertificate)
 
 
+def test_inverse_certifies_one_candidate(monkeypatch, e1, e2, e3):
+    calls = []
+    real = dejonq.inversion_certificate
+
+    def counting(f, g):
+        calls.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(dejonq, "inversion_certificate", counting)
+    maps = [e1, e2, e3]
+    for modulus in (None, 101, 32003):
+        for n in (2, 3, 4):
+            for d in (2, 3, 4, 5):
+                maps.append(dejonq.random_map(n, d, random.Random(10 * n + d), modulus))
+    for j in maps:
+        calls.clear()
+        inv, cert = dejonq.inverse(j)
+        assert len(calls) == 1, j
+        assert cert.inverse is calls[0] and cert.degree == j.d ** 2 - 1
+
+
+def test_inverse_error_names_failing_coordinate(monkeypatch, e1):
+    monkeypatch.setattr(dejonq, "inversion_certificate",
+                        lambda f, g: CertificateFailure(2, "coordinate is not proportional"))
+    with pytest.raises(dejonq.InverseError,
+                       match=r"coordinate 2 \(coordinate is not proportional\)"):
+        dejonq.inverse(e1)
+
+
 # ---------- resolution ----------
 
 def test_resolution_e1_shifts(e1):
@@ -286,6 +315,17 @@ def test_structural_e3(e3):
     assert rep.multiplicity == 7  # d(d-1) + 1 with d = 3
 
 
+def test_structural_support_check_is_not_vacuous():
+    # f = x1 divides g, so I = x1 (x1, x2, x3) and I : f is the maximal ideal;
+    # each x_i is still in I : f
+    R = dejonq.source_ring(2)
+    f, g = P("x1", R), P("x1*x3", R)
+    j = dejonq.DeJonquieresMap(n=2, d=2, f=f, g=g, source=R, target=dejonq.target_ring(2))
+    rep = dejonq.structural_checks(j)
+    assert not rep.colon_contains_support and not rep.ok
+    assert "I : f != (x_1..x_2)" in rep.witnesses
+
+
 # ---------- random map generation ----------
 
 def test_random_map_validity():
@@ -303,3 +343,13 @@ def test_random_map_validity():
 def test_random_map_rejects_impossible_grid_points(n, d):
     with pytest.raises(ConstructionError, match="need n >= 1 and d >= 2"):
         dejonq.random_map(n, d, random.Random(0))
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_random_map_rejects_n1_beyond_degree_2_before_sampling(d):
+    class NoDraws:
+        def __getattr__(self, name):
+            pytest.fail("random_map sampled for an impossible grid point")
+
+    with pytest.raises(ConstructionError, match=r"no valid map for n = 1.*divides both f and g"):
+        dejonq.random_map(1, d, NoDraws())

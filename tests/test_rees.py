@@ -232,6 +232,15 @@ def test_specialization_e1_zerodivisor_choices_rejected(e1):
     assert not gb.ideal_equal(gb.colon(I, x3), I)
 
 
+def test_specialization_depth_zero_rejects_every_candidate():
+    # n = 1: I = x1 (x1, x2) has depth 0, so every random form is a zerodivisor
+    j = dejonq.random_map(1, 2, random.Random(3))
+    report = rees.specialization_check(j, rng=random.Random(4))
+    assert not report.regular and not report.ok
+    assert report.lam is None
+    assert len(report.rejected) == rees.SPECIALIZATION_TRIES
+
+
 def test_specialization_randomized():
     rng = random.Random(81)
     for (n, d) in ((2, 2), (2, 3), (3, 2)):
