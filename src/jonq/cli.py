@@ -11,6 +11,9 @@ Case files are UTF-8 text with `key: value` lines (# starts a comment):
     checks: theorem,colon    # optional, for the rees subcommand
 
 Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error.
+`explore` exits 2 when some grid point has no valid map (n = 1, d >= 3):
+that point's cases become records with a `rejected` reason, and the other
+reports and the summary table are still printed.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
@@ -232,7 +235,11 @@ def _parse_range(text: str, least: int) -> tuple[int, int]:
 def _explore_case(task):
     n, d, trial, case_seed, modulus, checks = task
     rng = random.Random(case_seed)
-    j = dejonq.random_map(n, d, rng, modulus)
+    try:
+        j = dejonq.random_map(n, d, rng, modulus)
+    except ConstructionError as exc:
+        return {"case": {"n": n, "d": d, "seed": case_seed}, "modulus": modulus,
+                "rejected": str(exc)}
     return rees.case_report(j, seed=case_seed, checks=checks)
 
 
@@ -273,7 +280,7 @@ def cmd_explore(args) -> int:
     print(f"{'n':>3} {'d':>3} {'cm':>4} {'non-cm':>7} {'counterexamples':>16}")
     for (n, d), (cm, noncm, cx) in sorted(summary.items()):
         print(f"{n:>3} {d:>3} {cm:>4} {noncm:>7} {cx:>16}")
-    return 0
+    return 2 if any("rejected" in rep for rep in reports) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -256,8 +256,8 @@ def algebraically_independent(forms) -> bool:
     return not kernel
 
 
-def fiber_ideal(f: RationalMap, point) -> list[Polynomial]:
-    """Ideal of the fiber of f over a target point: saturated 2x2 minors.
+def fiber_ideal(f: RationalMap, point) -> groebner.GroebnerBasis:
+    """Reduced basis of the fiber of f over a target point: saturated 2x2 minors.
 
     The minors of the matrix with rows (coordinate forms) and (point values)
     are saturated by the base ideal.

@@ -57,6 +57,8 @@ def _binomial(n: int, k: int) -> int:
 
 
 def source_ring(n: int, modulus: int | None = None) -> RingSpec:
+    if n < 1:
+        raise ConstructionError("n must be at least 1")
     return RingSpec([f"x{i}" for i in range(1, n + 2)], modulus)
 
 
@@ -303,7 +305,7 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     witnesses = []
 
     maximal = [ring.variable(i) for i in range(ring.nvars)]
-    sat = groebner.saturate(list(gb.basis), maximal)
+    sat = groebner.saturate(gb, maximal)
     saturated = groebner.ideal_equal(sat, gb)
     if not saturated:
         extra = [str(p) for p in sat if not gb.contains(p)]

@@ -503,11 +503,11 @@ def eliminate(gens, nblock: int) -> list[Polynomial]:
     return out
 
 
-def _fresh_name(ring: RingSpec, stem: str = "_t") -> str:
-    name = stem
+def _fresh_name(ring: RingSpec) -> str:
+    name = "_t"
     k = 0
     while name in ring.names:
-        name = f"{stem}{k}"
+        name = f"_t{k}"
         k += 1
     return name
 
@@ -559,16 +559,15 @@ def colon_ideal(gens, gens_j) -> list[Polynomial]:
     return result
 
 
-def saturate(gens, gens_j) -> list[Polynomial]:
-    """Generators of (I : J^infinity): iterated colon until stabilization."""
-    current = list(buchberger([g for g in gens if g]).basis) if any(gens) else []
-    while True:
-        if not current:
-            return current
-        nxt = colon_ideal(current, gens_j)
-        if ideal_equal(nxt, current):
-            return current
+def saturate(gens, gens_j) -> GroebnerBasis:
+    """Reduced basis of (I : J^infinity), by iterated colon; a GroebnerBasis I is used as is."""
+    current = gens if isinstance(gens, GroebnerBasis) else buchberger(gens)
+    while current.basis:
+        nxt = buchberger(colon_ideal(current.basis, gens_j), ring=current.ring)
+        if nxt.basis == current.basis:
+            break
         current = nxt
+    return current
 
 
 # ---------- Hilbert series ----------

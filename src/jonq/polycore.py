@@ -491,34 +491,24 @@ def degree_in(p: Polynomial, var):
     return max(m[i] for m, _ in p.terms)
 
 
-def _block_indices(p: Polynomial, block) -> tuple[int, ...]:
-    ring = p.ring
-    if block is None:
-        if ring.split is None:
-            raise JonqError("no block given and ring has no bigrading split")
-        return tuple(range(ring.split[0]))
-    return tuple(ring.var_index(v) for v in block)
-
-
-def xprime_order(p: Polynomial, block=None) -> int:
+def xprime_order(p: Polynomial, block) -> int:
     """Largest k with p inside the k-th power of the ideal of the block variables.
 
-    Equals the minimum over terms of the total degree in the block; `block`
-    defaults to the ring's leading bigrading block.
+    Equals the minimum over terms of the total degree in the block.
     """
     if not p.terms:
         raise JonqError("xprime_order of the zero polynomial is undefined")
-    idx = _block_indices(p, block)
+    idx = [p.ring.var_index(v) for v in block]
     return min(sum(m[i] for i in idx) for m, _ in p.terms)
 
 
-def x_decompose(p: Polynomial, block=None) -> tuple[Polynomial, ...]:
+def x_decompose(p: Polynomial, block) -> tuple[Polynomial, ...]:
     """Write p = sum_k c_k * v_k over the block variables v_k, greedily.
 
     Each term is assigned to the smallest-index block variable dividing it;
     raises DecompositionError if some term is divisible by no block variable.
     """
-    idx = _block_indices(p, block)
+    idx = [p.ring.var_index(v) for v in block]
     parts: list[list] = [[] for _ in idx]
     for mono, c in p.terms:
         for slot, i in enumerate(idx):

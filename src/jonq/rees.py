@@ -6,7 +6,9 @@ y_1..y_{n+1}] and is computed exactly by eliminating t from
 2-minors p_ij = x_j y_i - x_i y_j of the generic (x | y) matrix together
 with the downgraded sequence F_0..F_{d-2}; verification compares reduced
 bases, certifies minimality by exclusion, and cross-checks the iterated
-mapping-cone Betti data against the Hilbert series.
+mapping-cone Betti data against the Hilbert series.  The specialization check
+eliminates x from (y_i - F_i(x, lam)) with no t: forms of one degree have a
+homogeneous kernel, the kernel of y -> t F (see `specialization_check`).
 """
 
 from __future__ import annotations
@@ -249,9 +251,7 @@ def projdim_probe(j: DeJonquieresMap, length_bound: int | None = None) -> int:
     return res.length()
 
 
-def is_cohen_macaulay(j: DeJonquieresMap, projdim: int | None = None) -> bool:
-    if projdim is None:
-        projdim = projdim_probe(j)
+def is_cohen_macaulay(j: DeJonquieresMap, projdim: int) -> bool:
     return projdim == j.n
 
 
@@ -277,13 +277,17 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                          rng: random.Random | None = None) -> SpecializationReport:
     """Implicit equation of the specialized map versus the inverse coordinates.
 
-    Cuts by a linear form ell = x_{n+1} - lam regular on R/I, eliminates the
-    x-variables from the specialized blowup construction to get the implicit
-    equation h of degree d, and certifies that ell evaluated on the inverse
-    coordinates is a scalar multiple of h.  Without a given lam, up to
-    SPECIALIZATION_TRIES random forms are tried; if all are rejected (as when
-    R/I has depth 0, e.g. n = 1), the report has regular=False, lam=None and
-    the rejected forms.
+    Cuts by a linear form ell = x_{n+1} - lam regular on R/I, eliminates
+    x_1..x_n from (y_i - F_i(x, lam)) in k[x_1..x_n, y_1..y_{n+1}] to get the
+    implicit equation h of degree d, and certifies that ell evaluated on the
+    inverse coordinates is a scalar multiple of h.  No Rees variable t is
+    needed: all F_i(x, lam) have degree d, so y -> t F sends a form P of
+    degree k to t^k P(F), and as the homogeneous parts of any polynomial land
+    in distinct x-degrees kd, y -> F and y -> t F have the same kernel; both
+    elimination orders restrict to grevlex on y, so h is the same too.
+    Without a given lam, up to SPECIALIZATION_TRIES random forms are tried; if
+    all are rejected (as when R/I has depth 0, e.g. n = 1), the report has
+    regular=False, lam=None and the rejected forms.
     """
     ring = j.source
     n = j.n
@@ -297,13 +301,10 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
         return groebner.ideal_equal(groebner.colon(list(base_gb.basis), ell_), base_gb)
 
     def random_candidates():
+        units = [ring.variable(k).lm() for k in range(n)]
         for _ in range(SPECIALIZATION_TRIES):
-            coeffs = [rng.randrange(1, 1001) if ring.modulus is None
-                      else rng.randrange(0, ring.modulus) for _ in range(n)]
-            cand = ring.zero()
-            for c, nm in zip(coeffs, ring.names[:n]):
-                cand = cand + ring.variable(nm) * c
-            yield cand
+            yield Polynomial(ring, [(u, rng.randrange(1, 1001) if ring.modulus is None
+                                     else rng.randrange(0, ring.modulus)) for u in units])
 
     rejected = []
     for cand in ((lam,) if lam is not None else random_candidates()):
@@ -317,14 +318,10 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                                     scalar=None, rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
-    small = RingSpec(ring.names[:n], ring.modulus)
-    spec_forms = [transport(substitute(form, {last: lam}), small) for form in base]
-
-    big = RingSpec(("t",) + small.names + j.target.names, ring.modulus)
-    t = big.variable("t")
-    gens = [big.variable(nm) - t * transport(sf, big)
-            for nm, sf in zip(j.target.names, spec_forms)]
-    implicit = groebner.eliminate(gens, 1 + n)
+    work = RingSpec(ring.names[:n] + j.target.names, ring.modulus)
+    gens = [work.variable(nm) - transport(substitute(form, {last: lam}), work)
+            for nm, form in zip(j.target.names, base)]
+    implicit = groebner.eliminate(gens, n)
     if len(implicit) != 1:
         return SpecializationReport(lam=lam, regular=True, implicit_degree=None,
                                     degree_ok=False, proportional=False,

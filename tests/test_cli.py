@@ -299,3 +299,29 @@ def test_explore_n1_reports_failed_specialization(capsys):
     lines = _json_lines(out)
     assert len(lines) == 3
     assert all(rep["special"] == "fail" and rep["case"]["n"] == 1 for rep in lines)
+
+
+def test_explore_records_grid_points_without_valid_maps(capsys):
+    # n = 1, d = 3 has no valid map: that point becomes a record, the rest run
+    code, out, err = run(capsys, "explore", "--n-range", "1..2", "--d-range", "2..3",
+                         "--trials", "1", "--checks", "theorem")
+    assert code == 2 and err == ""
+    lines = _json_lines(out)
+    assert [(rep["case"]["n"], rep["case"]["d"]) for rep in lines] == [
+        (1, 2), (1, 3), (2, 2), (2, 3)]
+    rejected = lines[1]
+    assert set(rejected) == {"case", "modulus", "rejected"}
+    assert set(rejected["case"]) == {"n", "d", "seed"}
+    assert rejected["modulus"] == 32003
+    assert rejected["rejected"].startswith("no valid map for n = 1, d = 3")
+    assert all(rep["theorem"] == "pass" for k, rep in enumerate(lines) if k != 1)
+    assert "non-cm" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_case_file_n_below_one_is_rejected(tmp_path, capsys, n):
+    path = tmp_path / "n.jonq"
+    path.write_text(f"n: {n}\nd: 2\nfield: rational\nf: x1\ng: x1^2\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "rejected: n must be at least 1\n"

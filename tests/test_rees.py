@@ -1,5 +1,7 @@
 """Blowup presentation ideal: generation theorem, colon lemmas, cone data."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -241,6 +243,29 @@ def test_specialization_depth_zero_rejects_every_candidate():
     assert len(report.rejected) == rees.SPECIALIZATION_TRIES
 
 
+def test_specialization_eliminates_in_one_ring(e1, e3, monkeypatch):
+    # the implicit equation comes from eliminating x_1..x_n from
+    # (y_i - F_i(x, lam)) in k[x_1..x_n, y_1..y_{n+1}], with no Rees variable t
+    calls = []
+    eliminate = gb.eliminate
+
+    def spy(gens, nblock):
+        calls.append((gens[0].ring, nblock))
+        return eliminate(gens, nblock)
+
+    monkeypatch.setattr(gb, "eliminate", spy)
+    for j in (e1, e3):
+        calls.clear()
+        assert rees.specialization_check(j).ok
+        # other steps eliminate too, but never in a ring holding both x_1 and y_1
+        spec = [(ring, nblock) for ring, nblock in calls
+                if {j.source.names[0], j.target.names[0]} <= set(ring.names)]
+        assert len(spec) == 1
+        ring, nblock = spec[0]
+        assert ring.names == j.source.names[:j.n] + j.target.names  # 2n + 1, no t
+        assert nblock == j.n
+
+
 def test_specialization_randomized():
     rng = random.Random(81)
     for (n, d) in ((2, 2), (2, 3), (3, 2)):
@@ -260,3 +285,20 @@ def test_case_report_schema(e1):
         assert key in report
     assert report["theorem"] == "pass"
     assert report["cm"] is True
+
+
+# sha256 of the case_report JSON lines (runtime_ms removed) of e1, e2, e3 and
+# four seeded maps over GF(32003): any change in a verdict shows here
+PINNED_REPORTS_DIGEST = "cec8a7564c7861105bb602a0c06d2a0457983da18806a002c8c3b5b9368a1536"
+
+
+def test_pinned_case_reports(e1, e2, e3):
+    cases = [(e1, None), (e2, None), (e3, None)]
+    for seed, (n, d) in enumerate(((2, 2), (2, 3), (3, 2), (3, 3)), start=91):
+        cases.append((dejonq.random_map(n, d, random.Random(seed), 32003), seed))
+    lines = []
+    for j, seed in cases:
+        report = rees.case_report(j, seed=seed)
+        report.pop("runtime_ms")
+        lines.append(json.dumps(report, sort_keys=True))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_REPORTS_DIGEST
