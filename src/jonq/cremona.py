@@ -23,6 +23,7 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
+    dot,
     exact_div,
     partial_derivative,
     substitute,
@@ -301,10 +302,7 @@ def downgrade_general(j: RationalMap, syzygy, support_inverse) -> list[Polynomia
         raise MapError("syzygy length does not match the coordinate count")
     if syzygy[-1].is_zero():
         raise MapError("syzygy must have a nonzero last coordinate")
-    acc = j.source.zero()
-    for z, form in zip(syzygy, j.forms):
-        acc = acc + z * form
-    if not acc.is_zero():
+    if dot(j.source, syzygy, j.forms):
         raise MapError("input is not a syzygy of the coordinate forms")
     degrees = {z.total_degree() for z in syzygy if z}
     if len(degrees) != 1 or any(not z.is_homogeneous() for z in syzygy if z):
@@ -324,15 +322,10 @@ def downgrade_general(j: RationalMap, syzygy, support_inverse) -> list[Polynomia
                     split=(j.source.nvars, j.target.nvars))
     ys = [work.variable(nm) for nm in j.target.names]
     hs = [transport(h, work) for h in support_inverse]
-    current = work.zero()
-    for y, z in zip(ys, syzygy):
-        current = current + y * transport(z, work)
+    current = dot(work, ys, [transport(z, work) for z in syzygy])
     out = [current]
     for step in range(delta):
-        parts = x_decompose(current, block=xblock)
-        nxt = work.zero()
-        for part, h in zip(parts, hs):
-            nxt = nxt + part * h
+        nxt = dot(work, x_decompose(current, block=xblock), hs)
         if nxt.is_zero():
             raise MapError(f"downgrading collapsed to zero at step {step + 1}")
         out.append(nxt)

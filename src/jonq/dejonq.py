@@ -15,12 +15,15 @@ closed-form minimal free resolution of the base ideal (a FreeComplex,
 checked by resolutions.is_graded_complex like the Groebner oracle), and
 checks the structural consequences (saturation, (x_1..x_n) = I : f as the
 associated support prime, Cohen-Macaulayness exactly in the plane case,
-plane multiplicity d(d-1)+1).
+plane multiplicity d(d-1)+1).  Saturation needs no saturation run: by
+Auslander-Buchsbaum, depth R/I = (n+1) - projdim R/I, so I is saturated
+(depth R/I >= 1) iff the oracle resolution has length below n+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from . import groebner
 from .cremona import (
@@ -34,6 +37,7 @@ from .polycore import (
     Polynomial,
     RingSpec,
     degree_in,
+    dot,
     gcd,
     partial_derivative,
     transport,
@@ -45,15 +49,6 @@ from .resolutions import is_graded_complex
 
 class ConstructionError(JonqError):
     """A proposed (f, g, n) violates the de Jonquieres conditions."""
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def source_ring(n: int, modulus: int | None = None) -> RingSpec:
@@ -192,9 +187,8 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     fprime_w = partial_derivative(last, j.source.names[n])
     if fprime_w.is_zero():
         raise InverseError("last downgraded form does not involve the last variable")
-    gprime_w = work.zero()
-    for i in range(n):
-        gprime_w = gprime_w - partial_derivative(last, j.source.names[i]) * work.variable(j.target.names[i])
+    gprime_w = -dot(work, [partial_derivative(last, x) for x in j.source.names[:n]],
+                    [work.variable(y) for y in j.target.names[:n]])
     fprime = transport(fprime_w, j.target)
     gprime = transport(gprime_w, j.target)
     ys = j.target.variables()
@@ -259,7 +253,7 @@ def resolution(j: DeJonquieresMap) -> FreeComplex:
     n, d = j.n, j.d
     zero = ring.zero()
     extra = tuple(-qi for qi in q_decomposition(j)) + (j.f,)
-    shifts = [(0,), (d,) * (n + 1), (d + 1,) * _binomial(n, 2) + (2 * d - 1,)]
+    shifts = [(0,), (d,) * (n + 1), (d + 1,) * comb(n, 2) + (2 * d - 1,)]
     matrices = [tuple((form,) for form in j.base_forms),
                 tuple(col + (zero,) for col in _koszul_differential(ring, n, 2)) + (extra,)]
     for p in range(3, n + 1):
@@ -267,7 +261,7 @@ def resolution(j: DeJonquieresMap) -> FreeComplex:
         if p == 3:  # the zero row of the extra summand R(-(2d-1))
             columns = [col + (zero,) for col in columns]
         matrices.append(tuple(columns))
-        shifts.append((d + p - 1,) * _binomial(n, p))
+        shifts.append((d + p - 1,) * comb(n, p))
     return FreeComplex(ring=ring, shifts=tuple(shifts), matrices=tuple(matrices))
 
 
@@ -295,29 +289,31 @@ class StructuralReport:
 def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     """Saturation, the associated support prime, CM iff n = 2, plane multiplicity.
 
+    Saturation is read off the oracle resolution, which projdim needs anyway.
+    R = k[x_1..x_{n+1}] and I is a proper homogeneous ideal, so
+    Auslander-Buchsbaum gives depth R/I = (n+1) - projdim R/I, and
+    I : m^infinity = I iff m is not associated to R/I, iff depth R/I >= 1:
+    I is saturated iff projdim < n+1.
+
     I : f = (x_1..x_n) holds for every valid map (gcd(f, g) = 1 and g lies
     in (x_1..x_n)); x_i in I : f alone would be vacuous, as x_i f generates I.
     """
     ring = j.source
     n = j.n
     base = list(j.base_forms)
+    projdim = groebner.minimal_free_resolution(base).length()
     gb = groebner.buchberger(base)
     witnesses = []
 
-    maximal = [ring.variable(i) for i in range(ring.nvars)]
-    sat = groebner.saturate(gb, maximal)
-    saturated = groebner.ideal_equal(sat, gb)
+    saturated = projdim < ring.nvars
     if not saturated:
-        extra = [str(p) for p in sat if not gb.contains(p)]
-        witnesses.append(f"saturation added {extra}")
+        witnesses.append(f"projdim {projdim} = {ring.nvars}: I is not saturated")
 
     support_ok = groebner.ideal_equal(groebner.colon(list(gb.basis), j.f),
                                       [ring.variable(i) for i in range(n)])
     if not support_ok:
         witnesses.append(f"I : f != (x_1..x_{n})")
 
-    res = groebner.minimal_free_resolution(base)
-    projdim = res.length()
     cm = projdim == 2
     cm_iff_plane = cm == (n == 2)
     if not cm_iff_plane:

@@ -355,20 +355,7 @@ class Polynomial:
             if p is None:
                 return Polynomial._raw(self.ring, tuple((m, co * c) for m, co in self.terms))
             return Polynomial._raw(self.ring, tuple((m, co * c % p) for m, co in self.terms))
-        self._check(other)
-        p = self.ring.modulus
-        d: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
-                nc = d.get(m, 0) + c1 * c2
-                if p is not None:
-                    nc %= p
-                if nc:
-                    d[m] = nc
-                else:
-                    d.pop(m, None)
-        return Polynomial._from_dict(self.ring, d)
+        return dot(self.ring, (self,), (other,))
 
     __rmul__ = __mul__
 
@@ -396,6 +383,26 @@ class Polynomial:
 
 
 # ---------- core operations ----------
+
+def dot(ring: RingSpec, ps, qs) -> Polynomial:
+    """sum_i ps[i] * qs[i] in `ring`, merged in one dict and sorted once."""
+    p = ring.modulus
+    d: dict = {}
+    for a, b in zip(ps, qs):
+        if a.ring != ring or b.ring != ring:
+            raise RingMismatchError("polynomials live in different rings")
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = tuple(x + y for x, y in zip(m1, m2))
+                nc = d.get(m, 0) + c1 * c2
+                if p is not None:
+                    nc %= p
+                if nc:
+                    d[m] = nc
+                else:
+                    d.pop(m, None)
+    return Polynomial._from_dict(ring, d)
+
 
 def substitute(p: Polynomial, assignment: dict) -> Polynomial:
     """Image of p under the ring morphism sending variables per `assignment`.
@@ -436,14 +443,15 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
             powers[(i, e)] = got
         return got
 
-    acc = target.zero()
+    coefficients, monomials = [], []
     for mono, c in p.terms:
-        term = target.constant(c)
+        image = target.one()
         for i, e in enumerate(mono):
             if e:
-                term = term * power(i, e)
-        acc = acc + term
-    return acc
+                image = image * power(i, e)
+        coefficients.append(target.constant(c))
+        monomials.append(image)
+    return dot(target, coefficients, monomials)
 
 
 def transport(p: Polynomial, target: RingSpec) -> Polynomial:

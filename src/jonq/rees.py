@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 from . import groebner
-from .dejonq import DeJonquieresMap, _binomial, downgraded_sequence, inverse
+from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
 from .polycore import (
     Polynomial,
     RingSpec,
@@ -145,7 +146,7 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
                 witnesses.append(f"redundant generator: {p}")
 
     count = len(predicted)
-    expected = _binomial(j.n, 2) + j.d - 1
+    expected = comb(j.n, 2) + j.d - 1
     if count != expected:
         witnesses.append(f"generator count {count} != {expected}")
     return TheoremReport(ideal_matches=matches, minimal=minimal, count=count,
@@ -222,14 +223,14 @@ def cone_betti_table(n: int, d: int) -> groebner.BettiTable:
     length = n if d == 2 else n + 1
     shifts: list[list[int]] = [[0]] + [[] for _ in range(length)]
     for i in range(1, n):
-        shifts[i].extend([i + 1] * (i * _binomial(n, i + 1)))
+        shifts[i].extend([i + 1] * (i * comb(n, i + 1)))
     # one cone for F_0: the seed table again, twisted by deg F_0 = d
     shifts[1].append(d)
     for i in range(2, n + 1):
-        shifts[i].extend([d + i] * ((i - 1) * _binomial(n, i)))
+        shifts[i].extend([d + i] * ((i - 1) * comb(n, i)))
     for _ in range(d - 2):
         for i in range(1, n + 2):
-            rank = _binomial(n, i - 1)
+            rank = comb(n, i - 1)
             if rank and i < len(shifts):
                 shifts[i].extend([d + i - 1] * rank)
     return groebner.BettiTable.from_shift_lists(shifts)

@@ -44,6 +44,7 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
+    dot,
 )
 
 
@@ -276,10 +277,7 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     for k in range(len(matrices) - 1):
         for col in matrices[k + 1]:
             for r in range(len(shifts[k])):
-                acc = ring.zero()
-                for c, entry in enumerate(col):
-                    acc = acc + matrices[k][c][r] * entry
-                if acc:
+                if dot(ring, [column[r] for column in matrices[k]], col):
                     return False
     return True
 

@@ -7,11 +7,11 @@ over Q as spot checks.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 import random
 import time
+from math import comb
 
 import pytest
 
 from jonq import dejonq, groebner as gb, rees
-from jonq.dejonq import _binomial
 from jonq.polycore import degree_in, substitute, transport
 from conftest import make_map
 
@@ -74,8 +74,8 @@ def test_criterion_2_resolution_correctness(tested_cases):
         if not fc.verify() or fc.betti() != oracle.betti:
             ok = False
         closed = [(0,), (d,) * (n + 1),
-                  tuple(sorted([d + 1] * _binomial(n, 2) + [2 * d - 1]))]
-        closed += [(d + p - 1,) * _binomial(n, p) for p in range(3, n + 1)]
+                  tuple(sorted([d + 1] * comb(n, 2) + [2 * d - 1]))]
+        closed += [(d + p - 1,) * comb(n, p) for p in range(3, n + 1)]
         got = [tuple(sorted(s)) for s in fc.shifts]
         if got != [tuple(sorted(s)) for s in closed]:
             ok = False
@@ -101,7 +101,7 @@ def test_criterion_4_main_theorem(tested_cases):
     for j in tested_cases:
         t0 = time.monotonic()
         rep = rees.verify_main_theorem(j)
-        if not rep.ok or rep.count != _binomial(j.n, 2) + j.d - 1:
+        if not rep.ok or rep.count != comb(j.n, 2) + j.d - 1:
             ok = False
         if j.d == 2 and not rees.linear_type(j):
             ok = False

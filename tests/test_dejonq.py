@@ -277,17 +277,17 @@ def test_resolution_random_n3_d3():
 
 def test_resolution_closed_form_randomized():
     rng = random.Random(44)
-    from jonq.dejonq import _binomial
+    from math import comb
     for n in (2, 3):
         for d in (2, 3, 4):
             j = dejonq.random_map(n, d, rng)
             fc = dejonq.resolution(j)
             assert fc.verify()
             assert fc.shifts[1] == (d,) * (n + 1)
-            expected2 = tuple(sorted([d + 1] * _binomial(n, 2) + [2 * d - 1]))
+            expected2 = tuple(sorted([d + 1] * comb(n, 2) + [2 * d - 1]))
             assert tuple(sorted(fc.shifts[2])) == expected2
             for p in range(3, n + 1):
-                assert fc.shifts[p] == (d + p - 1,) * _binomial(n, p)
+                assert fc.shifts[p] == (d + p - 1,) * comb(n, p)
             oracle = gb.minimal_free_resolution(list(j.base_forms))
             assert fc.betti() == oracle.betti
 
@@ -324,6 +324,28 @@ def test_structural_support_check_is_not_vacuous():
     rep = dejonq.structural_checks(j)
     assert not rep.colon_contains_support and not rep.ok
     assert "I : f != (x_1..x_2)" in rep.witnesses
+
+
+def test_structural_unsaturated_ideal_is_named_by_projdim():
+    # I = x1 (x1, x2, x3) = x1 m: x1 lies in I : m but not in I, so depth
+    # R/I = 0 and the resolution has full length 3
+    R = dejonq.source_ring(2)
+    f, g = P("x1", R), P("x1*x3", R)
+    j = dejonq.DeJonquieresMap(n=2, d=2, f=f, g=g, source=R, target=dejonq.target_ring(2))
+    rep = dejonq.structural_checks(j)
+    assert not rep.saturated and rep.projdim == 3
+    assert "projdim 3 = 3: I is not saturated" in rep.witnesses
+    base = list(j.base_forms)
+    assert not gb.ideal_equal(gb.saturate(base, R.variables()), base)
+
+
+def test_structural_checks_never_saturate(e1, e2, monkeypatch):
+    calls = []
+    saturate = gb.saturate
+    monkeypatch.setattr(gb, "saturate", lambda *a: calls.append(a) or saturate(*a))
+    for j in (e1, e2, dejonq.random_map(3, 3, random.Random(5))):
+        assert dejonq.structural_checks(j).saturated
+    assert calls == []
 
 
 # ---------- random map generation ----------

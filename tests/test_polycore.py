@@ -16,6 +16,7 @@ from jonq.polycore import (
     ZERO_DEGREE,
     ZeroDegree,
     degree_in,
+    dot,
     evaluate,
     exact_div,
     format_polynomial,
@@ -111,6 +112,18 @@ def test_multiply_ring_mismatch(R):
     from jonq.polycore import RingMismatchError
     with pytest.raises(RingMismatchError):
         R.one() * other.one()
+
+
+def test_dot_is_the_sum_of_products_randomized():
+    rng = random.Random(12)
+    for modulus in (None, 5):
+        ring = RingSpec(["x1", "x2", "x3"], modulus)
+        for _ in range(30):
+            ps = [random_form(ring, rng.randrange(0, 3), rng) for _ in range(3)]
+            qs = [random_form(ring, rng.randrange(0, 3), rng) for _ in range(3)]
+            assert dot(ring, ps, qs) == ps[0] * qs[0] + ps[1] * qs[1] + ps[2] * qs[2]
+            assert dot(ring, ps, [-q for q in qs]) + dot(ring, ps, qs) == ring.zero()
+        assert dot(ring, [], []) == ring.zero()
 
 
 # ---------- substitute ----------

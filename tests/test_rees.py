@@ -65,13 +65,13 @@ def test_main_theorem_worked_examples(e1, e2, e3):
 
 def test_main_theorem_randomized():
     rng = random.Random(91)
-    from jonq.dejonq import _binomial
+    from math import comb
     for n in (2, 3):
         for d in (2, 3):
             j = dejonq.random_map(n, d, rng)
             report = rees.verify_main_theorem(j)
             assert report.ok, (n, d, report.witnesses)
-            assert report.count == _binomial(n, 2) + d - 1
+            assert report.count == comb(n, 2) + d - 1
 
 
 def test_main_theorem_names_redundant_generator(e2, monkeypatch):

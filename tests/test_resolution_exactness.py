@@ -162,6 +162,29 @@ def shifted_columns(draw):
     return ring, rank, shifts, draw(st.permutations(columns))
 
 
+@st.composite
+def ideals_in_few_variables(draw):
+    """Ideals in 2..3 variables; half of them multiplied by the maximal ideal,
+    which never leaves a nonzero ideal saturated."""
+    ring = RingSpec([f"x{i}" for i in range(1, draw(st.integers(2, 3)) + 1)],
+                    draw(st.sampled_from(FIELDS)))
+    gens = [draw(forms(ring, draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        gens = [g * x for g in gens for x in ring.variables()]
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals_in_few_variables())
+def test_resolution_length_decides_saturation(gens):
+    # Auslander-Buchsbaum: depth R/I = nvars - projdim R/I, and I : m^inf = I
+    # iff depth R/I >= 1; `saturate` is the plain reference
+    ring = gens[0].ring
+    saturated = groebner.ideal_equal(groebner.saturate(gens, ring.variables()), gens)
+    assert (minimal_free_resolution(gens).length() < ring.nvars) == saturated
+
+
 R2 = RingSpec(["x1", "x2"], 32003)
 
 
