@@ -244,17 +244,8 @@ def algebraically_independent(forms) -> bool:
     if ring.modulus is None:
         return False
     log.debug("Jacobian degenerate over GF(%d); falling back to elimination", ring.modulus)
-    unames = []
-    k = 0
-    while len(unames) < len(forms):
-        name = f"_u{k}"
-        if name not in ring.names:
-            unames.append(name)
-        k += 1
-    big = RingSpec(ring.names + tuple(unames), ring.modulus)
-    gens = [big.variable(u) - transport(f, big) for u, f in zip(unames, forms)]
-    kernel = groebner.eliminate(gens, ring.nvars)
-    return not kernel
+    unames = groebner.fresh_names(ring, "_u", len(forms))
+    return not groebner.kernel(RingSpec(unames, ring.modulus), dict(zip(unames, forms)))
 
 
 def fiber_ideal(f: RationalMap, point) -> groebner.GroebnerBasis:

@@ -1,4 +1,4 @@
-"""Groebner-basis engine: Buchberger, elimination, colon ideals, Hilbert series.
+"""Groebner-basis engine: Buchberger, elimination, kernels, colon ideals, Hilbert series.
 
 One Buchberger engine (`_Engine`) serves both ideals and submodules of free
 modules.  At its boundary a vector is a {term: coefficient} dict.  For an
@@ -28,6 +28,11 @@ applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
 component, and reducers are bucketed by component.  Minimalizing and
 interreducing the final basis is a step only `buchberger` runs.
+
+`kernel` is the one implicitization routine: the kernel of a ring map, by one
+`eliminate` in the ring of the source-only variables followed by the
+target's.  The presentation ideal of a blowup, the implicit equation of a
+specialized map and the algebraic-independence fallback are all such kernels.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
 from operator import mul
 
 from .orders import elimination_order
@@ -503,13 +509,31 @@ def eliminate(gens, nblock: int) -> list[Polynomial]:
     return out
 
 
-def _fresh_name(ring: RingSpec) -> str:
-    name = "_t"
-    k = 0
-    while name in ring.names:
-        name = f"_t{k}"
-        k += 1
-    return name
+def kernel(target: RingSpec, images: dict) -> list[Polynomial]:
+    """Reduced grevlex basis, in `target`, of the kernel of a ring map.
+
+    `images` sends target variable names to polynomials of one source ring;
+    every other target variable goes to the source variable of the same name,
+    as in `polycore.substitute`.  The kernel is (y - image(y)) contracted to
+    the target variables, in the ring of the source-only variables followed
+    by `target`'s (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    3.3).  The part of the reduced elimination basis free of the source-only
+    variables is itself the reduced grevlex basis of the contraction, so one
+    `eliminate` and no second Buchberger run is needed.
+    """
+    source = _common_ring(list(images.values()))
+    if any(nm in source.names for nm in images):
+        raise JonqError("a mapped target variable must not name a source variable")
+    extra = tuple(nm for nm in source.names if nm not in target.names)
+    big = RingSpec(extra + target.names, target.modulus)
+    gens = [big.variable(nm) - transport(img, big) for nm, img in images.items()]
+    return [transport(p, target) for p in eliminate(gens, len(extra))]
+
+
+def fresh_names(ring: RingSpec, stem: str, number: int) -> tuple[str, ...]:
+    """The first `number` of stem0, stem1, ... that are not variables of `ring`."""
+    unused = (f"{stem}{k}" for k in count() if f"{stem}{k}" not in ring.names)
+    return tuple(islice(unused, number))
 
 
 def intersect(gens_a, gens_b) -> list[Polynomial]:
@@ -519,7 +543,7 @@ def intersect(gens_a, gens_b) -> list[Polynomial]:
     if not gens_a or not gens_b:
         return []
     ring = _common_ring(gens_a + gens_b)
-    tname = _fresh_name(ring)
+    tname, = fresh_names(ring, "_t", 1)
     big = RingSpec((tname,) + ring.names, ring.modulus, None, elimination_order(1))
     t = big.variable(0)
     one_minus_t = big.one() - t

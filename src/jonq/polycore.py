@@ -149,12 +149,18 @@ class RingSpec:
             raise ArityError(f"unknown variable {var!r}") from None
 
     def coeff(self, value):
-        """Coerce an int/Fraction into the coefficient field (may be zero)."""
+        """Coerce an int/Fraction into the coefficient field (may be zero).
+
+        A fraction whose denominator the modulus divides has no image in
+        F_p and raises JonqError.
+        """
         if self.modulus is None:
             return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, Fraction):
             num = value.numerator % self.modulus
             den = value.denominator % self.modulus
+            if not den:
+                raise JonqError(f"coefficient {value} is undefined over GF({self.modulus})")
             return num * pow(den, self.modulus - 2, self.modulus) % self.modulus
         return value % self.modulus
 
@@ -668,6 +674,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
             i += 1
         if i >= len(toks):
             fail("dangling sign", toks[-1][2])
+        term_at = toks[i][2]
         coeff: object = Fraction(sign)
         mono = [0] * nv
         saw_factor = False
@@ -715,6 +722,10 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
             fail(f"unexpected {val!r}", at)
         if not saw_factor:
             fail("empty term", toks[i - 1][2] if i else 0)
+        try:
+            coeff = ring.coeff(coeff)
+        except JonqError as exc:
+            fail(str(exc), term_at)
         terms.append((tuple(mono), coeff))
     return Polynomial(ring, terms)
 

@@ -1,14 +1,17 @@
 """Blowup presentation ideal of a de Jonquieres base ideal and its structure.
 
 The presentation ideal lives in the bigraded ring S = k[x_1..x_{n+1},
-y_1..y_{n+1}] and is computed exactly by eliminating t from
-(y_i - t x_i f, y_{n+1} - t g).  The expected minimal generators are the
-2-minors p_ij = x_j y_i - x_i y_j of the generic (x | y) matrix together
-with the downgraded sequence F_0..F_{d-2}; verification compares reduced
-bases, certifies minimality by exclusion, and cross-checks the iterated
-mapping-cone Betti data against the Hilbert series.  The specialization check
-eliminates x from (y_i - F_i(x, lam)) with no t: forms of one degree have a
-homogeneous kernel, the kernel of y -> t F (see `specialization_check`).
+y_1..y_{n+1}]; `rees_ideal` computes it exactly as the kernel of
+y_i -> t F_i, i.e. by eliminating t from (y_i - t x_i f, y_{n+1} - t g)
+(`groebner.kernel`).  `chain` builds every generator set the checks use:
+P_0 = the 2-minors p_ij = x_j y_i - x_i y_j of the generic (x | y) matrix
+and P_{i+1} = (P_i, F_i) along the downgraded sequence F_0..F_{d-2}, so P_1
+is the symmetric-algebra part and P_{d-1} the predicted generating set.
+Verification compares reduced bases, certifies minimality by exclusion, and
+cross-checks the iterated mapping-cone Betti data against the Hilbert series.
+The specialization check takes the kernel of y -> F(x, lam) with no t: forms
+of one degree have a homogeneous kernel, the kernel of y -> t F (see
+`specialization_check`).
 """
 
 from __future__ import annotations
@@ -29,67 +32,27 @@ from .polycore import (
 
 
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
-    """Reduced Groebner basis of the presentation ideal, by eliminating t.
-
-    The t-free part of the reduced elimination basis is itself the reduced
-    grevlex basis of the contraction, so no second Buchberger run is needed.
-    """
+    """Reduced Groebner basis of the presentation ideal: the kernel of
+    y_i -> t F_i from S to k[t, x_1..x_{n+1}] (see `groebner.kernel`)."""
     s_ring = j.working_ring()
-    big = RingSpec(("t",) + s_ring.names, s_ring.modulus)
-    t = big.variable("t")
-    gens = []
-    for name, form in zip(j.target.names, j.base_forms):
-        gens.append(big.variable(name) - t * transport(form, big))
-    eliminated = groebner.eliminate(gens, 1)
-    basis = tuple(transport(p, s_ring) for p in eliminated)
+    tx = RingSpec(("t",) + j.source.names, s_ring.modulus)
+    t = tx.variable("t")
+    basis = tuple(groebner.kernel(s_ring, {
+        name: t * transport(form, tx) for name, form in zip(j.target.names, j.base_forms)}))
     return groebner.GroebnerBasis(s_ring, basis, basis)
 
 
-def minor_generators(j: DeJonquieresMap) -> list[Polynomial]:
-    """The 2-minors p_ij = x_j y_i - x_i y_j, 1 <= i < j <= n."""
+def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
+    """(P_0, .., P_{d-1}): P_0 = (x_j y_i - x_i y_j, 1 <= i < j <= n) and
+    P_{i+1} = (P_i, F_i); the last link is the predicted generator set."""
     s_ring = j.working_ring()
     xs = [s_ring.variable(nm) for nm in j.source.names]
     ys = [s_ring.variable(nm) for nm in j.target.names]
-    out = []
-    for i in range(j.n):
-        for k in range(i + 1, j.n):
-            out.append(xs[k] * ys[i] - xs[i] * ys[k])
-    return out
-
-
-def predicted_generators(j: DeJonquieresMap, seq=None) -> list[Polynomial]:
-    if seq is None:
-        seq = downgraded_sequence(j)
-    return minor_generators(j) + list(seq.forms)
-
-
-def chain(j: DeJonquieresMap, seq=None) -> tuple[tuple[Polynomial, ...], ...]:
-    """P_0 = (p_ij) and P_{i+1} = (P_i, F_i), ending at the full predicted set."""
-    if seq is None:
-        seq = downgraded_sequence(j)
-    minors = tuple(minor_generators(j))
-    out = [minors]
-    for form in seq.forms:
-        out.append(out[-1] + (form,))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ReesPresentation:
-    ring: RingSpec
-    eliminated: groebner.GroebnerBasis
-    predicted: tuple[Polynomial, ...]
-    chain: tuple[tuple[Polynomial, ...], ...]
-
-
-def rees_presentation(j: DeJonquieresMap) -> ReesPresentation:
-    seq = downgraded_sequence(j)
-    return ReesPresentation(
-        ring=j.working_ring(),
-        eliminated=rees_ideal(j),
-        predicted=tuple(predicted_generators(j, seq)),
-        chain=chain(j, seq),
-    )
+    links = [tuple(xs[k] * ys[i] - xs[i] * ys[k]
+                   for i in range(j.n) for k in range(i + 1, j.n))]
+    for form in downgraded_sequence(j).forms:
+        links.append(links[-1] + (form,))
+    return tuple(links)
 
 
 def minimal_generator_count(gens) -> int:
@@ -121,17 +84,16 @@ class TheoremReport:
 def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     """Predicted generators equal the eliminated ideal, minimally, with
     count C(n,2) + d - 1."""
-    seq = downgraded_sequence(j)
-    predicted = predicted_generators(j, seq)
+    predicted = chain(j)[-1]
     eliminated = rees_ideal(j)
+    pred_gb = groebner.buchberger(predicted)
     witnesses = []
 
-    matches = groebner.ideal_equal(predicted, eliminated)
+    matches = groebner.ideal_equal(pred_gb, eliminated)
     if not matches:
         for p in predicted:
             if not eliminated.contains(p):
                 witnesses.append(f"predicted generator not in the ideal: {p}")
-        pred_gb = groebner.buchberger(predicted)
         for p in eliminated.basis:
             if not pred_gb.contains(p):
                 witnesses.append(f"ideal element not generated: {p}")
@@ -153,14 +115,9 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
                          expected_count=expected, witnesses=tuple(witnesses))
 
 
-def symmetric_algebra_ideal(j: DeJonquieresMap) -> list[Polynomial]:
-    """Syzygy-generated subideal (y-degree one part): the p_ij together with F_0."""
-    seq = downgraded_sequence(j)
-    return minor_generators(j) + [seq.forms[0]]
-
-
 def linear_type(j: DeJonquieresMap) -> bool:
-    return groebner.ideal_equal(symmetric_algebra_ideal(j), rees_ideal(j))
+    """The presentation ideal is generated in y-degree one: P_1 = (P_0, F_0)."""
+    return groebner.ideal_equal(chain(j)[1], rees_ideal(j))
 
 
 @dataclass(frozen=True)
@@ -176,13 +133,12 @@ class ColonReport:
 
 def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     """P_0 : F_0 = P_0, and P_i : F_i = (x_1..x_n) for 1 <= i <= d-2."""
-    seq = downgraded_sequence(j)
-    links = chain(j, seq)
+    links = chain(j)
     s_ring = j.working_ring()
     witnesses = []
 
     base = list(links[0])
-    first = groebner.colon(base, seq.forms[0])
+    first = groebner.colon(base, links[1][-1])
     base_stable = groebner.ideal_equal(first, base)
     if not base_stable:
         witnesses.append("P_0 : F_0 enlarged P_0")
@@ -190,7 +146,7 @@ def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     support = [s_ring.variable(nm) for nm in j.source.names[: j.n]]
     results = []
     for i in range(1, j.d - 1):
-        got = groebner.colon(list(links[i]), seq.forms[i])
+        got = groebner.colon(list(links[i]), links[i + 1][-1])
         ok = groebner.ideal_equal(got, support)
         results.append(ok)
         if not ok:
@@ -319,15 +275,14 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                                     scalar=None, rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
-    work = RingSpec(ring.names[:n] + j.target.names, ring.modulus)
-    gens = [work.variable(nm) - transport(substitute(form, {last: lam}), work)
-            for nm, form in zip(j.target.names, base)]
-    implicit = groebner.eliminate(gens, n)
+    lam_cut = transport(lam, RingSpec(ring.names[:n], ring.modulus))
+    implicit = groebner.kernel(j.target, {
+        nm: substitute(form, {last: lam_cut}) for nm, form in zip(j.target.names, base)})
     if len(implicit) != 1:
         return SpecializationReport(lam=lam, regular=True, implicit_degree=None,
                                     degree_ok=False, proportional=False,
                                     scalar=None, rejected=tuple(rejected))
-    h = transport(implicit[0], j.target)
+    h = implicit[0]
     degree_ok = h.total_degree() == j.d
 
     inv, _ = inverse(j)
@@ -370,7 +325,7 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
         try:
             pd = projdim_probe(j)
             report["projdim"] = pd
-            report["cm"] = pd == j.n
+            report["cm"] = is_cohen_macaulay(j, pd)
             report["conjecture_expected_cm"] = j.d <= j.n + 1
             if report["cm"] != report["conjecture_expected_cm"]:
                 report["conjecture_counterexample"] = True

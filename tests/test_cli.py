@@ -87,6 +87,15 @@ def test_validate_parse_error_exit_1(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_validate_rejects_coefficient_undefined_mod_p(tmp_path, capsys):
+    # 1/101 has no image in GF(101); it must not silently become 0
+    path = tmp_path / "fp.jonq"
+    path.write_text("n: 2\nd: 2\nfield: fp 101\nf: x3\ng: x1^2 - 1/101*x2*x3\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1 and not out
+    assert "parse error" in err and "GF(101)" in err
+
+
 def test_validate_degree_mismatch(tmp_path, capsys):
     path = tmp_path / "mismatch.jonq"
     path.write_text("n: 2\nd: 3\nfield: rational\nf: x3\ng: x1^2 - x2*x3\n")

@@ -388,6 +388,15 @@ def test_parse_errors(R):
             parse_polynomial(bad, R)
 
 
+def test_parse_rejects_denominator_divisible_by_modulus():
+    Rp = RingSpec(["x1", "x2", "x3"], modulus=101)
+    assert P("x1^2 - 1/2*x2*x3", Rp) == P("x1^2 + 50*x2*x3", Rp)
+    with pytest.raises(JonqError):
+        Rp.coeff(Fraction(-1, 101))
+    with pytest.raises(ParseError, match="at position 6"):
+        parse_polynomial("x1^2 - 1/101*x2*x3", Rp)
+
+
 def test_format_round_trip_randomized():
     rng = random.Random(23)
     R = RingSpec(["x1", "x2", "x3"])

@@ -77,30 +77,54 @@ def test_main_theorem_randomized():
 def test_main_theorem_names_redundant_generator(e2, monkeypatch):
     # a generator that lies in the span of the others fails minimality, and
     # the report names exactly that generator
-    real = rees.predicted_generators
+    real = rees.chain
 
-    def padded(j, seq=None):
-        gens = real(j, seq)
-        return gens + [gens[0] * gens[0].ring.variable(0)]
-    monkeypatch.setattr(rees, "predicted_generators", padded)
+    def padded(j):
+        links = real(j)
+        last = links[-1]
+        return links[:-1] + (last + (last[0] * last[0].ring.variable(0),),)
+    monkeypatch.setattr(rees, "chain", padded)
     report = rees.verify_main_theorem(e2)
-    extra = padded(e2)[-1]
+    extra = padded(e2)[-1][-1]
     assert report.ideal_matches and not report.minimal and not report.ok
     assert report.witnesses == (f"redundant generator: {extra}",
                                 f"generator count 5 != 4")
 
 
+def test_main_theorem_names_ideal_mismatch(e3, monkeypatch):
+    # e3 has d = 3, so the predicted set is P_2 = (P_1, F_1)
+    real_chain = rees.chain
+    links = real_chain(e3)
+    f1 = links[-1][-1]
+
+    # without F_1 the predicted set misses the ideal's element -F_1
+    monkeypatch.setattr(rees, "chain", lambda j: links[:-1] + (links[1],))
+    report = rees.verify_main_theorem(e3)
+    assert not report.ideal_matches and not report.ok
+    assert report.witnesses == (f"ideal element not generated: {-f1}",
+                                "generator count 2 != 3")
+
+    # an ideal that stops at P_1 does not contain F_1
+    monkeypatch.setattr(rees, "chain", real_chain)
+    monkeypatch.setattr(rees, "rees_ideal", lambda j: gb.buchberger(links[1]))
+    report = rees.verify_main_theorem(e3)
+    assert not report.ideal_matches and not report.ok
+    assert report.witnesses == (f"predicted generator not in the ideal: {f1}",)
+
+
 def test_presentation_chain(e3):
-    pres = rees.rees_presentation(e3)
+    links = rees.chain(e3)
+    eliminated = rees.rees_ideal(e3)
+    predicted = links[-1]
     # every predicted generator lies in the eliminated ideal
-    for p in pres.predicted:
-        assert pres.eliminated.contains(p)
+    for p in predicted:
+        assert eliminated.contains(p)
     # the chain ends at the full predicted set, and it equals the ideal
-    assert pres.chain[-1] == pres.predicted
-    assert gb.ideal_equal(list(pres.chain[-1]), pres.eliminated)
+    assert predicted == links[0] + dejonq.downgraded_sequence(e3).forms
+    assert gb.ideal_equal(list(links[-1]), eliminated)
     # p_ij shape: x_j y_i - x_i y_j
-    W = pres.ring
-    assert pres.predicted[0] == P("x2*y1 - x1*y2", W)
+    W = eliminated.ring
+    assert predicted[0] == P("x2*y1 - x1*y2", W)
 
 
 # ---------- linear type ----------
@@ -129,10 +153,9 @@ def test_colon_lemma_e3(e3):
     assert report.ok
     assert report.support_colons == (True,)
     # direct check: P_1 : F_1 = (x1, x2)
-    seq = dejonq.downgraded_sequence(e3)
-    links = rees.chain(e3, seq)
-    got = gb.colon(list(links[1]), seq.forms[1])
-    W = seq.ring
+    links = rees.chain(e3)
+    got = gb.colon(list(links[1]), links[2][-1])
+    W = e3.working_ring()
     assert gb.ideal_equal(got, [W.variable("x1"), W.variable("x2")])
 
 
