@@ -10,6 +10,7 @@ Case files are UTF-8 text with `key: value` lines (# starts a comment):
     seed: 7                  # optional
     checks: theorem,colon    # optional, for the rees subcommand
 
+Any other key, or a key given twice, is a parse error.
 Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error.
 `explore` exits 2 when some grid point has no valid map (n = 1, d >= 3):
 that point's cases become records with a `rejected` reason, and the other
@@ -35,6 +36,7 @@ from .dejonq import ConstructionError
 from .polycore import JonqError, ParseError, parse_polynomial
 
 DEFAULT_MODULUS = 32003
+_CASE_KEYS = ("n", "d", "field", "f", "g", "seed", "checks")
 
 
 class CaseFileError(ParseError):
@@ -71,7 +73,12 @@ def parse_case_file(text: str) -> CaseFile:
         if ":" not in line:
             raise CaseFileError(f"line {lineno}: expected 'key: value'")
         key, value = line.split(":", 1)
-        data[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in _CASE_KEYS:
+            raise CaseFileError(f"line {lineno}: unknown key {key!r}")
+        if key in data:
+            raise CaseFileError(f"line {lineno}: duplicate key {key!r}")
+        data[key] = value.strip()
     for required in ("n", "d", "f", "g"):
         if required not in data:
             raise CaseFileError(f"missing required key {required!r}")
@@ -131,9 +138,13 @@ def load_map(path: str, args) -> tuple[dejonq.DeJonquieresMap, CaseFile]:
         case = parse_case_file(fh.read())
     modulus = _effective_modulus(case, args)
     ring = dejonq.source_ring(case.n, modulus)
-    f = parse_polynomial(case.f_text, ring)
-    g = parse_polynomial(case.g_text, ring)
-    j = dejonq.construct(f, g, case.n)
+    forms = {}
+    for name, text in (("f", case.f_text), ("g", case.g_text)):
+        try:
+            forms[name] = parse_polynomial(text, ring)
+        except ParseError as exc:
+            raise ParseError(f"{name}: {exc}") from None
+    j = dejonq.construct(forms["f"], forms["g"], case.n)
     if j.d != case.d:
         raise ConstructionError(f"declared d = {case.d} but parsed degree is {j.d}")
     return j, case

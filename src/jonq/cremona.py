@@ -13,11 +13,8 @@ of the identity support map.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from itertools import combinations
 
-from . import groebner
 from .polycore import (
     JonqError,
     Polynomial,
@@ -25,14 +22,11 @@ from .polycore import (
     RingMismatchError,
     dot,
     exact_div,
-    partial_derivative,
     substitute,
     transport,
     x_decompose,
     xprime_order,
 )
-
-log = logging.getLogger(__name__)
 
 
 class MapError(JonqError):
@@ -77,10 +71,6 @@ class RationalMap:
     def __eq__(self, other):
         return (isinstance(other, RationalMap) and self.source == other.source
                 and self.target == other.target and self.forms == other.forms)
-
-
-def identity_map(ring: RingSpec, target: RingSpec | None = None) -> RationalMap:
-    return RationalMap(ring, target or ring, ring.variables())
 
 
 @dataclass(frozen=True)
@@ -160,120 +150,6 @@ def inversion_certificate(f: RationalMap, g: RationalMap):
         if c != factor * xs[i]:
             return CertificateFailure(i, "coordinate is not proportional")
     return InversionCertificate(g, factor, int(factor.total_degree()))
-
-
-def is_confluent(j: RationalMap, f: RationalMap) -> bool:
-    """True iff dropping j's last coordinate factors through f.
-
-    Concretely: the first n coordinates of j are one common multiple of f's
-    coordinates pulled back through the coordinate projection, and the
-    multiplier is coprime to j's last coordinate.
-    """
-    n = f.target.nvars
-    if j.target.nvars != n + 1:
-        raise MapError("dimension mismatch between the map and its support")
-    pulled = [transport(p, j.source) for p in f.forms]
-    mult = None
-    for ji, fi in zip(j.forms[:n], pulled):
-        if fi.is_zero():
-            if ji:
-                return False
-            continue
-        if ji.is_zero():
-            return False
-        q = exact_div(ji, fi)
-        if q is None:
-            return False
-        if mult is None:
-            mult = q
-        elif q != mult:
-            return False
-    if mult is None or mult.is_zero():
-        return False
-    g = j.forms[n]
-    if g.is_zero():
-        return False
-    from .polycore import gcd
-    return gcd(mult, g).total_degree() == 0
-
-
-def _jacobian_rank_full(forms, ring: RingSpec) -> bool:
-    """Exact test that the Jacobian matrix has full row rank over Frac(ring)."""
-    rows = [[partial_derivative(f, i) for i in range(ring.nvars)] for f in forms]
-    r = len(rows)
-
-    def det(sub):
-        if len(sub) == 1:
-            return sub[0][0]
-        acc = ring.zero()
-        for k in range(len(sub)):
-            entry = sub[0][k]
-            if entry.is_zero():
-                continue
-            minor = [[row[c] for c in range(len(sub)) if c != k] for row in sub[1:]]
-            term = entry * det(minor)
-            acc = acc + term if k % 2 == 0 else acc - term
-        return acc
-
-    for cols in combinations(range(ring.nvars), r):
-        sub = [[row[c] for c in cols] for row in rows]
-        if not det(sub).is_zero():
-            return True
-    return False
-
-
-def algebraically_independent(forms) -> bool:
-    """True iff the forms are algebraically independent over the base field.
-
-    Over Q this is the Jacobian rank criterion.  Over F_p a full-rank
-    Jacobian still certifies independence, but a degenerate one does not
-    refute it; that case falls back to an elimination kernel computation.
-    """
-    forms = list(forms)
-    if not forms:
-        return True
-    ring = forms[0].ring
-    if any(f.ring != ring for f in forms):
-        raise RingMismatchError("forms live in different rings")
-    if any(f.is_zero() for f in forms):
-        return False
-    if len(forms) > ring.nvars:
-        return False
-    if _jacobian_rank_full(forms, ring):
-        return True
-    if ring.modulus is None:
-        return False
-    log.debug("Jacobian degenerate over GF(%d); falling back to elimination", ring.modulus)
-    unames = groebner.fresh_names(ring, "_u", len(forms))
-    return not groebner.kernel(RingSpec(unames, ring.modulus), dict(zip(unames, forms)))
-
-
-def fiber_ideal(f: RationalMap, point) -> groebner.GroebnerBasis:
-    """Reduced basis of the fiber of f over a target point: saturated 2x2 minors.
-
-    The minors of the matrix with rows (coordinate forms) and (point values)
-    are saturated by the base ideal.
-    """
-    point = tuple(point)
-    if len(point) != f.target.nvars:
-        raise MapError("point arity does not match the target space")
-    ring = f.source
-    vals = [ring.coeff(v) for v in point]
-    if all(not v for v in vals):
-        raise MapError("point has all coordinates zero (degenerate image point)")
-    base = f.base_ideal()
-    if not base:
-        raise MapError("base ideal is zero")
-    minors = []
-    m = len(f.forms)
-    for i in range(m):
-        for j in range(i + 1, m):
-            p = f.forms[i] * vals[j] - f.forms[j] * vals[i]
-            if p:
-                minors.append(p)
-    if not minors:
-        raise MapError("all fiber minors vanish identically")
-    return groebner.saturate(minors, base)
 
 
 def downgrade_general(j: RationalMap, syzygy, support_inverse) -> list[Polynomial]:

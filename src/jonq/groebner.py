@@ -31,8 +31,8 @@ interreducing the final basis is a step only `buchberger` runs.
 
 `kernel` is the one implicitization routine: the kernel of a ring map, by one
 `eliminate` in the ring of the source-only variables followed by the
-target's.  The presentation ideal of a blowup, the implicit equation of a
-specialized map and the algebraic-independence fallback are all such kernels.
+target's.  The presentation ideal of a blowup and the implicit equation of a
+specialized map are both such kernels.
 """
 
 from __future__ import annotations
@@ -596,10 +596,6 @@ def saturate(gens, gens_j) -> GroebnerBasis:
 
 # ---------- Hilbert series ----------
 
-def _weighted_degree(mono, weights) -> int:
-    return sum(e * w for e, w in zip(mono, weights))
-
-
 def _mono_minimalize(monos) -> tuple:
     monos = sorted(set(monos), key=lambda m: (sum(m), m))
     kept: list = []
@@ -633,7 +629,7 @@ def _p1_shift(a: dict, k: int) -> dict:
     return {d + k: c for d, c in a.items()}
 
 
-def _hilb_rec(gens: tuple, weights, cache: dict) -> dict:
+def _hilb_rec(gens: tuple, cache: dict) -> dict:
     if not gens:
         return {0: 1}
     if any(sum(m) == 0 for m in gens):
@@ -652,45 +648,35 @@ def _hilb_rec(gens: tuple, weights, cache: dict) -> dict:
         # pairwise coprime: product formula
         out = {0: 1}
         for m in gens:
-            out = _p1_mul(out, {0: 1, _weighted_degree(m, weights): -1})
+            out = _p1_mul(out, {0: 1, sum(m): -1})
     else:
         unit = tuple(1 if i == pivot else 0 for i in range(nv))
         j1 = _mono_minimalize([unit] + [m for m in gens if m[pivot] == 0])
         j2 = _mono_minimalize(
             [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m)) for m in gens])
-        out = _p1_add(_hilb_rec(j1, weights, cache),
-                      _p1_shift(_hilb_rec(j2, weights, cache), weights[pivot]))
+        out = _p1_add(_hilb_rec(j1, cache), _p1_shift(_hilb_rec(j2, cache), 1))
     cache[gens] = out
     return out
 
 
-def hilbert_series_numerator(gens, weights=None) -> dict[int, int]:
-    """Numerator N(t) with HS(R/I) = N(t) / prod_i (1 - t^{w_i}).
+def hilbert_series_numerator(gens) -> dict[int, int]:
+    """Numerator N(t) with HS(R/I) = N(t) / (1-t)^nvars.
 
-    With unit weights (the default) the denominator is (1-t)^nvars.  Input
-    must be homogeneous under the weights; computed from the leading-term
-    ideal, so the result is independent of the (degree-compatible) order.
+    Input must be homogeneous; computed from the leading-term ideal, so the
+    result is independent of the (degree-compatible) order.
     """
     if isinstance(gens, GroebnerBasis):
         gb = gens
-        ring = gb.ring
     else:
         gens = [g for g in gens if g]
         if not gens:
             return {0: 1}
-        ring = _common_ring(gens)
         gb = buchberger(gens)
-    weights = tuple(weights) if weights is not None else (1,) * ring.nvars
-    if len(weights) != ring.nvars:
-        raise ArityError("weight vector does not match ring arity")
     for g in gb.gens if gb.gens else gb.basis:
-        if not g:
-            continue
-        degs = {_weighted_degree(m, weights) for m, _ in g.terms}
-        if len(degs) > 1:
-            raise InhomogeneousError(f"generator {g} is not homogeneous under the weights")
+        if not g.is_homogeneous():
+            raise InhomogeneousError(f"generator {g} is not homogeneous")
     lts = _mono_minimalize([g.lm() for g in gb.basis])
-    return _hilb_rec(lts, weights, {})
+    return _hilb_rec(lts, {})
 
 
 def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:

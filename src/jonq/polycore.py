@@ -589,24 +589,6 @@ def gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return g.monic()
 
 
-def evaluate(p: Polynomial, values):
-    """Evaluate p at a full tuple of field values."""
-    ring = p.ring
-    if len(values) != ring.nvars:
-        raise ArityError("value tuple does not match ring arity")
-    vals = [ring.coeff(v) for v in values]
-    acc = ring.coeff(0)
-    for mono, c in p.terms:
-        t = c
-        for v, e in zip(vals, mono):
-            if e:
-                t = t * pow(v, e) if ring.modulus is None else t * pow(v, e, ring.modulus)
-        acc = acc + t
-    if ring.modulus is not None:
-        acc %= ring.modulus
-    return acc
-
-
 def random_form(ring: RingSpec, degree: int, rng, terms: int = 3, block=None) -> Polynomial:
     """Random nonzero homogeneous form of the given degree (sparse)."""
     if degree < 0:
@@ -637,19 +619,19 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
 
 
 def _tokenize(text: str):
+    """(kind, value, start) triples; start is the token's own index in text."""
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r} at {pos}")
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r} "
+                                 f"at position {len(text) - len(rest)}")
             break
-        if m.group("int") is not None:
-            out.append(("int", int(m.group("int")), pos))
-        elif m.group("name") is not None:
-            out.append(("name", m.group("name"), pos))
-        else:
-            out.append(("op", m.group("op"), pos))
+        kind = m.lastgroup
+        value = int(m.group(kind)) if kind == "int" else m.group(kind)
+        out.append((kind, value, m.start(kind)))
         pos = m.end()
     return out
 

@@ -62,7 +62,7 @@ def minimal_generator_count(gens) -> int:
     if not gens:
         return 0
     ring = gens[0].ring
-    kept = minimal_generators([(g,) for g in gens], ring, 1, (0,))
+    kept = minimal_generators([(g,) for g in gens], ring, (0,))
     return len(kept)
 
 

@@ -165,7 +165,7 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     return out
 
 
-def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
+def minimal_generators(columns, ring: RingSpec, shifts):
     """Minimal generating subset of homogeneous columns (ascending degree greedy).
 
     Columns go in (shifted degree, index) order, and a column is kept iff
@@ -174,8 +174,6 @@ def minimal_generators(columns, ring: RingSpec, rank: int, shifts=None):
     under a key that leads with the shifted degree: that decides membership
     exactly, and no pair above the largest column degree is processed.
     """
-    if shifts is None:
-        shifts = (0,) * rank
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
@@ -304,7 +302,7 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
         raise JonqError("length bound must be at least 1")
     shifts: list[tuple[int, ...]] = [(0,) * rank0]
     matrices: list = []
-    current = minimal_generators(columns, ring, rank0, shifts[0])
+    current = minimal_generators(columns, ring, shifts[0])
     while current:
         if length_bound is not None and len(matrices) >= length_bound:
             partial = Resolution(ring, tuple(shifts), tuple(matrices), False)
@@ -312,7 +310,7 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
         syz = syzygies([col for _, col in current])
-        current = minimal_generators(syz.primary, ring, len(shifts[-1]), shifts[-1])
+        current = minimal_generators(syz.primary, ring, shifts[-1])
     return Resolution(ring, tuple(shifts), tuple(matrices), True)
 
 

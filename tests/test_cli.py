@@ -63,6 +63,22 @@ def test_parse_case_file_errors():
         parse_case_file("n: 2\nd: 2\nf: x3\ng: x1^2\nchecks: bogus\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # a misspelt key must not leave the case on the default field
+    ("n: 2\nd: 2\nfielf: rational\nf: x3\ng: x1^2\n", "line 3: unknown key 'fielf'"),
+    # a repeated key must not silently replace the first one
+    ("n: 2\nd: 2\nf: x3\nf: x1\ng: x1^2\n", "line 4: duplicate key 'f'"),
+    ("n: 2\nd: 2\nf: x3\ng: x1^2\nSeed: 1\nseed: 2\n", "line 6: duplicate key 'seed'"),
+])
+def test_parse_case_file_rejects_unknown_and_duplicate_keys(tmp_path, capsys, text, message):
+    with pytest.raises(CaseFileError, match=f"^{message}$"):
+        parse_case_file(text)
+    path = tmp_path / "keys.jonq"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "", f"parse error: {message}\n")
+
+
 # ---------- validate ----------
 
 def test_validate_accepts(e1_file, capsys):
@@ -84,7 +100,7 @@ def test_validate_parse_error_exit_1(tmp_path, capsys):
     path.write_text("n: 2\nd: 2\nfield: rational\nf: x1^^2\ng: x1^2\n")
     code, _, err = run(capsys, "validate", str(path))
     assert code == 1
-    assert "parse error" in err
+    assert err == "parse error: f: expected integer exponent after '^' at position 3\n"
 
 
 def test_validate_rejects_coefficient_undefined_mod_p(tmp_path, capsys):
@@ -93,7 +109,7 @@ def test_validate_rejects_coefficient_undefined_mod_p(tmp_path, capsys):
     path.write_text("n: 2\nd: 2\nfield: fp 101\nf: x3\ng: x1^2 - 1/101*x2*x3\n")
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1 and not out
-    assert "parse error" in err and "GF(101)" in err
+    assert err == "parse error: g: coefficient -1/101 is undefined over GF(101) at position 7\n"
 
 
 def test_validate_degree_mismatch(tmp_path, capsys):

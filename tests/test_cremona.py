@@ -1,25 +1,19 @@
-"""Rational maps: composition, certificates, confluence, fibers, downgrading."""
-
-import random
+"""Rational maps: composition, normalization, inversion certificates, downgrading."""
 
 import pytest
 
-from jonq import dejonq, groebner as gb
+from jonq import dejonq
 from jonq.cremona import (
     CertificateFailure,
     InversionCertificate,
     MapError,
     RationalMap,
-    algebraically_independent,
     compose,
     downgrade_general,
-    fiber_ideal,
-    identity_map,
     inversion_certificate,
-    is_confluent,
     normalize_map,
 )
-from jonq.polycore import RingSpec, evaluate, parse_polynomial, substitute, transport
+from jonq.polycore import RingSpec, parse_polynomial, substitute, transport
 
 
 def P(text, ring):
@@ -50,7 +44,7 @@ def e1_inverse(rx, ry):
 
 def test_compose_identity(rx, ry):
     j = e1_map(rx, ry)
-    comp = compose(identity_map(ry), j)
+    comp = compose(RationalMap(ry, ry, ry.variables()), j)
     assert comp == j.forms
 
 
@@ -96,7 +90,8 @@ def test_normalize_map_zero_rejected(rx, ry):
 # ---------- inversion certificates ----------
 
 def test_certificate_identity(rx):
-    cert = inversion_certificate(identity_map(rx), identity_map(rx))
+    identity = RationalMap(rx, rx, rx.variables())
+    cert = inversion_certificate(identity, identity)
     assert isinstance(cert, InversionCertificate)
     assert cert.factor == rx.one()
     assert cert.degree == 0
@@ -132,111 +127,6 @@ def test_certificate_symmetric(rx, ry):
     assert isinstance(cert, InversionCertificate)
     assert isinstance(cert_rev, InversionCertificate)
     assert cert.degree == cert_rev.degree == 3
-
-
-# ---------- confluence ----------
-
-def test_confluent_e1(rx, ry):
-    support = RationalMap(RingSpec(["x1", "x2"]), RingSpec(["y1", "y2"]),
-                          RingSpec(["x1", "x2"]).variables())
-    assert is_confluent(e1_map(rx, ry), support)
-
-
-def test_not_confluent_squares(rx, ry):
-    support = RationalMap(RingSpec(["x1", "x2"]), RingSpec(["y1", "y2"]),
-                          RingSpec(["x1", "x2"]).variables())
-    j = RationalMap(rx, ry, (P("x1^2", rx), P("x2^2", rx), P("x3^2", rx)))
-    assert not is_confluent(j, support)
-
-
-def test_confluent_e3(rx, ry):
-    support = RationalMap(RingSpec(["x1", "x2"]), RingSpec(["y1", "y2"]),
-                          RingSpec(["x1", "x2"]).variables())
-    f = P("x1*x3 + x2^2", rx)
-    g = P("x1^2*x3 + x2^3", rx)
-    j = RationalMap(rx, ry, (P("x1", rx) * f, P("x2", rx) * f, g))
-    assert is_confluent(j, support)
-
-
-# ---------- algebraic independence ----------
-
-def test_independent_variables(rx):
-    assert algebraically_independent(rx.variables())
-
-
-def test_independent_e1_forms(rx):
-    # oracle: the 3x3 Jacobian determinant equals -2*x1^2*x3, nonzero
-    forms = [P("x1*x3", rx), P("x2*x3", rx), P("x1^2 - x2*x3", rx)]
-    assert algebraically_independent(forms)
-
-
-def test_dependent_powers(rx):
-    assert not algebraically_independent([P("x1", rx), P("x1^2", rx)])
-
-
-def test_independence_char_p_fallback():
-    # x1^5, x2^5 have zero Jacobian over GF(5) yet remain independent
-    R5 = RingSpec(["x1", "x2"], modulus=5)
-    assert algebraically_independent([P("x1^5", R5), P("x2^5", R5)])
-    assert not algebraically_independent([P("x1^5", R5), P("x1^5 + x1^10", R5)])
-
-
-# ---------- fiber ideals ----------
-
-def test_fiber_of_identity(rx):
-    F = fiber_ideal(identity_map(rx), (1, 2, 3))
-    point = [P("2*x1 - x2", rx), P("3*x1 - x3", rx), P("3*x2 - 2*x3", rx)]
-    assert gb.ideal_equal(F, point)
-
-
-def test_fiber_e1_is_reduced_point(rx, ry):
-    j = e1_map(rx, ry)
-    beta = tuple(evaluate(f, [1, 1, 1]) for f in j.forms)
-    assert beta == (1, 1, 0)
-    F = fiber_ideal(j, beta)
-    assert gb.ideal_equal(F, [P("x1 - x2", rx), P("x2 - x3", rx)])
-    num = gb.hilbert_series_numerator(gb.buchberger(F))
-    assert gb.dim_and_multiplicity(num, 3) == (1, 1)
-
-
-def test_fiber_nonbirational_has_bigger_degree(rx, ry):
-    j = RationalMap(rx, ry, (P("x1^2", rx), P("x2^2", rx), P("x3^2", rx)))
-    beta = tuple(evaluate(f, [1, 2, 3]) for f in j.forms)
-    F = fiber_ideal(j, beta)
-    num = gb.hilbert_series_numerator(gb.buchberger(F))
-    dim, mult = gb.dim_and_multiplicity(num, 3)
-    assert dim == 1 and mult > 1
-
-
-def test_fiber_randomized_single_point():
-    # certified-birational map: the fiber of a random image point is that
-    # point, so multiplicity 1 and all 2-minors of (x | alpha) belong
-    rng = random.Random(19)
-    rx = RingSpec(["x1", "x2", "x3"])
-    ry = RingSpec(["y1", "y2", "y3"])
-    j = e1_map(rx, ry)
-    fg = j.forms[0] * j.forms[2]
-    hits = 0
-    while hits < 5:
-        alpha = [rng.randrange(1, 1001) for _ in range(3)]
-        if evaluate(fg, alpha) == 0:
-            continue
-        hits += 1
-        beta = tuple(evaluate(f, alpha) for f in j.forms)
-        F = fiber_ideal(j, beta)
-        fgb = gb.buchberger(F)
-        num = gb.hilbert_series_numerator(fgb)
-        assert gb.dim_and_multiplicity(num, 3) == (1, 1)
-        xs = rx.variables()
-        for a in range(3):
-            for b in range(a + 1, 3):
-                minor = xs[a] * alpha[b] - xs[b] * alpha[a]
-                assert fgb.contains(minor)
-
-
-def test_fiber_zero_point_rejected(rx, ry):
-    with pytest.raises(MapError):
-        fiber_ideal(e1_map(rx, ry), (0, 0, 0))
 
 
 # ---------- downgrade_general ----------

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from jonq.orders import GREVLEX, LEX
-from jonq.polycore import (
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+example, given, settings = hypothesis.example, hypothesis.given, hypothesis.settings
+
+from jonq.orders import GREVLEX, LEX  # noqa: E402
+from jonq.polycore import (  # noqa: E402
     ArityError,
     DecompositionError,
     JonqError,
@@ -17,7 +21,6 @@ from jonq.polycore import (
     ZeroDegree,
     degree_in,
     dot,
-    evaluate,
     exact_div,
     format_polynomial,
     gcd,
@@ -44,6 +47,25 @@ def W():
 
 def P(text, ring):
     return parse_polynomial(text, ring)
+
+
+FIELDS = (None, 32003)
+RINGS = [RingSpec(["x1", "x2", "x3"], modulus) for modulus in FIELDS]
+
+
+@st.composite
+def polynomials(draw, ring):
+    """Any polynomial of `ring`: inhomogeneous, constant or zero, with signed
+    fractional coefficients (denominators prime to 32003)."""
+    monos = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    coeffs = st.fractions(-20, 20, max_denominator=12)
+    return Polynomial(ring, draw(st.dictionaries(monos, coeffs, max_size=5)))
+
+
+@st.composite
+def ring_and_polynomials(draw, count):
+    ring = draw(st.sampled_from(RINGS))
+    return (ring,) + tuple(draw(polynomials(ring)) for _ in range(count))
 
 
 # ---------- ring construction invariants ----------
@@ -343,7 +365,7 @@ def test_homogeneous_flag(W):
     assert P("x1*x2 + x3*y3", W).bidegree() is None
 
 
-# ---------- transport / evaluate / exact_div ----------
+# ---------- transport / exact_div ----------
 
 def test_transport_by_name(R, W):
     p = P("x1^2 - x2*x3", R)
@@ -357,11 +379,6 @@ def test_transport_missing_variable(R):
     small = RingSpec(["x1", "x2"])
     with pytest.raises(RingMismatchError):
         transport(P("x3", R), small)
-
-
-def test_evaluate(R):
-    p = P("x1^2 - x2*x3", R)
-    assert evaluate(p, [2, 1, 3]) == Fraction(1)
 
 
 def test_exact_div(R):
@@ -393,20 +410,57 @@ def test_parse_rejects_denominator_divisible_by_modulus():
     assert P("x1^2 - 1/2*x2*x3", Rp) == P("x1^2 + 50*x2*x3", Rp)
     with pytest.raises(JonqError):
         Rp.coeff(Fraction(-1, 101))
-    with pytest.raises(ParseError, match="at position 6"):
+    with pytest.raises(ParseError, match="at position 7"):
         parse_polynomial("x1^2 - 1/101*x2*x3", Rp)
 
 
-def test_format_round_trip_randomized():
-    rng = random.Random(23)
-    R = RingSpec(["x1", "x2", "x3"])
-    Rp = RingSpec(["x1", "x2", "x3"], modulus=32003)
-    for ring in (R, Rp):
-        for _ in range(100):
-            p = random_form(ring, rng.randrange(0, 4), rng, terms=4)
-            assert parse_polynomial(format_polynomial(p), ring) == p
-    assert format_polynomial(R.zero()) == "0"
-    assert parse_polynomial("0", R).is_zero()
+@pytest.mark.parametrize("text, message", [
+    ("x1 + x9", "unknown variable 'x9' at position 5"),
+    ("x1 +  @", "unexpected character '@' at position 6"),
+    ("  x1 * *x2", "dangling '*' at position 5"),
+    ("x1^2 + 3/0*x2", "zero denominator at position 7"),
+    ("x1 ^ x2", "expected integer exponent after '^' at position 5"),
+    ("x1 -", "dangling sign at position 3"),
+])
+def test_parse_error_positions_point_at_the_token(R, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, R)
+    assert str(info.value) == message
+
+
+# the dense homogeneous forms the library samples: random_form over Q and
+# GF(32003) in degrees 0..3 with 4 terms
+random_forms = st.builds(lambda ring, degree, seed: random_form(ring, degree, random.Random(seed),
+                                                               terms=4),
+                         st.sampled_from(RINGS), st.integers(0, 3), st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_forms, ring_and_polynomials(1).map(lambda t: t[1])))
+@example(RINGS[0].zero())
+@example(P("-1/2*x1^3 + 3/4*x2 - 5/3", RINGS[0]))
+@example(P("-7/2", RINGS[0]))
+@example(P("x1 - 1", RINGS[1]))
+def test_format_round_trip_randomized(p):
+    text = format_polynomial(p)
+    assert parse_polynomial(text, p.ring) == p
+    assert (text == "0") == p.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_polynomials(3))
+def test_ring_axioms(case):
+    ring, a, b, c = case
+    zero, one = ring.zero(), ring.one()
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + zero == a and a - a == zero and a + (-a) == zero
+    assert a - b == a + (-b) and -a == a * -1 == zero - a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * one == a and (a * zero).is_zero()
+    assert a * (b + c) == a * b + a * c
+    assert a ** 2 == a * a
 
 
 def test_lex_order_differs_from_grevlex():
