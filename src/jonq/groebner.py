@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import count
 from operator import mul
 
 from .orders import elimination_order
@@ -530,12 +530,6 @@ def kernel(target: RingSpec, images: dict) -> list[Polynomial]:
     return [transport(p, target) for p in eliminate(gens, len(extra))]
 
 
-def fresh_names(ring: RingSpec, stem: str, number: int) -> tuple[str, ...]:
-    """The first `number` of stem0, stem1, ... that are not variables of `ring`."""
-    unused = (f"{stem}{k}" for k in count() if f"{stem}{k}" not in ring.names)
-    return tuple(islice(unused, number))
-
-
 def intersect(gens_a, gens_b) -> list[Polynomial]:
     """Generators of the intersection of two ideals (one-new-variable elimination)."""
     gens_a = [g for g in gens_a if g]
@@ -543,7 +537,7 @@ def intersect(gens_a, gens_b) -> list[Polynomial]:
     if not gens_a or not gens_b:
         return []
     ring = _common_ring(gens_a + gens_b)
-    tname, = fresh_names(ring, "_t", 1)
+    tname = next(f"_t{k}" for k in count() if f"_t{k}" not in ring.names)
     big = RingSpec((tname,) + ring.names, ring.modulus, None, elimination_order(1))
     t = big.variable(0)
     one_minus_t = big.one() - t

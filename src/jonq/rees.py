@@ -9,9 +9,12 @@ and P_{i+1} = (P_i, F_i) along the downgraded sequence F_0..F_{d-2}, so P_1
 is the symmetric-algebra part and P_{d-1} the predicted generating set.
 Verification compares reduced bases, certifies minimality by exclusion, and
 cross-checks the iterated mapping-cone Betti data against the Hilbert series.
-The specialization check takes the kernel of y -> F(x, lam) with no t: forms
-of one degree have a homogeneous kernel, the kernel of y -> t F (see
-`specialization_check`).
+The projective-dimension probe resolves not the presentation ideal J but a
+linear section of S/J in fewer variables, certified regular by its Hilbert
+series, so its ResolutionBoundError carries a partial resolution over the
+section's ring (see `projdim_probe`).  The specialization check takes the
+kernel of y -> F(x, lam) with no t: forms of one degree have a homogeneous
+kernel, the kernel of y -> t F (see `specialization_check`).
 """
 
 from __future__ import annotations
@@ -200,11 +203,45 @@ def cone_betti(j: DeJonquieresMap) -> ConeBettiData:
                          hilbert_match=table.alternating_numerator() == numerator)
 
 
+def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.GroebnerBasis:
+    """Reduced basis of the linear section of S/J that `projdim_probe` resolves.
+
+    For k = n+2 = dim S/J down to 1, the last k variables v of S are replaced
+    by random linear forms l_v in the others, and the first section whose
+    Hilbert numerator (in k[first 2n+2-k variables]) equals that of J is
+    returned: equal numerators mean HS(S/(J, v - l_v)) = (1-t)^k HS(S/J),
+    which holds exactly when the forms v - l_v are a regular sequence on S/J
+    (Stanley, Adv. Math. 1978).  If no k passes, k = 0 returns J itself.
+    The forms come from a fixed random.Random(0).
+    """
+    ring = ideal.ring
+    numerator = groebner.hilbert_series_numerator(ideal)
+    rng = random.Random(0)
+    top = 1001 if ring.modulus is None else ring.modulus
+    for k in range(n + 2, -1, -1):
+        keep = RingSpec(ring.names[:ring.nvars - k], ring.modulus)
+        forms = {name: Polynomial(keep, [(v.lm(), rng.randrange(1, top))
+                                         for v in keep.variables()])
+                 for name in ring.names[ring.nvars - k:]}
+        section = groebner.buchberger([substitute(p, forms) for p in ideal.basis], ring=keep)
+        if k == 0 or groebner.hilbert_series_numerator(section) == numerator:
+            return section
+
+
 def projdim_probe(j: DeJonquieresMap, length_bound: int | None = None) -> int:
-    """Length of the minimal free resolution of S/(presentation ideal)."""
-    ideal = rees_ideal(j)
+    """Length of the minimal free resolution of S/J, J the presentation ideal.
+
+    What is resolved is the linear section of `_certified_section`: modulo a
+    regular sequence of linear forms the graded Betti table is unchanged
+    (Bruns & Herzog, Cohen-Macaulay Rings, Prop. 1.1.5), so the section has
+    the Betti table, and the projective dimension, of S/J whatever the random
+    draw; a bad draw only cuts fewer variables.  A ResolutionBoundError
+    carries the partial resolution of the section, over its ring k[first
+    2n+2-k variables of S].
+    """
+    section = _certified_section(rees_ideal(j), j.n)
     bound = length_bound if length_bound is not None else 2 * j.n + 2
-    res = groebner.minimal_free_resolution(list(ideal.basis), length_bound=bound)
+    res = groebner.minimal_free_resolution(list(section.basis), length_bound=bound)
     return res.length()
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from jonq import dejonq, groebner as gb, rees
-from jonq.polycore import parse_polynomial, transport
+from jonq.polycore import parse_polynomial
 
 
 def P(text, ring):
@@ -230,8 +230,59 @@ def test_projdim_bound_and_verdict_recorded():
 def test_projdim_bound_error():
     rng = random.Random(72)
     j = dejonq.random_map(2, 3, rng)
-    with pytest.raises(gb.ResolutionBoundError):
+    with pytest.raises(gb.ResolutionBoundError) as err:
         rees.projdim_probe(j, length_bound=1)
+    # the partial resolution is the section's: this map is CM, so all
+    # n+2 = 4 forms were cut from the 6 variables of S
+    assert err.value.partial.ring.names == ("x1", "x2")
+
+
+@pytest.mark.parametrize("modulus", [32003, None])
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_certified_section_keeps_the_betti_table(n, d, modulus):
+    # second computation: the full resolution of J in all 2n+2 variables
+    rng = random.Random(100 * n + d)
+    for _ in range(2):
+        j = dejonq.random_map(n, d, rng, modulus)
+        ideal = rees.rees_ideal(j)
+        section = rees._certified_section(ideal, n)
+        cut = ideal.ring.nvars - section.ring.nvars
+        # dim S/J = n+2, so cutting n+2 forms certifies CM; the non-CM
+        # (d > n+1) maps must refuse that cut and stop at depth n+1
+        assert cut == (n + 2 if d <= n + 1 else n + 1), (n, d, modulus)
+        full = gb.minimal_free_resolution(list(ideal.basis)).betti
+        assert gb.minimal_free_resolution(list(section.basis)).betti == full
+        # Auslander-Buchsbaum: the certified depth is the whole depth
+        assert full.length() == ideal.ring.nvars - cut
+
+
+def test_projdim_falls_back_to_the_whole_ideal(monkeypatch):
+    # no section matches J's Hilbert numerator: the probe resolves J itself
+    j = dejonq.random_map(2, 4, random.Random(73))
+    expected = rees.projdim_probe(j)
+    numerator = gb.hilbert_series_numerator
+    resolved = []
+    resolve = gb.minimal_free_resolution
+
+    def spy(gens, length_bound=None):
+        resolved.append(gens[0].ring)
+        return resolve(gens, length_bound)
+
+    whole = j.working_ring().nvars
+    monkeypatch.setattr(gb, "hilbert_series_numerator",
+                        lambda ideal: numerator(ideal) if ideal.ring.nvars == whole else {})
+    monkeypatch.setattr(gb, "minimal_free_resolution", spy)
+    assert rees.projdim_probe(j) == expected == 3
+    assert [ring.names for ring in resolved] == [j.working_ring().names]
+
+
+def test_projdim_frontier_slice():
+    # beyond the acceptance grid: projdim n+1 at (3,5), where d > n+1, and n
+    # (Cohen-Macaulay) at (4,3)
+    rng = random.Random(5)
+    for (n, d), expected in (((3, 5), 4), ((4, 3), 4)):
+        for _ in range(2):
+            assert rees.projdim_probe(dejonq.random_map(n, d, rng)) == expected, (n, d)
 
 
 # ---------- specialization ----------
