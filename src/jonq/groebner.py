@@ -29,10 +29,12 @@ only for ideals.  Module pairs are formed only between elements of one
 component, and reducers are bucketed by component.  Minimalizing and
 interreducing the final basis is a step only `buchberger` runs.
 
-`kernel` is the one implicitization routine: the kernel of a ring map, by one
-`eliminate` in the ring of the source-only variables followed by the
-target's.  The presentation ideal of a blowup and the implicit equation of a
-specialized map are both such kernels.
+`kernel` is the one elimination-based implicitization routine: the kernel
+of a ring map, by one `eliminate` in the ring of the source-only variables
+followed by the target's.  The presentation ideal of a blowup is such a
+kernel; the implicit equation of a specialized map, a principal kernel, is
+found by linear algebra in one degree (`rees._kernel_in_degree`), with
+`kernel` as its test oracle.
 """
 
 from __future__ import annotations

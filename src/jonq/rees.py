@@ -12,9 +12,10 @@ cross-checks the iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
 linear section of S/J in fewer variables, certified regular by its Hilbert
 series, so its ResolutionBoundError carries a partial resolution over the
-section's ring (see `projdim_probe`).  The specialization check takes the
-kernel of y -> F(x, lam) with no t: forms of one degree have a homogeneous
-kernel, the kernel of y -> t F (see `specialization_check`).
+section's ring (see `projdim_probe`).  The specialization check finds the
+implicit equation of y -> F(x, lam) by linear algebra in degree d, not by
+elimination: the inversion factor certifies that this kernel is principal,
+so it is the one kernel form of degree d (see `specialization_check`).
 """
 
 from __future__ import annotations
@@ -249,6 +250,44 @@ def is_cohen_macaulay(j: DeJonquieresMap, projdim: int) -> bool:
     return projdim == j.n
 
 
+def _kernel_in_degree(forms, target: RingSpec, d: int) -> list[Polynomial]:
+    """Monic basis of the degree-d forms in the kernel of y -> forms.
+
+    Gaussian elimination over the field on the products F^alpha, |alpha| = d
+    (the columns of the degree-d Macaulay matrix), each built once as
+    F^(alpha - e_i) F_i with i the last index in alpha and carried with its
+    combination of the y^alpha.  Each product that reduces to zero gives one
+    kernel form, so there are as many forms as the kernel's degree-d dimension.
+    """
+    p = target.modulus
+    level = {(0,) * len(forms): forms[0].ring.one()}
+    for _ in range(d):
+        level = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]: prod * forms[i]
+                 for alpha, prod in level.items()
+                 for i in range(max((k for k, e in enumerate(alpha) if e), default=0),
+                                len(forms))}
+    pivots = []  # (monomial, row monic there, combination of the y^alpha)
+    kernel = []
+    for alpha, prod in level.items():
+        row, comb = dict(prod.terms), {alpha: 1}
+        for mono, prow, pcomb in pivots:
+            c = row.get(mono)
+            if c:
+                for vec, pvec in ((row, prow), (comb, pcomb)):
+                    for m, pc in pvec.items():
+                        v = vec.get(m, 0) - c * pc
+                        vec[m] = v % p if p else v
+        lead = next((m for m, c in row.items() if c), None)
+        if lead is None:
+            kernel.append(Polynomial(target, comb).monic())
+            continue
+        inv = target.cinv(row[lead])
+        row, comb = ({m: c * inv % p if p else c * inv for m, c in vec.items() if c}
+                     for vec in (row, comb))
+        pivots.append((lead, row, comb))
+    return kernel
+
+
 SPECIALIZATION_TRIES = 25
 
 
@@ -271,14 +310,19 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                          rng: random.Random | None = None) -> SpecializationReport:
     """Implicit equation of the specialized map versus the inverse coordinates.
 
-    Cuts by a linear form ell = x_{n+1} - lam regular on R/I, eliminates
-    x_1..x_n from (y_i - F_i(x, lam)) in k[x_1..x_n, y_1..y_{n+1}] to get the
-    implicit equation h of degree d, and certifies that ell evaluated on the
-    inverse coordinates is a scalar multiple of h.  No Rees variable t is
-    needed: all F_i(x, lam) have degree d, so y -> t F sends a form P of
-    degree k to t^k P(F), and as the homogeneous parts of any polynomial land
-    in distinct x-degrees kd, y -> F and y -> t F have the same kernel; both
-    elimination orders restrict to grevlex on y, so h is the same too.
+    Cuts by a linear form ell = x_{n+1} - lam regular on R/I, finds the
+    implicit equation h of F(x, lam) in degree d, and certifies that ell
+    evaluated on the inverse coordinates is a scalar multiple of h.  The
+    inversion factor D certifies that the kernel of y -> F(x, lam) is
+    principal: the inverse sends F(x, lam) to D_H (x, lam) with
+    D_H = D(x, lam), so when D_H != 0 the image contains the algebraically
+    independent D_H x_1, .., D_H x_n, and the kernel is a height-1 prime of
+    the UFD k[y], i.e. (h0).  Its degree-d part is then one form exactly when
+    deg h0 = d (a generator of lower degree times the forms of the remaining
+    degree gives at least n+1 of them), and that form, made monic in
+    grevlex, is the reduced basis of the kernel (`_kernel_in_degree`).  When
+    D_H = 0 or the degree-d part is not one form, the report has
+    implicit_degree=None and degree_ok=False.
     Without a given lam, up to SPECIALIZATION_TRIES random forms are tried; if
     all are rejected (as when R/I has depth 0, e.g. n = 1), the report has
     regular=False, lam=None and the rejected forms.
@@ -313,24 +357,22 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
 
     ell = ring.variable(last) - lam
     lam_cut = transport(lam, RingSpec(ring.names[:n], ring.modulus))
-    implicit = groebner.kernel(j.target, {
-        nm: substitute(form, {last: lam_cut}) for nm, form in zip(j.target.names, base)})
+    inv, cert = inverse(j)
+    implicit = []
+    if substitute(cert.factor, {last: lam_cut}):
+        implicit = _kernel_in_degree(
+            [substitute(form, {last: lam_cut}) for form in base], j.target, j.d)
     if len(implicit) != 1:
         return SpecializationReport(lam=lam, regular=True, implicit_degree=None,
                                     degree_ok=False, proportional=False,
                                     scalar=None, rejected=tuple(rejected))
-    h = implicit[0]
-    degree_ok = h.total_degree() == j.d
-
-    inv, _ = inverse(j)
-    inv_forms = inv.base_forms
-    ell_of_inverse = substitute(ell, {nm: form for nm, form in zip(ring.names, inv_forms)})
-    quotient = exact_div(ell_of_inverse, h)
+    ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
+    quotient = exact_div(ell_of_inverse, implicit[0])
     proportional = quotient is not None and quotient.total_degree() == 0
     scalar = quotient.lc() if proportional else None
     return SpecializationReport(lam=lam, regular=True,
-                                implicit_degree=int(h.total_degree()),
-                                degree_ok=degree_ok, proportional=proportional,
+                                implicit_degree=j.d, degree_ok=True,
+                                proportional=proportional,
                                 scalar=scalar, rejected=tuple(rejected))
 
 

@@ -179,7 +179,12 @@ def test_criterion_7_almost_cm_and_conjecture_table(worked):
         print(f"  {n:>2} {d:>2} {cm:>3} {noncm:>7} {str(d <= n + 1):>7}")
     for cx in counterexamples:
         print(f"  counterexample artifact: {cx}")
-    _report(7, "cone Hilbert cross-check and projdim <= n+1", ok,
+    # the table these 33 maps give, pinned: a probe that calls every map CM
+    # (or none) fails here, not only in the printout
+    ok = ok and len(cases) == 33 and not counterexamples and table == {
+        (2, 2): [6, 0], (2, 3): [6, 0], (2, 4): [0, 5],
+        (3, 2): [6, 0], (3, 3): [5, 0], (3, 4): [5, 0]}
+    _report(7, "cone Hilbert cross-check, projdim <= n+1 and the pinned table", ok,
             f"{len(cases)} cases, {len(counterexamples)} conjecture deviations")
 
 

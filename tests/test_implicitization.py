@@ -1,13 +1,19 @@
-"""Implicitization in one ring against the Rees-variable construction.
+"""Implicitization: the degree-d kernel against elimination.
 
-`rees.specialization_check` eliminates x from (y_i - F_i(x)) with no extra
-variable.  The reference below is the blowup construction: eliminate
-(t, x) from (y_i - t F_i(x)) and keep the t-free part.  For forms
-F_i of one degree both give the same reduced basis of the kernel of
-y -> F(x).
+`rees.specialization_check` finds the implicit equation of a specialized
+map by linear algebra: `rees._kernel_in_degree` spans the degree-d forms in
+the kernel of y -> F(x) by Gaussian elimination on the products F^alpha,
+|alpha| = d.  Elimination stays the oracle: the kernel computed by
+eliminating x from (y_i - F_i(x)) in one ring must contain those forms, its
+Hilbert series must give their number, and a one-form basis of degree d
+must be exactly the helper's form.  That one-ring elimination is itself
+checked against the blowup construction, which eliminates (t, x) from
+(y_i - t F_i(x)) and keeps the t-free part; for forms F_i of one degree both
+give the same reduced basis of the kernel of y -> F(x).
 """
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -15,7 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-from jonq import groebner  # noqa: E402
+from jonq import groebner, rees  # noqa: E402
 from jonq.polycore import Polynomial, RingSpec, transport  # noqa: E402
 
 
@@ -69,3 +75,21 @@ def equal_degree_forms(draw):
 def test_one_ring_elimination_equals_rees_variable_elimination(forms):
     target = RingSpec([f"y{i}" for i in range(1, len(forms) + 1)], forms[0].ring.modulus)
     assert in_one_ring(forms, target) == with_rees_variable(forms, target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(equal_degree_forms())
+def test_kernel_in_degree_matches_elimination(forms):
+    target = RingSpec([f"y{i}" for i in range(1, len(forms) + 1)], forms[0].ring.modulus)
+    basis = in_one_ring(forms, target)
+    kernel = groebner.buchberger(basis)
+    numerator = groebner.hilbert_series_numerator(kernel)
+    k = target.nvars - 1
+    for d in (1, 2, 3):
+        found = rees._kernel_in_degree(forms, target, d)
+        assert all(f.total_degree() == d and kernel.contains(f) for f in found)
+        # HS(k[y]/K) = N(t) / (1-t)^(k+1) gives dim of the degree-d part of k[y]/K
+        quotient = sum(c * comb(d - i + k, k) for i, c in numerator.items() if i <= d)
+        assert len(found) == comb(d + k, k) - quotient
+        if len(basis) == 1 and basis[0].total_degree() == d:
+            assert found == basis

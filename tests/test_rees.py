@@ -3,11 +3,12 @@
 import hashlib
 import json
 import random
+from math import comb
 
 import pytest
 
 from jonq import dejonq, groebner as gb, rees
-from jonq.polycore import parse_polynomial
+from jonq.polycore import RingSpec, parse_polynomial, substitute, transport
 
 
 def P(text, ring):
@@ -317,27 +318,57 @@ def test_specialization_depth_zero_rejects_every_candidate():
     assert len(report.rejected) == rees.SPECIALIZATION_TRIES
 
 
-def test_specialization_eliminates_in_one_ring(e1, e3, monkeypatch):
-    # the implicit equation comes from eliminating x_1..x_n from
-    # (y_i - F_i(x, lam)) in k[x_1..x_n, y_1..y_{n+1}], with no Rees variable t
-    calls = []
-    eliminate = gb.eliminate
+def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monkeypatch):
+    # h comes from linear algebra in degree d: no elimination runs in a ring
+    # holding both x_1 and y_1, and h is the reduced basis that eliminating
+    # x from (y_i - F_i(x, lam)) gives
+    calls, found = [], []
+    eliminate, in_degree = gb.eliminate, rees._kernel_in_degree
 
-    def spy(gens, nblock):
-        calls.append((gens[0].ring, nblock))
+    def spy_eliminate(gens, nblock):
+        calls.append(gens[0].ring)
         return eliminate(gens, nblock)
 
-    monkeypatch.setattr(gb, "eliminate", spy)
-    for j in (e1, e3):
+    def spy_in_degree(forms, target, d):
+        found.append(in_degree(forms, target, d))
+        return found[-1]
+
+    monkeypatch.setattr(gb, "eliminate", spy_eliminate)
+    monkeypatch.setattr(rees, "_kernel_in_degree", spy_in_degree)
+    rng = random.Random(82)
+    maps = [e1, e3] + [dejonq.random_map(n, d, rng, modulus)
+                       for modulus in (32003, None)
+                       for (n, d) in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 4))]
+    for j in maps:
         calls.clear()
-        assert rees.specialization_check(j).ok
-        # other steps eliminate too, but never in a ring holding both x_1 and y_1
-        spec = [(ring, nblock) for ring, nblock in calls
-                if {j.source.names[0], j.target.names[0]} <= set(ring.names)]
-        assert len(spec) == 1
-        ring, nblock = spec[0]
-        assert ring.names == j.source.names[:j.n] + j.target.names  # 2n + 1, no t
-        assert nblock == j.n
+        found.clear()
+        report = rees.specialization_check(j, rng=random.Random(5))
+        assert report.ok and report.implicit_degree == j.d, (j.n, j.d)
+        assert not [ring for ring in calls
+                    if {j.source.names[0], j.target.names[0]} <= set(ring.names)]
+        cut = RingSpec(j.source.names[:j.n], j.source.modulus)
+        lam = transport(report.lam, cut)
+        images = {y: substitute(form, {j.source.names[j.n]: lam})
+                  for y, form in zip(j.target.names, j.base_forms)}
+        assert found == [gb.kernel(j.target, images)], (j.n, j.d)
+
+
+def test_specialization_linear_relation_has_no_single_equation(e1, monkeypatch):
+    # with F_3 = F_1 + F_2 the kernel holds y3 - y1 - y2, so its degree-d
+    # part is (y3 - y1 - y2) times all forms of degree d-1: C(n+d-1, n) forms
+    forms = [P("x1*x2", e1.source), P("x2^2", e1.source)]
+    forms.append(forms[0] + forms[1])
+    assert len(rees._kernel_in_degree(forms, e1.target, 2)) == comb(2 + 2 - 1, 2)
+    in_degree = rees._kernel_in_degree
+
+    def related(forms, target, d):
+        return in_degree(forms[:-1] + [forms[0] + forms[1]], target, d)
+
+    monkeypatch.setattr(rees, "_kernel_in_degree", related)
+    report = rees.specialization_check(e1, lam=e1.source.variable("x2"))
+    assert report.regular
+    assert report.implicit_degree is None and not report.degree_ok
+    assert not report.proportional and report.scalar is None and not report.ok
 
 
 def test_specialization_randomized():
