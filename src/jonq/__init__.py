@@ -4,8 +4,8 @@ Subpackages:
   polycore    exact sparse polynomials over Q / F_p, text grammar
   groebner    Buchberger engine, elimination, colon ideals, Hilbert series
   resolutions syzygies and minimal graded free resolutions
-  cremona     rational maps, birationality certificates, downgrading
-  dejonq      identity-support de Jonquieres maps and their structure
+  cremona     rational maps, birationality certificates
+  dejonq      identity-support de Jonquieres maps, downgrading, structure
   rees        blowup presentation ideal, structure theorems, conjecture probe
   cli         batch front end (`jonq` command)
 """

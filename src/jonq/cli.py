@@ -11,10 +11,11 @@ Case files are UTF-8 text with `key: value` lines (# starts a comment):
     checks: theorem,colon    # optional, for the rees subcommand
 
 Any other key, or a key given twice, is a parse error.
-Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error.
-`explore` exits 2 when some grid point has no valid map (n = 1, d >= 3):
-that point's cases become records with a `rejected` reason, and the other
-reports and the summary table are still printed.
+Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error
+or failed check.  `explore` exits 3 when some report fails a check, else 2
+when some grid point has no valid map (n = 1, d >= 3): that point's cases
+become records with a `rejected` reason, and the other reports and the
+summary table are still printed.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
@@ -37,6 +38,8 @@ from .polycore import JonqError, ParseError, parse_polynomial
 
 DEFAULT_MODULUS = 32003
 _CASE_KEYS = ("n", "d", "field", "f", "g", "seed", "checks")
+# report keys holding a "pass"/"fail" verdict
+_VERDICT_KEYS = ("theorem", "colon", "cone_hilbert", "special")
 
 
 class CaseFileError(ParseError):
@@ -224,8 +227,11 @@ def cmd_rees(args) -> int:
         checks = _parse_checks(args.checks)
     report = rees.case_report(j, seed=case.seed, checks=checks)
     _print_json(report)
-    failed = any(report.get(k) == "fail" for k in ("theorem", "colon", "cone_hilbert", "special"))
-    return 3 if failed else 0
+    return 3 if _failed(report) else 0
+
+
+def _failed(report: dict) -> bool:
+    return any(report.get(k) == "fail" for k in _VERDICT_KEYS)
 
 
 def _parse_range(text: str, least: int) -> tuple[int, int]:
@@ -291,6 +297,8 @@ def cmd_explore(args) -> int:
     print(f"{'n':>3} {'d':>3} {'cm':>4} {'non-cm':>7} {'counterexamples':>16}")
     for (n, d), (cm, noncm, cx) in sorted(summary.items()):
         print(f"{n:>3} {d:>3} {cm:>4} {noncm:>7} {cx:>16}")
+    if any(_failed(rep) for rep in reports):
+        return 3
     return 2 if any("rejected" in rep for rep in reports) else 0
 
 

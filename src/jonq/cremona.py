@@ -4,11 +4,6 @@ A map is an ordered tuple of equal-degree forms in its source ring; the
 target ring names the coordinates it maps to.  Birationality is certified
 constructively: composing a candidate inverse with the map must return the
 identity up to a single nonzero form, the inversion factor.
-
-`downgrade_general` is the one downgrading loop: it trades content in the
-first n source variables for support-inverse forms, starting from a syzygy
-of the coordinates.  The identity-support sequence of dejonq is the case
-of the identity support map.
 """
 
 from __future__ import annotations
@@ -20,12 +15,8 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
-    dot,
     exact_div,
     substitute,
-    transport,
-    x_decompose,
-    xprime_order,
 )
 
 
@@ -61,9 +52,6 @@ class RationalMap:
         self.target = target
         self.forms = forms
         self.degree = degree
-
-    def base_ideal(self) -> list[Polynomial]:
-        return [f for f in self.forms if f]
 
     def __repr__(self):
         return "(" + " : ".join(str(f) for f in self.forms) + ")"
@@ -151,50 +139,3 @@ def inversion_certificate(f: RationalMap, g: RationalMap):
             return CertificateFailure(i, "coordinate is not proportional")
     return InversionCertificate(g, factor, int(factor.total_degree()))
 
-
-def downgrade_general(j: RationalMap, syzygy, support_inverse) -> list[Polynomial]:
-    """Fully downgraded sequence attached to a syzygy of j's coordinates.
-
-    `syzygy` is a tuple of forms in j's source ring with nonzero last entry
-    satisfying sum_i syzygy_i * j_i = 0; `support_inverse` lists the n forms
-    (in the first n target variables) inverting the support map.  Trades one
-    order of content in the first n source variables for support forms per
-    step; returns the biforms F_1 .. F_{delta+1} in the combined bigraded
-    ring, where delta is the largest k with every syzygy entry inside the
-    k-th power of the ideal of the first n source variables.
-    """
-    n = j.source.nvars - 1
-    syzygy = tuple(syzygy)
-    if len(syzygy) != n + 1:
-        raise MapError("syzygy length does not match the coordinate count")
-    if syzygy[-1].is_zero():
-        raise MapError("syzygy must have a nonzero last coordinate")
-    if dot(j.source, syzygy, j.forms):
-        raise MapError("input is not a syzygy of the coordinate forms")
-    degrees = {z.total_degree() for z in syzygy if z}
-    if len(degrees) != 1 or any(not z.is_homogeneous() for z in syzygy if z):
-        raise MapError("syzygy entries must be homogeneous of one degree")
-    support_inverse = tuple(support_inverse)
-    if len(support_inverse) != n:
-        raise MapError("support inverse must have n coordinates")
-    if any(h.is_zero() or not h.is_homogeneous() for h in support_inverse):
-        raise MapError("support inverse coordinates must be nonzero forms")
-    if len({h.total_degree() for h in support_inverse}) > 1:
-        raise MapError("support inverse coordinates have inconsistent degrees")
-
-    xblock = j.source.names[:n]
-    delta = min(xprime_order(z, block=xblock) for z in syzygy if z)
-
-    work = RingSpec(j.source.names + j.target.names, j.source.modulus,
-                    split=(j.source.nvars, j.target.nvars))
-    ys = [work.variable(nm) for nm in j.target.names]
-    hs = [transport(h, work) for h in support_inverse]
-    current = dot(work, ys, [transport(z, work) for z in syzygy])
-    out = [current]
-    for step in range(delta):
-        nxt = dot(work, x_decompose(current, block=xblock), hs)
-        if nxt.is_zero():
-            raise MapError(f"downgrading collapsed to zero at step {step + 1}")
-        out.append(nxt)
-        current = nxt
-    return out

@@ -5,10 +5,10 @@ forms f (degree d-1) and g (degree d) in k[x_1..x_{n+1}] that are monoids in
 the distinguished last variable (degree <= 1 in it, at least one degree
 exactly 1) with g inside (x_1,..,x_n); the map is (x_1 f : .. : x_n f : g).
 
-The downgraded sequence F_0,..,F_{d-2} in the bigraded ring k[x, y] is the
-general downgrading of cremona.downgrade_general, applied to the syzygy
-(-q_1,..,-q_n, f) with the identity support inverse (y_1,..,y_n).  The
-module derives the inverse map from the last member's partial derivatives
+The downgraded sequence F_0,..,F_{d-2} in the bigraded ring k[x, y] starts
+at F_0 = f y_{n+1} - sum q_i y_i and trades the greedy x-content of each
+form for y-variables; `downgraded_sequence` is the one downgrading loop.
+The module reads the inverse map off the x-coefficients of the last member
 (one candidate, certified once: the sign of its last coordinate is forced
 because the last member vanishes on the graph of the map), writes down the
 closed-form minimal free resolution of the base ideal (a FreeComplex,
@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import groebner
-from .cremona import (
-    InversionCertificate,
-    RationalMap,
-    downgrade_general,
-    inversion_certificate,
-)
+from .cremona import InversionCertificate, RationalMap, inversion_certificate
 from .polycore import (
     JonqError,
     Polynomial,
@@ -39,7 +34,6 @@ from .polycore import (
     degree_in,
     dot,
     gcd,
-    partial_derivative,
     transport,
     x_decompose,
     xprime_order,
@@ -138,33 +132,39 @@ def q_decomposition(j: DeJonquieresMap) -> tuple[Polynomial, ...]:
 
 @dataclass(frozen=True)
 class DowngradedSequence:
-    """Forms F_0..F_{d-2} in the bigraded working ring."""
+    """Forms F_0..F_{d-2} in the bigraded working ring.
 
-    map: DeJonquieresMap
+    content[i] = (c_{i,1}, .., c_{i,n}) is the greedy decomposition
+    F_i = sum_k c_{i,k} x_k, so that F_{i+1} = sum_k c_{i,k} y_k; one entry
+    per i < d-2.
+    """
+
     q: tuple[Polynomial, ...]
     forms: tuple[Polynomial, ...]
+    content: tuple[tuple[Polynomial, ...], ...]
 
     @property
     def ring(self) -> RingSpec:
         return self.forms[0].ring
 
-    @property
-    def content(self) -> tuple[tuple[Polynomial, ...], ...]:
-        """content[i] = (F_{i,1}, .., F_{i,n}) with F_i = sum_k F_{i,k} x_k, so
-        that F_{i+1} = sum_k F_{i,k} y_k; one entry per i < d-2."""
-        block = self.map.support_block()
-        return tuple(x_decompose(form, block=block) for form in self.forms[:-1])
-
 
 def downgraded_sequence(j: DeJonquieresMap) -> DowngradedSequence:
-    """The general downgrading of the syzygy (-q_1, .., -q_n, f) with support
-    inverse (y_1, .., y_n): F_0 = f y_{n+1} - sum q_i y_i, then each step
-    trades x-content for y-variables.  f or some q_i involves x_{n+1}, so
-    there are exactly d-2 steps."""
+    """F_0 = f y_{n+1} - sum q_i y_i, then d-2 steps, each trading the greedy
+    x-content of F_i for y-variables.  f and every q_i lie in the (d-2)-th
+    power of (x_1..x_n), and f or some q_i has a term x_{n+1} times a form of
+    degree d-2 in x_1..x_n, so there are exactly d-2 steps."""
     q = q_decomposition(j)
-    syzygy = tuple(-qi for qi in q) + (j.f,)
-    forms = downgrade_general(j.rational_map(), syzygy, j.target.variables()[: j.n])
-    return DowngradedSequence(map=j, q=q, forms=tuple(forms))
+    work = j.working_ring()
+    ys = [work.variable(y) for y in j.target.names]
+    coefficients = [transport(-qi, work) for qi in q] + [transport(j.f, work)]
+    forms = [dot(work, coefficients, ys)]
+    content = []
+    for step in range(1, j.d - 1):
+        content.append(x_decompose(forms[-1], block=j.support_block()))
+        forms.append(dot(work, content[-1], ys[: j.n]))
+        if forms[-1].is_zero():
+            raise JonqError(f"downgrading collapsed to zero at step {step}")
+    return DowngradedSequence(q=q, forms=tuple(forms), content=tuple(content))
 
 
 class InverseError(JonqError):
@@ -172,10 +172,12 @@ class InverseError(JonqError):
 
 
 def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
-    """Inverse map from the partials of the last downgraded form.
+    """Inverse map from the x-coefficients of the last downgraded form.
 
-    Write F_{d-2} = sum_{i <= n+1} A_i(y) x_i; it is linear in x.  The
-    inverse is (f' y_1 : .. : f' y_n : g') with f' = A_{n+1} and
+    F_{d-2} has bidegree (1, d-1): every term has exactly one x, so its greedy
+    x-content over x_1..x_{n+1} writes F_{d-2} = sum_{i <= n+1} A_i(y) x_i
+    with A_i its partial derivatives.  The inverse is
+    (f' y_1 : .. : f' y_n : g') with f' = A_{n+1} and
     g' = -sum_{i <= n} A_i y_i.  The sign is forced: F_{d-2} vanishes on the
     graph of the map, so sum_{i <= n} A_i(J) x_i = -A_{n+1}(J) x_{n+1}, and
     composing gives G(J) = f A_{n+1}(J) (x_1, .., x_{n+1}).  The one candidate
@@ -184,11 +186,10 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     last = downgraded_sequence(j).forms[-1]
     work = last.ring
     n = j.n
-    fprime_w = partial_derivative(last, j.source.names[n])
+    *coefficients, fprime_w = x_decompose(last, block=j.source.names)
     if fprime_w.is_zero():
         raise InverseError("last downgraded form does not involve the last variable")
-    gprime_w = -dot(work, [partial_derivative(last, x) for x in j.source.names[:n]],
-                    [work.variable(y) for y in j.target.names[:n]])
+    gprime_w = -dot(work, coefficients, [work.variable(y) for y in j.target.names[:n]])
     fprime = transport(fprime_w, j.target)
     gprime = transport(gprime_w, j.target)
     ys = j.target.variables()

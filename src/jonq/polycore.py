@@ -485,18 +485,6 @@ def transport(p: Polynomial, target: RingSpec) -> Polynomial:
     return Polynomial(target, out)
 
 
-def partial_derivative(p: Polynomial, var) -> Polynomial:
-    i = p.ring.var_index(var)
-    out = []
-    for mono, c in p.terms:
-        e = mono[i]
-        if e:
-            m = list(mono)
-            m[i] = e - 1
-            out.append((tuple(m), c * e))
-    return Polynomial(p.ring, out)
-
-
 def degree_in(p: Polynomial, var):
     """Maximal exponent of var over the terms; ZERO_DEGREE for the zero polynomial."""
     i = p.ring.var_index(var)

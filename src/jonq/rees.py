@@ -295,7 +295,6 @@ SPECIALIZATION_TRIES = 25
 class SpecializationReport:
     lam: Polynomial | None
     regular: bool
-    implicit_degree: int | None
     degree_ok: bool
     proportional: bool
     scalar: object | None
@@ -321,8 +320,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     deg h0 = d (a generator of lower degree times the forms of the remaining
     degree gives at least n+1 of them), and that form, made monic in
     grevlex, is the reduced basis of the kernel (`_kernel_in_degree`).  When
-    D_H = 0 or the degree-d part is not one form, the report has
-    implicit_degree=None and degree_ok=False.
+    D_H = 0 or the degree-d part is not one form, degree_ok is False.
     Without a given lam, up to SPECIALIZATION_TRIES random forms are tried; if
     all are rejected (as when R/I has depth 0, e.g. n = 1), the report has
     regular=False, lam=None and the rejected forms.
@@ -351,9 +349,9 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
             break
         rejected.append(cand)
     else:
-        return SpecializationReport(lam=lam, regular=False, implicit_degree=None,
-                                    degree_ok=False, proportional=False,
-                                    scalar=None, rejected=tuple(rejected))
+        return SpecializationReport(lam=lam, regular=False, degree_ok=False,
+                                    proportional=False, scalar=None,
+                                    rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
     lam_cut = transport(lam, RingSpec(ring.names[:n], ring.modulus))
@@ -363,15 +361,14 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
         implicit = _kernel_in_degree(
             [substitute(form, {last: lam_cut}) for form in base], j.target, j.d)
     if len(implicit) != 1:
-        return SpecializationReport(lam=lam, regular=True, implicit_degree=None,
-                                    degree_ok=False, proportional=False,
-                                    scalar=None, rejected=tuple(rejected))
+        return SpecializationReport(lam=lam, regular=True, degree_ok=False,
+                                    proportional=False, scalar=None,
+                                    rejected=tuple(rejected))
     ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
     quotient = exact_div(ell_of_inverse, implicit[0])
     proportional = quotient is not None and quotient.total_degree() == 0
     scalar = quotient.lc() if proportional else None
-    return SpecializationReport(lam=lam, regular=True,
-                                implicit_degree=j.d, degree_ok=True,
+    return SpecializationReport(lam=lam, regular=True, degree_ok=True,
                                 proportional=proportional,
                                 scalar=scalar, rejected=tuple(rejected))
 

@@ -1,9 +1,11 @@
 """Command line front end: case files, exit codes, reports, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from jonq import rees
 from jonq.cli import main, parse_case_file, CaseFileError
 
 E1_CASE = """\
@@ -320,10 +322,25 @@ def test_explore_n1_reports_failed_specialization(capsys):
     # I = x1 (x1, x2) has depth 0, so no linear form is regular on R/I
     code, out, err = run(capsys, "explore", "--n-range", "1", "--d-range", "2",
                          "--trials", "3")
-    assert code == 0 and err == ""
+    assert code == 3 and err == ""
     lines = _json_lines(out)
     assert len(lines) == 3
     assert all(rep["special"] == "fail" and rep["case"]["n"] == 1 for rep in lines)
+
+
+def test_explore_failed_check_exits_3(capsys, monkeypatch):
+    # a failed verdict outranks a rejected grid point: both give exit 3
+    monkeypatch.setattr(rees, "verify_main_theorem", lambda j: SimpleNamespace(ok=False))
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                         "--trials", "1", "--checks", "theorem", "--jobs", "1")
+    assert code == 3 and err == ""
+    assert [rep["theorem"] for rep in _json_lines(out)] == ["fail"]
+    code, out, err = run(capsys, "explore", "--n-range", "1..2", "--d-range", "2..3",
+                         "--trials", "1", "--checks", "theorem", "--jobs", "1")
+    assert code == 3 and err == ""
+    lines = _json_lines(out)
+    assert "rejected" in lines[1]
+    assert all(rep["theorem"] == "fail" for k, rep in enumerate(lines) if k != 1)
 
 
 def test_explore_records_grid_points_without_valid_maps(capsys):

@@ -1,19 +1,17 @@
-"""Rational maps: composition, normalization, inversion certificates, downgrading."""
+"""Rational maps: composition, normalization, inversion certificates."""
 
 import pytest
 
-from jonq import dejonq
 from jonq.cremona import (
     CertificateFailure,
     InversionCertificate,
     MapError,
     RationalMap,
     compose,
-    downgrade_general,
     inversion_certificate,
     normalize_map,
 )
-from jonq.polycore import RingSpec, parse_polynomial, substitute, transport
+from jonq.polycore import RingSpec, parse_polynomial
 
 
 def P(text, ring):
@@ -127,67 +125,3 @@ def test_certificate_symmetric(rx, ry):
     assert isinstance(cert, InversionCertificate)
     assert isinstance(cert_rev, InversionCertificate)
     assert cert.degree == cert_rev.degree == 3
-
-
-# ---------- downgrade_general ----------
-
-def test_downgrade_identity_support_matches_dejonq(e3):
-    j = e3.rational_map()
-    q = dejonq.q_decomposition(e3)
-    z = tuple(-qi for qi in q) + (e3.f,)
-    h = [e3.target.variable(i) for i in range(2)]
-    seq = downgrade_general(j, z, h)
-    expected = dejonq.downgraded_sequence(e3)
-    assert len(seq) == len(expected.forms) == 2
-    assert tuple(seq) == expected.forms
-
-
-def test_downgrade_koszul_syzygy_e1(rx, ry):
-    # Koszul syzygy between x1*f and g: one downgrade step is possible
-    j = e1_map(rx, ry)
-    f = P("x3", rx)
-    g = P("x1^2 - x2*x3", rx)
-    z = (g, rx.zero(), -(rx.variable(0) * f))
-    h = [ry.variable(0), ry.variable(1)]
-    seq = downgrade_general(j, z, h)
-    assert len(seq) == 2  # F_1 plus one downgrade
-    work = seq[0].ring
-    assert seq[0].bidegree() == (2, 1)
-    assignment = {"y1": P("x1*x3", rx), "y2": P("x2*x3", rx), "y3": g}
-    for form in seq:
-        assert substitute(form, assignment).is_zero()
-
-
-def test_downgrade_no_content():
-    # an entry outside (x1,..,xn) stops the sequence at F_1
-    rx = RingSpec(["x1", "x2", "x3"])
-    ry = RingSpec(["y1", "y2", "y3"])
-    j = RationalMap(rx, ry, rx.variables())
-    z = (P("x3", rx), rx.zero(), -P("x1", rx))
-    seq = downgrade_general(j, z, [ry.variable(0), ry.variable(1)])
-    assert len(seq) == 1
-    assert seq[0] == transport(P("x3", rx), seq[0].ring) * seq[0].ring.variable("y1") \
-        - transport(P("x1", rx), seq[0].ring) * seq[0].ring.variable("y3")
-
-
-def test_downgrade_rejects_non_syzygy(rx, ry):
-    j = e1_map(rx, ry)
-    with pytest.raises(MapError):
-        downgrade_general(j, (rx.one(), rx.zero(), rx.one()),
-                          [ry.variable(0), ry.variable(1)])
-
-
-def test_downgrade_bidegrees_and_final_x_degree(e3):
-    # F_k has bidegree (e-k+1, (k-1)d'+1) in 1-based position k; the last one
-    # has x-degree e - delta
-    j = e3.rational_map()
-    q = dejonq.q_decomposition(e3)
-    z = tuple(-qi for qi in q) + (e3.f,)
-    h = [e3.target.variable(i) for i in range(2)]
-    seq = downgrade_general(j, z, h)
-    e = e3.d - 1
-    from jonq.polycore import xprime_order
-    delta = min(xprime_order(zi, block=["x1", "x2"]) for zi in z if zi)
-    for k, form in enumerate(seq, start=1):
-        assert form.bidegree() == (e - k + 1, (k - 1) + 1)
-    assert seq[-1].bidegree()[0] == e - delta

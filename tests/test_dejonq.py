@@ -97,6 +97,12 @@ def test_sequence_length_is_d_minus_one(e1, e2, e3):
 def _sequence_invariants(j):
     seq = dejonq.downgraded_sequence(j)
     W = seq.ring
+    # F_0 = f y_{n+1} - sum_i q_i y_i
+    ys = [W.variable(name) for name in j.target.names]
+    f0 = transport(j.f, W) * ys[j.n]
+    for qi, yi in zip(dejonq.q_decomposition(j), ys):
+        f0 = f0 - transport(qi, W) * yi
+    assert seq.forms[0] == f0
     assignment = {name: transport(form, W)
                   for name, form in zip(j.target.names, j.base_forms)}
     last_target = j.target.names[j.n]
@@ -135,6 +141,12 @@ def test_sequence_invariants_randomized():
         for d in (2, 3, 4):
             for _ in range(3):
                 _sequence_invariants(dejonq.random_map(n, d, rng))
+    # one map over GF(32003) and one over Q per point, longer sequences included
+    rng = random.Random(56)
+    for n, d in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                 (2, 5), (3, 5), (4, 2), (4, 3)]:
+        for modulus in (32003, None):
+            _sequence_invariants(dejonq.random_map(n, d, rng, modulus))
 
 
 # ---------- inverse ----------

@@ -25,7 +25,6 @@ from jonq.polycore import (  # noqa: E402
     format_polynomial,
     gcd,
     parse_polynomial,
-    partial_derivative,
     random_form,
     substitute,
     transport,
@@ -195,38 +194,6 @@ def test_substitute_composition_is_substitution_of_composite(R):
     b = {"x1": P("x2^2", R), "x2": P("x1*x3", R), "x3": P("x3^2", R)}
     composite = {k: substitute(v, b) for k, v in a.items()}
     assert substitute(substitute(p, a), b) == substitute(p, composite)
-
-
-# ---------- partial_derivative ----------
-
-def test_partial_derivative_e1(W):
-    # oracle: term-by-term power rule on the stored monomials
-    f0 = P("x3*y3 - x1*y1 + x3*y2", W)
-    assert partial_derivative(f0, "x3") == P("y2 + y3", W)
-
-
-def test_partial_derivative_constant(R):
-    assert partial_derivative(R.constant(5), "x1").is_zero()
-
-
-def test_partial_derivative_char2_kills_square():
-    R2 = RingSpec(["x1"], modulus=2)
-    assert partial_derivative(R2.variable(0) ** 2, "x1").is_zero()
-
-
-def test_euler_identity_randomized():
-    # sum_i x_i dp/dx_i over the x-block equals (x-degree) * p over QQ
-    rng = random.Random(7)
-    W = RingSpec(["x1", "x2", "y1", "y2"], split=(2, 2))
-    for _ in range(100):
-        dx, dy = rng.randrange(1, 4), rng.randrange(0, 3)
-        p = random_form(W, dx, rng, block=["x1", "x2"])
-        if dy:
-            p = p * random_form(W, dy, rng, block=["y1", "y2"])
-        acc = W.zero()
-        for name in ("x1", "x2"):
-            acc = acc + W.variable(name) * partial_derivative(p, name)
-        assert acc == p * dx
 
 
 # ---------- degree_in / xprime_order ----------
