@@ -181,7 +181,9 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     g' = -sum_{i <= n} A_i y_i.  The sign is forced: F_{d-2} vanishes on the
     graph of the map, so sum_{i <= n} A_i(J) x_i = -A_{n+1}(J) x_{n+1}, and
     composing gives G(J) = f A_{n+1}(J) (x_1, .., x_{n+1}).  The one candidate
-    is certified once by cremona.inversion_certificate.
+    is certified once by cremona.inversion_certificate, which pulls f' and g'
+    back through the shape of J and checks the one identity
+    g'(J) = f f'(J) x_{n+1}; G(J) is never expanded coordinate by coordinate.
     """
     last = downgraded_sequence(j).forms[-1]
     work = last.ring

@@ -1,7 +1,10 @@
-"""Rational maps: composition, normalization, inversion certificates."""
+"""Rational maps: composition, inversion certificates."""
+
+import random
 
 import pytest
 
+from jonq import dejonq
 from jonq.cremona import (
     CertificateFailure,
     InversionCertificate,
@@ -9,9 +12,8 @@ from jonq.cremona import (
     RationalMap,
     compose,
     inversion_certificate,
-    normalize_map,
 )
-from jonq.polycore import RingSpec, parse_polynomial
+from jonq.polycore import RingSpec, exact_div, parse_polynomial
 
 
 def P(text, ring):
@@ -60,31 +62,6 @@ def test_compose_projection(rx, ry):
     assert comp == (P("x1*x3", rx), P("x2*x3", rx))
 
 
-# ---------- normalize_map ----------
-
-def test_normalize_map_common_factor(rx, ry):
-    small = RingSpec(["y1", "y2"])
-    m = normalize_map((P("x1*x3", rx), P("x2*x3", rx)), rx, small)
-    assert m.forms == (P("x1", rx), P("x2", rx))
-
-
-def test_normalize_map_idempotent(rx, ry):
-    m = normalize_map(e1_map(rx, ry).forms, rx, ry)
-    again = normalize_map(m.forms, rx, ry)
-    assert m.forms == again.forms == e1_map(rx, ry).forms
-
-
-def test_normalize_map_composition_is_identity(rx, ry):
-    j, g = e1_map(rx, ry), e1_inverse(rx, ry)
-    m = normalize_map(compose(g, j), rx, rx)
-    assert m.forms == tuple(rx.variables())
-
-
-def test_normalize_map_zero_rejected(rx, ry):
-    with pytest.raises(MapError):
-        normalize_map((rx.zero(), rx.zero()), rx, RingSpec(["y1", "y2"]))
-
-
 # ---------- inversion certificates ----------
 
 def test_certificate_identity(rx):
@@ -125,3 +102,57 @@ def test_certificate_symmetric(rx, ry):
     assert isinstance(cert, InversionCertificate)
     assert isinstance(cert_rev, InversionCertificate)
     assert cert.degree == cert_rev.degree == 3
+
+
+def test_certificate_rejects_map_without_shape(rx, ry):
+    j, g = e1_map(rx, ry), e1_inverse(rx, ry)
+    swapped = RationalMap(rx, ry, (j.forms[2], j.forms[1], j.forms[0]))
+    with pytest.raises(MapError, match="not of the form"):
+        inversion_certificate(swapped, g)
+    # y1 (y2 + y3) and y2 y2 share no h
+    broken = RationalMap(ry, rx, (g.forms[0], P("y2^2", ry), g.forms[2]))
+    with pytest.raises(MapError, match="not of the form"):
+        inversion_certificate(j, broken)
+    with pytest.raises(MapError, match="not of the form"):
+        inversion_certificate(j, RationalMap(ry, rx, (g.forms[1], g.forms[0], g.forms[2])))
+
+
+def composed_certificate(f, g):
+    """Reference: compose coordinate by coordinate, divide the first nonzero
+    coordinate by its variable, and return (factor, first failing index)."""
+    comp = compose(g, f)
+    xs = f.source.variables()
+    pivot = next(i for i, c in enumerate(comp) if c)
+    factor = exact_div(comp[pivot], xs[pivot])
+    bad = next((i for i, c in enumerate(comp) if factor is None or c != factor * xs[i]), None)
+    return factor, bad
+
+
+@pytest.mark.parametrize("modulus", [None, 101, 32003])
+def test_certificate_matches_composition_randomized(modulus):
+    rng = random.Random(17 if modulus is None else modulus)
+    grid = [(1, 2)] + [(n, d) for n in (2, 3, 4) for d in (2, 3, 4, 5)]
+    for n, d in grid:
+        j = dejonq.random_map(n, d, rng, modulus)
+        _, cert = dejonq.inverse(j)
+        f, g = j.rational_map(), cert.inverse
+        assert composed_certificate(f, g) == (cert.factor, None)
+        assert inversion_certificate(f, g) == cert
+        # a different last coordinate keeps the shape and breaks coordinate n
+        ys = g.source.variables()
+        wrong = RationalMap(g.source, g.target, g.forms[:n] + (g.forms[n] + ys[0] ** d,))
+        assert inversion_certificate(f, wrong) == CertificateFailure(
+            n, "coordinate is not proportional")
+        assert composed_certificate(f, wrong) == (cert.factor, n)
+
+
+def test_certificate_degenerate_compositions(rx, ry):
+    # (0 : 0 : x1^2) sends the inverse of e1 to (0, 0, 0)
+    flat = RationalMap(rx, ry, (rx.zero(), rx.zero(), P("x1^2", rx)))
+    assert inversion_certificate(flat, e1_inverse(rx, ry)) == CertificateFailure(
+        0, "composition is identically zero")
+    # (0 : 0 : y1^2) composes to (0, 0, x1^2 x3^2), not proportional to x
+    last_only = RationalMap(ry, rx, (ry.zero(), ry.zero(), P("y1^2", ry)))
+    assert inversion_certificate(e1_map(rx, ry), last_only) == CertificateFailure(
+        2, "coordinate is not proportional")
+    assert compose(last_only, e1_map(rx, ry)) == (rx.zero(), rx.zero(), P("x1^2*x3^2", rx))

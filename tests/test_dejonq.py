@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from jonq import dejonq, groebner as gb
-from jonq.cremona import CertificateFailure, inversion_certificate, normalize_map
+from jonq import cremona, dejonq, groebner as gb, polycore, rees, resolutions
+from jonq.cremona import CertificateFailure, InversionCertificate, inversion_certificate
 from jonq.dejonq import ConstructionError
 from jonq.polycore import degree_in, parse_polynomial, substitute, transport, xprime_order
 from conftest import make_map
@@ -194,18 +194,12 @@ def test_double_inverse_proportional(e1, e3):
         inv, _ = dejonq.inverse(j)
         back, cert = dejonq.inverse(inv)
         assert cert.degree == j.d ** 2 - 1
-        m = normalize_map(back.base_forms, j.source, j.target)
-        jm = normalize_map(j.base_forms, j.source, j.target)
-        scale = None
-        for a, b in zip(m.forms, jm.forms):
-            if a.is_zero() and b.is_zero():
-                continue
-            ratio = (a.lc() / b.lc()) if j.source.modulus is None else None
-            scale = scale or ratio
-            assert a * b.lc() == b * a.lc()
+        # n >= 2, so the base forms have gcd 1: the double inverse is j up to
+        # one scalar
+        scale = back.base_forms[0].lc() * j.source.cinv(j.base_forms[0].lc())
+        assert back.base_forms == tuple(form * scale for form in j.base_forms)
         # the double inverse is still inverted by the first inverse
         cert2 = inversion_certificate(back.rational_map(), inv.rational_map())
-        from jonq.cremona import InversionCertificate
         assert isinstance(cert2, InversionCertificate)
 
 
@@ -228,6 +222,47 @@ def test_inverse_certifies_one_candidate(monkeypatch, e1, e2, e3):
         inv, cert = dejonq.inverse(j)
         assert len(calls) == 1, j
         assert cert.inverse is calls[0] and cert.degree == j.d ** 2 - 1
+
+
+def test_inverse_neither_composes_nor_divides(monkeypatch, e1, e2, e3):
+    """The certificate pulls back through the shape of the map: `inverse`
+    calls no coordinatewise composition, substitution or exact division.
+    construct's coprimality check of the inverse divides f g by lcm(f, g)
+    inside polycore.gcd; that division belongs to gcd and is not counted."""
+    calls, depth = [], [0]
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def uncounted(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    originals = {"compose": cremona.compose, "substitute": polycore.substitute,
+                 "exact_div": polycore.exact_div, "gcd": polycore.gcd}
+    for module in (polycore, gb, cremona, dejonq, rees, resolutions):
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name,
+                                    uncounted(fn) if name == "gcd" else spy(name, fn))
+    maps = [e1, e2, e3] + [dejonq.random_map(n, d, random.Random(n + d), modulus)
+                           for modulus in (None, 32003) for n, d in ((2, 4), (3, 3))]
+    for j in maps:
+        dejonq.inverse(j)
+    assert calls == []
+    # the spies are live: the generic composition is still seen
+    identity = cremona.RationalMap(e1.source, e1.source, e1.source.variables())
+    cremona.compose(e1.rational_map(), identity)
+    assert calls == ["compose", "substitute", "substitute", "substitute"]
 
 
 def test_inverse_error_names_failing_coordinate(monkeypatch, e1):
