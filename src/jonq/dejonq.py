@@ -33,7 +33,6 @@ from .polycore import (
     RingSpec,
     degree_in,
     dot,
-    gcd,
     transport,
     x_decompose,
     xprime_order,
@@ -108,7 +107,8 @@ def construct(f: Polynomial, g: Polynomial, n: int,
     if f.total_degree() != d - 1:
         raise ConstructionError(
             f"degree mismatch: deg f = {f.total_degree()} but deg g - 1 = {d - 1}")
-    if gcd(f, g).total_degree() != 0:
+    # in the UFD R, g is regular modulo f exactly when gcd(f, g) = 1
+    if not groebner.is_regular(groebner.buchberger([f]), g):
         raise ConstructionError("gcd(f,g) != 1")
     last = ring.names[n]
     rf, rg = degree_in(f, last), degree_in(g, last)

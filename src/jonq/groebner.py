@@ -32,9 +32,13 @@ interreducing the final basis is a step only `buchberger` runs.
 `kernel` is the one elimination-based implicitization routine: the kernel
 of a ring map, by one `eliminate` in the ring of the source-only variables
 followed by the target's.  The presentation ideal of a blowup is such a
-kernel; the implicit equation of a specialized map, a principal kernel, is
-found by linear algebra in one degree (`rees._kernel_in_degree`), with
-`kernel` as its test oracle.
+kernel, but `rees.rees_ideal` certifies its predicted generators instead and
+runs `kernel` only when that certificate fails; the implicit equation of a
+specialized map, a principal kernel, is found by linear algebra in one
+degree (`rees._kernel_in_degree`).  `kernel` is the test oracle of both.
+
+`is_regular` is the one nonzerodivisor test: it compares Hilbert numerators
+after extending a reduced basis by the form, closing only the new pairs.
 """
 
 from __future__ import annotations
@@ -251,6 +255,19 @@ class _Engine:
         self._saturate()
         return self
 
+    def adopt(self, vectors) -> "_Engine":
+        """Adjoin the monic vectors of a basis already closed under its pairs.
+
+        They become elements and reducers, and no pair among them is formed;
+        a later `add` pairs only its own remainder with them.
+        """
+        self._fit(vectors)
+        for v in vectors:
+            comp = self._install(self._pack(v))
+            self.origins.append(None)
+            self.members.setdefault(comp, []).append(len(self.elems) - 1)
+        return self
+
     def _pack(self, v: dict) -> dict:
         pack = self.pk.pack
         return {pack(t): c for t, c in v.items()}
@@ -420,12 +437,7 @@ class GroebnerBasis:
 
     @cached_property
     def _engine(self) -> _Engine:
-        engine = _Engine(self.ring)
-        dicts = [_to_dict(g) for g in self.basis]
-        engine._fit(dicts)
-        for d in dicts:
-            engine._install(engine._pack(d))
-        return engine
+        return _Engine(self.ring).adopt([_to_dict(g) for g in self.basis])
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
@@ -675,6 +687,29 @@ def hilbert_series_numerator(gens) -> dict[int, int]:
     return _hilb_rec(lts, {})
 
 
+def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
+    """True iff the form u is a nonzerodivisor on R/I, `gb` the reduced basis of I.
+
+    For u of degree e, HS(R/(I, u)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} u)
+    (Stanley, Adv. Math. 1978), so u is regular exactly when the Hilbert
+    numerators satisfy N(I, u) = (1 - t^e) N(I).  The basis of (I, u) extends
+    `gb`: its elements are adopted as they stand and only the pairs that u's
+    remainder forms are closed.  `colon` is the test oracle: u is regular
+    iff I : u = I.
+    """
+    if u.ring != gb.ring:
+        raise RingMismatchError("form not in the basis ring")
+    if u.is_zero():
+        raise JonqError("regularity of the zero polynomial")
+    if not u.is_homogeneous():
+        raise InhomogeneousError(f"form {u} is not homogeneous")
+    numerator = hilbert_series_numerator(gb)
+    engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
+    engine.add(_to_dict(u))
+    cut = _p1_shift({k: -c for k, c in numerator.items()}, u.total_degree())
+    return _hilb_rec(_mono_minimalize(engine.leads), {}) == _p1_add(numerator, cut)
+
+
 def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
     """(Krull dimension, multiplicity) read off the Hilbert numerator.
 
@@ -712,7 +747,7 @@ from .resolutions import (  # noqa: E402
 __all__ = [
     "GroebnerBasis", "buchberger", "normal_form", "spolynomial", "ideal_equal",
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
-    "hilbert_series_numerator", "dim_and_multiplicity", "InhomogeneousError",
+    "hilbert_series_numerator", "is_regular", "dim_and_multiplicity", "InhomogeneousError",
     "BettiTable", "Resolution", "ResolutionBoundError",
     "minimal_free_resolution", "syzygies",
 ]

@@ -1,12 +1,17 @@
 """Blowup presentation ideal of a de Jonquieres base ideal and its structure.
 
-The presentation ideal lives in the bigraded ring S = k[x_1..x_{n+1},
-y_1..y_{n+1}]; `rees_ideal` computes it exactly as the kernel of
-y_i -> t F_i, i.e. by eliminating t from (y_i - t x_i f, y_{n+1} - t g)
-(`groebner.kernel`).  `chain` builds every generator set the checks use:
-P_0 = the 2-minors p_ij = x_j y_i - x_i y_j of the generic (x | y) matrix
-and P_{i+1} = (P_i, F_i) along the downgraded sequence F_0..F_{d-2}, so P_1
-is the symmetric-algebra part and P_{d-1} the predicted generating set.
+The presentation ideal J lives in the bigraded ring S = k[x_1..x_{n+1},
+y_1..y_{n+1}]: it is the kernel of y_i -> t F_i.  `chain` builds every
+generator set the checks use: P_0 = the 2-minors p_ij = x_j y_i - x_i y_j
+of the generic (x | y) matrix and P_{i+1} = (P_i, F_i) along the downgraded
+sequence F_0..F_{d-2}, so P_1 is the symmetric-algebra part and P_{d-1} the
+predicted generating set.  `rees_ideal` returns the reduced basis of
+P = P_{d-1} when a certificate shows P = J: with a = x_1 f, P lies in J,
+a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors on S/P
+(`groebner.is_regular`), so J = P : a^infinity = P (see `_certifies`).
+Only when the certificate fails is t eliminated from
+(y_i - t x_i f, y_{n+1} - t g) (`groebner.kernel`); that elimination is also
+the tests' oracle for J.
 Verification compares reduced bases, certifies minimality by exclusion, and
 cross-checks the iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
@@ -36,8 +41,43 @@ from .polycore import (
 
 
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
-    """Reduced Groebner basis of the presentation ideal: the kernel of
-    y_i -> t F_i from S to k[t, x_1..x_{n+1}] (see `groebner.kernel`)."""
+    """Reduced Groebner basis of the presentation ideal J, the kernel of
+    y_i -> t F_i from S to k[t, x_1..x_{n+1}].
+
+    It is the reduced basis of P = P_{d-1} when `_certifies` passes, and the
+    t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
+    basis, so the result does not depend on the path.
+    """
+    predicted = groebner.buchberger(chain(j)[-1])
+    if _certifies(j, predicted):
+        return groebner.GroebnerBasis(predicted.ring, predicted.basis, predicted.basis)
+    return _eliminated(j)
+
+
+def _certifies(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> bool:
+    """True when P = J, `predicted` the reduced basis of P = P_{d-1}.
+
+    With a = x_1 f, the first base form: (a) P lies in J, checked by y -> F
+    on each generator; (b) a y_{n+1} - g y_1 lies in P; (c) x_1 and f are
+    nonzerodivisors on S/P.  Inverting a makes I the unit ideal, so J S_a is
+    generated by the a y_i - F_i y_1 (Vasconcelos, Arithmetic of Blowup
+    Algebras, 1994), and for 1 < i <= n these are f (x_1 y_i - x_i y_1), in
+    P_0.  With (a) and (b), J S_a = P S_a; J is prime and a is not in J, so
+    J = P : a^infinity, which is P by (c).  Conversely all three hold when
+    P = J, so a failure means P != J.
+    """
+    ring = predicted.ring
+    images = dict(zip(j.target.names, j.base_forms))
+    x1, f = ring.variable(0), transport(j.f, ring)
+    y1, top = ring.variable(j.target.names[0]), ring.variable(j.target.names[-1])
+    return (all(substitute(p, images).is_zero() for p in predicted.gens)
+            and predicted.contains(x1 * f * top - transport(j.g, ring) * y1)
+            and groebner.is_regular(predicted, x1)
+            and groebner.is_regular(predicted, f))
+
+
+def _eliminated(j: DeJonquieresMap) -> groebner.GroebnerBasis:
+    """J by eliminating t from (y_i - t F_i) (`groebner.kernel`)."""
     s_ring = j.working_ring()
     tx = RingSpec(("t",) + j.source.names, s_ring.modulus)
     t = tx.variable("t")
@@ -86,8 +126,14 @@ class TheoremReport:
 
 
 def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
-    """Predicted generators equal the eliminated ideal, minimally, with
-    count C(n,2) + d - 1."""
+    """Predicted generators equal the presentation ideal, minimally, with
+    count C(n,2) + d - 1.
+
+    On the certified path `rees_ideal` returns the reduced basis of the
+    predicted set itself, so `ideal_matches` rests on its certificate (P in
+    J, a y_{n+1} - g y_1 in P, x_1 and f regular on S/P); the t-elimination
+    decides it only when the certificate fails, and is the tests' oracle.
+    """
     predicted = chain(j)[-1]
     eliminated = rees_ideal(j)
     pred_gb = groebner.buchberger(predicted)
@@ -321,9 +367,10 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     degree gives at least n+1 of them), and that form, made monic in
     grevlex, is the reduced basis of the kernel (`_kernel_in_degree`).  When
     D_H = 0 or the degree-d part is not one form, degree_ok is False.
-    Without a given lam, up to SPECIALIZATION_TRIES random forms are tried; if
-    all are rejected (as when R/I has depth 0, e.g. n = 1), the report has
-    regular=False, lam=None and the rejected forms.
+    Without a given lam, up to SPECIALIZATION_TRIES random forms are tried
+    (`groebner.is_regular` tests each); if all are rejected (as when R/I has
+    depth 0, e.g. n = 1), the report has regular=False, lam=None and the
+    rejected forms.
     """
     ring = j.source
     n = j.n
@@ -331,10 +378,6 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     base = list(j.base_forms)
     base_gb = groebner.buchberger(base)
     rng = rng or random.Random(0)
-
-    def candidate_regular(cand: Polynomial) -> bool:
-        ell_ = ring.variable(last) - cand
-        return groebner.ideal_equal(groebner.colon(list(base_gb.basis), ell_), base_gb)
 
     def random_candidates():
         units = [ring.variable(k).lm() for k in range(n)]
@@ -344,7 +387,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
 
     rejected = []
     for cand in ((lam,) if lam is not None else random_candidates()):
-        if candidate_regular(cand):
+        if groebner.is_regular(base_gb, ring.variable(last) - cand):
             lam = cand
             break
         rejected.append(cand)

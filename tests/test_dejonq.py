@@ -33,6 +33,32 @@ def test_construct_rejects_common_factor():
         make_map(2, "x3", "x3^2")
 
 
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_coprimality_check_agrees_with_gcd(modulus):
+    # construct asks whether g is regular modulo f; the reference is
+    # polycore.gcd.  Half the pairs share a planted factor h
+    ring = dejonq.source_ring(2, modulus)
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(20):
+        f = polycore.random_form(ring, rng.randrange(1, 3), rng, terms=2)
+        g = polycore.random_form(ring, rng.randrange(1, 4), rng, terms=3)
+        if rng.random() < 0.5:
+            h = polycore.random_form(ring, 1, rng, terms=2)
+            f, g = f * h, g * h
+        coprime = polycore.gcd(f, g).total_degree() == 0
+        assert gb.is_regular(gb.buchberger([f]), g) == coprime, (f, g)
+        verdicts.append(coprime)
+    assert True in verdicts and False in verdicts
+    # a factor in the support variables keeps every other condition
+    for n, d in ((2, 3), (3, 2)):
+        j = dejonq.random_map(n, d, rng, modulus)
+        h = polycore.random_form(j.source, 1, rng, terms=2, block=j.support_block())
+        assert polycore.gcd(h * j.f, h * j.g).total_degree() == 1
+        with pytest.raises(ConstructionError, match=r"^gcd\(f,g\) != 1$"):
+            dejonq.construct(h * j.f, h * j.g, n)
+
+
 def test_construct_rejects_missing_distinguished_variable():
     with pytest.raises(ConstructionError, match="involves"):
         make_map(2, "x1", "x1^2 + x2^2")
@@ -226,25 +252,14 @@ def test_inverse_certifies_one_candidate(monkeypatch, e1, e2, e3):
 
 def test_inverse_neither_composes_nor_divides(monkeypatch, e1, e2, e3):
     """The certificate pulls back through the shape of the map: `inverse`
-    calls no coordinatewise composition, substitution or exact division.
-    construct's coprimality check of the inverse divides f g by lcm(f, g)
-    inside polycore.gcd; that division belongs to gcd and is not counted."""
-    calls, depth = [], [0]
+    calls no coordinatewise composition, substitution, exact division or
+    gcd (construct checks the inverse's coprimality as a regular element)."""
+    calls = []
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            if not depth[0]:
-                calls.append(name)
+            calls.append(name)
             return fn(*args, **kwargs)
-        return wrapper
-
-    def uncounted(fn):
-        def wrapper(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
         return wrapper
 
     originals = {"compose": cremona.compose, "substitute": polycore.substitute,
@@ -252,8 +267,7 @@ def test_inverse_neither_composes_nor_divides(monkeypatch, e1, e2, e3):
     for module in (polycore, gb, cremona, dejonq, rees, resolutions):
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name,
-                                    uncounted(fn) if name == "gcd" else spy(name, fn))
+                monkeypatch.setattr(module, name, spy(name, fn))
     maps = [e1, e2, e3] + [dejonq.random_map(n, d, random.Random(n + d), modulus)
                            for modulus in (None, 32003) for n, d in ((2, 4), (3, 3))]
     for j in maps:

@@ -211,6 +211,52 @@ def test_saturate_stabilizes(R):
     assert gb.ideal_equal(S, [x1, x2])
 
 
+# ---------- regular elements ----------
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_is_regular_matches_the_colon_oracle(modulus):
+    # oracle: u is regular on R/I iff I : u = I.  Half the cases plant u as a
+    # factor of every generator, which makes u a zero divisor
+    ring = RingSpec(["x1", "x2", "x3", "x4"], modulus)
+    rng = random.Random(41)
+    verdicts = []
+    for _ in range(16):
+        u = random_form(ring, rng.randrange(1, 3), rng, terms=2)
+        gens = [random_form(ring, rng.randrange(1, 3), rng, terms=3) for _ in range(2)]
+        if rng.random() < 0.5:
+            gens = [u * g for g in gens]
+        ideal = gb.buchberger(gens)
+        oracle = gb.ideal_equal(gb.colon(list(ideal.basis), u), ideal)
+        assert gb.is_regular(ideal, u) == oracle, (gens, u)
+        verdicts.append(oracle)
+    assert True in verdicts and False in verdicts
+
+
+def test_is_regular_edge_cases(R):
+    x1, x2, x3 = R.variables()
+    ideal = gb.buchberger([x1 * x2])
+    assert gb.is_regular(ideal, x3)
+    assert not gb.is_regular(ideal, x1)
+    # an element of I is zero on R/I, and R/I is not zero
+    assert not gb.is_regular(ideal, x1 * x2)
+    # a nonzero constant is a unit; on the zero ring every form is regular
+    assert gb.is_regular(ideal, R.constant(3))
+    assert gb.is_regular(gb.buchberger([R.one()]), x1)
+    # the zero ideal: R is a domain
+    assert gb.is_regular(gb.buchberger([], ring=R), x1 + x2)
+    with pytest.raises(gb.JonqError):
+        gb.is_regular(ideal, R.zero())
+    with pytest.raises(gb.InhomogeneousError):
+        gb.is_regular(ideal, x1 + R.one())
+
+
+def test_is_regular_closes_only_the_new_pairs(R, monkeypatch):
+    # the reduced basis of I is adopted as it stands: no Buchberger run
+    ideal = gb.buchberger([P("x1^2 - x2*x3", R), P("x1*x3 - x2^2", R)])
+    monkeypatch.setattr(gb, "_buchberger_dicts", None)
+    assert gb.is_regular(ideal, R.variable(2))
+
+
 @st.composite
 def reordered_generators(draw):
     """(generators, the same generators permuted with repeats and zeros) over

@@ -55,6 +55,86 @@ def test_normal_form_of_f0_is_zero(e1):
     assert gb.normal_form(seq.forms[0], ideal).is_zero()
 
 
+# ---------- the certificate P_{d-1} = J ----------
+
+def _spy_eliminate(monkeypatch):
+    """Record the ring of every groebner.eliminate call."""
+    calls = []
+    eliminate = gb.eliminate
+
+    def spy(gens, nblock):
+        calls.append(gens[0].ring)
+        return eliminate(gens, nblock)
+    monkeypatch.setattr(gb, "eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_certified_rees_ideal_is_the_eliminated_ideal(modulus, monkeypatch):
+    # oracle: the t-elimination (groebner.kernel); the certified path runs none
+    rng = random.Random(17)
+    maps = [dejonq.random_map(n, d, rng, modulus)
+            for n, d in ((1, 2), (2, 3), (2, 5), (3, 4), (4, 2), (4, 4))]
+    calls = _spy_eliminate(monkeypatch)
+    for j in maps:
+        certified = rees.rees_ideal(j)
+        assert calls == [], (j.n, j.d)
+        assert certified == rees._eliminated(j), (j.n, j.d)
+        calls.clear()
+
+
+def test_zero_divisor_f_on_p1_without_f1(e3):
+    # e3 has d = 3: without F_1, P_1 : f contains F_1, so f is a zero divisor
+    links = rees.chain(e3)
+    p1 = gb.buchberger(links[1])
+    f = transport(e3.f, p1.ring)
+    assert not gb.is_regular(p1, f)
+    assert not gb.ideal_equal(gb.colon(list(p1.basis), f), p1)
+    assert gb.is_regular(gb.buchberger(links[2]), f)
+
+
+def _falls_back(j, predicted, monkeypatch):
+    """rees_ideal with P replaced by `predicted`: the t-elimination's J."""
+    monkeypatch.setattr(rees, "chain", lambda j: (tuple(predicted),))
+    calls = _spy_eliminate(monkeypatch)
+    got = rees.rees_ideal(j)
+    assert calls, "the certificate accepted a P other than J"
+    return got
+
+
+def test_rees_ideal_falls_back_without_the_last_link(e3, monkeypatch):
+    # P_1 lies in J and holds a y_3 - g y_1, but f is a zero divisor on it
+    expected = rees.rees_ideal(e3)
+    assert _falls_back(e3, rees.chain(e3)[1], monkeypatch) == expected
+
+
+def test_rees_ideal_falls_back_without_f0(e1, e3, monkeypatch):
+    # P_0, the minors, is a prime ideal inside J that x_1 f avoids; only the
+    # check that a y_{n+1} - g y_1 lies in P rejects it
+    for j in (e1, e3):
+        expected = rees.rees_ideal(j)
+        p0 = gb.buchberger(rees.chain(j)[0])
+        ring = p0.ring
+        assert gb.is_regular(p0, ring.variable(0))
+        assert gb.is_regular(p0, transport(j.f, ring))
+        with monkeypatch.context() as patch:
+            assert _falls_back(j, p0.gens, patch) == expected
+
+
+def test_rees_ideal_falls_back_on_a_generator_outside_j(e1, e3, monkeypatch):
+    # (P, x_2 + y_3) holds a y_3 - g y_1, and x_1 and f are regular on it;
+    # only the check that P lies in J rejects it
+    for j in (e1, e3):
+        expected = rees.rees_ideal(j)
+        ring = expected.ring
+        outside = gb.buchberger(rees.chain(j)[-1] + (P("x2 + y3", ring),))
+        assert not expected.contains(outside.gens[-1])
+        assert gb.is_regular(outside, ring.variable(0))
+        assert gb.is_regular(outside, transport(j.f, ring))
+        with monkeypatch.context() as patch:
+            assert _falls_back(j, outside.gens, patch) == expected
+
+
 # ---------- main generation theorem ----------
 
 def test_main_theorem_worked_examples(e1, e2, e3):
