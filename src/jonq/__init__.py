@@ -4,7 +4,7 @@ Subpackages:
   polycore    exact sparse polynomials over Q / F_p, text grammar
   groebner    Buchberger engine, elimination, colon ideals, Hilbert series
   resolutions syzygies and minimal graded free resolutions
-  cremona     rational maps, birationality certificates
+  cremona     inversion certificates from four forms, generic composition
   dejonq      identity-support de Jonquieres maps, downgrading, structure
   rees        blowup presentation ideal, structure theorems, conjecture probe
   cli         batch front end (`jonq` command)

@@ -276,7 +276,7 @@ def cmd_explore(args) -> int:
                 case_seed = args.seed * 1_000_003 + n * 10_007 + d * 101 + trial
                 tasks.append((n, d, trial, case_seed, modulus, checks))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             reports = list(pool.map(_explore_case, tasks))
     else:
         reports = [_explore_case(t) for t in tasks]

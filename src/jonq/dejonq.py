@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import groebner
-from .cremona import InversionCertificate, RationalMap, inversion_certificate
+from .cremona import InversionCertificate, inversion_certificate
 from .polycore import (
     JonqError,
     Polynomial,
@@ -69,9 +69,6 @@ class DeJonquieresMap:
     def base_forms(self) -> tuple[Polynomial, ...]:
         xs = self.source.variables()
         return tuple(xs[i] * self.f for i in range(self.n)) + (self.g,)
-
-    def rational_map(self) -> RationalMap:
-        return RationalMap(self.source, self.target, self.base_forms)
 
     def working_ring(self) -> RingSpec:
         """Bigraded ring on source then target variables."""
@@ -181,9 +178,10 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     g' = -sum_{i <= n} A_i y_i.  The sign is forced: F_{d-2} vanishes on the
     graph of the map, so sum_{i <= n} A_i(J) x_i = -A_{n+1}(J) x_{n+1}, and
     composing gives G(J) = f A_{n+1}(J) (x_1, .., x_{n+1}).  The one candidate
-    is certified once by cremona.inversion_certificate, which pulls f' and g'
-    back through the shape of J and checks the one identity
-    g'(J) = f f'(J) x_{n+1}; G(J) is never expanded coordinate by coordinate.
+    is certified once by cremona.inversion_certificate(f, g, f', g'), which
+    pulls f' and g' back through the shape of J and checks the one identity
+    g'(J) = f f'(J) x_{n+1}; neither map is expanded into its n+1
+    coordinates.
     """
     last = downgraded_sequence(j).forms[-1]
     work = last.ring
@@ -194,9 +192,7 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     gprime_w = -dot(work, coefficients, [work.variable(y) for y in j.target.names[:n]])
     fprime = transport(fprime_w, j.target)
     gprime = transport(gprime_w, j.target)
-    ys = j.target.variables()
-    forms = tuple(fprime * ys[i] for i in range(n)) + (gprime,)
-    cert = inversion_certificate(j.rational_map(), RationalMap(j.target, j.source, forms))
+    cert = inversion_certificate(j.f, j.g, fprime, gprime)
     if not isinstance(cert, InversionCertificate):
         raise InverseError(f"inversion certificate fails at coordinate {cert.index} ({cert.reason})")
     return construct(fprime, gprime, n, target=j.source), cert

@@ -318,6 +318,34 @@ def test_explore_jobs_below_one_is_parse_error(capsys, monkeypatch, jobs):
     assert err == f"parse error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("jobs, trials, workers", [("8", "1", 1), ("2", "3", 2)])
+def test_explore_pool_has_no_more_workers_than_tasks(capsys, monkeypatch, jobs, trials,
+                                                     workers):
+    # a fork pool launches every worker at the first submit, so --jobs is
+    # capped by the number of cases; the fake pool maps serially
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("jonq.cli.ProcessPoolExecutor", SerialPool)
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                         "--trials", trials, "--jobs", jobs)
+    assert seen == [workers]
+    assert code == 0 and err == ""
+    assert len(_json_lines(out)) == int(trials)
+
+
 def test_explore_n1_reports_failed_specialization(capsys):
     # I = x1 (x1, x2) has depth 0, so no linear form is regular on R/I
     code, out, err = run(capsys, "explore", "--n-range", "1", "--d-range", "2",

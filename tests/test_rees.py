@@ -240,6 +240,30 @@ def test_colon_lemma_e3(e3):
     assert gb.ideal_equal(got, [W.variable("x1"), W.variable("x2")])
 
 
+@pytest.mark.parametrize("name", ["e1", "e3"])
+def test_colon_lemma_base_check_fails_when_f0_is_a_zero_divisor(monkeypatch, request, name):
+    # F_0 replaced by x1 times the 2-minor x1 y2 - x2 y1 lies in P_0, so it
+    # is zero on S/P_0 and P_0 : F_0 is the whole ring
+    j = request.getfixturevalue(name)
+    real_chain = rees.chain
+    links = real_chain(j)
+    W = j.working_ring()
+    bad = W.variable("x1") * links[0][0]
+    assert gb.ideal_equal(gb.colon(list(links[0]), links[1][-1]), list(links[0]))
+
+    def broken_chain(m):
+        out = real_chain(m)
+        return (out[0],) + tuple(link[:len(out[0])] + (bad,) + link[len(out[0]) + 1:]
+                                 for link in out[1:])
+
+    monkeypatch.setattr(rees, "chain", broken_chain)
+    report = rees.colon_lemma_checks(j)
+    assert report.base_stable is False and not report.ok
+    assert report.witnesses[0] == "P_0 : F_0 enlarged P_0"
+    # the colon oracle agrees: P_0 : F_0 is strictly larger than P_0
+    assert not gb.ideal_equal(gb.colon(list(links[0]), bad), list(links[0]))
+
+
 def test_colon_lemma_randomized():
     rng = random.Random(23)
     for (n, d) in ((2, 3), (3, 3), (2, 4)):
