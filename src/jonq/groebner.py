@@ -439,6 +439,14 @@ class GroebnerBasis:
     def _engine(self) -> _Engine:
         return _Engine(self.ring).adopt([_to_dict(g) for g in self.basis])
 
+    @cached_property
+    def _hilbert_numerator(self) -> dict[int, int]:
+        """Hilbert numerator of R/I; `is_regular` reads it, the rest get copies."""
+        for g in self.gens if self.gens else self.basis:
+            if not g.is_homogeneous():
+                raise InhomogeneousError(f"generator {g} is not homogeneous")
+        return _hilb_rec(_mono_minimalize([g.lm() for g in self.basis]), {})
+
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
@@ -671,20 +679,15 @@ def hilbert_series_numerator(gens) -> dict[int, int]:
     """Numerator N(t) with HS(R/I) = N(t) / (1-t)^nvars.
 
     Input must be homogeneous; computed from the leading-term ideal, so the
-    result is independent of the (degree-compatible) order.
+    result is independent of the (degree-compatible) order.  A GroebnerBasis
+    computes it once and keeps it; each call returns a fresh dict.
     """
-    if isinstance(gens, GroebnerBasis):
-        gb = gens
-    else:
+    if not isinstance(gens, GroebnerBasis):
         gens = [g for g in gens if g]
         if not gens:
             return {0: 1}
-        gb = buchberger(gens)
-    for g in gb.gens if gb.gens else gb.basis:
-        if not g.is_homogeneous():
-            raise InhomogeneousError(f"generator {g} is not homogeneous")
-    lts = _mono_minimalize([g.lm() for g in gb.basis])
-    return _hilb_rec(lts, {})
+        gens = buchberger(gens)
+    return dict(gens._hilbert_numerator)
 
 
 def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
@@ -703,7 +706,7 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
         raise JonqError("regularity of the zero polynomial")
     if not u.is_homogeneous():
         raise InhomogeneousError(f"form {u} is not homogeneous")
-    numerator = hilbert_series_numerator(gb)
+    numerator = gb._hilbert_numerator
     engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
     engine.add(_to_dict(u))
     cut = _p1_shift({k: -c for k, c in numerator.items()}, u.total_degree())

@@ -12,6 +12,10 @@ a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors on S/P
 Only when the certificate fails is t eliminated from
 (y_i - t x_i f, y_{n+1} - t g) (`groebner.kernel`); that elimination is also
 the tests' oracle for J.
+`case_report` builds J once per map: while it runs, `chain`, the reduced
+basis of P and `rees_ideal` are computed on the first call for its map and
+looked up on the later ones (`_once_per_case`).  The memo is dropped when
+`case_report` returns or raises, so a check called alone builds J from j.
 Verification compares reduced bases, certifies minimality by exclusion, and
 cross-checks the iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
@@ -25,6 +29,7 @@ so it is the one kernel form of degree d (see `specialization_check`).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -40,6 +45,27 @@ from .polycore import (
 )
 
 
+# (map, {function: result}) while `case_report` runs on that map, else None
+_case_memo: tuple[DeJonquieresMap, dict] | None = None
+
+
+def _once_per_case(fn):
+    """fn(j), computed once for the map of the running `case_report` and
+    looked up on later calls; computed afresh for any other map or outside
+    `case_report`."""
+    @functools.wraps(fn)
+    def memoized(j):
+        memo = _case_memo  # read once: a report in another thread may swap it
+        if memo is None or memo[0] is not j:
+            return fn(j)
+        results = memo[1]
+        if fn not in results:
+            results[fn] = fn(j)
+        return results[fn]
+    return memoized
+
+
+@_once_per_case
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     """Reduced Groebner basis of the presentation ideal J, the kernel of
     y_i -> t F_i from S to k[t, x_1..x_{n+1}].
@@ -48,10 +74,16 @@ def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
     basis, so the result does not depend on the path.
     """
-    predicted = groebner.buchberger(chain(j)[-1])
+    predicted = _predicted_basis(j)
     if _certifies(j, predicted):
         return groebner.GroebnerBasis(predicted.ring, predicted.basis, predicted.basis)
     return _eliminated(j)
+
+
+@_once_per_case
+def _predicted_basis(j: DeJonquieresMap) -> groebner.GroebnerBasis:
+    """Reduced basis of P = P_{d-1}, the predicted generating set."""
+    return groebner.buchberger(chain(j)[-1])
 
 
 def _certifies(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> bool:
@@ -86,6 +118,7 @@ def _eliminated(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     return groebner.GroebnerBasis(s_ring, basis, basis)
 
 
+@_once_per_case
 def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
     """(P_0, .., P_{d-1}): P_0 = (x_j y_i - x_i y_j, 1 <= i < j <= n) and
     P_{i+1} = (P_i, F_i); the last link is the predicted generator set."""
@@ -136,7 +169,7 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     """
     predicted = chain(j)[-1]
     eliminated = rees_ideal(j)
-    pred_gb = groebner.buchberger(predicted)
+    pred_gb = _predicted_basis(j)
     witnesses = []
 
     matches = groebner.ideal_equal(pred_gb, eliminated)
@@ -422,9 +455,14 @@ REPORT_CHECKS = ("theorem", "colon", "cone", "projdim", "special")
 
 
 def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
-    """JSON-ready report for one map; schema used by the CLI and the probe."""
+    """JSON-ready report for one map; schema used by the CLI and the probe.
+
+    The checks share one J: while they run, `chain`, the basis of P and
+    `rees_ideal` are computed once for j (`_once_per_case`).
+    """
     import time
 
+    global _case_memo
     start = time.monotonic()
     report: dict = {
         "case": {
@@ -436,26 +474,30 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
         },
         "modulus": j.source.modulus,
     }
-    if "theorem" in checks:
-        report["theorem"] = "pass" if verify_main_theorem(j).ok else "fail"
-    if "colon" in checks:
-        report["colon"] = "pass" if colon_lemma_checks(j).ok else "fail"
-    if "cone" in checks:
-        report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
-    if "projdim" in checks:
-        try:
-            pd = projdim_probe(j)
-            report["projdim"] = pd
-            report["cm"] = is_cohen_macaulay(j, pd)
-            report["conjecture_expected_cm"] = j.d <= j.n + 1
-            if report["cm"] != report["conjecture_expected_cm"]:
-                report["conjecture_counterexample"] = True
-        except groebner.ResolutionBoundError:
-            report["projdim"] = None
-            report["cm"] = None
-            report["skipped"] = "resolution bound exceeded"
-    if "special" in checks:
-        rng = random.Random(seed if seed is not None else 0)
-        report["special"] = "pass" if specialization_check(j, rng=rng).ok else "fail"
+    _case_memo = (j, {})
+    try:
+        if "theorem" in checks:
+            report["theorem"] = "pass" if verify_main_theorem(j).ok else "fail"
+        if "colon" in checks:
+            report["colon"] = "pass" if colon_lemma_checks(j).ok else "fail"
+        if "cone" in checks:
+            report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
+        if "projdim" in checks:
+            try:
+                pd = projdim_probe(j)
+                report["projdim"] = pd
+                report["cm"] = is_cohen_macaulay(j, pd)
+                report["conjecture_expected_cm"] = j.d <= j.n + 1
+                if report["cm"] != report["conjecture_expected_cm"]:
+                    report["conjecture_counterexample"] = True
+            except groebner.ResolutionBoundError:
+                report["projdim"] = None
+                report["cm"] = None
+                report["skipped"] = "resolution bound exceeded"
+        if "special" in checks:
+            rng = random.Random(seed if seed is not None else 0)
+            report["special"] = "pass" if specialization_check(j, rng=rng).ok else "fail"
+    finally:
+        _case_memo = None
     report["runtime_ms"] = int((time.monotonic() - start) * 1000)
     return report

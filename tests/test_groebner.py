@@ -297,6 +297,21 @@ def test_hilbert_zero_ideal():
 def test_hilbert_rejects_inhomogeneous(R):
     with pytest.raises(gb.InhomogeneousError):
         gb.hilbert_series_numerator([P("x1^2 + x2", R)])
+    # a basis keeps its numerator but not a failed homogeneity check
+    inhomogeneous = gb.buchberger([P("x1^2 + x2", R)])
+    for _ in range(2):
+        with pytest.raises(gb.InhomogeneousError):
+            gb.hilbert_series_numerator(inhomogeneous)
+
+
+def test_hilbert_numerator_is_kept_per_basis_and_copied_out(R):
+    G = gb.buchberger([P("x1^2", R), P("x1*x2", R)])
+    first = gb.hilbert_series_numerator(G)
+    assert first == {0: 1, 2: -2, 3: 1}
+    first[0] = 0
+    assert gb.hilbert_series_numerator(G) == {0: 1, 2: -2, 3: 1}
+    assert gb.is_regular(G, R.variable(2))
+    assert G._hilbert_numerator is G._hilbert_numerator
 
 
 def test_hilbert_matches_direct_count_randomized():

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from jonq import dejonq, groebner as gb, rees
-from jonq.polycore import RingSpec, parse_polynomial, substitute, transport
+from jonq.polycore import JonqError, RingSpec, parse_polynomial, substitute, transport
 
 
 def P(text, ring):
@@ -494,6 +494,52 @@ def test_case_report_schema(e1):
         assert key in report
     assert report["theorem"] == "pass"
     assert report["cm"] is True
+
+
+def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
+    # within one case_report, chain's downgrading and buchberger(P) run once
+    # (the other downgrading is the inverse's); a second call on the same
+    # map object computes them again
+    j = dejonq.random_map(3, 3, random.Random(5), 32003)
+    predicted = rees.chain(j)[-1]
+    downgradings, p_bases = [], []
+    downgrade, buchberger = dejonq.downgraded_sequence, gb.buchberger
+
+    def spy_downgrade(j):
+        downgradings.append(j)
+        return downgrade(j)
+
+    def spy_buchberger(gens, *args, **kwargs):
+        gens = list(gens)
+        if tuple(gens) == predicted:
+            p_bases.append(gens)
+        return buchberger(gens, *args, **kwargs)
+    for module in (dejonq, rees):
+        monkeypatch.setattr(module, "downgraded_sequence", spy_downgrade)
+    monkeypatch.setattr(gb, "buchberger", spy_buchberger)
+    first = rees.case_report(j, seed=5)
+    assert (len(downgradings), len(p_bases)) == (2, 1)
+    second = rees.case_report(j, seed=5)
+    assert (len(downgradings), len(p_bases)) == (4, 2)
+    for report in (first, second):
+        report.pop("runtime_ms")
+    assert first == second
+
+
+def test_case_report_leaves_no_memo_behind_an_error(e3, monkeypatch):
+    def fail(j):
+        raise JonqError("probe failed")
+    monkeypatch.setattr(rees, "projdim_probe", fail)
+    with pytest.raises(JonqError, match="probe failed"):
+        rees.case_report(e3)
+    real, chains = rees.chain, []
+
+    def spy(j):
+        chains.append(j)
+        return real(j)
+    monkeypatch.setattr(rees, "chain", spy)
+    assert rees.rees_ideal(e3) == rees._eliminated(e3)
+    assert chains == [e3]
 
 
 # sha256 of the case_report JSON lines (runtime_ms removed) of e1, e2, e3 and
