@@ -24,15 +24,22 @@ series, so its ResolutionBoundError carries a partial resolution over the
 section's ring (see `projdim_probe`).  The specialization check finds the
 implicit equation of y -> F(x, lam) by linear algebra in degree d, not by
 elimination: the inversion factor certifies that this kernel is principal,
-so it is the one kernel form of degree d (see `specialization_check`).
+so it is the one kernel form of degree d, and ell = x_{n+1} - lam on the
+inverse is such a form.  Evaluations of F(x, lam) at points show that it
+spans the degree-d kernel (interpolation-based implicitization, after
+Corless, Giesbrecht, Kotsireas & Watt, AISC 2000, in exact arithmetic);
+only when they cannot is the kernel taken from the degree-d products F^alpha
+(`_implicit_equation`, `_kernel_in_degree`; see `specialization_check`).
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from . import groebner
 from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
@@ -44,6 +51,8 @@ from .polycore import (
     transport,
 )
 
+
+log = logging.getLogger(__name__)
 
 # (map, {function: result}) while `case_report` runs on that map, else None
 _case_memo: tuple[DeJonquieresMap, dict] | None = None
@@ -285,6 +294,12 @@ def cone_betti(j: DeJonquieresMap) -> ConeBettiData:
                          hilbert_match=table.alternating_numerator() == numerator)
 
 
+def _random_point(ring: RingSpec, rng: random.Random) -> list[int]:
+    """A point with coordinates in [1, p) over GF(p), in [1, 1000] over Q."""
+    top = 1001 if ring.modulus is None else ring.modulus
+    return [rng.randrange(1, top) for _ in range(ring.nvars)]
+
+
 def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.GroebnerBasis:
     """Reduced basis of the linear section of S/J that `projdim_probe` resolves.
 
@@ -299,11 +314,10 @@ def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.Groebn
     ring = ideal.ring
     numerator = groebner.hilbert_series_numerator(ideal)
     rng = random.Random(0)
-    top = 1001 if ring.modulus is None else ring.modulus
     for k in range(n + 2, -1, -1):
         keep = RingSpec(ring.names[:ring.nvars - k], ring.modulus)
-        forms = {name: Polynomial(keep, [(v.lm(), rng.randrange(1, top))
-                                         for v in keep.variables()])
+        forms = {name: Polynomial(keep, zip([v.lm() for v in keep.variables()],
+                                            _random_point(keep, rng)))
                  for name in ring.names[ring.nvars - k:]}
         section = groebner.buchberger([substitute(p, forms) for p in ideal.basis], ring=keep)
         if k == 0 or groebner.hilbert_series_numerator(section) == numerator:
@@ -331,22 +345,30 @@ def is_cohen_macaulay(j: DeJonquieresMap, projdim: int) -> bool:
     return projdim == j.n
 
 
+def _products(factors, d: int, one) -> dict:
+    """{alpha: factors^alpha} over |alpha| = d, each product built once as
+    factors^(alpha - e_i) factors_i with i the last index in alpha; the
+    factors are forms or field values."""
+    level = {(0,) * len(factors): one}
+    for _ in range(d):
+        level = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]: prod * factors[i]
+                 for alpha, prod in level.items()
+                 for i in range(max((k for k, e in enumerate(alpha) if e), default=0),
+                                len(factors))}
+    return level
+
+
 def _kernel_in_degree(forms, target: RingSpec, d: int) -> list[Polynomial]:
     """Monic basis of the degree-d forms in the kernel of y -> forms.
 
     Gaussian elimination over the field on the products F^alpha, |alpha| = d
-    (the columns of the degree-d Macaulay matrix), each built once as
-    F^(alpha - e_i) F_i with i the last index in alpha and carried with its
-    combination of the y^alpha.  Each product that reduces to zero gives one
-    kernel form, so there are as many forms as the kernel's degree-d dimension.
+    (the columns of the degree-d Macaulay matrix, see `_products`), each
+    carried with its combination of the y^alpha.  Each product that reduces
+    to zero gives one kernel form, so there are as many forms as the
+    kernel's degree-d dimension.
     """
     p = target.modulus
-    level = {(0,) * len(forms): forms[0].ring.one()}
-    for _ in range(d):
-        level = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]: prod * forms[i]
-                 for alpha, prod in level.items()
-                 for i in range(max((k for k, e in enumerate(alpha) if e), default=0),
-                                len(forms))}
+    level = _products(forms, d, forms[0].ring.one())
     pivots = []  # (monomial, row monic there, combination of the y^alpha)
     kernel = []
     for alpha, prod in level.items():
@@ -367,6 +389,104 @@ def _kernel_in_degree(forms, target: RingSpec, d: int) -> list[Polynomial]:
                      for vec in (row, comb))
         pivots.append((lead, row, comb))
     return kernel
+
+
+# evaluation points beyond the N - 1 that can reach rank N - 1, against bad draws
+_EXTRA_POINTS = 8
+# over Q the rank of the evaluation rows is taken modulo this prime, 2^61 - 1
+_RANK_PRIME = 2**61 - 1
+
+
+def _value(form: Polynomial, point):
+    """form at point, exactly: a residue over GF(p), a Fraction over Q."""
+    p = form.ring.modulus
+    total = 0
+    for mono, c in form.terms:
+        for x, e in zip(point, mono):
+            if e:
+                c *= x ** e
+        total += c
+    return total % p if p else total
+
+
+class _Values(tuple):
+    """Values at the evaluation points, multiplied pointwise."""
+
+    def __mul__(self, other):
+        return _Values(map(mul, self, other))
+
+
+def _spans_kernel(forms, d: int, candidate: Polynomial) -> bool:
+    """True when the candidate, a nonzero form of degree d, spans the null
+    space of the evaluation rows (y^alpha(F(x)))_{|alpha| = d}.
+
+    The N - 1 + _EXTRA_POINTS points x come from a fixed random.Random(0),
+    N the number of y^alpha.  The candidate must vanish exactly at each one,
+    and the N columns of values must have rank N - 1.  Over Q each point's
+    values are cleared of denominators, so the vanishing is checked in
+    integers, and the rank is taken modulo _RANK_PRIME, which can only lower
+    it.  A column is one int with one slot per point, wide enough that the
+    up to N - 1 updates column += (p - c) * pivot never carry out of a slot,
+    so only a new pivot's slots are reduced mod p.
+    """
+    field = candidate.ring.modulus
+    p = field or _RANK_PRIME
+    rng = random.Random(0)
+    npoints = comb(len(forms) - 1 + d, d) - 1 + _EXTRA_POINTS
+    points = [_random_point(forms[0].ring, rng) for _ in range(npoints)]
+    images = [[_value(form, x) for form in forms] for x in points]
+    scale = 1
+    if not field:  # clear denominators: the candidate is checked in integers
+        scale = lcm(*(c.denominator for _, c in candidate.terms))
+        for image in images:
+            common = lcm(*(v.denominator for v in image))
+            image[:] = [int(v * common) for v in image]
+    columns = _products([_Values(vals) for vals in zip(*images)], d, _Values([1] * npoints))
+    total = [0] * npoints
+    for alpha, c in candidate.terms:
+        total = [t + int(c * scale) * v for t, v in zip(total, columns[alpha])]
+    if any(t % field if field else t for t in total):
+        return False
+    nbytes = (2 * p.bit_length() + len(columns).bit_length() + 7) // 8
+    mask = (1 << 8 * nbytes) - 1
+
+    def pack(residues):
+        return int.from_bytes(b"".join(r.to_bytes(nbytes, "little") for r in residues),
+                              "little")
+
+    pivots = []  # (point, column with 1 there and every slot in [0, p))
+    for vals in columns.values():
+        col = pack([v % p for v in vals])
+        for at, pivot in pivots:
+            c = ((col >> 8 * nbytes * at) & mask) % p
+            if c:
+                col += (p - c) * pivot
+        raw = col.to_bytes(npoints * nbytes, "little")
+        residues = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") % p
+                    for k in range(npoints)]
+        at = next((k for k, r in enumerate(residues) if r), None)
+        if at is not None:
+            inv = pow(residues[at], -1, p)
+            pivots.append((at, pack([r * inv % p for r in residues])))
+    return len(pivots) == len(columns) - 1
+
+
+def _implicit_equation(forms, target: RingSpec, d: int, candidate: Polynomial) -> list[Polynomial]:
+    """Monic basis of the degree-d forms in the kernel of y -> forms, as
+    `_kernel_in_degree` gives it, decided from point evaluations when it can.
+
+    `candidate` must be known to lie in that kernel K_d, or be zero.  K_d
+    lies in the null space of the evaluation rows, so when `_spans_kernel`
+    shows that null space to be the candidate's span, K_d is that span and
+    the basis is the monic candidate.  Otherwise (a zero candidate, a rank
+    short of N - 1, or a point where the candidate does not vanish) the
+    products decide (`_kernel_in_degree`).
+    """
+    if candidate and _spans_kernel(forms, d, candidate):
+        log.debug("implicit equation of degree %d decided by points", d)
+        return [candidate.monic()]
+    log.debug("implicit equation of degree %d decided by products", d)
+    return _kernel_in_degree(forms, target, d)
 
 
 SPECIALIZATION_TRIES = 25
@@ -400,8 +520,12 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     the UFD k[y], i.e. (h0).  Its degree-d part is then one form exactly when
     deg h0 = d (a generator of lower degree times the forms of the remaining
     degree gives at least n+1 of them), and that form, made monic in
-    grevlex, is the reduced basis of the kernel (`_kernel_in_degree`).  When
-    D_H = 0 or the degree-d part is not one form, degree_ok is False.
+    grevlex, is the reduced basis of the kernel.  ell on the inverse
+    coordinates lies in that degree-d part, since G(F) = D x gives
+    ell(G(F(x, lam))) = D_H ell(x, lam) = 0, so it is the candidate that
+    point evaluations test (`_implicit_equation`).  One nonzero value of
+    D_H at a point shows D_H != 0; a zero value is settled by substitution.
+    When D_H = 0 or the degree-d part is not one form, degree_ok is False.
     Without a given lam, up to SPECIALIZATION_TRIES random forms are tried
     (`groebner.is_regular` tests each); if all are rejected (as when R/I has
     depth 0, e.g. n = 1), the report has regular=False, lam=None and the
@@ -432,17 +556,23 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                                     rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
-    lam_cut = transport(lam, RingSpec(ring.names[:n], ring.modulus))
+    cut = RingSpec(ring.names[:n], ring.modulus)
+    lam_cut = transport(lam, cut)
     inv, cert = inverse(j)
+    ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
     implicit = []
-    if substitute(cert.factor, {last: lam_cut}):
-        implicit = _kernel_in_degree(
-            [substitute(form, {last: lam_cut}) for form in base], j.target, j.d)
+    point = _random_point(cut, random.Random(0))
+    if (_value(cert.factor, point + [_value(lam_cut, point)])
+            or substitute(cert.factor, {last: lam_cut})):
+        implicit = _implicit_equation(
+            [substitute(form, {last: lam_cut}) for form in base], j.target, j.d,
+            ell_of_inverse)
+    else:
+        log.debug("D(x, lam) = 0: no implicit equation of degree %d", j.d)
     if len(implicit) != 1:
         return SpecializationReport(lam=lam, regular=True, degree_ok=False,
                                     proportional=False, scalar=None,
                                     rejected=tuple(rejected))
-    ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
     quotient = exact_div(ell_of_inverse, implicit[0])
     proportional = quotient is not None and quotient.total_degree() == 0
     scalar = quotient.lc() if proportional else None

@@ -1,5 +1,6 @@
 """Blowup presentation ideal: generation theorem, colon lemmas, cone data."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -427,18 +428,18 @@ def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monke
     # holding both x_1 and y_1, and h is the reduced basis that eliminating
     # x from (y_i - F_i(x, lam)) gives
     calls, found = [], []
-    eliminate, in_degree = gb.eliminate, rees._kernel_in_degree
+    eliminate, implicit = gb.eliminate, rees._implicit_equation
 
     def spy_eliminate(gens, nblock):
         calls.append(gens[0].ring)
         return eliminate(gens, nblock)
 
-    def spy_in_degree(forms, target, d):
-        found.append(in_degree(forms, target, d))
+    def spy_implicit(forms, target, d, candidate):
+        found.append(implicit(forms, target, d, candidate))
         return found[-1]
 
     monkeypatch.setattr(gb, "eliminate", spy_eliminate)
-    monkeypatch.setattr(rees, "_kernel_in_degree", spy_in_degree)
+    monkeypatch.setattr(rees, "_implicit_equation", spy_implicit)
     rng = random.Random(82)
     maps = [e1, e3] + [dejonq.random_map(n, d, rng, modulus)
                        for modulus in (32003, None)
@@ -463,16 +464,23 @@ def test_specialization_linear_relation_has_no_single_equation(e1, monkeypatch):
     forms = [P("x1*x2", e1.source), P("x2^2", e1.source)]
     forms.append(forms[0] + forms[1])
     assert len(rees._kernel_in_degree(forms, e1.target, 2)) == comb(2 + 2 - 1, 2)
-    in_degree = rees._kernel_in_degree
+    implicit, in_degree, products = rees._implicit_equation, rees._kernel_in_degree, []
 
-    def related(forms, target, d):
-        return in_degree(forms[:-1] + [forms[0] + forms[1]], target, d)
+    def related(forms, target, d, candidate):
+        return implicit(forms[:-1] + [forms[0] + forms[1]], target, d, candidate)
 
-    monkeypatch.setattr(rees, "_kernel_in_degree", related)
+    def spy_in_degree(forms, target, d):
+        products.append(in_degree(forms, target, d))
+        return products[-1]
+
+    monkeypatch.setattr(rees, "_implicit_equation", related)
+    monkeypatch.setattr(rees, "_kernel_in_degree", spy_in_degree)
     report = rees.specialization_check(e1, lam=e1.source.variable("x2"))
     assert report.regular
     assert not report.degree_ok
     assert not report.proportional and report.scalar is None and not report.ok
+    # the points cannot show a one-form kernel here, so the products decide
+    assert [len(found) for found in products] == [comb(2 + 2 - 1, 2)]
 
 
 def test_specialization_randomized():
@@ -482,6 +490,85 @@ def test_specialization_randomized():
         report = rees.specialization_check(j, rng=random.Random(5))
         assert report.ok, (n, d)
         assert report.degree_ok
+
+
+def cm_tail_cases():
+    """The benchmark's cm-tail cases: criterion-7 maps #25, #28 and #29 of
+    random.Random(2033), each specialized with its index as the seed."""
+    rng = random.Random(2033)
+    maps = [dejonq.random_map(n, d, rng, 32003)
+            for (n, d) in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4))
+            for _ in range(5)]
+    return [(maps[k], k) for k in (25, 28, 29)]
+
+
+def test_specialization_points_decide_without_products(e1, e3, monkeypatch):
+    products = []
+    monkeypatch.setattr(rees, "_kernel_in_degree",
+                        lambda forms, target, d: products.append(d) or [])
+    for j, seed in [(e1, 0), (e3, 0)] + cm_tail_cases():
+        report = rees.specialization_check(j, rng=random.Random(seed))
+        assert report.ok, (j.n, j.d, seed)
+    assert products == []
+
+
+def test_specialization_logs_what_decided_the_equation(e1, caplog, monkeypatch):
+    R = e1.source
+    with caplog.at_level("DEBUG", logger="jonq.rees"):
+        rees.specialization_check(e1, lam=R.variable("x2"))
+    assert "implicit equation of degree 2 decided by points" in caplog.messages
+    caplog.clear()
+    monkeypatch.setattr(rees, "_spans_kernel", lambda forms, d, candidate: False)
+    with caplog.at_level("DEBUG", logger="jonq.rees"):
+        assert rees.specialization_check(e1, lam=R.variable("x2")).ok
+    assert "implicit equation of degree 2 decided by products" in caplog.messages
+
+
+def test_specialization_no_equation_when_the_factor_vanishes_on_the_cut(e1, monkeypatch):
+    # ell dividing the inversion factor makes D(x, lam) = 0: nothing then
+    # shows the kernel to be principal, so no equation is read off, although
+    # the points alone would find a one-form kernel
+    R = e1.source
+    lam = R.variable("x2")
+    ell = R.variable("x3") - lam
+    inverse = rees.inverse
+
+    def divisible_factor(j):
+        inv, cert = inverse(j)
+        return inv, dataclasses.replace(cert, factor=cert.factor * ell)
+
+    monkeypatch.setattr(rees, "inverse", divisible_factor)
+    report = rees.specialization_check(e1, lam=lam)
+    assert report.regular
+    assert not report.degree_ok and report.scalar is None and not report.ok
+
+
+def test_specialization_zero_factor_value_is_settled_by_substitution(e1, monkeypatch):
+    # a factor that vanishes at the evaluation point but not on the cut
+    # still gives the equation: the zero value only sends D(x, lam) to
+    # substitution
+    R = e1.source
+    lam = R.variable("x2")
+    expected = rees.specialization_check(e1, lam=lam)
+    a, b = rees._random_point(RingSpec(R.names[:2], R.modulus), random.Random(0))
+    through = b * R.variable("x1") - a * R.variable("x2")
+    inverse = rees.inverse
+
+    def factor_through_point(j):
+        inv, cert = inverse(j)
+        return inv, dataclasses.replace(cert, factor=cert.factor * through)
+
+    monkeypatch.setattr(rees, "inverse", factor_through_point)
+    assert rees.specialization_check(e1, lam=lam) == expected
+    assert expected.ok
+
+
+def test_specialization_frontier_slice():
+    # the seed-0 `jonq explore` map at (5,5), trial 0; its products took
+    # about 11 s, the points take well under one
+    seed = 5 * 10_007 + 5 * 101
+    j = dejonq.random_map(5, 5, random.Random(seed))
+    assert rees.specialization_check(j, rng=random.Random(seed)).ok
 
 
 # ---------- case report plumbing ----------
