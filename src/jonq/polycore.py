@@ -52,19 +52,26 @@ class ZeroDegree(int):
 ZERO_DEGREE = ZeroDegree(-1)
 
 
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound, itself
+# a strong pseudoprime to all 13 (Sorenson & Webster, Math. Comp. 2017)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    if p >= _PRIME_BOUND:
+        raise JonqError(f"modulus {p} is not below {_PRIME_BOUND}, "
+                        "the bound of the exact primality test")
     if p < 2:
         return False
     if p < 4:
         return True
     if p % 2 == 0:
         return False
-    # deterministic Miller-Rabin, exact for p < 3.3e24
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if a % p == 0:
             continue
         x = pow(a, d, p)

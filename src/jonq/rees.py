@@ -16,8 +16,9 @@ the tests' oracle for J.
 basis of P and `rees_ideal` are computed on the first call for its map and
 looked up on the later ones (`_once_per_case`).  The memo is dropped when
 `case_report` returns or raises, so a check called alone builds J from j.
-Verification compares reduced bases, certifies minimality by exclusion, and
-cross-checks the iterated mapping-cone Betti data against the Hilbert series.
+Verification compares reduced bases, decides minimality by one
+minimal-generator pass (`minimal_generator_count`), and cross-checks the
+iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
 linear section of S/J in fewer variables, certified regular by its Hilbert
 series, so its ResolutionBoundError carries a partial resolution over the
@@ -28,8 +29,9 @@ so it is the one kernel form of degree d, and ell = x_{n+1} - lam on the
 inverse is such a form.  Evaluations of F(x, lam) at points show that it
 spans the degree-d kernel (interpolation-based implicitization, after
 Corless, Giesbrecht, Kotsireas & Watt, AISC 2000, in exact arithmetic);
-only when they cannot is the kernel taken from the degree-d products F^alpha
-(`_implicit_equation`, `_kernel_in_degree`; see `specialization_check`).
+only when they cannot do the degree-d products F^alpha decide, by sending
+the candidate to zero and by their minimal generator count, which is their
+rank (`_implicit_equation`; see `specialization_check`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
 from .polycore import (
     Polynomial,
     RingSpec,
-    exact_div,
     substitute,
     transport,
 )
@@ -358,39 +359,6 @@ def _products(factors, d: int, one) -> dict:
     return level
 
 
-def _kernel_in_degree(forms, target: RingSpec, d: int) -> list[Polynomial]:
-    """Monic basis of the degree-d forms in the kernel of y -> forms.
-
-    Gaussian elimination over the field on the products F^alpha, |alpha| = d
-    (the columns of the degree-d Macaulay matrix, see `_products`), each
-    carried with its combination of the y^alpha.  Each product that reduces
-    to zero gives one kernel form, so there are as many forms as the
-    kernel's degree-d dimension.
-    """
-    p = target.modulus
-    level = _products(forms, d, forms[0].ring.one())
-    pivots = []  # (monomial, row monic there, combination of the y^alpha)
-    kernel = []
-    for alpha, prod in level.items():
-        row, comb = dict(prod.terms), {alpha: 1}
-        for mono, prow, pcomb in pivots:
-            c = row.get(mono)
-            if c:
-                for vec, pvec in ((row, prow), (comb, pcomb)):
-                    for m, pc in pvec.items():
-                        v = vec.get(m, 0) - c * pc
-                        vec[m] = v % p if p else v
-        lead = next((m for m, c in row.items() if c), None)
-        if lead is None:
-            kernel.append(Polynomial(target, comb).monic())
-            continue
-        inv = target.cinv(row[lead])
-        row, comb = ({m: c * inv % p if p else c * inv for m, c in vec.items() if c}
-                     for vec in (row, comb))
-        pivots.append((lead, row, comb))
-    return kernel
-
-
 # evaluation points beyond the N - 1 that can reach rank N - 1, against bad draws
 _EXTRA_POINTS = 8
 # over Q the rank of the evaluation rows is taken modulo this prime, 2^61 - 1
@@ -471,22 +439,29 @@ def _spans_kernel(forms, d: int, candidate: Polynomial) -> bool:
     return len(pivots) == len(columns) - 1
 
 
-def _implicit_equation(forms, target: RingSpec, d: int, candidate: Polynomial) -> list[Polynomial]:
-    """Monic basis of the degree-d forms in the kernel of y -> forms, as
-    `_kernel_in_degree` gives it, decided from point evaluations when it can.
+def _implicit_equation(forms, d: int, candidate: Polynomial) -> Polynomial | None:
+    """The monic candidate when it spans K_d, the degree-d forms in the
+    kernel of y -> forms, else None; the candidate is zero or a form of
+    degree d.
 
-    `candidate` must be known to lie in that kernel K_d, or be zero.  K_d
-    lies in the null space of the evaluation rows, so when `_spans_kernel`
-    shows that null space to be the candidate's span, K_d is that span and
-    the basis is the monic candidate.  Otherwise (a zero candidate, a rank
-    short of N - 1, or a point where the candidate does not vanish) the
-    products decide (`_kernel_in_degree`).
+    K_d lies in the null space of the evaluation rows, so when `_spans_kernel`
+    shows that null space to be the candidate's span, K_d is that span.
+    Otherwise the products F^alpha, |alpha| = d, decide: the candidate lies
+    in K_d when sum c_alpha F^alpha = 0, and K_d is one form when the
+    products span N - 1 dimensions, which for forms of one degree is their
+    minimal generator count.
     """
-    if candidate and _spans_kernel(forms, d, candidate):
+    if not candidate:
+        return None
+    if _spans_kernel(forms, d, candidate):
         log.debug("implicit equation of degree %d decided by points", d)
-        return [candidate.monic()]
+        return candidate.monic()
     log.debug("implicit equation of degree %d decided by products", d)
-    return _kernel_in_degree(forms, target, d)
+    level = _products(forms, d, forms[0].ring.one())
+    if (sum((level[alpha] * c for alpha, c in candidate.terms), forms[0].ring.zero())
+            or minimal_generator_count(level.values()) != len(level) - 1):
+        return None
+    return candidate.monic()
 
 
 SPECIALIZATION_TRIES = 25
@@ -510,9 +485,10 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                          rng: random.Random | None = None) -> SpecializationReport:
     """Implicit equation of the specialized map versus the inverse coordinates.
 
-    Cuts by a linear form ell = x_{n+1} - lam regular on R/I, finds the
-    implicit equation h of F(x, lam) in degree d, and certifies that ell
-    evaluated on the inverse coordinates is a scalar multiple of h.  The
+    Cuts by a linear form ell = x_{n+1} - lam regular on R/I and certifies
+    that ell evaluated on the inverse coordinates spans the degree-d part of
+    the kernel of y -> F(x, lam), so that its monic form is the implicit
+    equation h and its leading coefficient the scalar.  The
     inversion factor D certifies that the kernel of y -> F(x, lam) is
     principal: the inverse sends F(x, lam) to D_H (x, lam) with
     D_H = D(x, lam), so when D_H != 0 the image contains the algebraically
@@ -523,7 +499,8 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     grevlex, is the reduced basis of the kernel.  ell on the inverse
     coordinates lies in that degree-d part, since G(F) = D x gives
     ell(G(F(x, lam))) = D_H ell(x, lam) = 0, so it is the candidate that
-    point evaluations test (`_implicit_equation`).  One nonzero value of
+    `_implicit_equation` tests, from point evaluations or else from the
+    products F^alpha through the Groebner engine.  One nonzero value of
     D_H at a point shows D_H != 0; a zero value is settled by substitution.
     When D_H = 0 or the degree-d part is not one form, degree_ok is False.
     Without a given lam, up to SPECIALIZATION_TRIES random forms are tried
@@ -560,25 +537,18 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     lam_cut = transport(lam, cut)
     inv, cert = inverse(j)
     ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
-    implicit = []
+    implicit = None
     point = _random_point(cut, random.Random(0))
     if (_value(cert.factor, point + [_value(lam_cut, point)])
             or substitute(cert.factor, {last: lam_cut})):
         implicit = _implicit_equation(
-            [substitute(form, {last: lam_cut}) for form in base], j.target, j.d,
-            ell_of_inverse)
+            [substitute(form, {last: lam_cut}) for form in base], j.d, ell_of_inverse)
     else:
         log.debug("D(x, lam) = 0: no implicit equation of degree %d", j.d)
-    if len(implicit) != 1:
-        return SpecializationReport(lam=lam, regular=True, degree_ok=False,
-                                    proportional=False, scalar=None,
-                                    rejected=tuple(rejected))
-    quotient = exact_div(ell_of_inverse, implicit[0])
-    proportional = quotient is not None and quotient.total_degree() == 0
-    scalar = quotient.lc() if proportional else None
-    return SpecializationReport(lam=lam, regular=True, degree_ok=True,
-                                proportional=proportional,
-                                scalar=scalar, rejected=tuple(rejected))
+    found = implicit is not None
+    return SpecializationReport(lam=lam, regular=True, degree_ok=found, proportional=found,
+                                scalar=ell_of_inverse.lc() if found else None,
+                                rejected=tuple(rejected))
 
 
 REPORT_CHECKS = ("theorem", "colon", "cone", "projdim", "special")

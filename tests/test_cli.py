@@ -306,6 +306,15 @@ def test_modulus_flag_zero_is_not_replaced_by_default(tmp_path, capsys):
     assert json.loads(out)["modulus"] == 101
 
 
+def test_validate_rejects_a_strong_pseudoprime_modulus(tmp_path, capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin for every base 2..37
+    path = tmp_path / "fp.jonq"
+    path.write_text("n: 2\nd: 2\nfield: fp\nf: x3\ng: x1^2 - x2*x3\n")
+    code, out, err = run(capsys, "validate", str(path), "--modulus", "318665857834031151167461")
+    assert code == 3 and out == ""
+    assert err == "error: modulus 318665857834031151167461 is not prime\n"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_explore_jobs_below_one_is_parse_error(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

@@ -1,18 +1,17 @@
 """Implicitization: the degree-d kernel against elimination.
 
 `rees.specialization_check` finds the implicit equation of a specialized
-map by linear algebra: `rees._implicit_equation` takes the degree-d kernel
-from point evaluations when the certified candidate spans their null space,
-and otherwise from `rees._kernel_in_degree`, which spans the degree-d forms
-in the kernel of y -> F(x) by Gaussian elimination on the products F^alpha,
-|alpha| = d.  The products are the points' oracle, and elimination stays the
-products' oracle: the kernel computed by eliminating x from (y_i - F_i(x))
-in one ring must contain those forms, its Hilbert series must give their
-number, and a one-form basis of degree d must be exactly the helper's form.
-That one-ring elimination is itself checked against the blowup construction,
-which eliminates (t, x) from (y_i - t F_i(x)) and keeps the t-free part; for
-forms F_i of one degree both give the same reduced basis of the kernel of
-y -> F(x).
+map in one degree d: `rees._implicit_equation` returns the monic candidate
+exactly when the candidate spans K_d, the degree-d forms in the kernel of
+y -> F(x), and None otherwise.  Point evaluations decide when they can;
+otherwise the products F^alpha, |alpha| = d, decide, by sending the
+candidate to zero and by their rank, their minimal generator count in the
+Groebner engine.  Elimination is the oracle of both paths: the kernel's
+reduced basis (`groebner.kernel`) decides membership, and its Hilbert series
+gives dim K_d.  The one-ring elimination is itself checked against the
+blowup construction, which eliminates (t, x) from (y_i - t F_i(x)) and keeps
+the t-free part; for forms F_i of one degree both give the same reduced
+basis of the kernel of y -> F(x).
 """
 
 import random
@@ -81,36 +80,65 @@ def test_one_ring_elimination_equals_rees_variable_elimination(forms):
     assert in_one_ring(forms, target) == with_rees_variable(forms, target)
 
 
+def kernel_dimension(kernel, d):
+    """dim K_d, K given by its reduced basis: HS(k[y]/K) = N(t) / (1-t)^(k+1)
+    with k + 1 the number of y gives the dimension of the degree-d part of
+    k[y]/K, and K_d is the rest of the C(d+k, k) forms of degree d."""
+    k = kernel.ring.nvars - 1
+    numerator = groebner.hilbert_series_numerator(kernel)
+    return comb(d + k, k) - sum(c * comb(d - i + k, k) for i, c in numerator.items() if i <= d)
+
+
+def kernel_of(forms, target):
+    """Reduced basis of the kernel of y -> forms, by `groebner.kernel`."""
+    return groebner.buchberger(groebner.kernel(target, dict(zip(target.names, forms))))
+
+
+def decided(forms, d, candidate):
+    """`_implicit_equation` from the points and from the products, the
+    latter forced by points that never decide."""
+    by_points = rees._implicit_equation(forms, d, candidate)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rees, "_spans_kernel", lambda forms, d, candidate: False)
+        by_products = rees._implicit_equation(forms, d, candidate)
+    return by_points, by_products
+
+
 @settings(max_examples=40, deadline=None)
 @given(equal_degree_forms())
 def test_kernel_in_degree_matches_elimination(forms):
+    # the products' rank, which the fallback reads, is N - dim K_d by the
+    # Hilbert series of the eliminated kernel, and a one-form basis of
+    # degree d is the equation that either path finds
     target = RingSpec([f"y{i}" for i in range(1, len(forms) + 1)], forms[0].ring.modulus)
     basis = in_one_ring(forms, target)
     kernel = groebner.buchberger(basis)
-    numerator = groebner.hilbert_series_numerator(kernel)
-    k = target.nvars - 1
     for d in (1, 2, 3):
-        found = rees._kernel_in_degree(forms, target, d)
-        assert all(f.total_degree() == d and kernel.contains(f) for f in found)
-        # HS(k[y]/K) = N(t) / (1-t)^(k+1) gives dim of the degree-d part of k[y]/K
-        quotient = sum(c * comb(d - i + k, k) for i, c in numerator.items() if i <= d)
-        assert len(found) == comb(d + k, k) - quotient
+        products = rees._products(forms, d, forms[0].ring.one())
+        assert len(products) == comb(d + target.nvars - 1, d)
+        rank = rees.minimal_generator_count(products.values())
+        assert rank == len(products) - kernel_dimension(kernel, d)
         if len(basis) == 1 and basis[0].total_degree() == d:
-            assert found == basis
+            assert decided(forms, d, basis[0] * 3) == (basis[0], basis[0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(equal_degree_forms())
 def test_implicit_equation_matches_the_products_for_any_candidate(forms):
     # a kernel form as candidate is taken only when it spans the degree-d
-    # kernel, and a form off the kernel is never taken
+    # kernel, and a form off the kernel is never taken, by either path
     target = RingSpec([f"y{i}" for i in range(1, len(forms) + 1)], forms[0].ring.modulus)
+    kernel = kernel_of(forms, target)
     for d in (1, 2, 3):
-        expected = rees._kernel_in_degree(forms, target, d)
+        one_form = kernel_dimension(kernel, d) == 1
         off = target.variable(0) ** d
-        candidates = [target.zero(), off] + [c * 3 for c in expected] + [c + off for c in expected]
+        multiples = [g * target.variable(0) ** (d - g.total_degree()) * 3
+                     for g in kernel.basis if g.total_degree() <= d]
+        candidates = [target.zero(), off] + multiples + [c + off for c in multiples]
         for candidate in candidates:
-            assert rees._implicit_equation(forms, target, d, candidate) == expected
+            taken = candidate and one_form and kernel.contains(candidate)
+            expected = candidate.monic() if taken else None
+            assert decided(forms, d, candidate) == (expected, expected)
 
 
 @pytest.mark.parametrize("modulus", [None, 32003])
@@ -121,9 +149,10 @@ def test_implicit_equation_needs_a_one_form_null_space(modulus):
     target = RingSpec(["y1", "y2", "y3"], modulus)
     forms = [parse_polynomial(t, ring) for t in ("x1*x2", "x2^2", "x1*x2 + x2^2")]
     candidate = parse_polynomial("y1*y3 - y1^2 - y1*y2", target)  # (y3 - y1 - y2) y1
-    found = rees._implicit_equation(forms, target, 2, candidate)
-    assert found == rees._kernel_in_degree(forms, target, 2)
-    assert len(found) == 3
+    kernel = kernel_of(forms, target)
+    assert kernel.contains(candidate)
+    assert kernel_dimension(kernel, 2) == 3
+    assert decided(forms, 2, candidate) == (None, None)
 
 
 @pytest.mark.parametrize("modulus", [None, 32003])
@@ -133,8 +162,9 @@ def test_implicit_equation_rejects_a_candidate_off_the_kernel(modulus):
     target = RingSpec(["y1", "y2", "y3"], modulus)
     forms = [parse_polynomial(t, ring) for t in ("x1^2", "x1*x2", "x2^2")]
     conic = parse_polynomial("y2^2 - y1*y3", target)
-    for candidate in (conic * 5, conic + parse_polynomial("y1^2", target)):
-        assert rees._implicit_equation(forms, target, 2, candidate) == [conic]
+    assert kernel_of(forms, target).basis == (conic,)
+    assert decided(forms, 2, conic * 5) == (conic, conic)
+    assert decided(forms, 2, conic + parse_polynomial("y1^2", target)) == (None, None)
 
 
 @st.composite
@@ -152,7 +182,6 @@ def test_points_and_products_give_one_specialization_report(case):
     j, seed = case
     by_points = rees.specialization_check(j, rng=random.Random(seed))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rees, "_implicit_equation",
-                   lambda forms, target, d, candidate: rees._kernel_in_degree(forms, target, d))
+        mp.setattr(rees, "_spans_kernel", lambda forms, d, candidate: False)
         by_products = rees.specialization_check(j, rng=random.Random(seed))
     assert by_points == by_products

@@ -80,6 +80,20 @@ def test_ring_rejects_composite_modulus():
     RingSpec(["x1"], modulus=32003)  # prime: fine
 
 
+def test_ring_rejects_the_strong_pseudoprime_to_bases_2_to_37():
+    # 399165290221 * 798330580441 passes Miller-Rabin for every base 2..37
+    with pytest.raises(JonqError, match="is not prime"):
+        RingSpec(["x1"], modulus=318665857834031151167461)
+    RingSpec(["x1"], modulus=2**61 - 1)  # prime: fine
+
+
+def test_ring_rejects_a_modulus_beyond_the_exact_primality_bound():
+    # the test is exact below 3317044064679887385961981, a strong
+    # pseudoprime to every base 2..41
+    with pytest.raises(JonqError, match="not below 3317044064679887385961981"):
+        RingSpec(["x1"], modulus=3317044064679887385961981)
+
+
 def test_ring_rejects_bad_split():
     with pytest.raises(ArityError):
         RingSpec(["x1", "x2"], split=(2, 1))

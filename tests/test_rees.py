@@ -434,8 +434,8 @@ def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monke
         calls.append(gens[0].ring)
         return eliminate(gens, nblock)
 
-    def spy_implicit(forms, target, d, candidate):
-        found.append(implicit(forms, target, d, candidate))
+    def spy_implicit(forms, d, candidate):
+        found.append(implicit(forms, d, candidate))
         return found[-1]
 
     monkeypatch.setattr(gb, "eliminate", spy_eliminate)
@@ -455,32 +455,41 @@ def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monke
         lam = transport(report.lam, cut)
         images = {y: substitute(form, {j.source.names[j.n]: lam})
                   for y, form in zip(j.target.names, j.base_forms)}
-        assert found == [gb.kernel(j.target, images)], (j.n, j.d)
+        assert found == gb.kernel(j.target, images), (j.n, j.d)
 
 
 def test_specialization_linear_relation_has_no_single_equation(e1, monkeypatch):
     # with F_3 = F_1 + F_2 the kernel holds y3 - y1 - y2, so its degree-d
-    # part is (y3 - y1 - y2) times all forms of degree d-1: C(n+d-1, n) forms
+    # part is (y3 - y1 - y2) times all forms of degree d-1: C(n+d-1, n)
+    # forms, and the C(n+d, n) products have rank C(n+d, n) - C(n+d-1, n)
     forms = [P("x1*x2", e1.source), P("x2^2", e1.source)]
     forms.append(forms[0] + forms[1])
-    assert len(rees._kernel_in_degree(forms, e1.target, 2)) == comb(2 + 2 - 1, 2)
-    implicit, in_degree, products = rees._implicit_equation, rees._kernel_in_degree, []
+    rank = comb(2 + 2, 2) - comb(2 + 2 - 1, 2)
+    assert rees.minimal_generator_count(rees._products(forms, 2, e1.source.one()).values()) == rank
+    implicit, count, found, ranks = rees._implicit_equation, rees.minimal_generator_count, [], []
 
-    def related(forms, target, d, candidate):
-        return implicit(forms[:-1] + [forms[0] + forms[1]], target, d, candidate)
+    def related(forms, d, candidate):
+        # a candidate in the kernel of the related forms, so that only the
+        # products' rank can reject it
+        y1, y2, y3 = e1.target.variables()
+        in_kernel = (y3 - y1 - y2) * y1 ** (d - 1)
+        found.append(implicit(forms[:-1] + [forms[0] + forms[1]], d, in_kernel))
+        return found[-1]
 
-    def spy_in_degree(forms, target, d):
-        products.append(in_degree(forms, target, d))
-        return products[-1]
+    def spy_count(gens):
+        ranks.append(count(gens))
+        return ranks[-1]
 
     monkeypatch.setattr(rees, "_implicit_equation", related)
-    monkeypatch.setattr(rees, "_kernel_in_degree", spy_in_degree)
+    monkeypatch.setattr(rees, "minimal_generator_count", spy_count)
     report = rees.specialization_check(e1, lam=e1.source.variable("x2"))
     assert report.regular
     assert not report.degree_ok
     assert not report.proportional and report.scalar is None and not report.ok
     # the points cannot show a one-form kernel here, so the products decide
-    assert [len(found) for found in products] == [comb(2 + 2 - 1, 2)]
+    # from their rank, and find no single equation
+    assert ranks == [rank]
+    assert found == [None]
 
 
 def test_specialization_randomized():
@@ -503,13 +512,13 @@ def cm_tail_cases():
 
 
 def test_specialization_points_decide_without_products(e1, e3, monkeypatch):
-    products = []
-    monkeypatch.setattr(rees, "_kernel_in_degree",
-                        lambda forms, target, d: products.append(d) or [])
+    ranks = []
+    monkeypatch.setattr(rees, "minimal_generator_count",
+                        lambda gens: ranks.append(gens) or 0)
     for j, seed in [(e1, 0), (e3, 0)] + cm_tail_cases():
         report = rees.specialization_check(j, rng=random.Random(seed))
         assert report.ok, (j.n, j.d, seed)
-    assert products == []
+    assert ranks == []
 
 
 def test_specialization_logs_what_decided_the_equation(e1, caplog, monkeypatch):
