@@ -19,7 +19,8 @@ summary table are still printed.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
-JONQ_MODULUS environment variable, 32003.
+JONQ_MODULUS environment variable, 32003.  --modulus on a `field: rational`
+case file is a parse error; JONQ_MODULUS does not apply to such files.
 """
 
 from __future__ import annotations
@@ -127,7 +128,14 @@ def _env_modulus() -> int:
 
 
 def _effective_modulus(case: CaseFile, args) -> int | None:
+    """None over Q; else the case file's prime, --modulus, JONQ_MODULUS or 32003.
+
+    An explicit --modulus on a `field: rational` case file is an error, not
+    ignored; JONQ_MODULUS is only a default for `fp` files.
+    """
     if case.field == "rational":
+        if args.modulus is not None:
+            raise CaseFileError(f"--modulus {args.modulus} given for a field: rational case file")
         return None
     if case.modulus is not None:
         return case.modulus

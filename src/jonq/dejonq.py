@@ -17,7 +17,9 @@ checks the structural consequences (saturation, (x_1..x_n) = I : f as the
 associated support prime, Cohen-Macaulayness exactly in the plane case,
 plane multiplicity d(d-1)+1).  Saturation needs no saturation run: by
 Auslander-Buchsbaum, depth R/I = (n+1) - projdim R/I, so I is saturated
-(depth R/I >= 1) iff the oracle resolution has length below n+1.
+(depth R/I >= 1) iff the oracle resolution has length below n+1.  Nor does
+I : f need a colon run: it is read off the Hilbert numerator of I (see
+`structural_checks`).
 """
 
 from __future__ import annotations
@@ -296,6 +298,12 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
 
     I : f = (x_1..x_n) holds for every valid map (gcd(f, g) = 1 and g lies
     in (x_1..x_n)); x_i in I : f alone would be vacuous, as x_i f generates I.
+    It is read off the Hilbert numerator of I, from the exact sequence
+    0 -> R/(I : f)(-(d-1)) -> R/I -> R/(I, f) -> 0.  Here (I, f) = (f, g), a
+    complete intersection because `construct` certifies gcd(f, g) = 1, and
+    (x_1..x_n) lies in I : f by construction, so I : f = (x_1..x_n) exactly
+    when N(I) = (1 - t^(d-1))(1 - t^d) + t^(d-1) (1 - t)^n (Stanley, Adv.
+    Math. 1978); `groebner.colon` is the test oracle.
     """
     ring = j.source
     n = j.n
@@ -308,8 +316,11 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     if not saturated:
         witnesses.append(f"projdim {projdim} = {ring.nvars}: I is not saturated")
 
-    support_ok = groebner.ideal_equal(groebner.colon(list(gb.basis), j.f),
-                                      [ring.variable(i) for i in range(n)])
+    num = groebner.hilbert_series_numerator(gb)
+    complete_intersection = {0: 1, j.d - 1: -1, j.d: -1, 2 * j.d - 1: 1}  # N(f, g)
+    support = [ring.variable(i) for i in range(n)]
+    support_ok = num == groebner.numerator_from_colon(
+        complete_intersection, j.d - 1, groebner.hilbert_series_numerator(support))
     if not support_ok:
         witnesses.append(f"I : f != (x_1..x_{n})")
 
@@ -320,7 +331,6 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
 
     multiplicity = expected = None
     if n == 2:
-        num = groebner.hilbert_series_numerator(gb)
         _, multiplicity = groebner.dim_and_multiplicity(num, ring.nvars)
         expected = j.d * (j.d - 1) + 1
         if multiplicity != expected:

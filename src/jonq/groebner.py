@@ -20,6 +20,17 @@ sized from the input terms.  A reduction that carries a field into its guard
 bit raises `_Overflow`; the engine then widens its fields and redoes that
 reduction, so exponents never wrap.
 
+Coefficients are monic ints over GF(p).  Over Q the engine is fraction-free:
+every element is a primitive integer vector with a positive lead
+coefficient, a reduction step scales the pending terms by a / gcd(a, c)
+instead of dividing by the reducer's lead a (`_nf_dict`), and an S-pair
+cross-multiplies by the two lead coefficients over their gcd.  Fractions
+appear only at the boundary: `_pack` clears denominators, `element` and the
+interreduced basis are made monic, and `reduce` divides by the tracked scale,
+so it returns the exact normal form.  Every intermediate is a nonzero
+rational multiple of the monic one and the reducer chosen depends only on
+supports, so bases and syzygies are those of monic arithmetic.
+
 Tuples remain at the boundary (`Polynomial.terms`, `GroebnerBasis.basis`,
 `_Engine.element`/`reduce`/`add`/`extend`) and in the Gebauer-Moeller pair
 update, which works on the lead tuples `_Engine.leads`.  Pair selection is
@@ -41,14 +52,20 @@ the test oracle of both.
 
 `is_regular` is the one nonzerodivisor test: it compares Hilbert numerators
 after extending a reduced basis by the form, closing only the new pairs.
+The colons the library needs are read off Hilbert numerators in the same
+way (`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
+`colon`, `colon_ideal` and `saturate` have no library caller and are the
+tests' oracles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import gcd, lcm
 from operator import mul
 
 from .orders import elimination_order
@@ -123,11 +140,18 @@ class _Packing:
         return (f[0], -f[0]) + f[2:] if self.comps else f
 
 
-def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> dict:
-    """Full normal form of the packed dict `work` (consumed) modulo monic reducers.
+def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
+    """Full normal form of the packed dict `work` (consumed): (remainder, scale).
 
-    reducers: component -> list of (lead & lomask, lead, tail) with every
-    reducer monic.  Raises _Overflow when a term does not fit `pk`.
+    reducers: component -> list of (lead & lomask, lead, tail, a), a the
+    lead coefficient: 1 over GF(p), where the remainder is the normal form
+    and scale is 1; over Q the reducers are primitive integer vectors and
+    the remainder is scale times the normal form of `work`.  A term with
+    coefficient c meets a reducer lead a with g = gcd(a, c): the pending
+    terms are multiplied by a/g, which grows the scale, and (c/g) x^shift
+    tail is subtracted.  Each remainder term keeps the scale at which it was
+    set aside and is brought to the final one at the end.  Raises _Overflow
+    when a term does not fit `pk`.
     """
     lomask, guard, cmask = pk.lomask, pk.guard, pk.cmask
     if any(m & guard for m in work):
@@ -136,21 +160,30 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> dict:
     heapq.heapify(heap)
     push, pop, get = heapq.heappush, heapq.heappop, work.get
     remainder: dict = {}
+    scale = 1
     while heap:
         m = -pop(heap)
         c = work.pop(m, None)
         if not c:
             continue
         lo = m & lomask
-        for llo, lm, tail in reducers.get(m & cmask, ()):
+        for llo, lm, tail, a in reducers.get(m & cmask, ()):
             d = lo - llo
             if d >= 0 and not d & guard:
                 break
         else:
-            remainder[m] = c
+            remainder[m] = (c, scale) if mod is None else c
             continue
         shift = m - lm
         if mod is None:
+            if a != 1:
+                g = gcd(a, c)
+                if g != a:
+                    k = a // g
+                    for t in work:
+                        work[t] *= k
+                    scale *= k
+                c //= g
             for tm, tc in tail:
                 m2 = tm + shift
                 old = get(m2)
@@ -181,17 +214,23 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> dict:
                         work[m2] = nc
                     else:
                         del work[m2]
-    return remainder
+    if mod is None:
+        return {m: c * (scale // s) for m, (c, s) in remainder.items()}, scale
+    return remainder, 1
 
 
-def _monic_dict(d: dict, ring: RingSpec) -> dict:
+def _normalized(d: dict, mod) -> dict:
+    """The nonzero packed dict d made monic over GF(p), or over Q made a
+    primitive integer vector with a positive lead coefficient."""
     c = d[max(d)]
+    if mod is None:
+        g = gcd(*d.values())
+        if c < 0:
+            g = -g
+        return d if g == 1 else {m: co // g for m, co in d.items()}
     if c == 1:
         return d
-    inv = ring.cinv(c)
-    mod = ring.modulus
-    if mod is None:
-        return {m: co * inv for m, co in d.items()}
+    inv = pow(c, mod - 2, mod)
     return {m: co * inv % mod for m, co in d.items()}
 
 
@@ -216,7 +255,7 @@ class _Engine:
         self.key = key or ring.key
         self.module = module
         self.pk = _Packing(self.key, ring.nvars, 1 if module else 0, 8)
-        self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail)
+        self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
         self.members: dict = {}  # component -> basis indices
@@ -224,12 +263,16 @@ class _Engine:
         self.origins: list = []  # basis index -> None (input) or S-pair lcm
 
     def element(self, k: int) -> dict:
-        """Basis element k as a {term: coefficient} dict."""
-        return self._unpack(self._element(k))
+        """Basis element k as a monic {term: coefficient} dict."""
+        return self._unpack(self._element(k), self.elems[k][3])
 
     def reduce(self, v: dict) -> dict:
+        """The normal form of v modulo the basis."""
         self._fit((v,))
-        return self._unpack(self._nf(lambda: self._pack(v)))
+        r, scale = self._nf(lambda: self._pack(v))
+        if self.ring.modulus is None:
+            scale *= lcm(*(c.denominator for c in v.values()))  # `_pack` cleared them
+        return self._unpack(r, scale)
 
     def add(self, v: dict, degree: int | None = None) -> bool:
         """Adjoin v; False if it was already in the span (basis unchanged).
@@ -241,7 +284,7 @@ class _Engine:
         """
         self._saturate(degree)
         self._fit((v,))
-        if not self._insert(self._nf(lambda: self._pack(v))):
+        if not self._insert(self._nf(lambda: self._pack(v))[0]):
             return False
         if degree is None:
             self._saturate()
@@ -253,7 +296,7 @@ class _Engine:
         self._fit(vectors)
         pack = self.pk.pack
         for v in sorted(vectors, key=lambda v: max(map(pack, v))):
-            self._insert(self._nf(lambda: self._pack(v)))
+            self._insert(self._nf(lambda: self._pack(v))[0])
         self._saturate()
         return self
 
@@ -271,16 +314,23 @@ class _Engine:
         return self
 
     def _pack(self, v: dict) -> dict:
+        """v with packed terms; over Q, times the lcm of its denominators."""
         pack = self.pk.pack
-        return {pack(t): c for t, c in v.items()}
+        if self.ring.modulus is not None:
+            return {pack(t): c for t, c in v.items()}
+        den = lcm(*(c.denominator for c in v.values()))
+        return {pack(t): c.numerator * (den // c.denominator) for t, c in v.items()}
 
-    def _unpack(self, d: dict) -> dict:
+    def _unpack(self, d: dict, divisor: int = 1) -> dict:
+        """The packed dict d with tuple terms; over Q, divided by `divisor`."""
         unpack = self.pk.unpack
-        return {unpack(m): c for m, c in d.items()}
+        if self.ring.modulus is not None:
+            return {unpack(m): c for m, c in d.items()}
+        return {unpack(m): Fraction(c, divisor) for m, c in d.items()}
 
     def _element(self, k: int) -> dict:
-        _, lead, tail = self.elems[k]
-        d = {lead: self.ring.coeff(1)}
+        _, lead, tail, a = self.elems[k]
+        d = {lead: a}
         d.update(tail)
         return d
 
@@ -304,8 +354,9 @@ class _Engine:
         for d in old:
             self._install(self._pack(d))
 
-    def _nf(self, make, reducers=None) -> dict:
-        """Normal form of the packed dict make() builds, modulo reducers() or the basis.
+    def _nf(self, make, reducers=None) -> tuple[dict, int]:
+        """(remainder, scale) of the packed dict make() builds, modulo reducers()
+        or the basis (see `_nf_dict`).
 
         On overflow the fields are widened, and the dict rebuilt and reduced again.
         """
@@ -317,10 +368,12 @@ class _Engine:
                 self._repack(2 * self.pk.bits, self.pk.comps)
 
     def _install(self, d: dict) -> int:
-        """Append the monic packed dict d as an element and reducer; returns its component."""
+        """Append the normalized packed dict d as an element and reducer; returns
+        its component."""
         pk = self.pk
         lead = max(d)
-        entry = (lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead))
+        entry = (lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead),
+                 d[lead])
         comp = lead & pk.cmask
         self.elems.append(entry)
         self.leads.append(pk.unpack(lead))
@@ -331,7 +384,7 @@ class _Engine:
         """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
         if not r:
             return False
-        comp = self._install(_monic_dict(r, self.ring))
+        comp = self._install(_normalized(r, self.ring.modulus))
         self.origins.append(origin)
         new = len(self.elems) - 1
         members = self.members.setdefault(comp, [])
@@ -369,18 +422,22 @@ class _Engine:
         self.pairs = kept
 
     def _spoly(self, i: int, j: int, lcm: tuple) -> dict:
-        """S-polynomial of the monic basis elements i and j, from their tails.
+        """S-polynomial of the basis elements i and j, from their tails.
 
-        `lcm` is the lcm of their leads, as a tuple.
+        `lcm` is the lcm of their leads, as a tuple.  The elements are
+        cross-multiplied by their lead coefficients over their gcd, which
+        over GF(p), where both are 1, changes nothing.
         """
-        _, li, ti = self.elems[i]
-        _, lj, tj = self.elems[j]
+        _, li, ti, ai = self.elems[i]
+        _, lj, tj, aj = self.elems[j]
         gamma = self.pk.pack(lcm)
         si, sj, mod = gamma - li, gamma - lj, self.ring.modulus
-        out = {si + m: c for m, c in ti}
+        g = gcd(ai, aj)
+        ci, cj = aj // g, ai // g
+        out = {si + m: ci * c for m, c in ti}
         for m, c in tj:
             m2 = sj + m
-            nc = out.get(m2, 0) - c
+            nc = out.get(m2, 0) - cj * c
             if mod is not None:
                 nc %= mod
             if nc:
@@ -397,7 +454,7 @@ class _Engine:
             if degree is not None and keys[k][0] > degree:
                 return
             _, lcm, i, j = self.pairs.pop(k)
-            self._insert(self._nf(lambda: self._spoly(i, j, lcm)), lcm)
+            self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0], lcm)
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):
@@ -412,9 +469,9 @@ def _buchberger_dicts(inputs, ring: RingSpec):
     # interreduce tails; leads stay, so the result ascends by lead like `kept`
     final = []
     for k in kept:
-        r = engine._nf(lambda k=k: engine._element(k),
-                       lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
-        final.append(engine._unpack(r))
+        r, _ = engine._nf(lambda k=k: engine._element(k),
+                          lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
+        final.append(engine._unpack(r, r[max(r)]))
     return final
 
 
@@ -692,12 +749,22 @@ def hilbert_series_numerator(gens) -> dict[int, int]:
     return dict(gens._hilbert_numerator)
 
 
+def numerator_from_colon(num_with_u: dict, e: int, num_colon: dict) -> dict[int, int]:
+    """Hilbert numerator of R/K from those of R/(K, u) and R/(K : u), u a form
+    of degree e: num_with_u + t^e num_colon, by the exact sequence
+    0 -> R/(K : u)(-e) -> R/K -> R/(K, u) -> 0.  So a candidate C inside
+    K : u is K : u exactly when N(K) = numerator_from_colon(N(K, u), e, N(C)).
+    """
+    return _p1_add(num_with_u, _p1_shift(num_colon, e))
+
+
 def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     """True iff the form u is a nonzerodivisor on R/I, `gb` the reduced basis of I.
 
     For u of degree e, HS(R/(I, u)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} u)
-    (Stanley, Adv. Math. 1978), so u is regular exactly when the Hilbert
-    numerators satisfy N(I, u) = (1 - t^e) N(I).  The basis of (I, u) extends
+    (Stanley, Adv. Math. 1978), so u is regular, I : u = I, exactly when the
+    Hilbert numerators satisfy N(I) = N(I, u) + t^e N(I)
+    (`numerator_from_colon`).  The basis of (I, u) extends
     `gb`: its elements are adopted as they stand and only the pairs that u's
     remainder forms are closed.  `colon` is the test oracle: u is regular
     iff I : u = I.
@@ -711,8 +778,8 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     numerator = gb._hilbert_numerator
     engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
     engine.add(_to_dict(u))
-    cut = _p1_shift({k: -c for k, c in numerator.items()}, u.total_degree())
-    return _hilb_rec(_mono_minimalize(engine.leads), {}) == _p1_add(numerator, cut)
+    return numerator == numerator_from_colon(_hilb_rec(_mono_minimalize(engine.leads), {}),
+                                             u.total_degree(), numerator)
 
 
 def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
@@ -752,7 +819,8 @@ from .resolutions import (  # noqa: E402
 __all__ = [
     "GroebnerBasis", "buchberger", "normal_form", "spolynomial", "ideal_equal",
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
-    "hilbert_series_numerator", "is_regular", "dim_and_multiplicity", "InhomogeneousError",
+    "hilbert_series_numerator", "numerator_from_colon", "is_regular", "dim_and_multiplicity",
+    "InhomogeneousError",
     "BettiTable", "Resolution", "ResolutionBoundError",
     "minimal_free_resolution", "syzygies",
 ]

@@ -228,7 +228,14 @@ def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     """P_0 : F_0 = P_0, and P_i : F_i = (x_1..x_n) for 1 <= i <= d-2.
 
     The first says F_0 is regular on S/P_0, which `groebner.is_regular`
-    decides; the support colons are computed by `groebner.colon`."""
+    decides.  The support colons are read off Hilbert numerators: with
+    P_{i+1} = (P_i, F_i) and e = deg F_i, the exact sequence
+    0 -> S/(P_i : F_i)(-e) -> S/P_i -> S/P_{i+1} -> 0 gives
+    HS(S/(P_i : F_i)) t^e = HS(S/P_i) - HS(S/P_{i+1}) (Stanley, Adv. Math.
+    1978).  So P_i : F_i = (x_1..x_n) exactly when x_k F_i lies in P_i for
+    every k and N(P_i) - N(P_{i+1}) = t^e (1 - t)^n.  P_{d-1}'s basis is
+    `_predicted_basis`; `groebner.colon` is the test oracle.
+    """
     links = chain(j)
     s_ring = j.working_ring()
     witnesses = []
@@ -239,10 +246,16 @@ def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
         witnesses.append("P_0 : F_0 enlarged P_0")
 
     support = [s_ring.variable(nm) for nm in j.source.names[: j.n]]
+    bases = [groebner.buchberger(links[i], ring=s_ring) for i in range(1, j.d - 1)]
+    if bases:
+        bases.append(_predicted_basis(j))
+    support_num = groebner.hilbert_series_numerator(support)
     results = []
-    for i in range(1, j.d - 1):
-        got = groebner.colon(list(links[i]), links[i + 1][-1])
-        ok = groebner.ideal_equal(got, support)
+    for i, (here, after) in enumerate(zip(bases, bases[1:]), start=1):
+        form = links[i + 1][-1]
+        ok = (groebner.hilbert_series_numerator(here) == groebner.numerator_from_colon(
+                  groebner.hilbert_series_numerator(after), form.total_degree(), support_num)
+              and all(here.contains(x * form) for x in support))
         results.append(ok)
         if not ok:
             witnesses.append(f"P_{i} : F_{i} != (x_1..x_{j.n})")
@@ -472,13 +485,12 @@ class SpecializationReport:
     lam: Polynomial | None
     regular: bool
     degree_ok: bool
-    proportional: bool
     scalar: object | None
     rejected: tuple[Polynomial, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.regular and self.degree_ok and self.proportional
+        return self.regular and self.degree_ok
 
 
 def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
@@ -528,8 +540,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
             break
         rejected.append(cand)
     else:
-        return SpecializationReport(lam=lam, regular=False, degree_ok=False,
-                                    proportional=False, scalar=None,
+        return SpecializationReport(lam=lam, regular=False, degree_ok=False, scalar=None,
                                     rejected=tuple(rejected))
 
     ell = ring.variable(last) - lam
@@ -546,7 +557,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     else:
         log.debug("D(x, lam) = 0: no implicit equation of degree %d", j.d)
     found = implicit is not None
-    return SpecializationReport(lam=lam, regular=True, degree_ok=found, proportional=found,
+    return SpecializationReport(lam=lam, regular=True, degree_ok=found,
                                 scalar=ell_of_inverse.lc() if found else None,
                                 rejected=tuple(rejected))
 

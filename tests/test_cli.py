@@ -306,6 +306,16 @@ def test_modulus_flag_zero_is_not_replaced_by_default(tmp_path, capsys):
     assert json.loads(out)["modulus"] == 101
 
 
+def test_modulus_flag_on_a_rational_case_is_parse_error(e1_file, capsys, monkeypatch):
+    code, out, err = run(capsys, "validate", e1_file, "--modulus", "32004")
+    assert code == 1 and out == ""
+    assert err == "parse error: --modulus 32004 given for a field: rational case file\n"
+    # JONQ_MODULUS is only a default for fp case files: a rational one ignores it
+    monkeypatch.setenv("JONQ_MODULUS", "32004")
+    code, out, err = run(capsys, "validate", e1_file, "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["modulus"] is None
+
 def test_validate_rejects_a_strong_pseudoprime_modulus(tmp_path, capsys):
     # 399165290221 * 798330580441 passes Miller-Rabin for every base 2..37
     path = tmp_path / "fp.jonq"

@@ -1,6 +1,7 @@
 """Groebner engine: bases, elimination, colon/saturation, Hilbert series."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,8 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from jonq import groebner as gb  # noqa: E402
 from jonq.orders import LEX  # noqa: E402
-from jonq.polycore import Polynomial, RingSpec, parse_polynomial, random_form  # noqa: E402
+from jonq.polycore import (  # noqa: E402
+    Polynomial, RingSpec, mono_div, mono_divides, parse_polynomial, random_form)
 
 
 @pytest.fixture
@@ -128,6 +130,56 @@ def test_normal_form_idempotent_randomized(R):
         r = gb.normal_form(p, G)
         assert gb.normal_form(r, G) == r
         assert gb.normal_form(p - r, G).is_zero()
+
+
+def fraction_remainder(p, basis):
+    """Remainder of p on division by a Groebner basis, in plain Fraction
+    arithmetic: the largest term divisible by a lead is cancelled first."""
+    ring, rem = p.ring, p.ring.zero()
+    while p:
+        m, c = p.terms[0]
+        g = next((g for g in basis if mono_divides(g.lm(), m)), None)
+        if g is None:
+            rem = rem + ring.monomial(m, c)
+            p = p - ring.monomial(m, c)
+        else:
+            p = p - ring.monomial(mono_div(m, g.lm()), c / g.lc()) * g
+    return rem
+
+
+rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 100))
+
+
+@st.composite
+def rational_division(draw):
+    """(reduced basis, p, c) over Q: 1-3 forms of degree 1..3 in three
+    variables and a polynomial p of degree up to 4, with denominators up to
+    100, and a nonzero rational c."""
+    ring = RingSpec(["x1", "x2", "x3"])
+
+    def mono(degree):
+        return st.lists(st.integers(0, 2), min_size=degree, max_size=degree).map(
+            lambda vs: tuple(vs.count(v) for v in range(3)))
+
+    def poly(degrees):
+        terms = st.tuples(st.sampled_from(degrees).flatmap(mono), rationals)
+        return Polynomial(ring, draw(st.lists(terms, min_size=1, max_size=4)))
+
+    gens = [poly((draw(st.integers(1, 3)),)) for _ in range(draw(st.integers(1, 3)))]
+    hypothesis.assume(any(gens))
+    return gb.buchberger(gens), poly(range(5)), draw(rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_division())
+def test_fraction_free_reduce_is_the_exact_remainder(case):
+    # over Q the engine reduces primitive integer vectors and tracks a scale;
+    # reduce must divide it out again
+    basis, p, c = case
+    assert basis.reduce(p) == fraction_remainder(p, basis.basis)
+    assert basis.reduce(p * c) == basis.reduce(p) * c
+    for g in basis.basis:
+        assert g.lc() == 1 and basis.reduce(g).is_zero()
 
 
 # ---------- ideal equality ----------

@@ -1,0 +1,86 @@
+"""Colons read off Hilbert numerators, against the `groebner.colon` oracle.
+
+`dejonq.structural_checks` decides I : f = (x_1..x_n) and
+`rees.colon_lemma_checks` decides P_i : F_i = (x_1..x_n) from Hilbert
+numerators (and, for the colon lemmas, the containment x_k F_i in P_i).
+Random valid maps pass every check, so each property also perturbs the
+input where the criteria still apply, to make the checks fail:
+
+- I : f: g gains x_{n+1}^d, leaving gcd(f, g) = 1 but g outside
+  (x_1..x_n), so that I : f = (x_1..x_n, g) and only the numerator differs;
+- the colon lemmas: the chain is rebuilt from P_0 with F_i replaced by
+  x_1 F_i (that lies in P_i, so P_i : F_i is the unit ideal and only the
+  numerator differs), or with x_1 and y_1 swapped in every link (the
+  colons become (y_1, x_2..x_n), with the numerators of (x_1..x_n), so only
+  the containment differs).
+"""
+
+import random
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+from jonq import dejonq, groebner as gb, rees  # noqa: E402
+from jonq.polycore import substitute  # noqa: E402
+
+FIELDS = st.sampled_from((None, 32003))
+
+
+def support(ring, n):
+    return [ring.variable(i) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))), FIELDS,
+       st.integers(0, 10 ** 6), st.booleans())
+def test_support_colon_from_the_numerator_matches_the_oracle(point, modulus, seed, outside):
+    n, d = point
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    if outside:
+        j = replace(j, g=j.g + j.source.variable(n) ** d)
+        hypothesis.assume(gb.is_regular(gb.buchberger([j.f]), j.g))
+    oracle = gb.ideal_equal(gb.colon(list(j.base_forms), j.f), support(j.source, n))
+    assert oracle == (not outside)
+    assert dejonq.structural_checks(j).colon_contains_support == oracle
+
+
+def rebuilt_chain(links, forms):
+    out = [links[0]]
+    for form in forms:
+        out.append(out[-1] + (form,))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((2, 3), (3, 3), (2, 4))), FIELDS, st.integers(0, 10 ** 6),
+       st.sampled_from(("none", "multiple", "swap")), st.data())
+def test_colon_lemmas_from_numerators_match_the_oracle(point, modulus, seed, change, data):
+    n, d = point
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    links = rees.chain(j)
+    ring = j.working_ring()
+    forms = [link[-1] for link in links[1:]]
+    if change == "multiple":
+        i = data.draw(st.integers(1, d - 2))
+        forms[i] = ring.variable("x1") * forms[i]
+        links = rebuilt_chain(links, forms)
+    elif change == "swap":
+        x1, y1 = ring.variable("x1"), ring.variable(j.target.names[0])
+        links = tuple(tuple(substitute(p, {"x1": y1, j.target.names[0]: x1}) for p in link)
+                      for link in links)
+    with mock.patch.object(rees, "chain", lambda m: links):
+        report = rees.colon_lemma_checks(j)
+    oracle = tuple(gb.ideal_equal(gb.colon(list(links[i]), links[i + 1][-1]), support(ring, n))
+                   for i in range(1, d - 1))
+    assert report.support_colons == oracle
+    if change == "swap":
+        assert not any(oracle)
+    elif change == "multiple":
+        assert not oracle[i - 1]
+    else:
+        assert all(oracle)

@@ -485,7 +485,7 @@ def test_specialization_linear_relation_has_no_single_equation(e1, monkeypatch):
     report = rees.specialization_check(e1, lam=e1.source.variable("x2"))
     assert report.regular
     assert not report.degree_ok
-    assert not report.proportional and report.scalar is None and not report.ok
+    assert not report.degree_ok and report.scalar is None and not report.ok
     # the points cannot show a one-form kernel here, so the products decide
     # from their rank, and find no single equation
     assert ranks == [rank]
