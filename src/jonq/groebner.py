@@ -45,10 +45,8 @@ of a ring map, by one `eliminate` in the ring of the source-only variables
 followed by the target's.  The presentation ideal of a blowup is such a
 kernel, but `rees.rees_ideal` certifies its predicted generators instead and
 runs `kernel` only when that certificate fails; the implicit equation of a
-specialized map, a principal kernel, is decided in one degree, from point
-evaluations or else from the rank of the degree-d products, their minimal
-generator count in this engine (`rees._implicit_equation`).  `kernel` is
-the test oracle of both.
+specialized map is read off the specialized forms in closed form
+(`rees.specialization_check`).  `kernel` is the test oracle of both.
 
 `is_regular` is the one nonzerodivisor test: it compares Hilbert numerators
 after extending a reduced basis by the form, closing only the new pairs.

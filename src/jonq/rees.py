@@ -22,16 +22,12 @@ iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
 linear section of S/J in fewer variables, certified regular by its Hilbert
 series, so its ResolutionBoundError carries a partial resolution over the
-section's ring (see `projdim_probe`).  The specialization check finds the
-implicit equation of y -> F(x, lam) by linear algebra in degree d, not by
-elimination: the inversion factor certifies that this kernel is principal,
-so it is the one kernel form of degree d, and ell = x_{n+1} - lam on the
-inverse is such a form.  Evaluations of F(x, lam) at points show that it
-spans the degree-d kernel (interpolation-based implicitization, after
-Corless, Giesbrecht, Kotsireas & Watt, AISC 2000, in exact arithmetic);
-only when they cannot do the degree-d products F^alpha decide, by sending
-the candidate to zero and by their minimal generator count, which is their
-rank (`_implicit_equation`; see `specialization_check`).
+section's ring (see `projdim_probe`).  The specialization check reads the
+implicit equation of y -> F(x, lam) in closed form: when f(x, lam) and
+g(x, lam) are coprime, which holds exactly when ell = x_{n+1} - lam is
+regular on R/I, the kernel is (h) with h = f(y', lam) y_{n+1} - g(y', lam),
+and ell on the inverse coordinates must be a multiple of h (see
+`specialization_check`).
 """
 
 from __future__ import annotations
@@ -40,8 +36,7 @@ import functools
 import logging
 import random
 from dataclasses import dataclass
-from math import comb, lcm
-from operator import mul
+from math import comb
 
 from . import groebner
 from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
@@ -359,124 +354,6 @@ def is_cohen_macaulay(j: DeJonquieresMap, projdim: int) -> bool:
     return projdim == j.n
 
 
-def _products(factors, d: int, one) -> dict:
-    """{alpha: factors^alpha} over |alpha| = d, each product built once as
-    factors^(alpha - e_i) factors_i with i the last index in alpha; the
-    factors are forms or field values."""
-    level = {(0,) * len(factors): one}
-    for _ in range(d):
-        level = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]: prod * factors[i]
-                 for alpha, prod in level.items()
-                 for i in range(max((k for k, e in enumerate(alpha) if e), default=0),
-                                len(factors))}
-    return level
-
-
-# evaluation points beyond the N - 1 that can reach rank N - 1, against bad draws
-_EXTRA_POINTS = 8
-# over Q the rank of the evaluation rows is taken modulo this prime, 2^61 - 1
-_RANK_PRIME = 2**61 - 1
-
-
-def _value(form: Polynomial, point):
-    """form at point, exactly: a residue over GF(p), a Fraction over Q."""
-    p = form.ring.modulus
-    total = 0
-    for mono, c in form.terms:
-        for x, e in zip(point, mono):
-            if e:
-                c *= x ** e
-        total += c
-    return total % p if p else total
-
-
-class _Values(tuple):
-    """Values at the evaluation points, multiplied pointwise."""
-
-    def __mul__(self, other):
-        return _Values(map(mul, self, other))
-
-
-def _spans_kernel(forms, d: int, candidate: Polynomial) -> bool:
-    """True when the candidate, a nonzero form of degree d, spans the null
-    space of the evaluation rows (y^alpha(F(x)))_{|alpha| = d}.
-
-    The N - 1 + _EXTRA_POINTS points x come from a fixed random.Random(0),
-    N the number of y^alpha.  The candidate must vanish exactly at each one,
-    and the N columns of values must have rank N - 1.  Over Q each point's
-    values are cleared of denominators, so the vanishing is checked in
-    integers, and the rank is taken modulo _RANK_PRIME, which can only lower
-    it.  A column is one int with one slot per point, wide enough that the
-    up to N - 1 updates column += (p - c) * pivot never carry out of a slot,
-    so only a new pivot's slots are reduced mod p.
-    """
-    field = candidate.ring.modulus
-    p = field or _RANK_PRIME
-    rng = random.Random(0)
-    npoints = comb(len(forms) - 1 + d, d) - 1 + _EXTRA_POINTS
-    points = [_random_point(forms[0].ring, rng) for _ in range(npoints)]
-    images = [[_value(form, x) for form in forms] for x in points]
-    scale = 1
-    if not field:  # clear denominators: the candidate is checked in integers
-        scale = lcm(*(c.denominator for _, c in candidate.terms))
-        for image in images:
-            common = lcm(*(v.denominator for v in image))
-            image[:] = [int(v * common) for v in image]
-    columns = _products([_Values(vals) for vals in zip(*images)], d, _Values([1] * npoints))
-    total = [0] * npoints
-    for alpha, c in candidate.terms:
-        total = [t + int(c * scale) * v for t, v in zip(total, columns[alpha])]
-    if any(t % field if field else t for t in total):
-        return False
-    nbytes = (2 * p.bit_length() + len(columns).bit_length() + 7) // 8
-    mask = (1 << 8 * nbytes) - 1
-
-    def pack(residues):
-        return int.from_bytes(b"".join(r.to_bytes(nbytes, "little") for r in residues),
-                              "little")
-
-    pivots = []  # (point, column with 1 there and every slot in [0, p))
-    for vals in columns.values():
-        col = pack([v % p for v in vals])
-        for at, pivot in pivots:
-            c = ((col >> 8 * nbytes * at) & mask) % p
-            if c:
-                col += (p - c) * pivot
-        raw = col.to_bytes(npoints * nbytes, "little")
-        residues = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") % p
-                    for k in range(npoints)]
-        at = next((k for k, r in enumerate(residues) if r), None)
-        if at is not None:
-            inv = pow(residues[at], -1, p)
-            pivots.append((at, pack([r * inv % p for r in residues])))
-    return len(pivots) == len(columns) - 1
-
-
-def _implicit_equation(forms, d: int, candidate: Polynomial) -> Polynomial | None:
-    """The monic candidate when it spans K_d, the degree-d forms in the
-    kernel of y -> forms, else None; the candidate is zero or a form of
-    degree d.
-
-    K_d lies in the null space of the evaluation rows, so when `_spans_kernel`
-    shows that null space to be the candidate's span, K_d is that span.
-    Otherwise the products F^alpha, |alpha| = d, decide: the candidate lies
-    in K_d when sum c_alpha F^alpha = 0, and K_d is one form when the
-    products span N - 1 dimensions, which for forms of one degree is their
-    minimal generator count.
-    """
-    if not candidate:
-        return None
-    if _spans_kernel(forms, d, candidate):
-        log.debug("implicit equation of degree %d decided by points", d)
-        return candidate.monic()
-    log.debug("implicit equation of degree %d decided by products", d)
-    level = _products(forms, d, forms[0].ring.one())
-    if (sum((level[alpha] * c for alpha, c in candidate.terms), forms[0].ring.zero())
-            or minimal_generator_count(level.values()) != len(level) - 1):
-        return None
-    return candidate.monic()
-
-
 SPECIALIZATION_TRIES = 25
 
 
@@ -497,34 +374,39 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
                          rng: random.Random | None = None) -> SpecializationReport:
     """Implicit equation of the specialized map versus the inverse coordinates.
 
-    Cuts by a linear form ell = x_{n+1} - lam regular on R/I and certifies
-    that ell evaluated on the inverse coordinates spans the degree-d part of
-    the kernel of y -> F(x, lam), so that its monic form is the implicit
-    equation h and its leading coefficient the scalar.  The
-    inversion factor D certifies that the kernel of y -> F(x, lam) is
-    principal: the inverse sends F(x, lam) to D_H (x, lam) with
-    D_H = D(x, lam), so when D_H != 0 the image contains the algebraically
-    independent D_H x_1, .., D_H x_n, and the kernel is a height-1 prime of
-    the UFD k[y], i.e. (h0).  Its degree-d part is then one form exactly when
-    deg h0 = d (a generator of lower degree times the forms of the remaining
-    degree gives at least n+1 of them), and that form, made monic in
-    grevlex, is the reduced basis of the kernel.  ell on the inverse
-    coordinates lies in that degree-d part, since G(F) = D x gives
-    ell(G(F(x, lam))) = D_H ell(x, lam) = 0, so it is the candidate that
-    `_implicit_equation` tests, from point evaluations or else from the
-    products F^alpha through the Groebner engine.  One nonzero value of
-    D_H at a point shows D_H != 0; a zero value is settled by substitution.
-    When D_H = 0 or the degree-d part is not one form, degree_ok is False.
-    Without a given lam, up to SPECIALIZATION_TRIES random forms are tried
-    (`groebner.is_regular` tests each); if all are rejected (as when R/I has
-    depth 0, e.g. n = 1), the report has regular=False, lam=None and the
-    rejected forms.
+    Cuts by ell = x_{n+1} - lam.  With f_H = f(x, lam) and g_H = g(x, lam) in
+    k[x_1..x_n], lam is taken exactly when gcd(f_H, g_H) = 1, i.e. when g_H
+    is regular modulo f_H (`groebner.is_regular`); then the implicit equation
+    of F_H = (x_1 f_H : .. : x_n f_H : g_H) is h = f_H(y') y_{n+1} - g_H(y'),
+    degree_ok says that ell on the inverse coordinates is a multiple of h,
+    and scalar is its leading coefficient.  This one test decides both
+    verdicts (Bruns & Herzog, Cohen-Macaulay Rings, 1.2 and 1.5):
+
+    - ell is regular on R/I exactly when gcd(f_H, g_H) = 1.  `construct`
+      certifies gcd(f, g) = 1 and g in m' = (x_1..x_n), so I : f = m' and
+      (f, g)/I is (R/m')(-(d-1)).  At a minimal prime of (f, g) other than
+      m', I = (f, g) locally, so Ass(R/I) = {m'} u Min(f, g).  ell is not in
+      m', so it is regular on R/I exactly when it avoids Min(f, g), which is
+      Ass(R/(f, g)) since f, g is a regular sequence; that is, when f, g,
+      ell, and so ell, f, g, is a regular sequence, i.e. when f_H, g_H is
+      one in R/(ell) = k[x_1..x_n].  At n = 1 both fail for every lam: f_H
+      and g_H are both multiples of x_1.
+    - The kernel of y -> F_H is (h).  A form Phi(y', y_{n+1}) of degree e
+      goes to f_H^e Phi(x, g_H / f_H), so it lies in the kernel exactly when
+      f_H T - g_H divides Phi(x, T) in k[x][T]; f_H T - g_H is primitive and
+      linear in T, so irreducible by Gauss's lemma.  ell on the inverse G
+      lies in the kernel, since G(F) = D x gives
+      ell(G(F_H)) = D(x, lam) ell(x, lam) = 0, and it has degree d = deg h,
+      so it is c h; monic forms compare it, and a nonzero c is the scalar.
+
+    Without a given lam, up to SPECIALIZATION_TRIES random forms are tried;
+    if all are rejected (as when R/I has depth 0, e.g. n = 1), the report
+    has regular=False, lam=None and the rejected forms.
     """
     ring = j.source
     n = j.n
     last = ring.names[n]
-    base = list(j.base_forms)
-    base_gb = groebner.buchberger(base)
+    cut = RingSpec(ring.names[:n], ring.modulus)
     rng = rng or random.Random(0)
 
     def random_candidates():
@@ -533,32 +415,27 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
             yield Polynomial(ring, [(u, rng.randrange(1, 1001) if ring.modulus is None
                                      else rng.randrange(0, ring.modulus)) for u in units])
 
-    rejected = []
+    rejected, regular = [], False
     for cand in ((lam,) if lam is not None else random_candidates()):
-        if groebner.is_regular(base_gb, ring.variable(last) - cand):
-            lam = cand
+        on_cut = {last: transport(cand, cut)}
+        fh, gh = substitute(j.f, on_cut), substitute(j.g, on_cut)
+        if fh and gh and groebner.is_regular(groebner.buchberger([fh]), gh):
+            lam, regular = cand, True
             break
         rejected.append(cand)
-    else:
-        return SpecializationReport(lam=lam, regular=False, degree_ok=False, scalar=None,
-                                    rejected=tuple(rejected))
 
-    ell = ring.variable(last) - lam
-    cut = RingSpec(ring.names[:n], ring.modulus)
-    lam_cut = transport(lam, cut)
-    inv, cert = inverse(j)
-    ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
-    implicit = None
-    point = _random_point(cut, random.Random(0))
-    if (_value(cert.factor, point + [_value(lam_cut, point)])
-            or substitute(cert.factor, {last: lam_cut})):
-        implicit = _implicit_equation(
-            [substitute(form, {last: lam_cut}) for form in base], j.d, ell_of_inverse)
-    else:
-        log.debug("D(x, lam) = 0: no implicit equation of degree %d", j.d)
-    found = implicit is not None
-    return SpecializationReport(lam=lam, regular=True, degree_ok=found,
-                                scalar=ell_of_inverse.lc() if found else None,
+    degree_ok, scalar, verdict = False, None, "no regular cut"
+    if regular:
+        inv, _ = inverse(j)
+        ell = ring.variable(last) - lam
+        ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
+        to_y = dict(zip(cut.names, j.target.variables()))
+        h = substitute(fh, to_y) * j.target.variable(n) - substitute(gh, to_y)
+        degree_ok = ell_of_inverse.monic() == h.monic()
+        scalar = ell_of_inverse.lc() if degree_ok else None
+        verdict = "pass" if degree_ok else "equation differs"
+    log.debug("specialization: lam = %s, %d rejected, %s", lam, len(rejected), verdict)
+    return SpecializationReport(lam=lam, regular=regular, degree_ok=degree_ok, scalar=scalar,
                                 rejected=tuple(rejected))
 
 

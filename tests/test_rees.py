@@ -1,6 +1,5 @@
 """Blowup presentation ideal: generation theorem, colon lemmas, cone data."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -424,72 +423,36 @@ def test_specialization_depth_zero_rejects_every_candidate():
 
 
 def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monkeypatch):
-    # h comes from linear algebra in degree d: no elimination runs in a ring
-    # holding both x_1 and y_1, and h is the reduced basis that eliminating
-    # x from (y_i - F_i(x, lam)) gives
-    calls, found = [], []
-    eliminate, implicit = gb.eliminate, rees._implicit_equation
+    # h is read off f_H and g_H: no elimination runs in a ring holding both
+    # x_1 and y_1, and ell on the inverse coordinates, made monic, is the
+    # reduced basis that eliminating x from (y_i - F_i(x, lam)) gives
+    calls = []
+    eliminate = gb.eliminate
 
     def spy_eliminate(gens, nblock):
         calls.append(gens[0].ring)
         return eliminate(gens, nblock)
 
-    def spy_implicit(forms, d, candidate):
-        found.append(implicit(forms, d, candidate))
-        return found[-1]
-
     monkeypatch.setattr(gb, "eliminate", spy_eliminate)
-    monkeypatch.setattr(rees, "_implicit_equation", spy_implicit)
     rng = random.Random(82)
     maps = [e1, e3] + [dejonq.random_map(n, d, rng, modulus)
                        for modulus in (32003, None)
                        for (n, d) in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 4))]
     for j in maps:
         calls.clear()
-        found.clear()
         report = rees.specialization_check(j, rng=random.Random(5))
         assert report.ok and report.degree_ok, (j.n, j.d)
         assert not [ring for ring in calls
                     if {j.source.names[0], j.target.names[0]} <= set(ring.names)]
+        inv, _ = dejonq.inverse(j)
+        ell = j.source.variable(j.n) - report.lam
+        equation = substitute(ell, dict(zip(j.source.names, inv.base_forms)))
         cut = RingSpec(j.source.names[:j.n], j.source.modulus)
         lam = transport(report.lam, cut)
         images = {y: substitute(form, {j.source.names[j.n]: lam})
                   for y, form in zip(j.target.names, j.base_forms)}
-        assert found == gb.kernel(j.target, images), (j.n, j.d)
-
-
-def test_specialization_linear_relation_has_no_single_equation(e1, monkeypatch):
-    # with F_3 = F_1 + F_2 the kernel holds y3 - y1 - y2, so its degree-d
-    # part is (y3 - y1 - y2) times all forms of degree d-1: C(n+d-1, n)
-    # forms, and the C(n+d, n) products have rank C(n+d, n) - C(n+d-1, n)
-    forms = [P("x1*x2", e1.source), P("x2^2", e1.source)]
-    forms.append(forms[0] + forms[1])
-    rank = comb(2 + 2, 2) - comb(2 + 2 - 1, 2)
-    assert rees.minimal_generator_count(rees._products(forms, 2, e1.source.one()).values()) == rank
-    implicit, count, found, ranks = rees._implicit_equation, rees.minimal_generator_count, [], []
-
-    def related(forms, d, candidate):
-        # a candidate in the kernel of the related forms, so that only the
-        # products' rank can reject it
-        y1, y2, y3 = e1.target.variables()
-        in_kernel = (y3 - y1 - y2) * y1 ** (d - 1)
-        found.append(implicit(forms[:-1] + [forms[0] + forms[1]], d, in_kernel))
-        return found[-1]
-
-    def spy_count(gens):
-        ranks.append(count(gens))
-        return ranks[-1]
-
-    monkeypatch.setattr(rees, "_implicit_equation", related)
-    monkeypatch.setattr(rees, "minimal_generator_count", spy_count)
-    report = rees.specialization_check(e1, lam=e1.source.variable("x2"))
-    assert report.regular
-    assert not report.degree_ok
-    assert not report.degree_ok and report.scalar is None and not report.ok
-    # the points cannot show a one-form kernel here, so the products decide
-    # from their rank, and find no single equation
-    assert ranks == [rank]
-    assert found == [None]
+        assert [equation.monic()] == gb.kernel(j.target, images), (j.n, j.d)
+        assert report.scalar == equation.lc()
 
 
 def test_specialization_randomized():
@@ -501,83 +464,27 @@ def test_specialization_randomized():
         assert report.degree_ok
 
 
-def cm_tail_cases():
-    """The benchmark's cm-tail cases: criterion-7 maps #25, #28 and #29 of
-    random.Random(2033), each specialized with its index as the seed."""
-    rng = random.Random(2033)
-    maps = [dejonq.random_map(n, d, rng, 32003)
-            for (n, d) in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4))
-            for _ in range(5)]
-    return [(maps[k], k) for k in (25, 28, 29)]
-
-
-def test_specialization_points_decide_without_products(e1, e3, monkeypatch):
-    ranks = []
-    monkeypatch.setattr(rees, "minimal_generator_count",
-                        lambda gens: ranks.append(gens) or 0)
-    for j, seed in [(e1, 0), (e3, 0)] + cm_tail_cases():
-        report = rees.specialization_check(j, rng=random.Random(seed))
-        assert report.ok, (j.n, j.d, seed)
-    assert ranks == []
-
-
-def test_specialization_logs_what_decided_the_equation(e1, caplog, monkeypatch):
+def test_specialization_logs_what_decided_the_equation(e1, caplog):
+    # one DEBUG line per check names lam, the rejected candidates and the verdict
     R = e1.source
     with caplog.at_level("DEBUG", logger="jonq.rees"):
         rees.specialization_check(e1, lam=R.variable("x2"))
-    assert "implicit equation of degree 2 decided by points" in caplog.messages
-    caplog.clear()
-    monkeypatch.setattr(rees, "_spans_kernel", lambda forms, d, candidate: False)
-    with caplog.at_level("DEBUG", logger="jonq.rees"):
-        assert rees.specialization_check(e1, lam=R.variable("x2")).ok
-    assert "implicit equation of degree 2 decided by products" in caplog.messages
-
-
-def test_specialization_no_equation_when_the_factor_vanishes_on_the_cut(e1, monkeypatch):
-    # ell dividing the inversion factor makes D(x, lam) = 0: nothing then
-    # shows the kernel to be principal, so no equation is read off, although
-    # the points alone would find a one-form kernel
-    R = e1.source
-    lam = R.variable("x2")
-    ell = R.variable("x3") - lam
-    inverse = rees.inverse
-
-    def divisible_factor(j):
-        inv, cert = inverse(j)
-        return inv, dataclasses.replace(cert, factor=cert.factor * ell)
-
-    monkeypatch.setattr(rees, "inverse", divisible_factor)
-    report = rees.specialization_check(e1, lam=lam)
-    assert report.regular
-    assert not report.degree_ok and report.scalar is None and not report.ok
-
-
-def test_specialization_zero_factor_value_is_settled_by_substitution(e1, monkeypatch):
-    # a factor that vanishes at the evaluation point but not on the cut
-    # still gives the equation: the zero value only sends D(x, lam) to
-    # substitution
-    R = e1.source
-    lam = R.variable("x2")
-    expected = rees.specialization_check(e1, lam=lam)
-    a, b = rees._random_point(RingSpec(R.names[:2], R.modulus), random.Random(0))
-    through = b * R.variable("x1") - a * R.variable("x2")
-    inverse = rees.inverse
-
-    def factor_through_point(j):
-        inv, cert = inverse(j)
-        return inv, dataclasses.replace(cert, factor=cert.factor * through)
-
-    monkeypatch.setattr(rees, "inverse", factor_through_point)
-    assert rees.specialization_check(e1, lam=lam) == expected
-    assert expected.ok
+        rees.specialization_check(e1, lam=R.variable("x1"))
+        rees.specialization_check(dejonq.random_map(1, 2, random.Random(3)),
+                                  rng=random.Random(4))
+    assert caplog.messages == [
+        "specialization: lam = x2, 0 rejected, pass",
+        "specialization: lam = x1, 1 rejected, no regular cut",
+        f"specialization: lam = None, {rees.SPECIALIZATION_TRIES} rejected, no regular cut",
+    ]
 
 
 def test_specialization_frontier_slice():
-    # the seed-0 `jonq explore` map at (5,5), trial 0; its products took
-    # about 11 s, the points take well under one
-    seed = 5 * 10_007 + 5 * 101
-    j = dejonq.random_map(5, 5, random.Random(seed))
-    assert rees.specialization_check(j, rng=random.Random(seed)).ok
+    # the seed-0 `jonq explore` maps at (5,5) and (6,8), trial 0
+    for n, d in ((5, 5), (6, 8)):
+        seed = n * 10_007 + d * 101
+        j = dejonq.random_map(n, d, random.Random(seed))
+        assert rees.specialization_check(j, rng=random.Random(seed)).ok, (n, d)
 
 
 # ---------- case report plumbing ----------
