@@ -43,13 +43,25 @@ def compose(outer, inner) -> tuple[Polynomial, ...]:
     return tuple(substitute(p, assignment) for p in outer)
 
 
-def _pullback(u: Polynomial, h: Polynomial, k: Polynomial) -> tuple[int, Polynomial]:
+def _ladder(p: Polynomial):
+    """power(e) = p ** e; each power is built once, from the one below it."""
+    powers = [p.ring.one()]
+
+    def power(e: int) -> Polynomial:
+        while len(powers) <= e:
+            powers.append(powers[-1] * p)
+        return powers[e]
+    return power
+
+
+def _pullback(u: Polynomial, hpow, kpow) -> tuple[int, Polynomial]:
     """(e, P) with u(x_1 h, .., x_n h, k) = h^e P for a form u in n+1 variables.
 
-    With u = sum_j u_j(y_1..y_n) y_{n+1}^j of degree t and top power m,
+    hpow and kpow give the powers of h and k (see _ladder).  With
+    u = sum_j u_j(y_1..y_n) y_{n+1}^j of degree t and top power m,
     u(x' h, k) = h^(t-m) sum_j u_j(x') h^(m-j) k^j; variable i of u's ring
     goes to variable i of h's ring."""
-    ring = h.ring
+    ring = hpow(0).ring
     if not u:
         return 0, ring.zero()
     n = ring.nvars - 1
@@ -59,7 +71,7 @@ def _pullback(u: Polynomial, h: Polynomial, k: Polynomial) -> tuple[int, Polynom
     top = max(parts)
     return (sum(u.terms[0][0]) - top,
             dot(ring, [Polynomial(ring, terms) for terms in parts.values()],
-                [h ** (top - j) * k ** j for j in parts]))
+                [hpow(top - j) * kpow(j) for j in parts]))
 
 
 def inversion_certificate(f: Polynomial, g: Polynomial,
@@ -86,15 +98,16 @@ def inversion_certificate(f: Polynomial, g: Polynomial,
             or fprime.ring.modulus != ring.modulus):
         raise RingMismatchError(
             "f' and g' need one ring with as many variables as the ring of f, over its field")
-    ea, pa = _pullback(fprime, f, g)
-    eb, pb = _pullback(gprime, f, g)
-    factor = f ** (ea + 1) * pa
+    fpow, gpow = _ladder(f), _ladder(g)
+    ea, pa = _pullback(fprime, fpow, gpow)
+    eb, pb = _pullback(gprime, fpow, gpow)
+    factor = fpow(ea + 1) * pa
     n = ring.nvars - 1
     if not factor:
-        if f ** eb * pb:
+        if fpow(eb) * pb:
             return CertificateFailure(n, "coordinate is not proportional")
         return CertificateFailure(0, "composition is identically zero")
     common = min(ea + 1, eb)
-    if f ** (eb - common) * pb != f ** (ea + 1 - common) * pa * ring.variable(n):
+    if fpow(eb - common) * pb != fpow(ea + 1 - common) * pa * ring.variable(n):
         return CertificateFailure(n, "coordinate is not proportional")
     return InversionCertificate(factor, int(factor.total_degree()))

@@ -37,8 +37,9 @@ update, which works on the lead tuples `_Engine.leads`.  Pair selection is
 normal, which for homogeneous input is degree-by-degree.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
-component, and reducers are bucketed by component.  Minimalizing and
-interreducing the final basis is a step only `buchberger` runs.
+component, never on a key's tag block (see `_Engine`), and reducers are
+bucketed by component.  Minimalizing and interreducing the final basis is a
+step only `buchberger` runs.
 
 `kernel` is the one elimination-based implicitization routine: the kernel
 of a ring map, by one `eliminate` in the ring of the source-only variables
@@ -239,9 +240,11 @@ class _Engine:
     `module` set, terms are encoded module terms (c, -c) + monomial: the
     product criterion is off and reducers and pairs are kept per component.
 
-    `origins[k]` is None if basis element k was adjoined as an input, else
-    the lcm tuple of the S-pair it was reduced from (`resolutions.syzygies`
-    reads it); it holds no packed ints, so repacking keeps it.
+    A module key may carry a tag block, `key.block` (components >= block,
+    ordered below all others; see `resolutions._module_key`).  An element
+    whose lead lies on it is a reducer but forms no pair, so the run is
+    Buchberger off the tag block only (`resolutions.syzygies` says why that
+    suffices).
 
     `_saturate` and `add` take an optional degree limit d.  Under a key
     that leads with the degree, closing only the pairs whose key leads with
@@ -256,9 +259,9 @@ class _Engine:
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
-        self.members: dict = {}  # component -> basis indices
+        self.members: dict = {}  # component -> basis indices that form pairs
         self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
-        self.origins: list = []  # basis index -> None (input) or S-pair lcm
+        self.block = getattr(self.key, "block", None)
 
     def element(self, k: int) -> dict:
         """Basis element k as a monic {term: coefficient} dict."""
@@ -307,7 +310,6 @@ class _Engine:
         self._fit(vectors)
         for v in vectors:
             comp = self._install(self._pack(v))
-            self.origins.append(None)
             self.members.setdefault(comp, []).append(len(self.elems) - 1)
         return self
 
@@ -378,16 +380,16 @@ class _Engine:
         self.reducers.setdefault(comp, []).append(entry)
         return comp
 
-    def _insert(self, r: dict, origin=None) -> bool:
+    def _insert(self, r: dict) -> bool:
         """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
         if not r:
             return False
         comp = self._install(_normalized(r, self.ring.modulus))
-        self.origins.append(origin)
-        new = len(self.elems) - 1
-        members = self.members.setdefault(comp, [])
-        self._update_pairs(new, members)
-        members.append(new)
+        if self.block is None or comp < self.block:
+            new = len(self.elems) - 1
+            members = self.members.setdefault(comp, [])
+            self._update_pairs(new, members)
+            members.append(new)
         return True
 
     def _update_pairs(self, new: int, members):
@@ -452,7 +454,7 @@ class _Engine:
             if degree is not None and keys[k][0] > degree:
                 return
             _, lcm, i, j = self.pairs.pop(k)
-            self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0], lcm)
+            self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0])
 
 
 def _buchberger_dicts(inputs, ring: RingSpec):

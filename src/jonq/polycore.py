@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .orders import GREVLEX, MonomialOrder
 
@@ -397,19 +399,44 @@ class Polynomial:
 
 # ---------- core operations ----------
 
+def _integral(p: Polynomial) -> tuple[list, int]:
+    """(terms of den * p with int coefficients, den), den the lcm of p's denominators."""
+    den = lcm(*(c.denominator for _, c in p.terms))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+
+
 def dot(ring: RingSpec, ps, qs) -> Polynomial:
-    """sum_i ps[i] * qs[i] in `ring`, merged in one dict and sorted once."""
+    """sum_i ps[i] * qs[i] in `ring`, merged in one dict and sorted once.
+
+    Over Q each factor is scaled to integer coefficients, the products are
+    summed as ints over the common denominator, and each output term makes
+    one Fraction.
+    """
     p = ring.modulus
     d: dict = {}
+    if p is None:
+        scaled = []
+        for a, b in zip(ps, qs):
+            if a.ring != ring or b.ring != ring:
+                raise RingMismatchError("polynomials live in different rings")
+            scaled.append((_integral(a), _integral(b)))
+        den = lcm(*(da * db for (_, da), (_, db) in scaled))
+        get = d.get
+        for (at, da), (bt, db) in scaled:
+            k = den // (da * db)
+            for m1, c1 in at:
+                c1 *= k
+                for m2, c2 in bt:
+                    m = tuple(map(add, m1, m2))
+                    d[m] = get(m, 0) + c1 * c2
+        return Polynomial._from_dict(ring, {m: Fraction(c, den) for m, c in d.items() if c})
     for a, b in zip(ps, qs):
         if a.ring != ring or b.ring != ring:
             raise RingMismatchError("polynomials live in different rings")
         for m1, c1 in a.terms:
             for m2, c2 in b.terms:
                 m = tuple(x + y for x, y in zip(m1, m2))
-                nc = d.get(m, 0) + c1 * c2
-                if p is not None:
-                    nc %= p
+                nc = (d.get(m, 0) + c1 * c2) % p
                 if nc:
                     d[m] = nc
                 else:

@@ -4,10 +4,10 @@ Module elements run on the Buchberger engine of groebner.py.  An element of
 R^s is a dict {term: coefficient} whose term of component c and monomial m
 is the flat tuple (c, -c) + m.  Syzygies of columns f_1..f_m inside R^s are
 computed by running the engine on the augmented vectors (f_i, e_i) in
-R^(s+m) under an order whose first s components dominate: basis elements
-supported entirely on the tag block are a Groebner basis of the syzygy
-module.  The engine applies only the chain criterion to modules, since the
-product criterion does not hold over free modules.
+R^(s+m) under an order whose first s components dominate: the basis
+elements supported entirely on the tag block (components s..s+m-1)
+generate the syzygy module.  The engine applies only the chain criterion to
+modules, since the product criterion does not hold over free modules.
 
 Resolutions iterate: take a minimal generating set of the current syzygy
 module (ascending-degree greedy, so minimality holds by graded Nakayama),
@@ -15,16 +15,21 @@ record the matrix, continue with its syzygies.  Matrices therefore have all
 entries in the maximal ideal and the resulting resolution is minimal; no
 unit-stripping pass is needed.
 
-Two facts keep the greedy from redoing the syzygy computation:
+Two facts keep each step from doing more than the greedy needs:
 
-- Only primary syzygies need to be offered to it: tag-block elements that
-  were reduced from an input vector or from an S-pair of two elements off
-  the tag block.  An element reduced from an S-pair of two tag-block
-  elements is an R-combination of tag-block elements created before it, all
-  of degree at most its own, so the greedy, which goes by (degree, index),
-  always finds it in the span of the columns before it.  (La Scala &
-  Stillman, "Strategies for computing minimal free resolutions", JSC 1998,
-  build the minimal resolution degree by degree on the same idea.)
+- The syzygy engine forms no S-pair between two tag-block elements; they
+  serve only as reducers.  This is exact.  A pair needs two leads in one
+  component, so no pair mixes a tag-block element with one off the tag
+  block, and tag-block terms sit below every other term, so the elements
+  off the tag block are those of a full run: a Groebner basis of the
+  column module.  Every tag-block element is then reduced from an input
+  vector or from an S-pair off the tag block, and differs from that pair's
+  lifted syzygy only by earlier tag-block elements.  By induction the
+  tag-block elements span what those lifts span, which by Schreyer's
+  theorem is the whole syzygy module.  They generate it but are not a
+  Groebner basis of it.  (La Scala & Stillman, "Strategies for computing
+  minimal free resolutions", JSC 1998, build minimal resolutions from
+  these syzygies alone.)
 - Membership of a homogeneous column of degree d needs only a d-truncated
   Groebner basis: before each test the greedy closes the pending pairs up
   to d, under a key that leads with the shifted degree, and no pair above
@@ -59,8 +64,10 @@ class ResolutionBoundError(JonqError):
 def _module_key(ring: RingSpec, block: int | None, shifts=None):
     """Sort key on module terms (c, -c) + mono; components c < block dominate.
 
-    With `shifts` (and no block) the key leads with the shifted degree
-    |mono| + shifts[c], 0 for components past the end of `shifts`.
+    With a block the key carries it as `key.block`, and the engine forms no
+    pairs on the tag block c >= block.  With `shifts` (and no block) the key
+    leads with the shifted degree |mono| + shifts[c], 0 for components past
+    the end of `shifts`.
     """
     ringkey = ring.key
     if shifts is not None:
@@ -75,6 +82,7 @@ def _module_key(ring: RingSpec, block: int | None, shifts=None):
     else:
         def key(term):
             return (1 if term[0] < block else 0,) + ringkey(term[2:]) + (term[1],)
+        key.block = block
     return key
 
 
@@ -114,28 +122,17 @@ def _column_degree(column, shifts) -> int:
     return degs.pop()
 
 
-class _Syzygies(list):
-    """The columns `syzygies` returns, plus `primary`, the sublist of those
-    reduced from an input vector or from an S-pair off the tag block."""
-
-    def __init__(self):
-        super().__init__()
-        self.primary: list = []
-
-
 def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     """Generating syzygies of scalar polynomials or of module columns.
 
     `gens` is either a list of polynomials (syzygies of an ideal's
     generators) or a list of equal-length polynomial columns.  Returns a
-    list of syzygy columns of length len(gens); they generate the full
-    syzygy module (in fact form a Groebner basis of it).  Its attribute
-    `primary` lists the primary columns (see the module docstring), which
-    alone generate the syzygy module.
+    list of syzygy columns of length len(gens) that generate the syzygy
+    module; they are not a Groebner basis of it (see the module docstring).
     """
     gens = list(gens)
     if not gens:
-        return _Syzygies()
+        return []
     if isinstance(gens[0], Polynomial):
         columns = [(g,) for g in gens]
     else:
@@ -152,17 +149,10 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
     gb = _module_groebner(augmented, ring, block=rank)
-    out = _Syzygies()
     # components below rank dominate the order: an element lies on the tag
     # block iff its lead does
-    for k, lead in enumerate(gb.leads):
-        if lead[0] >= rank:
-            col = _dict_to_column(gb.element(k), ring, rank, m)
-            out.append(col)
-            origin = gb.origins[k]
-            if origin is None or origin[0] < rank:
-                out.primary.append(col)
-    return out
+    return [_dict_to_column(gb.element(k), ring, rank, m)
+            for k, lead in enumerate(gb.leads) if lead[0] >= rank]
 
 
 def minimal_generators(columns, ring: RingSpec, shifts):
@@ -309,8 +299,8 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
             raise ResolutionBoundError(partial)
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
-        syz = syzygies([col for _, col in current])
-        current = minimal_generators(syz.primary, ring, shifts[-1])
+        current = minimal_generators(syzygies([col for _, col in current]), ring,
+                                     shifts[-1])
     return Resolution(ring, tuple(shifts), tuple(matrices), True)
 
 

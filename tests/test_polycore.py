@@ -161,6 +161,21 @@ def test_dot_is_the_sum_of_products_randomized():
         assert dot(ring, [], []) == ring.zero()
 
 
+@settings(max_examples=50, deadline=None)
+@given(ring_and_polynomials(6))
+def test_dot_matches_termwise_field_arithmetic(case):
+    # the reference multiplies and adds coefficients one at a time in the
+    # field (Fractions over Q), where dot clears denominators first
+    ring, ps, qs = case[0], case[1:4], case[4:]
+    acc: dict = {}
+    for a, b in zip(ps, qs):
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = tuple(x + y for x, y in zip(m1, m2))
+                acc[m] = acc.get(m, 0) + c1 * c2
+    assert dot(ring, ps, qs) == Polynomial(ring, acc)
+
+
 # ---------- substitute ----------
 
 def test_substitute_e1_relation_vanishes(R, W):

@@ -1,10 +1,12 @@
 """The resolution's shortcuts against the plain algorithm they replace.
 
-`minimal_free_resolution` offers `minimal_generators` only the primary
-syzygy columns, and `minimal_generators` closes pairs only up to the degree
-of the column it tests.  The reference below is the plain algorithm: every
-`syzygies()` column goes to a greedy that closes the basis after each
-column it keeps.  Both must give the same shifts and matrices.
+`syzygies` forms no S-pair between two tag-block elements, so it returns
+generators of the syzygy module, not a Groebner basis of it, and
+`minimal_generators` closes pairs only up to the degree of the column it
+tests.  The reference below is the plain algorithm: the tag-block part of a
+full Groebner basis of the augmented vectors goes to a greedy that closes
+the basis after each column it keeps.  Both must generate the same syzygy
+modules and give the same shifts.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from jonq.polycore import Polynomial, RingSpec, parse_polynomial  # noqa: E402
 from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
+    _dict_to_column,
     _module_groebner,
     _module_key,
     minimal_free_resolution,
@@ -43,21 +46,39 @@ def reference_greedy(columns, ring, rank, shifts):
     return kept, rejected
 
 
+def full_syzygies(columns, ring):
+    """The tag-block elements of a full Groebner basis of the augmented
+    vectors (f_i, e_i): a Groebner basis of the syzygy module of `columns`."""
+    rank, m = len(columns[0]), len(columns)
+    block_key = _module_key(ring, rank)
+    # a plain function carries no `block`, so the engine closes every pair
+    engine = groebner._Engine(ring, lambda term: block_key(term), module=True)
+    unit = (0,) * ring.nvars
+    engine.extend([{**_column_to_dict(col, ring), (rank + i, -rank - i) + unit: ring.coeff(1)}
+                   for i, col in enumerate(columns)])
+    return [_dict_to_column(engine.element(k), ring, rank, m)
+            for k, lead in enumerate(engine.leads) if lead[0] >= rank]
+
+
+def same_module(a, b, ring):
+    """True iff the column lists a and b span the same submodule."""
+    def inside(columns, span):
+        basis = _module_groebner([_column_to_dict(c, ring) for c in span], ring)
+        return all(not basis.reduce(_column_to_dict(c, ring)) for c in columns)
+    return inside(a, b) and inside(b, a)
+
+
 def reference_resolution(columns, ring, rank0):
-    """(shifts, matrices, number of unoffered syzygy columns the greedy kept)."""
+    """(shifts, matrices) of the plain algorithm, fed the full syzygy bases."""
     shifts = [(0,) * rank0]
     matrices = []
     current, _ = reference_greedy(columns, ring, rank0, shifts[0])
-    strays = 0
     while current:
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
-        syz = syzygies([col for _, col in current])
-        current, rejected = reference_greedy(syz, ring, len(shifts[-1]), shifts[-1])
-        offered = {id(col) for col in syz.primary}
-        rejected = {id(col) for col in rejected}
-        strays += sum(id(col) not in offered and id(col) not in rejected for col in syz)
-    return tuple(shifts), tuple(matrices), strays
+        current, _ = reference_greedy(full_syzygies([col for _, col in current], ring),
+                                      ring, len(shifts[-1]), shifts[-1])
+    return tuple(shifts), tuple(matrices)
 
 
 def assert_matches_reference(gens):
@@ -67,11 +88,15 @@ def assert_matches_reference(gens):
         ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
     # Hilbert's syzygy theorem bounds the length by the number of variables
     res = minimal_free_resolution(gens, length_bound=ring.nvars)
-    shifts, matrices, strays = reference_resolution(columns, ring, len(columns[0]))
+    shifts, matrices = reference_resolution(columns, ring, len(columns[0]))
     assert res.complete
     assert res.shifts == shifts
-    assert res.matrices == matrices
-    assert strays == 0
+    assert res.matrices[:1] == matrices[:1]
+    # exact: each matrix spans the full syzygy module of the one before it,
+    # and the last one has none
+    for prev, mat in zip(res.matrices, res.matrices[1:]):
+        assert same_module(mat, full_syzygies(prev, ring), ring)
+    assert not res.matrices or not full_syzygies(res.matrices[-1], ring)
 
 
 @st.composite
@@ -114,10 +139,20 @@ def column_sets(draw):
 Q3 = RingSpec(["x1", "x2", "x3"])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ideals(), column_sets()))
+def test_syzygies_generate_the_full_basis_module(gens):
+    if isinstance(gens[0], Polynomial):
+        ring, columns = gens[0].ring, [(g,) for g in gens]
+    else:
+        ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
+    assert same_module(syzygies(gens), full_syzygies(columns, ring), ring)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(ideals(), column_sets()))
 # an exponent above the initial 8-bit field cap: the greedy's engine repacks
-# when that column arrives, after elements with origins exist
+# when that column arrives, after S-pair elements exist
 @example([parse_polynomial(g, Q3) for g in ("x1^130 - x2^129*x3", "x1*x2 - x3^2",
                                              "x2^2 + x1*x3")])
 def test_resolution_matches_full_saturation_reference(gens):
@@ -131,7 +166,7 @@ def test_primary_syzygies_survive_a_repack(monkeypatch):
     repack = groebner._Engine._repack
 
     def recording_repack(self, bits, comps):
-        repacked_with.append(len(self.origins))
+        repacked_with.append(len(self.elems))
         repack(self, bits, comps)
 
     monkeypatch.setattr(groebner._Engine, "_repack", recording_repack)
@@ -142,7 +177,7 @@ def test_primary_syzygies_survive_a_repack(monkeypatch):
             "x1^50*x2^5*x3^8 - x1^17*x2^3*x3^43")]
         repacked_with.clear()
         syzygies(gens)
-        assert any(repacked_with)
+        assert any(count > len(gens) for count in repacked_with)
         assert_matches_reference(gens)
 
 
