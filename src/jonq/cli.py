@@ -13,9 +13,9 @@ Case files are UTF-8 text with `key: value` lines (# starts a comment):
 Any other key, or a key given twice, is a parse error.
 Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error
 or failed check.  `explore` exits 3 when some report fails a check, else 2
-when some grid point has no valid map (n = 1, d >= 3): that point's cases
-become records with a `rejected` reason, and the other reports and the
-summary table are still printed.
+when some case has no map (none exists at n = 1, d >= 3; `random_map` draws
+none over GF(2) at d = 2): such cases become records with a `rejected`
+reason, and the other reports and the summary table are still printed.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
@@ -39,8 +39,6 @@ from .polycore import JonqError, ParseError, parse_polynomial
 
 DEFAULT_MODULUS = 32003
 _CASE_KEYS = ("n", "d", "field", "f", "g", "seed", "checks")
-# report keys holding a "pass"/"fail" verdict
-_VERDICT_KEYS = ("theorem", "colon", "cone_hilbert", "special")
 
 
 class CaseFileError(ParseError):
@@ -239,7 +237,7 @@ def cmd_rees(args) -> int:
 
 
 def _failed(report: dict) -> bool:
-    return any(report.get(k) == "fail" for k in _VERDICT_KEYS)
+    return any(report.get(k) == "fail" for k in rees.VERDICT_KEYS)
 
 
 def _parse_range(text: str, least: int) -> tuple[int, int]:
@@ -262,7 +260,7 @@ def _explore_case(task):
     rng = random.Random(case_seed)
     try:
         j = dejonq.random_map(n, d, rng, modulus)
-    except ConstructionError as exc:
+    except JonqError as exc:
         return {"case": {"n": n, "d": d, "seed": case_seed}, "modulus": modulus,
                 "rejected": str(exc)}
     return rees.case_report(j, seed=case_seed, checks=checks)

@@ -521,7 +521,7 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def buchberger(gens, order=None, ring: RingSpec | None = None) -> GroebnerBasis:
+def buchberger(gens, ring: RingSpec | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     An empty or all-zero generator list yields the zero ideal (empty basis);
@@ -532,9 +532,6 @@ def buchberger(gens, order=None, ring: RingSpec | None = None) -> GroebnerBasis:
         raise JonqError("cannot infer the ring of an empty generator list")
     if gens:
         ring = _common_ring(gens)
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [Polynomial(ring, g.terms) for g in gens]
     dicts = [_to_dict(g) for g in gens if g]
     basis = _buchberger_dicts(dicts, ring)
     return GroebnerBasis(ring, tuple(gens), tuple(Polynomial._from_dict(ring, d) for d in basis))
@@ -580,7 +577,8 @@ def eliminate(gens, nblock: int) -> list[Polynomial]:
     ring = _common_ring(gens)
     if nblock < 1 or nblock >= ring.nvars:
         raise ArityError("elimination block must be a proper nonempty prefix")
-    gb = buchberger(gens, order=elimination_order(nblock))
+    block_ring = ring.with_order(elimination_order(nblock))
+    gb = buchberger([Polynomial(block_ring, g.terms) for g in gens])
     out = []
     for g in gb.basis:
         if all(all(e == 0 for e in m[:nblock]) for m, _ in g.terms):
@@ -811,7 +809,6 @@ def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
 from .resolutions import (  # noqa: E402
     BettiTable,
     Resolution,
-    ResolutionBoundError,
     minimal_free_resolution,
     syzygies,
 )
@@ -821,6 +818,6 @@ __all__ = [
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
     "hilbert_series_numerator", "numerator_from_colon", "is_regular", "dim_and_multiplicity",
     "InhomogeneousError",
-    "BettiTable", "Resolution", "ResolutionBoundError",
+    "BettiTable", "Resolution",
     "minimal_free_resolution", "syzygies",
 ]

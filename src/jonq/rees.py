@@ -20,9 +20,9 @@ Verification compares reduced bases, decides minimality by one
 minimal-generator pass (`minimal_generator_count`), and cross-checks the
 iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
-linear section of S/J in fewer variables, certified regular by its Hilbert
-series, so its ResolutionBoundError carries a partial resolution over the
-section's ring (see `projdim_probe`).  The specialization check reads the
+linear section of S/J in 2n+2-k variables, certified regular by its Hilbert
+series (see `_certified_section`); by Hilbert's syzygy theorem that
+resolution has length at most 2n+2-k.  The specialization check reads the
 implicit equation of y -> F(x, lam) in closed form: when f(x, lam) and
 g(x, lam) are coprime, which holds exactly when ell = x_{n+1} - lam is
 regular on R/I, the kernel is (h) with h = f(y', lam) y_{n+1} - g(y', lam),
@@ -41,6 +41,7 @@ from math import comb
 from . import groebner
 from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
 from .polycore import (
+    JonqError,
     Polynomial,
     RingSpec,
     substitute,
@@ -317,37 +318,36 @@ def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.Groebn
     Hilbert numerator (in k[first 2n+2-k variables]) equals that of J is
     returned: equal numerators mean HS(S/(J, v - l_v)) = (1-t)^k HS(S/J),
     which holds exactly when the forms v - l_v are a regular sequence on S/J
-    (Stanley, Adv. Math. 1978).  If no k passes, k = 0 returns J itself.
-    The forms come from a fixed random.Random(0).
+    (Stanley, Adv. Math. 1978).  The forms come from a fixed random.Random(0).
+    The k = 1 cut always passes: J, the kernel of S -> k[t, x], is prime and
+    holds no linear form (x_1 f..x_n f, g are linearly independent), so every
+    nonzero linear form is regular on S/J.  A k = 1 mismatch raises JonqError.
     """
     ring = ideal.ring
     numerator = groebner.hilbert_series_numerator(ideal)
     rng = random.Random(0)
-    for k in range(n + 2, -1, -1):
+    for k in range(n + 2, 0, -1):
         keep = RingSpec(ring.names[:ring.nvars - k], ring.modulus)
         forms = {name: Polynomial(keep, zip([v.lm() for v in keep.variables()],
                                             _random_point(keep, rng)))
                  for name in ring.names[ring.nvars - k:]}
         section = groebner.buchberger([substitute(p, forms) for p in ideal.basis], ring=keep)
-        if k == 0 or groebner.hilbert_series_numerator(section) == numerator:
+        if groebner.hilbert_series_numerator(section) == numerator:
             return section
+    raise JonqError("no linear form is regular on S/J: the ideal is not the prime J")
 
 
-def projdim_probe(j: DeJonquieresMap, length_bound: int | None = None) -> int:
+def projdim_probe(j: DeJonquieresMap) -> int:
     """Length of the minimal free resolution of S/J, J the presentation ideal.
 
     What is resolved is the linear section of `_certified_section`: modulo a
     regular sequence of linear forms the graded Betti table is unchanged
     (Bruns & Herzog, Cohen-Macaulay Rings, Prop. 1.1.5), so the section has
     the Betti table, and the projective dimension, of S/J whatever the random
-    draw; a bad draw only cuts fewer variables.  A ResolutionBoundError
-    carries the partial resolution of the section, over its ring k[first
-    2n+2-k variables of S].
+    draw; a bad draw only cuts fewer variables.
     """
     section = _certified_section(rees_ideal(j), j.n)
-    bound = length_bound if length_bound is not None else 2 * j.n + 2
-    res = groebner.minimal_free_resolution(list(section.basis), length_bound=bound)
-    return res.length()
+    return groebner.minimal_free_resolution(list(section.basis)).length()
 
 
 def is_cohen_macaulay(j: DeJonquieresMap, projdim: int) -> bool:
@@ -440,6 +440,8 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
 
 
 REPORT_CHECKS = ("theorem", "colon", "cone", "projdim", "special")
+# the report keys that `case_report` gives a "pass"/"fail" verdict
+VERDICT_KEYS = ("theorem", "colon", "cone_hilbert", "special")
 
 
 def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
@@ -471,17 +473,12 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
         if "cone" in checks:
             report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
         if "projdim" in checks:
-            try:
-                pd = projdim_probe(j)
-                report["projdim"] = pd
-                report["cm"] = is_cohen_macaulay(j, pd)
-                report["conjecture_expected_cm"] = j.d <= j.n + 1
-                if report["cm"] != report["conjecture_expected_cm"]:
-                    report["conjecture_counterexample"] = True
-            except groebner.ResolutionBoundError:
-                report["projdim"] = None
-                report["cm"] = None
-                report["skipped"] = "resolution bound exceeded"
+            pd = projdim_probe(j)
+            report["projdim"] = pd
+            report["cm"] = is_cohen_macaulay(j, pd)
+            report["conjecture_expected_cm"] = j.d <= j.n + 1
+            if report["cm"] != report["conjecture_expected_cm"]:
+                report["conjecture_counterexample"] = True
         if "special" in checks:
             rng = random.Random(seed if seed is not None else 0)
             report["special"] = "pass" if specialization_check(j, rng=rng).ok else "fail"

@@ -53,14 +53,6 @@ from .polycore import (
 )
 
 
-class ResolutionBoundError(JonqError):
-    """Raised when the length bound is hit before the resolution terminates."""
-
-    def __init__(self, partial):
-        super().__init__("length bound exceeded before the resolution terminated")
-        self.partial = partial
-
-
 def _module_key(ring: RingSpec, block: int | None, shifts=None):
     """Sort key on module terms (c, -c) + mono; components c < block dominate.
 
@@ -232,7 +224,6 @@ class Resolution:
     ring: RingSpec
     shifts: tuple[tuple[int, ...], ...]
     matrices: tuple[tuple[tuple[Polynomial, ...], ...], ...]
-    complete: bool
 
     @property
     def betti(self) -> BettiTable:
@@ -270,12 +261,14 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     return True
 
 
-def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution:
+def minimal_free_resolution(gens) -> Resolution:
     """Minimal graded free resolution of R/I (or of R^s modulo column span).
 
     `gens` is a list of homogeneous polynomials (ideal case) or of
-    homogeneous columns.  Raises ResolutionBoundError (carrying the partial
-    resolution) if the bound is hit before the syzygies vanish.
+    homogeneous columns.  The loop ends when the syzygies vanish, after at
+    most R.nvars steps: by Hilbert's syzygy theorem a finitely generated
+    graded module over R has a minimal free resolution of length at most
+    the number of variables.
     """
     gens = list(gens)
     if not gens:
@@ -288,20 +281,15 @@ def minimal_free_resolution(gens, length_bound: int | None = None) -> Resolution
         columns = [tuple(c) for c in gens]
         ring = next(p.ring for c in columns for p in c)
         rank0 = len(columns[0])
-    if length_bound is not None and length_bound < 1:
-        raise JonqError("length bound must be at least 1")
     shifts: list[tuple[int, ...]] = [(0,) * rank0]
     matrices: list = []
     current = minimal_generators(columns, ring, shifts[0])
     while current:
-        if length_bound is not None and len(matrices) >= length_bound:
-            partial = Resolution(ring, tuple(shifts), tuple(matrices), False)
-            raise ResolutionBoundError(partial)
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
         current = minimal_generators(syzygies([col for _, col in current]), ring,
                                      shifts[-1])
-    return Resolution(ring, tuple(shifts), tuple(matrices), True)
+    return Resolution(ring, tuple(shifts), tuple(matrices))
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

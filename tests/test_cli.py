@@ -407,6 +407,19 @@ def test_explore_records_grid_points_without_valid_maps(capsys):
     assert "non-cm" in out
 
 
+def test_explore_records_a_map_the_sampler_cannot_draw(capsys):
+    # over GF(2) at d = 2, random_map's f1 is 1 + 1 = 0: that case becomes a
+    # record and the (2,3) report is still printed
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2..3",
+                         "--trials", "1", "--modulus", "2")
+    assert code == 2 and err == ""
+    rejected, report = _json_lines(out)
+    assert rejected == {"case": {"n": 2, "d": 2, "seed": 20216}, "modulus": 2,
+                        "rejected": "failed to sample a nonzero form"}
+    assert (report["case"]["d"], report["modulus"], report["projdim"]) == (3, 2, 2)
+    assert report["theorem"] == "pass"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_case_file_n_below_one_is_rejected(tmp_path, capsys, n):
     path = tmp_path / "n.jonq"

@@ -1,4 +1,4 @@
-"""Colons read off Hilbert numerators, against the `groebner.colon` oracle.
+"""Colons and regular cuts read off Hilbert numerators.
 
 `dejonq.structural_checks` decides I : f = (x_1..x_n) and
 `rees.colon_lemma_checks` decides P_i : F_i = (x_1..x_n) from Hilbert
@@ -13,6 +13,10 @@ input where the criteria still apply, to make the checks fail:
   numerator differs), or with x_1 and y_1 swapped in every link (the
   colons become (y_1, x_2..x_n), with the numerators of (x_1..x_n), so only
   the containment differs).
+
+`groebner.colon` is the oracle for both.  The last property checks the
+fact `rees._certified_section` rests on at k = 1: any cut of the last
+variable of S by a linear form in the others keeps J's numerator.
 """
 
 import random
@@ -26,7 +30,7 @@ st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
 from jonq import dejonq, groebner as gb, rees  # noqa: E402
-from jonq.polycore import substitute  # noqa: E402
+from jonq.polycore import Polynomial, RingSpec, substitute  # noqa: E402
 
 FIELDS = st.sampled_from((None, 32003))
 
@@ -84,3 +88,24 @@ def test_colon_lemmas_from_numerators_match_the_oracle(point, modulus, seed, cha
         assert not oracle[i - 1]
     else:
         assert all(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4))), FIELDS,
+       st.integers(0, 10 ** 6), st.data())
+def test_one_cut_form_is_always_regular_on_the_rees_algebra(point, modulus, seed, data):
+    # J is prime and holds no linear form, so any cut y_{n+1} -> l(x, y')
+    # is regular on S/J: the section's numerator is J's, as
+    # `rees._certified_section` needs at k = 1
+    n, d = point
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    ideal = rees.rees_ideal(j)
+    ring = ideal.ring
+    keep = RingSpec(ring.names[:-1], ring.modulus)
+    top = 1000 if modulus is None else modulus - 1
+    coefficients = data.draw(st.lists(st.integers(0, top), min_size=keep.nvars,
+                                      max_size=keep.nvars))
+    cut = {ring.names[-1]: Polynomial(keep, zip([v.lm() for v in keep.variables()],
+                                                coefficients))}
+    section = gb.buchberger([substitute(p, cut) for p in ideal.basis], ring=keep)
+    assert gb.hilbert_series_numerator(section) == gb.hilbert_series_numerator(ideal)

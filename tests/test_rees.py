@@ -332,16 +332,6 @@ def test_projdim_bound_and_verdict_recorded():
     assert verdict == (pd == 2)
 
 
-def test_projdim_bound_error():
-    rng = random.Random(72)
-    j = dejonq.random_map(2, 3, rng)
-    with pytest.raises(gb.ResolutionBoundError) as err:
-        rees.projdim_probe(j, length_bound=1)
-    # the partial resolution is the section's: this map is CM, so all
-    # n+2 = 4 forms were cut from the 6 variables of S
-    assert err.value.partial.ring.names == ("x1", "x2")
-
-
 @pytest.mark.parametrize("modulus", [32003, None])
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_certified_section_keeps_the_betti_table(n, d, modulus):
@@ -361,24 +351,19 @@ def test_certified_section_keeps_the_betti_table(n, d, modulus):
         assert full.length() == ideal.ring.nvars - cut
 
 
-def test_projdim_falls_back_to_the_whole_ideal(monkeypatch):
-    # no section matches J's Hilbert numerator: the probe resolves J itself
+def test_projdim_raises_when_no_section_matches(monkeypatch):
+    # J is prime and holds no linear form, so the k = 1 cut always matches
+    # J's numerator; a mismatch there breaks that invariant and must raise,
+    # not resolve J itself
     j = dejonq.random_map(2, 4, random.Random(73))
-    expected = rees.projdim_probe(j)
     numerator = gb.hilbert_series_numerator
-    resolved = []
-    resolve = gb.minimal_free_resolution
-
-    def spy(gens, length_bound=None):
-        resolved.append(gens[0].ring)
-        return resolve(gens, length_bound)
-
     whole = j.working_ring().nvars
     monkeypatch.setattr(gb, "hilbert_series_numerator",
                         lambda ideal: numerator(ideal) if ideal.ring.nvars == whole else {})
-    monkeypatch.setattr(gb, "minimal_free_resolution", spy)
-    assert rees.projdim_probe(j) == expected == 3
-    assert [ring.names for ring in resolved] == [j.working_ring().names]
+    monkeypatch.setattr(gb, "minimal_free_resolution",
+                        lambda gens: pytest.fail("resolved without a certified section"))
+    with pytest.raises(JonqError, match="not the prime J"):
+        rees.projdim_probe(j)
 
 
 def test_projdim_frontier_slice():
