@@ -18,8 +18,9 @@ associated support prime, Cohen-Macaulayness exactly in the plane case,
 plane multiplicity d(d-1)+1).  Saturation needs no saturation run: by
 Auslander-Buchsbaum, depth R/I = (n+1) - projdim R/I, so I is saturated
 (depth R/I >= 1) iff the oracle resolution has length below n+1.  Nor does
-I : f need a colon run: it is read off the Hilbert numerator of I (see
-`structural_checks`).
+I : f need a colon run, or I a Groebner basis of its own: I : f is read off
+the Hilbert numerator of I, which is the alternating sum of the oracle
+resolution's Betti table (see `structural_checks`).
 """
 
 from __future__ import annotations
@@ -290,7 +291,9 @@ class StructuralReport:
 def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     """Saturation, the associated support prime, CM iff n = 2, plane multiplicity.
 
-    Saturation is read off the oracle resolution, which projdim needs anyway.
+    Saturation and the Hilbert numerator N(I) are read off the oracle
+    resolution, which projdim needs anyway: N(I) is the alternating sum of
+    its graded Betti numbers (`BettiTable.alternating_numerator`).
     R = k[x_1..x_{n+1}] and I is a proper homogeneous ideal, so
     Auslander-Buchsbaum gives depth R/I = (n+1) - projdim R/I, and
     I : m^infinity = I iff m is not associated to R/I, iff depth R/I >= 1:
@@ -307,16 +310,15 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     """
     ring = j.source
     n = j.n
-    base = list(j.base_forms)
-    projdim = groebner.minimal_free_resolution(base).length()
-    gb = groebner.buchberger(base)
+    oracle = groebner.minimal_free_resolution(list(j.base_forms))
+    projdim = oracle.length()
     witnesses = []
 
     saturated = projdim < ring.nvars
     if not saturated:
         witnesses.append(f"projdim {projdim} = {ring.nvars}: I is not saturated")
 
-    num = groebner.hilbert_series_numerator(gb)
+    num = oracle.betti.alternating_numerator()
     complete_intersection = {0: 1, j.d - 1: -1, j.d: -1, 2 * j.d - 1: 1}  # N(f, g)
     support = [ring.variable(i) for i in range(n)]
     support_ok = num == groebner.numerator_from_colon(

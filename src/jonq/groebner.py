@@ -38,8 +38,13 @@ normal, which for homogeneous input is degree-by-degree.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
 component, never on a key's tag block (see `_Engine`), and reducers are
-bucketed by component.  Minimalizing and interreducing the final basis is a
-step only `buchberger` runs.
+bucketed by component.
+
+`extend` is the one way an ideal's basis is built: given I's reduced basis
+and new forms, the engine adopts I's elements as they stand, closes only
+the pairs the new forms make, and then minimalizes and interreduces
+(`_reduced`).  `buchberger` extends the zero ideal, and `rees.link_bases`
+grows the Rees chain one link at a time.
 
 `kernel` is the one elimination-based implicitization routine: the kernel
 of a ring map, by one `eliminate` in the ring of the source-only variables
@@ -50,7 +55,8 @@ specialized map is read off the specialized forms in closed form
 (`rees.specialization_check`).  `kernel` is the test oracle of both.
 
 `is_regular` is the one nonzerodivisor test: it compares Hilbert numerators
-after extending a reduced basis by the form, closing only the new pairs.
+after running that same extension by the form, reading the leads before
+interreducing.
 The colons the library needs are read off Hilbert numerators in the same
 way (`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
 `colon`, `colon_ideal` and `saturate` have no library caller and are the
@@ -457,9 +463,8 @@ class _Engine:
             self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0])
 
 
-def _buchberger_dicts(inputs, ring: RingSpec):
-    """Reduced Groebner basis (list of monic dicts) of the input dicts."""
-    engine = _Engine(ring).extend(inputs)
+def _reduced(engine: _Engine) -> list[dict]:
+    """The reduced Groebner basis (list of monic dicts) of a closed engine."""
     lms = engine.leads
     # minimalize: drop elements whose lead is divisible by another kept lead
     kept: list[int] = []
@@ -496,7 +501,7 @@ class GroebnerBasis:
 
     @cached_property
     def _engine(self) -> _Engine:
-        return _Engine(self.ring).adopt([_to_dict(g) for g in self.basis])
+        return _extension(self, ())
 
     @cached_property
     def _hilbert_numerator(self) -> dict[int, int]:
@@ -532,9 +537,27 @@ def buchberger(gens, ring: RingSpec | None = None) -> GroebnerBasis:
         raise JonqError("cannot infer the ring of an empty generator list")
     if gens:
         ring = _common_ring(gens)
-    dicts = [_to_dict(g) for g in gens if g]
-    basis = _buchberger_dicts(dicts, ring)
-    return GroebnerBasis(ring, tuple(gens), tuple(Polynomial._from_dict(ring, d) for d in basis))
+    return extend(GroebnerBasis(ring, (), ()), gens)
+
+
+def _extension(gb: GroebnerBasis, forms) -> _Engine:
+    """An engine whose elements are a Groebner basis of (I, forms), `gb` the
+    reduced basis of I, not yet interreduced: gb's elements are adopted as
+    they stand and form no pair among themselves, and only the pairs the
+    remainders of `forms` make are closed."""
+    if any(p.ring != gb.ring for p in forms):
+        raise RingMismatchError("form not in the basis ring")
+    engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
+    return engine.extend([_to_dict(p) for p in forms])
+
+
+def extend(gb: GroebnerBasis, forms) -> GroebnerBasis:
+    """Reduced Groebner basis of (I, forms), `gb` the reduced basis of I, by
+    `_extension`; its generators are gb's followed by `forms`."""
+    forms = tuple(forms)
+    basis = _reduced(_extension(gb, forms))
+    return GroebnerBasis(gb.ring, gb.gens + forms,
+                         tuple(Polynomial._from_dict(gb.ring, d) for d in basis))
 
 
 def normal_form(p: Polynomial, gb) -> Polynomial:
@@ -762,21 +785,18 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     For u of degree e, HS(R/(I, u)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} u)
     (Stanley, Adv. Math. 1978), so u is regular, I : u = I, exactly when the
     Hilbert numerators satisfy N(I) = N(I, u) + t^e N(I)
-    (`numerator_from_colon`).  The basis of (I, u) extends
-    `gb`: its elements are adopted as they stand and only the pairs that u's
-    remainder forms are closed.  `colon` is the test oracle: u is regular
-    iff I : u = I.
+    (`numerator_from_colon`).  N(I, u) is read off the leads of the engine
+    `extend` runs on `gb` and u, before it interreduces: only a lead ideal
+    is needed, and interreducing would cost more than the pairs u makes.
+    `colon` is the test oracle: u is regular iff I : u = I.
     """
-    if u.ring != gb.ring:
-        raise RingMismatchError("form not in the basis ring")
     if u.is_zero():
         raise JonqError("regularity of the zero polynomial")
     if not u.is_homogeneous():
         raise InhomogeneousError(f"form {u} is not homogeneous")
     numerator = gb._hilbert_numerator
-    engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
-    engine.add(_to_dict(u))
-    return numerator == numerator_from_colon(_hilb_rec(_mono_minimalize(engine.leads), {}),
+    leads = _extension(gb, [u]).leads
+    return numerator == numerator_from_colon(_hilb_rec(_mono_minimalize(leads), {}),
                                              u.total_degree(), numerator)
 
 
@@ -814,7 +834,7 @@ from .resolutions import (  # noqa: E402
 )
 
 __all__ = [
-    "GroebnerBasis", "buchberger", "normal_form", "spolynomial", "ideal_equal",
+    "GroebnerBasis", "buchberger", "extend", "normal_form", "spolynomial", "ideal_equal",
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
     "hilbert_series_numerator", "numerator_from_colon", "is_regular", "dim_and_multiplicity",
     "InhomogeneousError",

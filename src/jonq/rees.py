@@ -5,17 +5,19 @@ y_1..y_{n+1}]: it is the kernel of y_i -> t F_i.  `chain` builds every
 generator set the checks use: P_0 = the 2-minors p_ij = x_j y_i - x_i y_j
 of the generic (x | y) matrix and P_{i+1} = (P_i, F_i) along the downgraded
 sequence F_0..F_{d-2}, so P_1 is the symmetric-algebra part and P_{d-1} the
-predicted generating set.  `rees_ideal` returns the reduced basis of
-P = P_{d-1} when a certificate shows P = J: with a = x_1 f, P lies in J,
-a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors on S/P
-(`groebner.is_regular`), so J = P : a^infinity = P (see `_certifies`).
+predicted generating set.  `link_bases` holds their reduced bases, each
+link's extending the one before (`groebner.extend`), and every check reads
+them.  `rees_ideal` returns the reduced basis of P = P_{d-1} when a
+certificate shows P = J: with a = x_1 f, P lies in J, a y_{n+1} - g y_1
+lies in P, and x_1 and f are nonzerodivisors on S/P (`groebner.is_regular`),
+so J = P : a^infinity = P (see `_certifies`).
 Only when the certificate fails is t eliminated from
 (y_i - t x_i f, y_{n+1} - t g) (`groebner.kernel`); that elimination is also
 the tests' oracle for J.
-`case_report` builds J once per map: while it runs, `chain`, the reduced
-basis of P and `rees_ideal` are computed on the first call for its map and
-looked up on the later ones (`_once_per_case`).  The memo is dropped when
-`case_report` returns or raises, so a check called alone builds J from j.
+`case_report` builds J once per map: while it runs, `link_bases` and
+`rees_ideal` are computed on the first call for its map and looked up on the
+later ones (`_once_per_case`).  The memo is dropped when `case_report`
+returns or raises, so a check called alone builds J from j.
 Verification compares reduced bases, decides minimality by one
 minimal-generator pass (`minimal_generator_count`), and cross-checks the
 iterated mapping-cone Betti data against the Hilbert series.
@@ -80,16 +82,10 @@ def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
     basis, so the result does not depend on the path.
     """
-    predicted = _predicted_basis(j)
+    predicted = link_bases(j)[-1]
     if _certifies(j, predicted):
         return groebner.GroebnerBasis(predicted.ring, predicted.basis, predicted.basis)
     return _eliminated(j)
-
-
-@_once_per_case
-def _predicted_basis(j: DeJonquieresMap) -> groebner.GroebnerBasis:
-    """Reduced basis of P = P_{d-1}, the predicted generating set."""
-    return groebner.buchberger(chain(j)[-1])
 
 
 def _certifies(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> bool:
@@ -124,7 +120,6 @@ def _eliminated(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     return groebner.GroebnerBasis(s_ring, basis, basis)
 
 
-@_once_per_case
 def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
     """(P_0, .., P_{d-1}): P_0 = (x_j y_i - x_i y_j, 1 <= i < j <= n) and
     P_{i+1} = (P_i, F_i); the last link is the predicted generator set."""
@@ -136,6 +131,21 @@ def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
     for form in downgraded_sequence(j).forms:
         links.append(links[-1] + (form,))
     return tuple(links)
+
+
+@_once_per_case
+def link_bases(j: DeJonquieresMap) -> tuple[groebner.GroebnerBasis, ...]:
+    """Reduced bases of P_0..P_{d-1}, whose `.gens` are the links of `chain`.
+
+    Each link's basis extends the one before by the forms the link adds
+    (`groebner.extend`), so the pairs of P_i are never formed again; the
+    last is the basis of the predicted generating set P = P_{d-1}.
+    """
+    links = chain(j)
+    bases = [groebner.buchberger(links[0], ring=j.working_ring())]
+    for link in links[1:]:
+        bases.append(groebner.extend(bases[-1], link[len(bases[-1].gens):]))
+    return tuple(bases)
 
 
 def minimal_generator_count(gens) -> int:
@@ -173,9 +183,9 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     J, a y_{n+1} - g y_1 in P, x_1 and f regular on S/P); the t-elimination
     decides it only when the certificate fails, and is the tests' oracle.
     """
-    predicted = chain(j)[-1]
+    pred_gb = link_bases(j)[-1]
+    predicted = pred_gb.gens
     eliminated = rees_ideal(j)
-    pred_gb = _predicted_basis(j)
     witnesses = []
 
     matches = groebner.ideal_equal(pred_gb, eliminated)
@@ -206,7 +216,7 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
 
 def linear_type(j: DeJonquieresMap) -> bool:
     """The presentation ideal is generated in y-degree one: P_1 = (P_0, F_0)."""
-    return groebner.ideal_equal(chain(j)[1], rees_ideal(j))
+    return groebner.ideal_equal(link_bases(j)[1], rees_ideal(j))
 
 
 @dataclass(frozen=True)
@@ -223,39 +233,32 @@ class ColonReport:
 def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     """P_0 : F_0 = P_0, and P_i : F_i = (x_1..x_n) for 1 <= i <= d-2.
 
-    The first says F_0 is regular on S/P_0, which `groebner.is_regular`
-    decides.  The support colons are read off Hilbert numerators: with
-    P_{i+1} = (P_i, F_i) and e = deg F_i, the exact sequence
-    0 -> S/(P_i : F_i)(-e) -> S/P_i -> S/P_{i+1} -> 0 gives
+    Every colon is read off the Hilbert numerators of two neighbouring links
+    (`link_bases`): with P_{i+1} = (P_i, F_i) and e = deg F_i, the exact
+    sequence 0 -> S/(P_i : F_i)(-e) -> S/P_i -> S/P_{i+1} -> 0 gives
     HS(S/(P_i : F_i)) t^e = HS(S/P_i) - HS(S/P_{i+1}) (Stanley, Adv. Math.
-    1978).  So P_i : F_i = (x_1..x_n) exactly when x_k F_i lies in P_i for
-    every k and N(P_i) - N(P_{i+1}) = t^e (1 - t)^n.  P_{d-1}'s basis is
-    `_predicted_basis`; `groebner.colon` is the test oracle.
+    1978).  A candidate C_i inside P_i : F_i is the colon exactly when
+    N(P_i) = N(P_{i+1}) + t^e N(C_i).  C_0 = P_0, which the colon always
+    contains, so the first check says F_0 is regular on S/P_0.  For i >= 1,
+    C_i = (x_1..x_n), which lies in P_i : F_i when x_k F_i lies in P_i for
+    every k.  `groebner.colon` is the test oracle.
     """
-    links = chain(j)
-    s_ring = j.working_ring()
-    witnesses = []
-
-    base_stable = groebner.is_regular(groebner.buchberger(links[0], ring=s_ring),
-                                      links[1][-1])
-    if not base_stable:
-        witnesses.append("P_0 : F_0 enlarged P_0")
-
+    bases = link_bases(j)
+    s_ring = bases[0].ring
     support = [s_ring.variable(nm) for nm in j.source.names[: j.n]]
-    bases = [groebner.buchberger(links[i], ring=s_ring) for i in range(1, j.d - 1)]
-    if bases:
-        bases.append(_predicted_basis(j))
     support_num = groebner.hilbert_series_numerator(support)
-    results = []
-    for i, (here, after) in enumerate(zip(bases, bases[1:]), start=1):
-        form = links[i + 1][-1]
-        ok = (groebner.hilbert_series_numerator(here) == groebner.numerator_from_colon(
-                  groebner.hilbert_series_numerator(after), form.total_degree(), support_num)
-              and all(here.contains(x * form) for x in support))
-        results.append(ok)
+    checks, witnesses = [], []
+    for i, (here, after) in enumerate(zip(bases, bases[1:])):
+        form, num = after.gens[-1], groebner.hilbert_series_numerator(here)
+        ok = (num == groebner.numerator_from_colon(
+                  groebner.hilbert_series_numerator(after), form.total_degree(),
+                  num if i == 0 else support_num)
+              and (i == 0 or all(here.contains(x * form) for x in support)))
+        checks.append(ok)
         if not ok:
-            witnesses.append(f"P_{i} : F_{i} != (x_1..x_{j.n})")
-    return ColonReport(base_stable=base_stable, support_colons=tuple(results),
+            witnesses.append(f"P_{i} : F_{i} != (x_1..x_{j.n})" if i
+                             else "P_0 : F_0 enlarged P_0")
+    return ColonReport(base_stable=checks[0], support_colons=tuple(checks[1:]),
                        witnesses=tuple(witnesses))
 
 
@@ -447,8 +450,8 @@ VERDICT_KEYS = ("theorem", "colon", "cone_hilbert", "special")
 def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
     """JSON-ready report for one map; schema used by the CLI and the probe.
 
-    The checks share one J: while they run, `chain`, the basis of P and
-    `rees_ideal` are computed once for j (`_once_per_case`).
+    The checks share one J: while they run, `link_bases` and `rees_ideal`
+    are computed once for j (`_once_per_case`).
     """
     import time
 

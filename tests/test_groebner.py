@@ -12,7 +12,8 @@ given, settings = hypothesis.given, hypothesis.settings
 from jonq import groebner as gb  # noqa: E402
 from jonq.orders import LEX  # noqa: E402
 from jonq.polycore import (  # noqa: E402
-    Polynomial, RingSpec, mono_div, mono_divides, parse_polynomial, random_form)
+    Polynomial, RingMismatchError, RingSpec, mono_div, mono_divides, parse_polynomial,
+    random_form)
 
 
 @pytest.fixture
@@ -303,9 +304,10 @@ def test_is_regular_edge_cases(R):
 
 
 def test_is_regular_closes_only_the_new_pairs(R, monkeypatch):
-    # the reduced basis of I is adopted as it stands: no Buchberger run
+    # the reduced basis of I is adopted as it stands and the extension is
+    # not interreduced: no Buchberger run and no `_reduced`
     ideal = gb.buchberger([P("x1^2 - x2*x3", R), P("x1*x3 - x2^2", R)])
-    monkeypatch.setattr(gb, "_buchberger_dicts", None)
+    monkeypatch.setattr(gb, "_reduced", None)
     assert gb.is_regular(ideal, R.variable(2))
 
 
@@ -327,10 +329,18 @@ def reordered_generators(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(reordered_generators())
-def test_reduced_basis_ignores_generator_order_and_repeats(case):
+@given(reordered_generators(), st.data())
+def test_reduced_basis_ignores_generator_order_and_repeats(case, data):
     gens, reordered = case
-    assert gb.buchberger(reordered, ring=gens[0].ring).basis == gb.buchberger(gens).basis
+    ring = gens[0].ring
+    expected = gb.buchberger(gens).basis
+    assert gb.buchberger(reordered, ring=ring).basis == expected
+    # extending the basis of A = a prefix by B = the rest is the basis of A + B
+    k = data.draw(st.integers(0, len(reordered)))
+    head = gb.buchberger(reordered[:k], ring=ring)
+    assert gb.extend(head, reordered[k:]).basis == expected
+    with pytest.raises(RingMismatchError):
+        gb.extend(head, [RingSpec(["y1", "y2", "y3"], ring.modulus).variable(0)])
 
 
 # ---------- hilbert series ----------

@@ -485,30 +485,32 @@ def test_case_report_schema(e1):
 
 
 def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
-    # within one case_report, chain's downgrading and buchberger(P) run once
-    # (the other downgrading is the inverse's); a second call on the same
-    # map object computes them again
-    j = dejonq.random_map(3, 3, random.Random(5), 32003)
-    predicted = rees.chain(j)[-1]
-    downgradings, p_bases = [], []
-    downgrade, buchberger = dejonq.downgraded_sequence, gb.buchberger
+    # within one case_report, chain's downgrading runs once (the other
+    # downgrading is the inverse's) and each link basis P_0..P_{d-1} is built
+    # once, P_0 by extending the zero ideal and every later one by extending
+    # the link before; a second call on the same map object builds them again
+    j = dejonq.random_map(3, 4, random.Random(5), 32003)
+    links = rees.chain(j)
+    downgradings, built = [], []
+    downgrade, extend = dejonq.downgraded_sequence, gb.extend
 
     def spy_downgrade(j):
         downgradings.append(j)
         return downgrade(j)
 
-    def spy_buchberger(gens, *args, **kwargs):
-        gens = list(gens)
-        if tuple(gens) == predicted:
-            p_bases.append(gens)
-        return buchberger(gens, *args, **kwargs)
+    def spy_extend(basis, forms):
+        out = extend(basis, forms)
+        if out.gens in links:
+            built.append((basis.gens, out.gens))
+        return out
     for module in (dejonq, rees):
         monkeypatch.setattr(module, "downgraded_sequence", spy_downgrade)
-    monkeypatch.setattr(gb, "buchberger", spy_buchberger)
+    monkeypatch.setattr(gb, "extend", spy_extend)
+    once = list(zip(((),) + links, links))
     first = rees.case_report(j, seed=5)
-    assert (len(downgradings), len(p_bases)) == (2, 1)
+    assert (len(downgradings), built) == (2, once)
     second = rees.case_report(j, seed=5)
-    assert (len(downgradings), len(p_bases)) == (4, 2)
+    assert (len(downgradings), built) == (4, once + once)
     for report in (first, second):
         report.pop("runtime_ms")
     assert first == second
