@@ -15,10 +15,13 @@ exponent, each with a clear guard bit on top, and for a module term the
 fields c and K - c, so divisibility never relates two components.  Every
 order key is linear in the exponents within a component, so multiplying
 terms is adding ints, the reducer's heap holds negated ints, `max` finds a
-lead term, and divisibility is one subtraction and a mask test.  Fields are
-sized from the input terms.  A reduction that carries a field into its guard
-bit raises `_Overflow`; the engine then widens its fields and redoes that
-reduction, so exponents never wrap.
+lead term, and divisibility is one subtraction and a mask test.  The same
+linearity makes packing a precomputed linear form: the key is evaluated
+only when the packing is built, and packing a term is one dot product of
+its exponents with per-variable ints.  An engine builds its packing on its
+first input, with fields sized from those terms.  A reduction that carries
+a field into its guard bit raises `_Overflow`; the engine then widens its
+fields and redoes that reduction, so exponents never wrap.
 
 Coefficients are monic ints over GF(p).  Over Q the engine is fraction-free:
 every element is a primitive integer vector with a positive lead
@@ -107,6 +110,13 @@ class _Packing:
     digits of `key(term)`, digit i weighted by `weights[i]`; each radix is
     2 * bound + 1 for a bound on |digit| over all terms that fit, so int
     comparison of packed terms is comparison of their keys.
+
+    The key is read once, here: it is linear in the exponents within a
+    component, so the packed term is the linear form
+    bases[c] + sum_i e_i * units[i], where bases[c] packs (c, -c) + 0 (or
+    the zero monomial) and units[i] is variable i's key slope times the
+    weights plus its field bit.  For a module term the first two units are
+    0, so `pack` reads the whole flat term.
     """
 
     def __init__(self, key, nvars: int, comps: int, bits: int):
@@ -119,26 +129,27 @@ class _Packing:
         self.guard = sum(1 << (s + bits - 1) for s in range(0, self.lobits, bits))
         self.cmask = self.fmask if comps else 0
         zero = (0,) * nvars
-        units = [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
+        unit_terms = [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
         if comps:
             consts = [key((c, -c) + zero) for c in range(comps)]
-            units = [(0, 0) + u for u in units]
+            unit_terms = [(0, 0) + u for u in unit_terms]
         else:
             consts = [key(zero)]
-        slopes = [[a - b for a, b in zip(key(u), consts[0])] for u in units]
+        slopes = [[a - b for a, b in zip(key(u), consts[0])] for u in unit_terms]
         weights = []
         w = 1 << self.lobits
-        for d in reversed(range(len(consts[0]))):
+        for k, s in reversed(list(zip(zip(*consts), zip(*slopes)))):
             weights.append(w)
-            w *= 2 * (max(abs(k[d]) for k in consts)
-                      + self.cap * sum(abs(s[d]) for s in slopes)) + 1
+            w *= 2 * (max(map(abs, k)) + self.cap * sum(map(abs, s))) + 1
         self.weights = weights[::-1]
+        lows = [c + ((comps - 1 - c) << bits) for c in range(comps)] or [0]
+        self.bases = [sum(map(mul, k, self.weights)) + lo for k, lo in zip(consts, lows)]
+        first = 2 if comps else 0
+        self.units = [0] * first + [sum(map(mul, s, self.weights)) + (1 << bits * (first + i))
+                                    for i, s in enumerate(slopes)]
 
     def pack(self, t) -> int:
-        lo = 0
-        for v in reversed((t[0], self.comps - 1 - t[0]) + t[2:] if self.comps else t):
-            lo = lo << self.bits | v
-        return sum(map(mul, self.key(t), self.weights)) + lo
+        return self.bases[t[0] if self.comps else 0] + sum(map(mul, t, self.units))
 
     def unpack(self, m: int) -> tuple:
         f = tuple(m >> s & self.fmask for s in range(0, self.lobits, self.bits))
@@ -261,7 +272,7 @@ class _Engine:
         self.ring = ring
         self.key = key or ring.key
         self.module = module
-        self.pk = _Packing(self.key, ring.nvars, 1 if module else 0, 8)
+        self.pk: _Packing | None = None  # sized by the first `_fit`
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
@@ -341,14 +352,17 @@ class _Engine:
         return d
 
     def _fit(self, dicts):
-        """Widen the fields, if need be, so that every term of `dicts` fits."""
+        """Size the packing to the first input (at least 8 bits, room for twice
+        its exponents and components); later widen it, if need be, so that
+        every term of `dicts` fits."""
         pk = self.pk
         top = max((e for d in dicts for t in d for e in t[2 if self.module else 0:]),
                   default=0)
         comps = max((t[0] + 1 for d in dicts for t in d), default=0) if self.module else 0
-        if top > pk.cap or comps > pk.comps:
-            comps = max(pk.comps, 2 * comps)
-            self._repack(max(pk.bits, (2 * top).bit_length() + 1, comps.bit_length() + 1),
+        if pk is None or top > pk.cap or comps > pk.comps:
+            bits, floor = (8, int(self.module)) if pk is None else (pk.bits, pk.comps)
+            comps = max(floor, 2 * comps)
+            self._repack(max(bits, (2 * top).bit_length() + 1, comps.bit_length() + 1),
                          comps)
 
     def _repack(self, bits: int, comps: int):

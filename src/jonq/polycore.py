@@ -450,6 +450,14 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
     Keys are variable names (or indices) of p's ring; values are polynomials
     in one common target ring.  Unassigned variables must exist by name in
     the target ring.
+
+    The image is expanded into one {monomial: coefficient} dict.  Each image
+    is scaled to integer coefficients over a denominator (1 over GF(p)), and
+    each power image(x_i)^e and the image of each prefix (e_1..e_k) of p's
+    monomials is cached as a dict over its denominator, so terms sharing a
+    prefix share its product.  Coefficients are reduced mod p, or put over
+    their common denominator over Q, once at the end, and the result is
+    sorted once.
     """
     src = p.ring
     images: dict[int, Polynomial] = {}
@@ -465,47 +473,74 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
         images[i] = val
     if target is None:
         target = src
+    zero = (0,) * target.nvars
+    # (i, e) -> image(x_i)^e and prefix -> its image, as (int dict, denominator)
+    powers = {}
     for i, name in enumerate(src.names):
         if i not in images:
-            if name not in target._index:
+            j = target._index.get(name)
+            if j is None:
                 raise RingMismatchError(
                     f"unassigned variable {name!r} does not exist in the target ring")
-            images[i] = target.variable(name)
-    if src.modulus != target.modulus:
+            powers[(i, 1)] = ({zero[:j] + (1,) + zero[j + 1:]: 1}, 1)
+    mod = target.modulus
+    if src.modulus != mod:
         raise RingMismatchError("source and target coefficient fields differ")
+    for i, img in images.items():
+        terms, den = _integral(img) if mod is None else (img.terms, 1)
+        powers[(i, 1)] = (dict(terms), den)
+    prefixes: dict = {(): ({zero: 1}, 1)}
 
-    powers: dict[tuple[int, int], Polynomial] = {}
+    def times(a: tuple, b: tuple) -> tuple:
+        (da, na), (db, nb) = a, b
+        out: dict = {}
+        get = out.get
+        for m1, c1 in da.items():
+            for m2, c2 in db.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        return out, na * nb
 
-    def power(i: int, e: int) -> Polynomial:
+    def power(i: int, e: int) -> tuple:
         got = powers.get((i, e))
         if got is None:
-            got = images[i] ** e
-            powers[(i, e)] = got
+            got = powers[(i, e)] = times(power(i, e - 1), powers[(i, 1)])
         return got
 
-    coefficients, monomials = [], []
+    parts = []
     for mono, c in p.terms:
-        image = target.one()
-        for i, e in enumerate(mono):
-            if e:
-                image = image * power(i, e)
-        coefficients.append(target.constant(c))
-        monomials.append(image)
-    return dot(target, coefficients, monomials)
+        image = prefixes[()]
+        for k, e in enumerate(mono, 1):
+            got = prefixes.get(mono[:k])
+            if got is None:
+                got = prefixes[mono[:k]] = times(image, power(k - 1, e)) if e else image
+            image = got
+        parts.append((c, image))
+    den = lcm(*(c.denominator * d for c, (_, d) in parts))
+    out: dict = {}
+    get = out.get
+    for c, (terms, d) in parts:
+        c = c.numerator * (den // (c.denominator * d))
+        for m, v in terms.items():
+            out[m] = get(m, 0) + c * v
+    if mod is None:
+        return Polynomial._from_dict(target, {m: Fraction(v, den) for m, v in out.items() if v})
+    return Polynomial._from_dict(target, {m: r for m, v in out.items() if (r := v % mod)})
 
 
 def transport(p: Polynomial, target: RingSpec) -> Polynomial:
     """Re-home p into `target`, matching variables by name.
 
     Every variable appearing in p must exist in the target; this covers both
-    subring restriction and extension.
+    subring restriction and extension.  Matching by name is injective and
+    keeps the field, so p's terms need no merging or coercion.
     """
     if p.ring.modulus != target.modulus:
         raise RingMismatchError("coefficient fields differ")
     idx = []
     for name in p.ring.names:
         idx.append(target._index.get(name))
-    out = []
+    out = {}
     nv = target.nvars
     for mono, c in p.terms:
         new = [0] * nv
@@ -515,8 +550,8 @@ def transport(p: Polynomial, target: RingSpec) -> Polynomial:
                     raise RingMismatchError(
                         f"variable {p.ring.names[i]!r} does not exist in the target ring")
                 new[idx[i]] = e
-        out.append((tuple(new), c))
-    return Polynomial(target, out)
+        out[tuple(new)] = c
+    return Polynomial._from_dict(target, out)
 
 
 def degree_in(p: Polynomial, var):

@@ -96,11 +96,12 @@ def _column_to_dict(column, ring: RingSpec) -> dict:
 
 
 def _dict_to_column(v: dict, ring: RingSpec, first: int, length: int):
-    """Column of components first..first+length-1 of a module dict."""
+    """Column of components first..first+length-1 of a module dict whose
+    coefficients are nonzero and in the field, as engine output is."""
     parts: list[dict] = [dict() for _ in range(length)]
     for term, c in v.items():
         parts[term[0] - first][term[2:]] = c
-    return tuple(Polynomial(ring, d) for d in parts)
+    return tuple(Polynomial._from_dict(ring, d) for d in parts)
 
 
 def _column_degree(column, shifts) -> int:

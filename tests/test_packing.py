@@ -6,10 +6,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
+from operator import mul  # noqa: E402
+
+from jonq import groebner  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.orders import GREVLEX, GRLEX, LEX, elimination_order  # noqa: E402
-from jonq.polycore import RingSpec, mono_divides, mono_mul  # noqa: E402
-from jonq.resolutions import _module_key  # noqa: E402
+from jonq.polycore import RingSpec, mono_divides, mono_mul, parse_polynomial  # noqa: E402
+from jonq.resolutions import _module_key, minimal_free_resolution, syzygies  # noqa: E402
 
 NVARS = 4
 BITS = 6  # exponent fields hold 0..31
@@ -38,6 +41,18 @@ def lo_divides(pk, a, b):
     """The engine's divisibility test on packed terms a, b."""
     d = (b & pk.lomask) - (a & pk.lomask)
     return d >= 0 and not d & pk.guard
+
+
+@given(schemes, comps, monos)
+def test_pack_is_the_key_digit_sum(k, c, mono):
+    # the definition the linear form must agree with: the key's digits
+    # times the weights, above one field per coordinate (c and comps - 1 - c
+    # first for a module term)
+    key, pk = SCHEMES[k][0], PACKINGS[k]
+    t = term(k, c, mono)
+    fields = (c, COMPS - 1 - c) + mono if pk.comps else mono
+    lo = sum(f << BITS * i for i, f in enumerate(fields))
+    assert pk.pack(t) == sum(map(mul, key(t), pk.weights)) + lo
 
 
 @given(schemes, comps, monos, comps, monos)
@@ -94,3 +109,41 @@ def test_unpack_inverts_pack(k, c, mono):
     pk = PACKINGS[k]
     t = term(k, c, mono)
     assert pk.unpack(pk.pack(t)) == t
+
+
+def count_packings(monkeypatch):
+    """Count `_Packing` builds, in all and per engine."""
+    built, per_engine = [], {}
+
+    class Counted(_Packing):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    repack = groebner._Engine._repack
+
+    def counted_repack(engine, *args):
+        # the engine is kept as a key, so no later engine reuses its id
+        per_engine[engine] = per_engine.get(engine, 0) + 1
+        repack(engine, *args)
+
+    monkeypatch.setattr(groebner, "_Packing", Counted)
+    monkeypatch.setattr(groebner._Engine, "_repack", counted_repack)
+    return built, per_engine
+
+
+def test_an_engine_sizes_its_one_packing_to_its_first_input(monkeypatch):
+    ring = RingSpec(["x1", "x2", "x3"], 32003)
+    columns = [tuple(parse_polynomial(e, ring) for e in col)
+               for col in (("x1", "x2"), ("x2", "x3"), ("x3", "x1"), ("x1 + x2", "x3"))]
+    built, per_engine = count_packings(monkeypatch)
+    assert syzygies(columns)
+    assert len(built) == 1 and list(per_engine.values()) == [1]
+    # the one module engine holds 2 + 4 components, doubled for headroom
+    assert built[0][2] == 12
+
+    built.clear()
+    per_engine.clear()
+    gens = [parse_polynomial(g, ring) for g in ("x1^2", "x1*x2", "x2^3", "x3^2")]
+    assert minimal_free_resolution(gens).length() == 3
+    assert len(built) == len(per_engine) > 3 and set(per_engine.values()) == {1}

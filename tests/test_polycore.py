@@ -225,6 +225,67 @@ def test_substitute_composition_is_substitution_of_composite(R):
     assert substitute(substitute(p, a), b) == substitute(p, composite)
 
 
+def reference_substitute(p, assignment):
+    """The image of p built term by term from Polynomial products: each
+    term's coefficient times the product of its variables' image powers."""
+    images = {p.ring.var_index(v): img for v, img in assignment.items()}
+    target = next(iter(images.values())).ring if images else p.ring
+    for i, name in enumerate(p.ring.names):
+        if i not in images:
+            images[i] = target.variable(name)
+    acc = target.zero()
+    for mono, c in p.terms:
+        image = target.constant(c)
+        for i, e in enumerate(mono):
+            if e:
+                image = image * images[i] ** e
+        acc = acc + image
+    return acc
+
+
+@st.composite
+def substitutions(draw):
+    """(p, assignment): p of degree <= 4 in 3-4 variables over Q, GF(32003) or
+    GF(7); a drawn subset of its variables goes to images of degree 0-2 in a
+    target ring with other variables and order.  Images repeat or negate
+    earlier ones, so terms often cancel."""
+    modulus = draw(st.sampled_from((None, 32003, 7)))
+    nv = draw(st.integers(3, 4))
+    names = [f"x{i}" for i in range(1, nv + 1)]
+    src = RingSpec(names, modulus)
+    target = RingSpec(["t"] + names[::-1], modulus, order=draw(st.sampled_from((GREVLEX, LEX))))
+    coeffs = st.fractions(-6, 6, max_denominator=6)
+
+    def poly(ring, degree, size):
+        exps = st.lists(st.integers(0, ring.nvars - 1), max_size=degree).map(
+            lambda vs: tuple(vs.count(i) for i in range(ring.nvars)))
+        return Polynomial(ring, draw(st.dictionaries(exps, coeffs, max_size=size)))
+
+    p = poly(src, 4, 6)
+    assignment: dict = {}
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, unique=True)):
+        earlier = list(assignment.values())
+        if earlier and draw(st.booleans()):
+            assignment[name] = draw(st.sampled_from(earlier)) * draw(st.sampled_from((1, -1)))
+        else:
+            assignment[name] = poly(target, 2, 3)
+    return p, assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+@example((parse_polynomial("x1 - x2 + x3", RingSpec(["x1", "x2", "x3"], 7)),
+          {"x1": parse_polynomial("t + x3", RingSpec(["t", "x3"], 7)),
+           "x2": parse_polynomial("t", RingSpec(["t", "x3"], 7))}))
+@example((parse_polynomial("x1^2*x2 + 6*x1*x2^2 + x2", RingSpec(["x1", "x2", "x3"], 7)),
+          {"x1": parse_polynomial("2*t", RingSpec(["t", "x2", "x3"], 7))}))
+def test_substitute_matches_termwise_products(case):
+    # equality of terms pins the coefficients to the field, the zeros out and
+    # the target's order
+    p, assignment = case
+    assert substitute(p, assignment) == reference_substitute(p, assignment)
+
+
 # ---------- degree_in / xprime_order ----------
 
 def test_degree_in_examples(R):
