@@ -4,24 +4,25 @@ One Buchberger engine (`_Engine`) serves both ideals and submodules of free
 modules.  At its boundary a vector is a {term: coefficient} dict.  For an
 ideal a term is a monomial (exponent tuple); for a module a term of
 component c is the flat tuple (c, -c) + monomial, ordered by a key the
-caller supplies (see resolutions.py).
+caller supplies along with the number of components (see resolutions.py).
 
 Inside the engine every term is one int (packed exponent vectors, after
 Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007; see `_Packing`).  The high part holds
 the digits of the term's order key in a balanced mixed radix, so int
 comparison is the term order.  The low part holds one non-negative field per
-exponent, each with a clear guard bit on top, and for a module term the
-fields c and K - c, so divisibility never relates two components.  Every
-order key is linear in the exponents within a component, so multiplying
-terms is adding ints, the reducer's heap holds negated ints, `max` finds a
-lead term, and divisibility is one subtraction and a mask test.  The same
-linearity makes packing a precomputed linear form: the key is evaluated
-only when the packing is built, and packing a term is one dot product of
-its exponents with per-variable ints.  An engine builds its packing on its
-first input, with fields sized from those terms.  A reduction that carries
-a field into its guard bit raises `_Overflow`; the engine then widens its
-fields and redoes that reduction, so exponents never wrap.
+exponent, each with a clear guard bit on top, and for a module term of K
+components the fields c and K - 1 - c, so divisibility never relates two
+components.  Every order key is linear in the exponents within a component,
+so multiplying terms is adding ints, the reducer's heap holds negated ints,
+`max` finds a lead term, and divisibility is one subtraction and a mask
+test.  The same linearity makes packing a precomputed linear form: the key
+is evaluated only when the packing is built, and packing a term is one dot
+product of its exponents with per-variable ints.  An engine builds its
+packing on its first input, with exponent fields sized from those terms.  A
+reduction that carries a field into its guard bit raises `_Overflow`; the
+engine then widens its fields and redoes that reduction, so exponents never
+wrap.
 
 Coefficients are monic ints over GF(p).  Over Q the engine is fraction-free:
 every element is a primitive integer vector with a positive lead
@@ -40,8 +41,8 @@ update, which works on the lead tuples `_Engine.leads`.  Pair selection is
 normal, which for homogeneous input is degree-by-degree.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
-component, never on a key's tag block (see `_Engine`), and reducers are
-bucketed by component.
+component, never on the caller's tag block (see `_Engine`), and reducers
+are bucketed by component.
 
 `extend` is the one way an ideal's basis is built: given I's reduced basis
 and new forms, the engine adopts I's elements as they stand, closes only
@@ -105,8 +106,8 @@ class _Packing:
 
     Every coordinate of a term gets a field of `bits` bits whose top (guard)
     bit stays clear, so a field holds 0..cap.  An ideal term has one field
-    per variable.  A module term (`comps` > 0 components) has the fields c
-    and comps - 1 - c below its exponent fields.  Above the fields sit the
+    per variable.  A module term of component c, 0 <= c < comps, has the
+    fields c and comps - 1 - c below its exponent fields.  Above them sit the
     digits of `key(term)`, digit i weighted by `weights[i]`; each radix is
     2 * bound + 1 for a bound on |digit| over all terms that fit, so int
     comparison of packed terms is comparison of their keys.
@@ -254,11 +255,12 @@ class _Engine:
     """Incremental Buchberger state: packed elements, lead tuples, pending pairs.
 
     `key` orders terms (the ring's monomial order for an ideal).  With
-    `module` set, terms are encoded module terms (c, -c) + monomial: the
-    product criterion is off and reducers and pairs are kept per component.
+    `comps` > 0, terms are module terms (c, -c) + monomial, 0 <= c < comps:
+    the product criterion is off and reducers and pairs are kept per
+    component.
 
-    A module key may carry a tag block, `key.block` (components >= block,
-    ordered below all others; see `resolutions._module_key`).  An element
+    A module may have a tag block, the components >= `block`, which its key
+    orders below all others (see `resolutions._module_key`).  An element
     whose lead lies on it is a reducer but forms no pair, so the run is
     Buchberger off the tag block only (`resolutions.syzygies` says why that
     suffices).
@@ -268,17 +270,16 @@ class _Engine:
     at most d gives a d-truncated Groebner basis of homogeneous input.
     """
 
-    def __init__(self, ring: RingSpec, key=None, module: bool = False):
+    def __init__(self, ring: RingSpec, key=None, comps: int = 0, block: int | None = None):
         self.ring = ring
         self.key = key or ring.key
-        self.module = module
+        self.comps, self.block = comps, block
         self.pk: _Packing | None = None  # sized by the first `_fit`
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
         self.members: dict = {}  # component -> basis indices that form pairs
         self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
-        self.block = getattr(self.key, "block", None)
 
     def element(self, k: int) -> dict:
         """Basis element k as a monic {term: coefficient} dict."""
@@ -353,21 +354,18 @@ class _Engine:
 
     def _fit(self, dicts):
         """Size the packing to the first input (at least 8 bits, room for twice
-        its exponents and components); later widen it, if need be, so that
-        every term of `dicts` fits."""
+        its exponents and for the component fields); later widen it, if need
+        be, so that every exponent of `dicts` fits."""
         pk = self.pk
-        top = max((e for d in dicts for t in d for e in t[2 if self.module else 0:]),
+        top = max((e for d in dicts for t in d for e in t[2 if self.comps else 0:]),
                   default=0)
-        comps = max((t[0] + 1 for d in dicts for t in d), default=0) if self.module else 0
-        if pk is None or top > pk.cap or comps > pk.comps:
-            bits, floor = (8, int(self.module)) if pk is None else (pk.bits, pk.comps)
-            comps = max(floor, 2 * comps)
-            self._repack(max(bits, (2 * top).bit_length() + 1, comps.bit_length() + 1),
-                         comps)
+        if pk is None or top > pk.cap:
+            self._repack(max(8 if pk is None else pk.bits, (2 * top).bit_length() + 1,
+                             self.comps.bit_length() + 1))
 
-    def _repack(self, bits: int, comps: int):
+    def _repack(self, bits: int):
         old = [self.element(k) for k in range(len(self.elems))]
-        self.pk = _Packing(self.key, self.ring.nvars, comps, bits)
+        self.pk = _Packing(self.key, self.ring.nvars, self.comps, bits)
         self.elems.clear()
         self.leads.clear()
         self.reducers.clear()
@@ -385,7 +383,7 @@ class _Engine:
                 return _nf_dict(make(), reducers() if reducers else self.reducers,
                                 self.ring.modulus, self.pk)
             except _Overflow:
-                self._repack(2 * self.pk.bits, self.pk.comps)
+                self._repack(2 * self.pk.bits)
 
     def _install(self, d: dict) -> int:
         """Append the normalized packed dict d as an element and reducer; returns
@@ -435,7 +433,7 @@ class _Engine:
                 minimal.append(lcm)
         for lcm in minimal:
             grp = groups[lcm]
-            if not self.module and any(
+            if not self.comps and any(
                     mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
                 continue
             kept.append((key(lcm), lcm, min(grp), new))

@@ -399,49 +399,46 @@ class Polynomial:
 
 # ---------- core operations ----------
 
-def _integral(p: Polynomial) -> tuple[list, int]:
-    """(terms of den * p with int coefficients, den), den the lcm of p's denominators."""
+def _numerators(p: Polynomial) -> tuple:
+    """(terms of den * p with int coefficients, den): den is the lcm of p's
+    denominators over Q and 1 over GF(p)."""
+    if p.ring.modulus is not None:
+        return p.terms, 1
     den = lcm(*(c.denominator for _, c in p.terms))
     return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+
+
+def _from_numerators(ring: RingSpec, d: dict, den: int) -> Polynomial:
+    """The polynomial d / den, d an {monomial: int} dict: the field applies here, once."""
+    mod = ring.modulus
+    if mod is None:
+        return Polynomial._from_dict(ring, {m: Fraction(v, den) for m, v in d.items() if v})
+    return Polynomial._from_dict(ring, {m: r for m, v in d.items() if (r := v % mod)})
 
 
 def dot(ring: RingSpec, ps, qs) -> Polynomial:
     """sum_i ps[i] * qs[i] in `ring`, merged in one dict and sorted once.
 
-    Over Q each factor is scaled to integer coefficients, the products are
-    summed as ints over the common denominator, and each output term makes
-    one Fraction.
+    Each factor is scaled to integer coefficients (`_numerators`), the
+    products are summed as ints over the common denominator, and the field
+    applies once per output term.
     """
-    p = ring.modulus
-    d: dict = {}
-    if p is None:
-        scaled = []
-        for a, b in zip(ps, qs):
-            if a.ring != ring or b.ring != ring:
-                raise RingMismatchError("polynomials live in different rings")
-            scaled.append((_integral(a), _integral(b)))
-        den = lcm(*(da * db for (_, da), (_, db) in scaled))
-        get = d.get
-        for (at, da), (bt, db) in scaled:
-            k = den // (da * db)
-            for m1, c1 in at:
-                c1 *= k
-                for m2, c2 in bt:
-                    m = tuple(map(add, m1, m2))
-                    d[m] = get(m, 0) + c1 * c2
-        return Polynomial._from_dict(ring, {m: Fraction(c, den) for m, c in d.items() if c})
+    scaled = []
     for a, b in zip(ps, qs):
         if a.ring != ring or b.ring != ring:
             raise RingMismatchError("polynomials live in different rings")
-        for m1, c1 in a.terms:
-            for m2, c2 in b.terms:
-                m = tuple(x + y for x, y in zip(m1, m2))
-                nc = (d.get(m, 0) + c1 * c2) % p
-                if nc:
-                    d[m] = nc
-                else:
-                    d.pop(m, None)
-    return Polynomial._from_dict(ring, d)
+        scaled.append((_numerators(a), _numerators(b)))
+    den = lcm(*(da * db for (_, da), (_, db) in scaled))
+    d: dict = {}
+    get = d.get
+    for (at, da), (bt, db) in scaled:
+        k = den // (da * db)
+        for m1, c1 in at:
+            c1 *= k
+            for m2, c2 in bt:
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
+    return _from_numerators(ring, d, den)
 
 
 def substitute(p: Polynomial, assignment: dict) -> Polynomial:
@@ -483,11 +480,10 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
                 raise RingMismatchError(
                     f"unassigned variable {name!r} does not exist in the target ring")
             powers[(i, 1)] = ({zero[:j] + (1,) + zero[j + 1:]: 1}, 1)
-    mod = target.modulus
-    if src.modulus != mod:
+    if src.modulus != target.modulus:
         raise RingMismatchError("source and target coefficient fields differ")
     for i, img in images.items():
-        terms, den = _integral(img) if mod is None else (img.terms, 1)
+        terms, den = _numerators(img)
         powers[(i, 1)] = (dict(terms), den)
     prefixes: dict = {(): ({zero: 1}, 1)}
 
@@ -523,9 +519,7 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
         c = c.numerator * (den // (c.denominator * d))
         for m, v in terms.items():
             out[m] = get(m, 0) + c * v
-    if mod is None:
-        return Polynomial._from_dict(target, {m: Fraction(v, den) for m, v in out.items() if v})
-    return Polynomial._from_dict(target, {m: r for m, v in out.items() if (r := v % mod)})
+    return _from_numerators(target, out, den)
 
 
 def transport(p: Polynomial, target: RingSpec) -> Polynomial:

@@ -6,14 +6,17 @@ is the flat tuple (c, -c) + m.  Syzygies of columns f_1..f_m inside R^s are
 computed by running the engine on the augmented vectors (f_i, e_i) in
 R^(s+m) under an order whose first s components dominate: the basis
 elements supported entirely on the tag block (components s..s+m-1)
-generate the syzygy module.  The engine applies only the chain criterion to
-modules, since the product criterion does not hold over free modules.
+generate the syzygy module.  Each engine is told its layout when it is
+built: s + m components and the tag block from s here, the s components of
+the shifts in the greedy below.  The engine applies only the chain
+criterion to modules, since the product criterion does not hold over free
+modules.
 
 Resolutions iterate: take a minimal generating set of the current syzygy
 module (ascending-degree greedy, so minimality holds by graded Nakayama),
-record the matrix, continue with its syzygies.  Matrices therefore have all
-entries in the maximal ideal and the resulting resolution is minimal; no
-unit-stripping pass is needed.
+record the matrix, continue with its syzygies until there are none.
+Matrices therefore have all entries in the maximal ideal and the resulting
+resolution is minimal; no unit-stripping pass is needed.
 
 Two facts keep each step from doing more than the greedy needs:
 
@@ -56,34 +59,32 @@ from .polycore import (
 def _module_key(ring: RingSpec, block: int | None, shifts=None):
     """Sort key on module terms (c, -c) + mono; components c < block dominate.
 
-    With a block the key carries it as `key.block`, and the engine forms no
-    pairs on the tag block c >= block.  With `shifts` (and no block) the key
-    leads with the shifted degree |mono| + shifts[c], 0 for components past
-    the end of `shifts`.
+    The components c >= block are the tag block, which the caller also
+    names to the engine.  With `shifts` (and no block) the key leads with
+    the shifted degree |mono| + shifts[c], one shift per component.
     """
     ringkey = ring.key
     if shifts is not None:
-        shift = dict(enumerate(shifts)).get
-
         def key(term):
-            return ((sum(term[2:]) + shift(term[0], 0),) + ringkey(term[2:])
-                    + (term[1],))
+            return (sum(term[2:]) + shifts[term[0]],) + ringkey(term[2:]) + (term[1],)
     elif block is None:
         def key(term):
             return ringkey(term[2:]) + (term[1],)
     else:
         def key(term):
             return (1 if term[0] < block else 0,) + ringkey(term[2:]) + (term[1],)
-        key.block = block
     return key
 
 
-def _module_groebner(vectors, ring: RingSpec, block: int | None = None):
-    """Groebner basis of the submodule spanned by `vectors` (an engine to extend)."""
-    return groebner._Engine(ring, _module_key(ring, block), module=True).extend(vectors)
-
-
 # ---------- columns <-> module dicts ----------
+
+def _columns(gens) -> list[tuple]:
+    """`gens`, polynomials or equal-length polynomial columns, as columns."""
+    columns = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
+    if any(len(c) != len(columns[0]) for c in columns):
+        raise JonqError("columns have inconsistent lengths")
+    return columns
+
 
 def _column_to_dict(column, ring: RingSpec) -> dict:
     out: dict = {}
@@ -123,25 +124,18 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     list of syzygy columns of length len(gens) that generate the syzygy
     module; they are not a Groebner basis of it (see the module docstring).
     """
-    gens = list(gens)
-    if not gens:
+    columns = _columns(gens)
+    if not columns:
         return []
-    if isinstance(gens[0], Polynomial):
-        columns = [(g,) for g in gens]
-    else:
-        columns = [tuple(col) for col in gens]
-    rank = len(columns[0])
-    if any(len(c) != rank for c in columns):
-        raise JonqError("columns have inconsistent lengths")
+    rank, m = len(columns[0]), len(columns)
     ring = next(p.ring for c in columns for p in c)
-    m = len(columns)
     zero_mono = (0,) * ring.nvars
     augmented = []
     for i, col in enumerate(columns):
         v = _column_to_dict(col, ring)
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
-    gb = _module_groebner(augmented, ring, block=rank)
+    gb = groebner._Engine(ring, _module_key(ring, rank), rank + m, rank).extend(augmented)
     # components below rank dominate the order: an element lies on the tag
     # block iff its lead does
     return [_dict_to_column(gb.element(k), ring, rank, m)
@@ -160,7 +154,7 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
-    gb = groebner._Engine(ring, _module_key(ring, None, shifts), module=True)
+    gb = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
     kept = []
     for deg, _, col in degreed:
         if gb.add(_column_to_dict(col, ring), deg):
@@ -266,30 +260,23 @@ def minimal_free_resolution(gens) -> Resolution:
     """Minimal graded free resolution of R/I (or of R^s modulo column span).
 
     `gens` is a list of homogeneous polynomials (ideal case) or of
-    homogeneous columns.  The loop ends when the syzygies vanish, after at
-    most R.nvars steps: by Hilbert's syzygy theorem a finitely generated
+    homogeneous columns.  The loop ends as soon as the syzygies vanish, after
+    at most R.nvars steps: by Hilbert's syzygy theorem a finitely generated
     graded module over R has a minimal free resolution of length at most
     the number of variables.
     """
-    gens = list(gens)
-    if not gens:
+    columns = _columns(gens)
+    if not columns:
         raise JonqError("need at least one generator")
-    if isinstance(gens[0], Polynomial):
-        columns = [(g,) for g in gens if g]
-        ring = gens[0].ring
-        rank0 = 1
-    else:
-        columns = [tuple(c) for c in gens]
-        ring = next(p.ring for c in columns for p in c)
-        rank0 = len(columns[0])
-    shifts: list[tuple[int, ...]] = [(0,) * rank0]
+    ring = next(p.ring for c in columns for p in c)
+    shifts: list[tuple[int, ...]] = [(0,) * len(columns[0])]
     matrices: list = []
     current = minimal_generators(columns, ring, shifts[0])
     while current:
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
-        current = minimal_generators(syzygies([col for _, col in current]), ring,
-                                     shifts[-1])
+        syz = syzygies(matrices[-1])
+        current = syz and minimal_generators(syz, ring, shifts[-1])
     return Resolution(ring, tuple(shifts), tuple(matrices))
 
 

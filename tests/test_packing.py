@@ -12,7 +12,12 @@ from jonq import groebner  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.orders import GREVLEX, GRLEX, LEX, elimination_order  # noqa: E402
 from jonq.polycore import RingSpec, mono_divides, mono_mul, parse_polynomial  # noqa: E402
-from jonq.resolutions import _module_key, minimal_free_resolution, syzygies  # noqa: E402
+from jonq.resolutions import (  # noqa: E402
+    _module_key,
+    minimal_free_resolution,
+    minimal_generators,
+    syzygies,
+)
 
 NVARS = 4
 BITS = 6  # exponent fields hold 0..31
@@ -139,11 +144,24 @@ def test_an_engine_sizes_its_one_packing_to_its_first_input(monkeypatch):
     built, per_engine = count_packings(monkeypatch)
     assert syzygies(columns)
     assert len(built) == 1 and list(per_engine.values()) == [1]
-    # the one module engine holds 2 + 4 components, doubled for headroom
-    assert built[0][2] == 12
+    # the one module engine holds rank + m = 2 + 4 components, no more
+    assert built[0][2] == 6
 
     built.clear()
     per_engine.clear()
     gens = [parse_polynomial(g, ring) for g in ("x1^2", "x1*x2", "x2^3", "x3^2")]
     assert minimal_free_resolution(gens).length() == 3
     assert len(built) == len(per_engine) > 3 and set(per_engine.values()) == {1}
+
+
+def test_an_engine_packs_the_components_its_caller_names(monkeypatch):
+    # the first column reaches only component 0, yet the packing is built
+    # once, for all three components, and never repacked
+    ring = RingSpec(["x1", "x2", "x3"], 32003)
+    x1, x2, x3 = ring.variables()
+    zero = ring.zero()
+    built, per_engine = count_packings(monkeypatch)
+    kept = minimal_generators([(x1, zero, zero), (zero, x2, zero), (zero, zero, x3)], ring,
+                              (0, 0, 0))
+    assert len(kept) == 3
+    assert [args[2] for args in built] == [3] and list(per_engine.values()) == [1]

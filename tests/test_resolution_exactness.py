@@ -22,7 +22,6 @@ from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
     _dict_to_column,
-    _module_groebner,
     _module_key,
     minimal_free_resolution,
     minimal_generators,
@@ -36,7 +35,7 @@ def reference_greedy(columns, ring, rank, shifts):
     """(kept (degree, column) pairs, rejected columns), closing the basis fully."""
     degreed = sorted(((_column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                       if any(c)), key=lambda t: t[:2])
-    gb = _module_groebner((), ring)
+    gb = groebner._Engine(ring, _module_key(ring, None), rank)
     kept, rejected = [], []
     for deg, _, col in degreed:
         if gb.add(_column_to_dict(col, ring)):
@@ -50,9 +49,8 @@ def full_syzygies(columns, ring):
     """The tag-block elements of a full Groebner basis of the augmented
     vectors (f_i, e_i): a Groebner basis of the syzygy module of `columns`."""
     rank, m = len(columns[0]), len(columns)
-    block_key = _module_key(ring, rank)
-    # a plain function carries no `block`, so the engine closes every pair
-    engine = groebner._Engine(ring, lambda term: block_key(term), module=True)
+    # the engine is not told of the tag block, so it closes every pair
+    engine = groebner._Engine(ring, _module_key(ring, rank), rank + m)
     unit = (0,) * ring.nvars
     engine.extend([{**_column_to_dict(col, ring), (rank + i, -rank - i) + unit: ring.coeff(1)}
                    for i, col in enumerate(columns)])
@@ -60,10 +58,11 @@ def full_syzygies(columns, ring):
             for k, lead in enumerate(engine.leads) if lead[0] >= rank]
 
 
-def same_module(a, b, ring):
-    """True iff the column lists a and b span the same submodule."""
+def same_module(a, b, ring, rank):
+    """True iff the column lists a and b span the same submodule of R^rank."""
     def inside(columns, span):
-        basis = _module_groebner([_column_to_dict(c, ring) for c in span], ring)
+        basis = groebner._Engine(ring, _module_key(ring, None), rank)
+        basis.extend([_column_to_dict(c, ring) for c in span])
         return all(not basis.reduce(_column_to_dict(c, ring)) for c in columns)
     return inside(a, b) and inside(b, a)
 
@@ -95,7 +94,7 @@ def assert_matches_reference(gens):
     # exact: each matrix spans the full syzygy module of the one before it,
     # and the last one has none
     for prev, mat in zip(res.matrices, res.matrices[1:]):
-        assert same_module(mat, full_syzygies(prev, ring), ring)
+        assert same_module(mat, full_syzygies(prev, ring), ring, len(prev))
     assert not res.matrices or not full_syzygies(res.matrices[-1], ring)
 
 
@@ -146,7 +145,7 @@ def test_syzygies_generate_the_full_basis_module(gens):
         ring, columns = gens[0].ring, [(g,) for g in gens]
     else:
         ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
-    assert same_module(syzygies(gens), full_syzygies(columns, ring), ring)
+    assert same_module(syzygies(gens), full_syzygies(columns, ring), ring, len(columns))
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,9 +164,9 @@ def test_primary_syzygies_survive_a_repack(monkeypatch):
     repacked_with = []
     repack = groebner._Engine._repack
 
-    def recording_repack(self, bits, comps):
+    def recording_repack(self, bits):
         repacked_with.append(len(self.elems))
-        repack(self, bits, comps)
+        repack(self, bits)
 
     monkeypatch.setattr(groebner._Engine, "_repack", recording_repack)
     for modulus in FIELDS:
@@ -240,21 +239,21 @@ def test_minimal_generator_count_matches_reference(gens):
     assert rees.minimal_generator_count(gens) == len(kept)
 
 
-NVARS, BITS, COMPS = 3, 6, 4
+NVARS, BITS = 3, 6
 CAP = (1 << (BITS - 1)) - 1
+# one component per shift, as `minimal_generators` builds its engine
 SHIFTED = [(shifts, _Packing(_module_key(RingSpec(["x1", "x2", "x3"]), None, shifts),
-                             NVARS, COMPS, BITS))
+                             NVARS, len(shifts), BITS))
            for shifts in ((0,), (3, 0, 5), (2, 2, 1, 0))]
 monos = st.tuples(*[st.integers(0, CAP) for _ in range(NVARS)])
 
 
-@given(st.sampled_from(SHIFTED), st.integers(0, COMPS - 1), monos,
-       st.integers(0, COMPS - 1), monos)
-def test_shifted_key_packs_in_order(scheme, ca, a, cb, b):
-    # components past the end of shifts (the engine doubles its component
-    # fields) pack with shift 0
-    shifts, pk = scheme
+@given(st.data())
+def test_shifted_key_packs_in_order(data):
+    shifts, pk = data.draw(st.sampled_from(SHIFTED))
+    comps = st.integers(0, len(shifts) - 1)
+    ca, a, cb, b = data.draw(comps), data.draw(monos), data.draw(comps), data.draw(monos)
     ta, tb = (ca, -ca) + a, (cb, -cb) + b
     assert (pk.pack(ta) < pk.pack(tb)) == (pk.key(ta) < pk.key(tb))
-    assert pk.key(ta)[0] == sum(a) + (shifts[ca] if ca < len(shifts) else 0)
+    assert pk.key(ta)[0] == sum(a) + shifts[ca]
     assert pk.unpack(pk.pack(ta)) == ta

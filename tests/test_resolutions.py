@@ -62,11 +62,13 @@ def test_syzygies_generate_randomized():
     # here: multiples of Koszul relations between pairs of generators
     rng = random.Random(8)
     R = RingSpec(["x1", "x2", "x3"], modulus=101)
-    from jonq.resolutions import _column_to_dict, _module_groebner
+    from jonq.groebner import _Engine
+    from jonq.resolutions import _column_to_dict, _module_key
     for _ in range(25):
         gens = [random_form(R, rng.randrange(1, 3), rng, terms=2) for _ in range(3)]
         syz = syzygies(gens)
-        gbm = _module_groebner([_column_to_dict(col, R) for col in syz], R)
+        gbm = _Engine(R, _module_key(R, None), 3)
+        gbm.extend([_column_to_dict(col, R) for col in syz])
         for i in range(3):
             for j in range(i + 1, 3):
                 koszul = [R.zero()] * 3
