@@ -597,7 +597,7 @@ def exact_div(p: Polynomial, f: Polynomial):
     ring = p.ring
     rem = dict(p.terms)
     key = ring.key
-    lmf, lcf = f.terms[0] if f.terms else (None, None)
+    lmf, lcf = f.terms[0]
     inv_lcf = ring.cinv(lcf)
     mod = ring.modulus
     quot: dict = {}

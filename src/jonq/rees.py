@@ -18,9 +18,9 @@ the tests' oracle for J.
 `rees_ideal` are computed on the first call for its map and looked up on the
 later ones (`_once_per_case`).  The memo is dropped when `case_report`
 returns or raises, so a check called alone builds J from j.
-Verification compares reduced bases, decides minimality by one
-minimal-generator pass (`minimal_generator_count`), and cross-checks the
-iterated mapping-cone Betti data against the Hilbert series.
+Verification compares reduced bases, reads minimality off the link bases
+(a form is redundant exactly when its link leaves the basis unchanged), and
+cross-checks the iterated mapping-cone Betti data against the Hilbert series.
 The projective-dimension probe resolves not the presentation ideal J but a
 linear section of S/J in 2n+2-k variables, certified regular by its Hilbert
 series (see `_certified_section`); by Hilbert's syzygy theorem that
@@ -137,26 +137,17 @@ def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
 def link_bases(j: DeJonquieresMap) -> tuple[groebner.GroebnerBasis, ...]:
     """Reduced bases of P_0..P_{d-1}, whose `.gens` are the links of `chain`.
 
-    Each link's basis extends the one before by the forms the link adds
-    (`groebner.extend`), so the pairs of P_i are never formed again; the
-    last is the basis of the predicted generating set P = P_{d-1}.
+    Each link after P_0 adds one form, F_i of total degree d, so the forms
+    come in ascending degree.  Each link's basis extends the one before by
+    the forms the link adds (`groebner.extend`), so the pairs of P_i are
+    never formed again; the last is the basis of the predicted generating
+    set P = P_{d-1}.
     """
     links = chain(j)
     bases = [groebner.buchberger(links[0], ring=j.working_ring())]
     for link in links[1:]:
         bases.append(groebner.extend(bases[-1], link[len(bases[-1].gens):]))
     return tuple(bases)
-
-
-def minimal_generator_count(gens) -> int:
-    """Number of minimal generators of the homogeneous ideal spanned by gens."""
-    from .resolutions import minimal_generators
-    gens = [g for g in gens if g]
-    if not gens:
-        return 0
-    ring = gens[0].ring
-    kept = minimal_generators([(g,) for g in gens], ring, (0,))
-    return len(kept)
 
 
 @dataclass(frozen=True)
@@ -182,8 +173,16 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     predicted set itself, so `ideal_matches` rests on its certificate (P in
     J, a y_{n+1} - g y_1 in P, x_1 and f regular on S/P); the t-elimination
     decides it only when the certificate fails, and is the tests' oracle.
+
+    Minimality is read off `link_bases`: the form a link adds is redundant
+    exactly when the link's basis equals the one before, i.e. when the form
+    lies in the ideal of the forms before it.  The minors are linearly
+    independent (only x_j y_i - x_i y_j contains x_j y_i), and the links add
+    the F_i, of total degree d >= 2, one at a time, so this is the
+    ascending-degree greedy, which keeps beta_0 forms by graded Nakayama.
     """
-    pred_gb = link_bases(j)[-1]
+    bases = link_bases(j)
+    pred_gb = bases[-1]
     predicted = pred_gb.gens
     eliminated = rees_ideal(j)
     witnesses = []
@@ -197,14 +196,10 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
             if not pred_gb.contains(p):
                 witnesses.append(f"ideal element not generated: {p}")
 
-    # one minimal-generator pass decides minimality (graded Nakayama); the
-    # per-generator membership tests only name the redundant generators
-    minimal = minimal_generator_count(predicted) == len(predicted)
-    if not minimal:
-        for k, p in enumerate(predicted):
-            others = predicted[:k] + predicted[k + 1:]
-            if groebner.normal_form(p, others).is_zero():
-                witnesses.append(f"redundant generator: {p}")
+    redundant = [form for here, after in zip(bases, bases[1:]) if after.basis == here.basis
+                 for form in after.gens[len(here.gens):]]
+    witnesses.extend(f"redundant generator: {p}" for p in redundant)
+    minimal = not redundant
 
     count = len(predicted)
     expected = comb(j.n, 2) + j.d - 1

@@ -14,7 +14,10 @@ input where the criteria still apply, to make the checks fail:
   colons become (y_1, x_2..x_n), with the numerators of (x_1..x_n), so only
   the containment differs).
 
-`groebner.colon` is the oracle for both.  The last property checks the
+`groebner.colon` is the oracle for both.  The generation theorem's
+minimality is read off the same link bases; a planted extra link whose form
+lies in the link before it must be named, with the module greedy
+`resolutions.minimal_generators` as the oracle.  The last property checks the
 fact `rees._certified_section` rests on at k = 1: any cut of the last
 variable of S by a linear form in the others keeps J's numerator.
 """
@@ -31,6 +34,7 @@ given, settings = hypothesis.given, hypothesis.settings
 
 from jonq import dejonq, groebner as gb, rees  # noqa: E402
 from jonq.polycore import Polynomial, RingSpec, substitute  # noqa: E402
+from jonq.resolutions import minimal_generators  # noqa: E402
 
 FIELDS = st.sampled_from((None, 32003))
 
@@ -88,6 +92,39 @@ def test_colon_lemmas_from_numerators_match_the_oracle(point, modulus, seed, cha
         assert not oracle[i - 1]
     else:
         assert all(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))), FIELDS,
+       st.integers(0, 10 ** 6), st.sampled_from(("none", "multiple", "sum", "minors")),
+       st.data())
+def test_minimality_from_the_link_bases_matches_the_oracle(point, modulus, seed, change, data):
+    # an extra link whose form lies in the link before it: x1 F_i or
+    # F_0 + F_{d-2} at the end, or the sum of the minors as the first link
+    # after P_0; the module greedy over the whole generator set is the oracle
+    n, d = point
+    hypothesis.assume(change != "sum" or d >= 3)
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    links = rees.chain(j)
+    ring = j.working_ring()
+    forms = [link[-1] for link in links[1:]]
+    planted = None
+    if change == "multiple":
+        planted = ring.variable("x1") * forms[data.draw(st.integers(0, d - 2))]
+        links = rebuilt_chain(links, forms + [planted])
+    elif change == "sum":
+        planted = forms[0] + forms[-1]
+        links = rebuilt_chain(links, forms + [planted])
+    elif change == "minors":
+        planted = sum(links[0][1:], links[0][0])
+        links = rebuilt_chain(links, [planted] + forms)
+    with mock.patch.object(rees, "chain", lambda m: links):
+        report = rees.verify_main_theorem(j)
+    gens = links[-1]
+    oracle = len(minimal_generators([(g,) for g in gens], ring, (0,))) == len(gens)
+    assert report.minimal == oracle == (planted is None)
+    assert report.witnesses == (() if planted is None else (
+        f"redundant generator: {planted}", f"generator count {len(gens)} != {len(gens) - 1}"))
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from jonq import dejonq, groebner as gb, rees
+from jonq import dejonq, groebner as gb, rees, resolutions
 from jonq.polycore import JonqError, RingSpec, parse_polynomial, substitute, transport
 
 
@@ -36,10 +36,14 @@ def test_rees_ideal_saturation_stable(e1, e3):
         assert gb.ideal_equal(sat, ideal)
 
 
+def minimal_generator_count(ideal):
+    return len(resolutions.minimal_generators([(g,) for g in ideal.basis], ideal.ring, (0,)))
+
+
 def test_minimal_generator_counts(e1, e2, e3):
     for j, count in ((e1, 2), (e2, 4), (e3, 3)):
         ideal = rees.rees_ideal(j)
-        assert rees.minimal_generator_count(list(ideal.basis)) == count
+        assert minimal_generator_count(ideal) == count
 
 
 def test_downgraded_forms_in_ideal(e1, e2, e3):
@@ -144,6 +148,18 @@ def test_main_theorem_worked_examples(e1, e2, e3):
         assert report.count == count == report.expected_count
 
 
+def test_main_theorem_reads_minimality_off_the_link_bases(e3, monkeypatch):
+    # no second pass: neither the module greedy nor a per-generator normal
+    # form runs under the theorem check on a passing map
+    calls = []
+    for module, name in ((resolutions, "minimal_generators"), (gb, "normal_form")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert rees.verify_main_theorem(e3).ok
+    assert calls == []
+
+
 def test_main_theorem_randomized():
     rng = random.Random(91)
     from math import comb
@@ -157,13 +173,14 @@ def test_main_theorem_randomized():
 
 def test_main_theorem_names_redundant_generator(e2, monkeypatch):
     # a generator that lies in the span of the others fails minimality, and
-    # the report names exactly that generator
+    # the report names exactly that generator; it comes as its own link,
+    # since each link adds one form
     real = rees.chain
 
     def padded(j):
         links = real(j)
         last = links[-1]
-        return links[:-1] + (last + (last[0] * last[0].ring.variable(0),),)
+        return links + (last + (last[0] * last[0].ring.variable(0),),)
     monkeypatch.setattr(rees, "chain", padded)
     report = rees.verify_main_theorem(e2)
     extra = padded(e2)[-1][-1]
@@ -309,8 +326,7 @@ def test_cone_hilbert_match_randomized():
         assert data.table.length() == length
         assert data.table.ranks()[0] == 1
         # position-1 ranks match the minimal generator count
-        assert data.table.ranks()[1] == rees.minimal_generator_count(
-            list(rees.rees_ideal(j).basis))
+        assert data.table.ranks()[1] == minimal_generator_count(rees.rees_ideal(j))
 
 
 # ---------- projective dimension probe ----------
