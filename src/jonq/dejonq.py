@@ -107,8 +107,8 @@ def construct(f: Polynomial, g: Polynomial, n: int,
     if f.total_degree() != d - 1:
         raise ConstructionError(
             f"degree mismatch: deg f = {f.total_degree()} but deg g - 1 = {d - 1}")
-    # in the UFD R, g is regular modulo f exactly when gcd(f, g) = 1
-    if not groebner.is_regular(groebner.buchberger([f]), g):
+    # decided by a common variable or a line, rarely by a Buchberger run
+    if not groebner.coprime(f, g):
         raise ConstructionError("gcd(f,g) != 1")
     last = ring.names[n]
     rf, rg = degree_in(f, last), degree_in(g, last)
@@ -306,7 +306,8 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
     complete intersection because `construct` certifies gcd(f, g) = 1, and
     (x_1..x_n) lies in I : f by construction, so I : f = (x_1..x_n) exactly
     when N(I) = (1 - t^(d-1))(1 - t^d) + t^(d-1) (1 - t)^n (Stanley, Adv.
-    Math. 1978); `groebner.colon` is the test oracle.
+    Math. 1978), (1 - t)^n being the closed-form numerator of (x_1..x_n)
+    (`groebner.variables_numerator`); `groebner.colon` is the test oracle.
     """
     ring = j.source
     n = j.n
@@ -320,9 +321,8 @@ def structural_checks(j: DeJonquieresMap) -> StructuralReport:
 
     num = oracle.betti.alternating_numerator()
     complete_intersection = {0: 1, j.d - 1: -1, j.d: -1, 2 * j.d - 1: 1}  # N(f, g)
-    support = [ring.variable(i) for i in range(n)]
     support_ok = num == groebner.numerator_from_colon(
-        complete_intersection, j.d - 1, groebner.hilbert_series_numerator(support))
+        complete_intersection, j.d - 1, groebner.variables_numerator(n))
     if not support_ok:
         witnesses.append(f"I : f != (x_1..x_{n})")
 

@@ -1,4 +1,5 @@
-"""Groebner-basis engine: Buchberger, elimination, kernels, colon ideals, Hilbert series.
+"""Groebner-basis engine: Buchberger, elimination, kernels, colon ideals, Hilbert series,
+coprimality.
 
 One Buchberger engine (`_Engine`) serves both ideals and submodules of free
 modules.  At its boundary a vector is a {term: coefficient} dict.  For an
@@ -64,17 +65,20 @@ interreducing.
 The colons the library needs are read off Hilbert numerators in the same
 way (`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
 `colon`, `colon_ideal` and `saturate` have no library caller and are the
-tests' oracles.
+tests' oracles.  R/(x_1..x_k) needs no basis: its numerator is (1 - t)^k
+(`variables_numerator`).  `coprime` decides gcd(f, g) = 1 by a common
+variable or a line, and only otherwise by `is_regular(buchberger([f]), g)`.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .orders import elimination_order
@@ -84,6 +88,7 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
+    _numerators,
     exact_div,
     mono_div,
     mono_divides,
@@ -782,6 +787,12 @@ def hilbert_series_numerator(gens) -> dict[int, int]:
     return dict(gens._hilbert_numerator)
 
 
+def variables_numerator(k: int) -> dict[int, int]:
+    """Hilbert numerator (1 - t)^k of R/(x_1..x_k), in any number of
+    variables: R/(x_1..x_k) is a polynomial ring in the other variables."""
+    return {i: (-1) ** i * comb(k, i) for i in range(k + 1)}
+
+
 def numerator_from_colon(num_with_u: dict, e: int, num_colon: dict) -> dict[int, int]:
     """Hilbert numerator of R/K from those of R/(K, u) and R/(K : u), u a form
     of degree e: num_with_u + t^e num_colon, by the exact sequence
@@ -810,6 +821,110 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     leads = _extension(gb, [u]).leads
     return numerator == numerator_from_colon(_hilb_rec(_mono_minimalize(leads), {}),
                                              u.total_degree(), numerator)
+
+
+# ---------- coprimality ----------
+
+# Over Q the restrictions to a line are compared modulo this prime (2^61 - 1)
+_LINE_PRIME = (1 << 61) - 1
+_LINE_TRIES = 3
+
+
+def coprime(f: Polynomial, g: Polynomial) -> bool:
+    """True iff gcd(f, g) = 1, for nonzero forms f and g of one ring.
+
+    Every verdict is exact.  A variable dividing every term of f and of g is
+    a common factor: False.  A line on which the restrictions share no root
+    gives True (`_coprime_on_line`); up to _LINE_TRIES lines come from a
+    random.Random(0) of this test's own, never a caller's.  Otherwise, in
+    the UFD R, g is regular modulo f exactly when gcd(f, g) = 1
+    (`is_regular`), the oracle of this test.
+    """
+    if f.ring != g.ring:
+        raise RingMismatchError("polynomials live in different rings")
+    if f.is_zero() or g.is_zero():
+        raise JonqError("coprimality of the zero polynomial")
+    for p in (f, g):
+        if not p.is_homogeneous():
+            raise InhomogeneousError(f"form {p} is not homogeneous")
+    contents = [map(min, zip(*(m for m, _ in p.terms))) for p in (f, g)]
+    if any(a and b for a, b in zip(*contents)):
+        return False
+    rng = random.Random(0)
+    field, nvars = f.ring.modulus or _LINE_PRIME, f.ring.nvars
+    for _ in range(_LINE_TRIES):
+        a, b = ([rng.randrange(field) for _ in range(nvars)] for _ in "ab")
+        if _coprime_on_line(f, g, a, b):
+            return True
+    return is_regular(buchberger([f]), g)
+
+
+def _coprime_on_line(f: Polynomial, g: Polynomial, a, b) -> bool:
+    """True when the line s a + b (a, b integer points) shows gcd(f, g) = 1.
+
+    F(s) = f(s a + b) has top coefficient f(a), f being a form.  When
+    f(a) != 0, a common factor h of f and g has h(a) != 0, so h(s a + b) has
+    degree deg h and divides both F and G(s) = g(s a + b): if F and G are
+    coprime, then so are f and g (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 6).  Univariate Euclid decides that.  Over GF(p) it runs in
+    GF(p).  Over Q, F and G are taken with cleared denominators, in Z[s], and
+    Euclid runs modulo q = _LINE_PRIME: f(a) != 0 mod q keeps deg F, so
+    Res(F, G) mod q is a unit times Res(F mod q, G mod q), which is nonzero
+    when F and G are coprime mod q; then Res(F, G) != 0, and F and G are
+    coprime over Q.  False decides nothing.
+    """
+    field = f.ring.modulus or _LINE_PRIME
+    powers: dict = {}
+
+    def restriction(p: Polynomial) -> list[int]:
+        """p(s a + b) (times its denominators over Q) mod field, lowest degree first."""
+        out = [0] * (p.total_degree() + 1)
+        for m, c in _numerators(p)[0]:
+            poly = [c % field]
+            for i, e in enumerate(m):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = [comb(e, k) * pow(a[i], k, field) * pow(b[i], e - k, field)
+                                        % field for k in range(e + 1)]
+                    poly = _umul(poly, powers[i, e], field)
+            for k, v in enumerate(poly):
+                out[k] += v
+        return _ustrip([v % field for v in out])
+
+    big = restriction(f)
+    if len(big) != f.total_degree() + 1:  # f(a) = 0 mod field: deg F dropped
+        return False
+    small = restriction(g)
+    while small:
+        big, small = small, _urem(big, small, field)
+    return len(big) == 1
+
+
+def _ustrip(u: list[int]) -> list[int]:
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _umul(u: list[int], v: list[int], field: int) -> list[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return [c % field for c in out]
+
+
+def _urem(u: list[int], v: list[int], field: int) -> list[int]:
+    """Remainder of u by v != 0 (coefficient lists, lowest first, v stripped)."""
+    u = list(u)
+    inv, top = pow(v[-1], -1, field), len(v) - 1
+    while len(u) > top:
+        c = u.pop() * inv % field
+        if c:
+            shift = len(u) - top
+            for k in range(top):
+                u[shift + k] = (u[shift + k] - c * v[k]) % field
+    return _ustrip(u)
 
 
 def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
@@ -848,7 +963,8 @@ from .resolutions import (  # noqa: E402
 __all__ = [
     "GroebnerBasis", "buchberger", "extend", "normal_form", "spolynomial", "ideal_equal",
     "eliminate", "intersect", "colon", "colon_ideal", "saturate",
-    "hilbert_series_numerator", "numerator_from_colon", "is_regular", "dim_and_multiplicity",
+    "hilbert_series_numerator", "variables_numerator", "numerator_from_colon", "is_regular",
+    "coprime", "dim_and_multiplicity",
     "InhomogeneousError",
     "BettiTable", "Resolution",
     "minimal_free_resolution", "syzygies",

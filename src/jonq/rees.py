@@ -236,12 +236,13 @@ def colon_lemma_checks(j: DeJonquieresMap) -> ColonReport:
     N(P_i) = N(P_{i+1}) + t^e N(C_i).  C_0 = P_0, which the colon always
     contains, so the first check says F_0 is regular on S/P_0.  For i >= 1,
     C_i = (x_1..x_n), which lies in P_i : F_i when x_k F_i lies in P_i for
-    every k.  `groebner.colon` is the test oracle.
+    every k; N(C_i) = (1 - t)^n (`groebner.variables_numerator`).
+    `groebner.colon` is the test oracle.
     """
     bases = link_bases(j)
     s_ring = bases[0].ring
     support = [s_ring.variable(nm) for nm in j.source.names[: j.n]]
-    support_num = groebner.hilbert_series_numerator(support)
+    support_num = groebner.variables_numerator(j.n)
     checks, witnesses = [], []
     for i, (here, after) in enumerate(zip(bases, bases[1:])):
         form, num = after.gens[-1], groebner.hilbert_series_numerator(here)
@@ -373,8 +374,9 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     """Implicit equation of the specialized map versus the inverse coordinates.
 
     Cuts by ell = x_{n+1} - lam.  With f_H = f(x, lam) and g_H = g(x, lam) in
-    k[x_1..x_n], lam is taken exactly when gcd(f_H, g_H) = 1, i.e. when g_H
-    is regular modulo f_H (`groebner.is_regular`); then the implicit equation
+    k[x_1..x_n], lam is taken exactly when gcd(f_H, g_H) = 1, decided by
+    `groebner.coprime` (a common variable, a line, or else g_H regular
+    modulo f_H by a Buchberger run); then the implicit equation
     of F_H = (x_1 f_H : .. : x_n f_H : g_H) is h = f_H(y') y_{n+1} - g_H(y'),
     degree_ok says that ell on the inverse coordinates is a multiple of h,
     and scalar is its leading coefficient.  This one test decides both
@@ -417,7 +419,7 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
     for cand in ((lam,) if lam is not None else random_candidates()):
         on_cut = {last: transport(cand, cut)}
         fh, gh = substitute(j.f, on_cut), substitute(j.g, on_cut)
-        if fh and gh and groebner.is_regular(groebner.buchberger([fh]), gh):
+        if fh and gh and groebner.coprime(fh, gh):
             lam, regular = cand, True
             break
         rejected.append(cand)

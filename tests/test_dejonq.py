@@ -35,8 +35,9 @@ def test_construct_rejects_common_factor():
 
 @pytest.mark.parametrize("modulus", [None, 32003])
 def test_coprimality_check_agrees_with_gcd(modulus):
-    # construct asks whether g is regular modulo f; the reference is
-    # polycore.gcd.  Half the pairs share a planted factor h
+    # construct asks gb.coprime, whose fallback and oracle asks whether g is
+    # regular modulo f; the reference is polycore.gcd.  Half the pairs share
+    # a planted factor h
     ring = dejonq.source_ring(2, modulus)
     rng = random.Random(53)
     verdicts = []
@@ -48,6 +49,7 @@ def test_coprimality_check_agrees_with_gcd(modulus):
             f, g = f * h, g * h
         coprime = polycore.gcd(f, g).total_degree() == 0
         assert gb.is_regular(gb.buchberger([f]), g) == coprime, (f, g)
+        assert gb.coprime(f, g) == coprime, (f, g)
         verdicts.append(coprime)
     assert True in verdicts and False in verdicts
     # a factor in the support variables keeps every other condition
@@ -57,6 +59,36 @@ def test_coprimality_check_agrees_with_gcd(modulus):
         assert polycore.gcd(h * j.f, h * j.g).total_degree() == 1
         with pytest.raises(ConstructionError, match=r"^gcd\(f,g\) != 1$"):
             dejonq.construct(h * j.f, h * j.g, n)
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_explore_maps_are_built_without_buchberger(monkeypatch, modulus):
+    # the trial-0 draws of `jonq explore --n-range 2..5 --d-range 2..5
+    # --seed 0`: every rejected pair shares a variable, and every accepted
+    # pair is coprime on its first line, so no gcd needs a Buchberger run
+    calls, constructed = [], []
+    buchberger, construct = gb.buchberger, dejonq.construct
+
+    def spy_buchberger(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    def spy_construct(*args):
+        constructed.append(args)
+        return construct(*args)
+
+    monkeypatch.setattr(gb, "buchberger", spy_buchberger)
+    monkeypatch.setattr(dejonq, "construct", spy_construct)
+    maps = [dejonq.random_map(n, d, random.Random(n * 10_007 + d * 101), modulus)
+            for n in range(2, 6) for d in range(2, 6)]
+    assert calls == []
+    assert len(constructed) > len(maps)  # some draws were rejected
+    # a common variable is rejected without a run as well
+    j = maps[-1]
+    x1 = j.source.variable(0)
+    with pytest.raises(ConstructionError, match=r"^gcd\(f,g\) != 1$"):
+        dejonq.construct(x1 * j.f, x1 * j.g, j.n)
+    assert calls == []
 
 
 def test_construct_rejects_missing_distinguished_variable():
@@ -253,7 +285,8 @@ def test_inverse_certifies_one_candidate(monkeypatch, e1, e2, e3):
 def test_inverse_neither_composes_nor_divides(monkeypatch, e1, e2, e3):
     """The certificate pulls back through the shape of the map: `inverse`
     calls no coordinatewise composition, substitution, exact division or
-    gcd (construct checks the inverse's coprimality as a regular element)."""
+    gcd (construct checks the inverse's coprimality by `groebner.coprime`,
+    which restricts to a line without substituting)."""
     calls = []
 
     def spy(name, fn):
@@ -400,11 +433,16 @@ def test_structural_unsaturated_ideal_is_named_by_projdim():
 
 
 def test_structural_checks_never_saturate(e1, e2, monkeypatch):
+    # nor build a basis: N(I) comes from the oracle resolution and
+    # N(x_1..x_n) = (1 - t)^n in closed form
     calls = []
-    saturate = gb.saturate
+    saturate, buchberger = gb.saturate, gb.buchberger
     monkeypatch.setattr(gb, "saturate", lambda *a: calls.append(a) or saturate(*a))
-    for j in (e1, e2, dejonq.random_map(3, 3, random.Random(5))):
-        assert dejonq.structural_checks(j).saturated
+    monkeypatch.setattr(gb, "buchberger", lambda *a, **k: calls.append(a) or buchberger(*a, **k))
+    for j in (e1, e2, dejonq.random_map(3, 3, random.Random(5)),
+              dejonq.random_map(3, 3, random.Random(5), None)):
+        rep = dejonq.structural_checks(j)
+        assert rep.saturated and rep.colon_contains_support
     assert calls == []
 
 

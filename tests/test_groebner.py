@@ -311,6 +311,68 @@ def test_is_regular_closes_only_the_new_pairs(R, monkeypatch):
     assert gb.is_regular(ideal, R.variable(2))
 
 
+# ---------- coprimality ----------
+
+COPRIME_PLANTS = ("none", "variable", "linear", "quadratic")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((None, 32003, 7)), st.integers(1, 5), st.sampled_from(COPRIME_PLANTS),
+       st.integers(0, 10 ** 6))
+def test_coprime_matches_the_buchberger_oracle(modulus, n, plant, seed):
+    # oracle: in the UFD R, gcd(f, g) = 1 iff g is regular modulo f.  A plant
+    # is a common variable or a common linear or quadratic form that is not
+    # a monomial (one variable has none)
+    hypothesis.assume(n >= 2 or plant in ("none", "variable"))
+    ring = RingSpec([f"x{i}" for i in range(1, n + 1)], modulus)
+    rng = random.Random(seed)
+    f = random_form(ring, rng.randrange(0, 3), rng, terms=3)
+    g = random_form(ring, rng.randrange(1, 4), rng, terms=3)
+    if plant == "variable":
+        h = ring.variable(rng.randrange(n))
+    elif plant != "none":
+        h = random_form(ring, 1 if plant == "linear" else 2, rng, terms=3)
+        hypothesis.assume(len(h.terms) >= 2)
+    if plant != "none":
+        f, g = f * h, g * h
+    verdict = gb.coprime(f, g)
+    assert verdict == gb.is_regular(gb.buchberger([f]), g), (f, g)
+    if plant != "none":
+        assert not verdict
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_coprime_line_step_needs_the_top_coefficient(modulus):
+    # h = x1 - x2 vanishes at a = (1, 1, 1), so on the line s a + b it
+    # restricts to the constant b1 - b2 and the restrictions of h u and h v
+    # are those of u and v up to a unit: coprime.  Only the check f(a) != 0
+    # keeps the line from a wrong True
+    ring = RingSpec(["x1", "x2", "x3"], modulus)
+    u, v, h = P("x1 + x3", ring), P("x2^2 + 2*x3^2", ring), P("x1 - x2", ring)
+    a, b = (1, 1, 1), (3, 5, 11)
+    assert gb._coprime_on_line(u, v, a, b)
+    assert not gb._coprime_on_line(h * u, h * v, a, b)
+    assert not gb.coprime(h * u, h * v)
+    # a line through a point off h shows the common root
+    assert not gb._coprime_on_line(h * u, h * v, (1, 2, 3), b)
+
+
+def test_coprime_edge_cases(R, monkeypatch):
+    x1, x2, x3 = R.variables()
+    # no Buchberger run: a unit is coprime to everything, a common variable
+    # decides False, and a generic line decides True
+    monkeypatch.setattr(gb, "buchberger", None)
+    assert gb.coprime(R.constant(3), x1 * x2)
+    assert not gb.coprime(x1 * x2, x1 * x3 + x1 * x2)
+    assert gb.coprime(x1 * x2 + x3 ** 2, x1 ** 3 - x2 * x3 ** 2)
+    with pytest.raises(gb.JonqError):
+        gb.coprime(x1, R.zero())
+    with pytest.raises(gb.InhomogeneousError):
+        gb.coprime(x1, x2 + R.one())
+    with pytest.raises(RingMismatchError):
+        gb.coprime(x1, RingSpec(["y1", "y2", "y3"]).variable(0))
+
+
 @st.composite
 def reordered_generators(draw):
     """(generators, the same generators permuted with repeats and zeros) over
@@ -348,6 +410,16 @@ def test_reduced_basis_ignores_generator_order_and_repeats(case, data):
 def test_hilbert_single_variable():
     R2 = RingSpec(["x1", "x2"])
     assert gb.hilbert_series_numerator([R2.variable(0)]) == {0: 1, 1: -1}
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_variables_numerator_matches_the_hilbert_recursion(modulus):
+    # R/(x_1..x_k) in k, k+1 and k+2 variables: (1 - t)^k each time
+    for k in range(1, 7):
+        for extra in range(3):
+            ring = RingSpec([f"x{i}" for i in range(1, k + extra + 1)], modulus)
+            support = [ring.variable(i) for i in range(k)]
+            assert gb.variables_numerator(k) == gb.hilbert_series_numerator(support)
 
 
 def test_hilbert_zero_ideal():

@@ -481,8 +481,8 @@ def test_specialization_logs_what_decided_the_equation(e1, caplog):
 
 
 def test_specialization_frontier_slice():
-    # the seed-0 `jonq explore` maps at (5,5) and (6,8), trial 0
-    for n, d in ((5, 5), (6, 8)):
+    # the seed-0 `jonq explore` maps at (5,5), (6,8) and (8,10), trial 0
+    for n, d in ((5, 5), (6, 8), (8, 10)):
         seed = n * 10_007 + d * 101
         j = dejonq.random_map(n, d, random.Random(seed))
         assert rees.specialization_check(j, rng=random.Random(seed)).ok, (n, d)
