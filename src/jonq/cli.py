@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error
 or failed check.  `explore` exits 3 when some report fails a check, else 2
 when some case has no map (none exists at n = 1, d >= 3; `random_map` draws
 none over GF(2) at d = 2): such cases become records with a `rejected`
-reason, and the other reports and the summary table are still printed.
+reason, and the other reports and the summary table are still printed.  A
+modulus that is no prime is an error for the whole sweep (exit 3, nothing
+printed to stdout), as it is for a single case.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
@@ -274,6 +276,7 @@ def cmd_explore(args) -> int:
     if args.jobs < 1:
         raise CaseFileError(f"--jobs must be at least 1, got {args.jobs}")
     modulus = args.modulus if args.modulus is not None else _env_modulus()
+    dejonq.source_ring(n_lo, modulus)  # a modulus that is no prime fails here, not per case
     checks = _parse_checks(args.checks) if args.checks else rees.REPORT_CHECKS
     tasks = []
     for n in range(n_lo, n_hi + 1):

@@ -25,14 +25,17 @@ reduction that carries a field into its guard bit raises `_Overflow`; the
 engine then widens its fields and redoes that reduction, so exponents never
 wrap.
 
-Coefficients are monic ints over GF(p).  Over Q the engine is fraction-free:
-every element is a primitive integer vector with a positive lead
-coefficient, a reduction step scales the pending terms by a / gcd(a, c)
-instead of dividing by the reducer's lead a (`_nf_dict`), and an S-pair
-cross-multiplies by the two lead coefficients over their gcd.  Fractions
-appear only at the boundary: `_pack` clears denominators, `element` and the
-interreduced basis are made monic, and `reduce` divides by the tracked scale,
-so it returns the exact normal form.  Every intermediate is a nonzero
+Coefficients are ints.  One reduction loop serves both fields (`_nf_dict`):
+pending coefficients are plain ints, and the field is applied once, when a
+term is popped (delayed reduction; Monagan & Pearce, JSC 2011).  Over GF(p)
+elements are monic.  Over Q the engine is fraction-free: every element is a
+primitive integer vector with a positive lead coefficient, a reduction step
+scales the pending terms by a / gcd(a, c) instead of dividing by the
+reducer's lead a, and an S-pair cross-multiplies by the two lead
+coefficients over their gcd.  Fractions appear only at the boundary: `_pack`
+clears denominators and returns their lcm, `element` and the interreduced
+basis are made monic, and `reduce` divides by that lcm times the tracked
+scale, so it returns the exact normal form.  Every intermediate is a nonzero
 rational multiple of the monic one and the reducer chosen depends only on
 supports, so bases and syzygies are those of monic arithmetic.
 
@@ -166,14 +169,15 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
     """Full normal form of the packed dict `work` (consumed): (remainder, scale).
 
     reducers: component -> list of (lead & lomask, lead, tail, a), a the
-    lead coefficient: 1 over GF(p), where the remainder is the normal form
-    and scale is 1; over Q the reducers are primitive integer vectors and
-    the remainder is scale times the normal form of `work`.  A term with
-    coefficient c meets a reducer lead a with g = gcd(a, c): the pending
-    terms are multiplied by a/g, which grows the scale, and (c/g) x^shift
-    tail is subtracted.  Each remainder term keeps the scale at which it was
-    set aside and is brought to the final one at the end.  Raises _Overflow
-    when a term does not fit `pk`.
+    lead coefficient: 1 over GF(p), where scale stays 1; over Q the reducers
+    are primitive integer vectors.  The remainder is scale times the normal
+    form of `work`.  Pending coefficients are plain ints, and a popped one
+    is reduced mod p over GF(p); a cancelled term stays pending as a zero.
+    A popped term with coefficient c meets a reducer lead a with
+    g = gcd(a, c): the pending terms are multiplied by a/g, which grows the
+    scale, and (c/g) x^shift tail is subtracted.  Each remainder term keeps
+    the scale at which it was set aside and is brought to the final one at
+    the end.  Raises _Overflow when a term does not fit `pk`.
     """
     lomask, guard, cmask = pk.lomask, pk.guard, pk.cmask
     if any(m & guard for m in work):
@@ -185,7 +189,9 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
     scale = 1
     while heap:
         m = -pop(heap)
-        c = work.pop(m, None)
+        c = work.pop(m)
+        if mod is not None:
+            c %= mod
         if not c:
             continue
         lo = m & lomask
@@ -194,51 +200,28 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
             if d >= 0 and not d & guard:
                 break
         else:
-            remainder[m] = (c, scale) if mod is None else c
+            remainder[m] = (c, scale)
             continue
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                k = a // g
+                for t in work:
+                    work[t] *= k
+                scale *= k
+            c //= g
         shift = m - lm
-        if mod is None:
-            if a != 1:
-                g = gcd(a, c)
-                if g != a:
-                    k = a // g
-                    for t in work:
-                        work[t] *= k
-                    scale *= k
-                c //= g
-            for tm, tc in tail:
-                m2 = tm + shift
-                old = get(m2)
-                if old is None:
-                    if m2 & guard:
-                        raise _Overflow
-                    push(heap, -m2)
-                    work[m2] = -c * tc
-                else:
-                    nc = old - c * tc
-                    if nc:
-                        work[m2] = nc
-                    else:
-                        del work[m2]
-        else:
-            negc = mod - c
-            for tm, tc in tail:
-                m2 = tm + shift
-                old = get(m2)
-                if old is None:
-                    if m2 & guard:
-                        raise _Overflow
-                    push(heap, -m2)
-                    work[m2] = negc * tc % mod
-                else:
-                    nc = (old + negc * tc) % mod
-                    if nc:
-                        work[m2] = nc
-                    else:
-                        del work[m2]
-    if mod is None:
-        return {m: c * (scale // s) for m, (c, s) in remainder.items()}, scale
-    return remainder, 1
+        for tm, tc in tail:
+            m2 = tm + shift
+            old = get(m2)
+            if old is None:
+                if m2 & guard:
+                    raise _Overflow
+                push(heap, -m2)
+                work[m2] = -c * tc
+            else:
+                work[m2] = old - c * tc
+    return {m: c * (scale // s) for m, (c, s) in remainder.items()}, scale
 
 
 def _normalized(d: dict, mod) -> dict:
@@ -293,10 +276,15 @@ class _Engine:
     def reduce(self, v: dict) -> dict:
         """The normal form of v modulo the basis."""
         self._fit((v,))
-        r, scale = self._nf(lambda: self._pack(v))
-        if self.ring.modulus is None:
-            scale *= lcm(*(c.denominator for c in v.values()))  # `_pack` cleared them
-        return self._unpack(r, scale)
+        den = 1
+
+        def make():
+            nonlocal den
+            d, den = self._pack(v)
+            return d
+
+        r, scale = self._nf(make)
+        return self._unpack(r, scale * den)
 
     def add(self, v: dict, degree: int | None = None) -> bool:
         """Adjoin v; False if it was already in the span (basis unchanged).
@@ -308,7 +296,7 @@ class _Engine:
         """
         self._saturate(degree)
         self._fit((v,))
-        if not self._insert(self._nf(lambda: self._pack(v))[0]):
+        if not self._insert(self._nf(lambda: self._pack(v)[0])[0]):
             return False
         if degree is None:
             self._saturate()
@@ -320,7 +308,7 @@ class _Engine:
         self._fit(vectors)
         pack = self.pk.pack
         for v in sorted(vectors, key=lambda v: max(map(pack, v))):
-            self._insert(self._nf(lambda: self._pack(v))[0])
+            self._insert(self._nf(lambda: self._pack(v)[0])[0])
         self._saturate()
         return self
 
@@ -332,17 +320,18 @@ class _Engine:
         """
         self._fit(vectors)
         for v in vectors:
-            comp = self._install(self._pack(v))
+            comp = self._install(self._pack(v)[0])
             self.members.setdefault(comp, []).append(len(self.elems) - 1)
         return self
 
-    def _pack(self, v: dict) -> dict:
-        """v with packed terms; over Q, times the lcm of its denominators."""
+    def _pack(self, v: dict) -> tuple[dict, int]:
+        """(v with packed terms times den, den): over Q, den is the lcm of
+        v's denominators; over GF(p) it is 1."""
         pack = self.pk.pack
         if self.ring.modulus is not None:
-            return {pack(t): c for t, c in v.items()}
+            return {pack(t): c for t, c in v.items()}, 1
         den = lcm(*(c.denominator for c in v.values()))
-        return {pack(t): c.numerator * (den // c.denominator) for t, c in v.items()}
+        return {pack(t): c.numerator * (den // c.denominator) for t, c in v.items()}, den
 
     def _unpack(self, d: dict, divisor: int = 1) -> dict:
         """The packed dict d with tuple terms; over Q, divided by `divisor`."""
@@ -375,7 +364,7 @@ class _Engine:
         self.leads.clear()
         self.reducers.clear()
         for d in old:
-            self._install(self._pack(d))
+            self._install(self._pack(d)[0])
 
     def _nf(self, make, reducers=None) -> tuple[dict, int]:
         """(remainder, scale) of the packed dict make() builds, modulo reducers()
@@ -449,24 +438,19 @@ class _Engine:
 
         `lcm` is the lcm of their leads, as a tuple.  The elements are
         cross-multiplied by their lead coefficients over their gcd, which
-        over GF(p), where both are 1, changes nothing.
+        over GF(p), where both are 1, changes nothing.  Coefficients are
+        plain ints, possibly zero; `_nf_dict` applies the field.
         """
         _, li, ti, ai = self.elems[i]
         _, lj, tj, aj = self.elems[j]
         gamma = self.pk.pack(lcm)
-        si, sj, mod = gamma - li, gamma - lj, self.ring.modulus
+        si, sj = gamma - li, gamma - lj
         g = gcd(ai, aj)
         ci, cj = aj // g, ai // g
         out = {si + m: ci * c for m, c in ti}
         for m, c in tj:
             m2 = sj + m
-            nc = out.get(m2, 0) - cj * c
-            if mod is not None:
-                nc %= mod
-            if nc:
-                out[m2] = nc
-            else:
-                out.pop(m2, None)
+            out[m2] = out.get(m2, 0) - cj * c
         return out
 
     def _saturate(self, degree: int | None = None):

@@ -585,7 +585,10 @@ def x_decompose(p: Polynomial, block) -> tuple[Polynomial, ...]:
         else:
             raise DecompositionError(
                 f"term {mono} is divisible by no block variable")
-    return tuple(Polynomial(p.ring, part) for part in parts)
+    # a part's terms are p's own divided by one variable: distinct, in the
+    # field, and still descending, since dividing by a common monomial
+    # preserves any monomial order
+    return tuple(Polynomial._raw(p.ring, part) for part in parts)
 
 
 def exact_div(p: Polynomial, f: Polynomial):

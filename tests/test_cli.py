@@ -420,6 +420,20 @@ def test_explore_records_a_map_the_sampler_cannot_draw(capsys):
     assert report["theorem"] == "pass"
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_explore_modulus_that_is_no_prime_fails_the_sweep(capsys, monkeypatch, source):
+    # the whole run fails like `validate --modulus 0`, not each case as a
+    # `rejected` record
+    argv = ["explore", "--n-range", "2", "--d-range", "2..3", "--trials", "1"]
+    if source == "flag":
+        argv += ["--modulus", "4"]
+    else:
+        monkeypatch.setenv("JONQ_MODULUS", "9")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: modulus {4 if source == 'flag' else 9} is not prime\n"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_case_file_n_below_one_is_rejected(tmp_path, capsys, n):
     path = tmp_path / "n.jonq"

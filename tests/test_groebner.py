@@ -134,7 +134,7 @@ def test_normal_form_idempotent_randomized(R):
 
 
 def fraction_remainder(p, basis):
-    """Remainder of p on division by a Groebner basis, in plain Fraction
+    """Remainder of p on division by a Groebner basis, in plain field
     arithmetic: the largest term divisible by a lead is cancelled first."""
     ring, rem = p.ring, p.ring.zero()
     while p:
@@ -144,7 +144,7 @@ def fraction_remainder(p, basis):
             rem = rem + ring.monomial(m, c)
             p = p - ring.monomial(m, c)
         else:
-            p = p - ring.monomial(mono_div(m, g.lm()), c / g.lc()) * g
+            p = p - ring.monomial(mono_div(m, g.lm()), c * ring.cinv(g.lc())) * g
     return rem
 
 
@@ -152,30 +152,34 @@ rationals = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1
 
 
 @st.composite
-def rational_division(draw):
-    """(reduced basis, p, c) over Q: 1-3 forms of degree 1..3 in three
-    variables and a polynomial p of degree up to 4, with denominators up to
-    100, and a nonzero rational c."""
-    ring = RingSpec(["x1", "x2", "x3"])
+def field_division(draw):
+    """(reduced basis, p, c) over Q, GF(7) or GF(32003): 1-3 forms of degree
+    1..3 in three variables and a polynomial p of degree up to 4, with
+    denominators up to 100 over Q, and a nonzero scalar c."""
+    modulus = draw(st.sampled_from([None, 7, 32003]))
+    ring = RingSpec(["x1", "x2", "x3"], modulus)
+    scalars = rationals if modulus is None else st.integers(1, modulus - 1)
 
     def mono(degree):
         return st.lists(st.integers(0, 2), min_size=degree, max_size=degree).map(
             lambda vs: tuple(vs.count(v) for v in range(3)))
 
     def poly(degrees):
-        terms = st.tuples(st.sampled_from(degrees).flatmap(mono), rationals)
+        terms = st.tuples(st.sampled_from(degrees).flatmap(mono), scalars)
         return Polynomial(ring, draw(st.lists(terms, min_size=1, max_size=4)))
 
     gens = [poly((draw(st.integers(1, 3)),)) for _ in range(draw(st.integers(1, 3)))]
     hypothesis.assume(any(gens))
-    return gb.buchberger(gens), poly(range(5)), draw(rationals)
+    return gb.buchberger(gens), poly(range(5)), draw(scalars)
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_division())
+@settings(max_examples=150, deadline=None)
+@given(field_division())
 def test_fraction_free_reduce_is_the_exact_remainder(case):
     # over Q the engine reduces primitive integer vectors and tracks a scale;
-    # reduce must divide it out again
+    # reduce must divide it out again.  Over GF(p) pending coefficients are
+    # plain ints, reduced mod p only when popped: over GF(7) a pending
+    # nonzero int is often zero in the field
     basis, p, c = case
     assert basis.reduce(p) == fraction_remainder(p, basis.basis)
     assert basis.reduce(p * c) == basis.reduce(p) * c
