@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -135,7 +135,8 @@ class _Packing:
         self.fmask = (1 << bits) - 1
         self.lobits = bits * nfields
         self.lomask = (1 << self.lobits) - 1
-        self.guard = sum(1 << (s + bits - 1) for s in range(0, self.lobits, bits))
+        self.fields = range(0, self.lobits, bits)
+        self.guard = sum(1 << (s + bits - 1) for s in self.fields)
         self.cmask = self.fmask if comps else 0
         zero = (0,) * nvars
         unit_terms = [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
@@ -161,8 +162,11 @@ class _Packing:
         return self.bases[t[0] if self.comps else 0] + sum(map(mul, t, self.units))
 
     def unpack(self, m: int) -> tuple:
-        f = tuple(m >> s & self.fmask for s in range(0, self.lobits, self.bits))
-        return (f[0], -f[0]) + f[2:] if self.comps else f
+        fmask = self.fmask
+        f = [m >> s & fmask for s in self.fields]
+        if self.comps:
+            f[1] = -f[0]
+        return tuple(f)
 
 
 def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
@@ -287,7 +291,8 @@ class _Engine:
         return self._unpack(r, scale * den)
 
     def add(self, v: dict, degree: int | None = None) -> bool:
-        """Adjoin v; False if it was already in the span (basis unchanged).
+        """Adjoin v as it stands, not its remainder; False if it was already
+        in the span (basis unchanged).
 
         With `degree` (the leading key digit of every term of v), only the
         pending pairs up to that degree are closed, before v is reduced:
@@ -296,8 +301,10 @@ class _Engine:
         """
         self._saturate(degree)
         self._fit((v,))
-        if not self._insert(self._nf(lambda: self._pack(v)[0])[0]):
+        pk, d = self.pk, self._pack(v)[0]
+        if not self._nf(lambda: dict(d) if self.pk is pk else self._pack(v)[0])[0]:
             return False
+        self._insert(d if self.pk is pk else self._pack(v)[0])
         if degree is None:
             self._saturate()
         return True
@@ -494,10 +501,14 @@ def _common_ring(gens) -> RingSpec:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis of an ideal under the ring's active order."""
+    """Reduced Groebner basis of an ideal under the ring's active order.
+
+    Two are equal when their rings and reduced bases are, so whatever
+    generators built them, equal objects are the same ideal.
+    """
 
     ring: RingSpec
-    gens: tuple[Polynomial, ...]
+    gens: tuple[Polynomial, ...] = dataclass_field(compare=False)
     basis: tuple[Polynomial, ...]
 
     @cached_property

@@ -78,13 +78,15 @@ def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     """Reduced Groebner basis of the presentation ideal J, the kernel of
     y_i -> t F_i from S to k[t, x_1..x_{n+1}].
 
-    It is the reduced basis of P = P_{d-1} when `_certifies` passes, and the
+    It is the basis of P = P_{d-1} itself when `_certifies` passes, with the
+    Hilbert numerator that `is_regular` computed on it, and the
     t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
-    basis, so the result does not depend on the path.
+    basis, and equal `GroebnerBasis` objects, so the result does not depend
+    on the path.
     """
     predicted = link_bases(j)[-1]
     if _certifies(j, predicted):
-        return groebner.GroebnerBasis(predicted.ring, predicted.basis, predicted.basis)
+        return predicted
     return _eliminated(j)
 
 

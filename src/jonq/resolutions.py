@@ -7,36 +7,66 @@ computed by running the engine on the augmented vectors (f_i, e_i) in
 R^(s+m) under an order whose first s components dominate: the basis
 elements supported entirely on the tag block (components s..s+m-1)
 generate the syzygy module.  Each engine is told its layout when it is
-built: s + m components and the tag block from s here, the s components of
-the shifts in the greedy below.  The engine applies only the chain
-criterion to modules, since the product criterion does not hold over free
-modules.
+built: s + m components and the tag block from s for `syzygies`, the s
+components of the shifts in the greedy, and a tag block per frame level
+below.  The engine applies only the chain criterion to modules, since the
+product criterion does not hold over free modules.
 
-Resolutions iterate: take a minimal generating set of the current syzygy
-module (ascending-degree greedy, so minimality holds by graded Nakayama),
-record the matrix, continue with its syzygies until there are none.
-Matrices therefore have all entries in the maximal ideal and the resulting
-resolution is minimal; no unit-stripping pass is needed.
+`syzygies` forms no S-pair between two tag-block elements; they serve only
+as reducers.  This is exact.  A pair needs two leads in one component, so
+no pair mixes a tag-block element with one off the tag block, and tag-block
+terms sit below every other term, so the elements off the tag block are
+those of a full run: a Groebner basis of the column module.  Every
+tag-block element is then reduced from an input vector or from an S-pair
+off the tag block, and differs from that pair's lifted syzygy only by
+earlier tag-block elements.  By induction the tag-block elements span what
+those lifts span, which by Schreyer's theorem is the whole syzygy module.
+They generate it but are not a Groebner basis of it.
 
-Two facts keep each step from doing more than the greedy needs:
+`minimal_generators` is the ascending-degree greedy: a column is kept iff
+it is not in the span of the columns before it, so the kept columns are
+minimal generators by graded Nakayama.  Membership of a homogeneous column
+of degree d needs only a d-truncated Groebner basis: before each test the
+greedy closes the pending pairs up to d, under a key that leads with the
+shifted degree.
 
-- The syzygy engine forms no S-pair between two tag-block elements; they
-  serve only as reducers.  This is exact.  A pair needs two leads in one
-  component, so no pair mixes a tag-block element with one off the tag
-  block, and tag-block terms sit below every other term, so the elements
-  off the tag block are those of a full run: a Groebner basis of the
-  column module.  Every tag-block element is then reduced from an input
-  vector or from an S-pair off the tag block, and differs from that pair's
-  lifted syzygy only by earlier tag-block elements.  By induction the
-  tag-block elements span what those lifts span, which by Schreyer's
-  theorem is the whole syzygy module.  They generate it but are not a
-  Groebner basis of it.  (La Scala & Stillman, "Strategies for computing
-  minimal free resolutions", JSC 1998, build minimal resolutions from
-  these syzygies alone.)
-- Membership of a homogeneous column of degree d needs only a d-truncated
-  Groebner basis: before each test the greedy closes the pending pairs up
-  to d, under a key that leads with the shifted degree, and no pair above
-  the largest column degree is ever processed.
+`minimal_free_resolution` resolves from a Schreyer frame (Schreyer's
+theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
+"Strategies for computing minimal free resolutions", JSC 1998):
+
+- Level k + 1 comes from the elements f_1..f_M of level k, vectors of the
+  free module F with basis e_1.. ordered by a key.  The induced order on
+  R^M ranks m e_u as the term m lead(f_u) ranks in F, and a tie goes to the
+  smaller u.  For u < v with leads in one component, the S-pair of f_u and
+  f_v reduces to zero, and its quotients give the syzygy
+  m_uv e_u - m_vu e_v - sum q_w e_w, led by m_uv e_u, m_uv = lcm / lead(f_u)
+  (Schreyer).  Only the pairs whose m_uv minimally generate the ideal of
+  such monomials for u are formed: their leads generate the lead module
+  of the syzygies, so they are a Groebner basis of it.  Each pair is
+  reduced once, on one engine per level whose element f_u carries its own
+  e_u on a tag block below F; the tag part of the remainder is the
+  syzygy.  The induced key is linear with a per-component constant, as the
+  engine's packing needs.
+- Level 1 is a Groebner basis G of the column module that holds the kept
+  columns as they stand: the greedy's elements with their pending pairs,
+  closed on level 1's engine (`_closed`).  A pair that adds an element g
+  there still gives a syzygy, with -c e_g for the unit c that relates g to
+  the remainder, so level 2 reduces only the pairs the closing did not
+  form.  No level after the first forms a pair update or a new basis
+  element.
+- Each level is sorted by lead component and then by descending exponent
+  of variable k in the lead, so the leads of level k + 1 lose variable k
+  (Eisenbud, Cor. 15.11): the frame has at most nvars + 1 levels.
+- The frame is a free resolution but not a minimal one.  Its constant
+  entries cancel in pairs by Gaussian elimination on the complex: a unit u
+  in row r and column s of a map turns every other column t into
+  t - (t_r / u) s and drops row r, column s, and row s of the next map.
+  Cancelling in a map leaves the maps above it with no new constant entry,
+  so the maps are cleared from the last one down.
+  In the first syzygy map a pivot lies only in the row of a basis element
+  that is not a kept column, so the first matrix stays the greedy's choice
+  of the caller's columns.  After that, no constant entry is left, and the
+  complex is the minimal resolution.
 
 A matrix is a tuple of columns.  `is_graded_complex` is the one check that
 such matrices form a graded complex for given shifts; both
@@ -46,6 +76,9 @@ Resolution.verify_complex and dejonq.FreeComplex.verify run it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .polycore import (
     JonqError,
@@ -53,6 +86,8 @@ from .polycore import (
     RingSpec,
     RingMismatchError,
     dot,
+    mono_divides,
+    mono_mul,
 )
 
 
@@ -142,6 +177,12 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
             for k, lead in enumerate(gb.leads) if lead[0] >= rank]
 
 
+class _Kept(list):
+    """The (degree, column) pairs `minimal_generators` keeps.  `engine` is
+    its greedy's engine and `rows[i]` the engine element that is the i-th
+    kept column, as it stands up to a unit."""
+
+
 def minimal_generators(columns, ring: RingSpec, shifts):
     """Minimal generating subset of homogeneous columns (ascending degree greedy).
 
@@ -149,16 +190,20 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     it is not in the span of the columns before it.  Before a column of
     degree d is tested, only the pending pairs up to degree d are closed,
     under a key that leads with the shifted degree: that decides membership
-    exactly, and no pair above the largest column degree is processed.
+    exactly, and no pair above the largest column degree is processed.  A
+    kept column joins the engine as it stands (`_Engine.add`), so closing
+    the engine gives a Groebner basis that holds the kept columns.
     """
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
-    gb = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
-    kept = []
+    kept = _Kept()
+    kept.engine = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
+    kept.rows = []
     for deg, _, col in degreed:
-        if gb.add(_column_to_dict(col, ring), deg):
+        if kept.engine.add(_column_to_dict(col, ring), deg):
             kept.append((deg, col))
+            kept.rows.append(len(kept.engine.elems) - 1)
     return kept
 
 
@@ -260,23 +305,323 @@ def minimal_free_resolution(gens) -> Resolution:
     """Minimal graded free resolution of R/I (or of R^s modulo column span).
 
     `gens` is a list of homogeneous polynomials (ideal case) or of
-    homogeneous columns.  The loop ends as soon as the syzygies vanish, after
-    at most R.nvars steps: by Hilbert's syzygy theorem a finitely generated
-    graded module over R has a minimal free resolution of length at most
-    the number of variables.
+    homogeneous columns.  The first matrix is the columns `minimal_generators`
+    keeps; the rest are the Schreyer frame on the closed basis of its
+    greedy (`_frame`), pruned to a minimal complex (`_prune`).
     """
     columns = _columns(gens)
     if not columns:
         raise JonqError("need at least one generator")
     ring = next(p.ring for c in columns for p in c)
-    shifts: list[tuple[int, ...]] = [(0,) * len(columns[0])]
-    matrices: list = []
-    current = minimal_generators(columns, ring, shifts[0])
-    while current:
-        matrices.append(tuple(col for _, col in current))
-        shifts.append(tuple(deg for deg, _ in current))
-        syz = syzygies(matrices[-1])
-        current = syz and minimal_generators(syz, ring, shifts[-1])
+    shifts0 = (0,) * len(columns[0])
+    kept = minimal_generators(columns, ring, shifts0)
+    if not kept:
+        return Resolution(ring, (shifts0,), ())
+    position, levels = _frame(kept.engine, shifts0)
+    return _prune(ring, kept, [position[k] for k in kept.rows], levels)
+
+
+def _induced_key(key, leads):
+    """Schreyer's order on the free module with one basis element e_u per
+    lead: m e_u ranks as the term m lead_u does under `key`, and a tie goes
+    to the smaller u.  It is linear with a per-component constant, as `key`
+    is, so the engine packs it; it is evaluated as that linear form, the
+    constants and slopes read off `key` once."""
+    zero = leads[0][:2] + (0,) * (len(leads[0]) - 2)
+    base = key(zero)
+    slopes = [tuple(a - b for a, b in zip(key(zero[:i] + (1,) + zero[i + 1:]), base)) + (0,)
+              for i in range(2, len(zero))]
+    consts = [key(lead) + (-u,) for u, lead in enumerate(leads)]
+
+    def induced(term):
+        out = consts[term[0]]
+        for e, slope in zip(term[2:], slopes):
+            if e:
+                out = tuple([a + e * b for a, b in zip(out, slope)])
+        return out
+    return induced
+
+
+def _losing_order(leads, variable: int) -> list[int]:
+    """Frame order of a level with these leads: by lead component, then by
+    descending exponent of `variable` in the lead."""
+    def rank(k):
+        lead = leads[k]
+        return lead[0], -lead[2 + variable] if variable < len(lead) - 2 else 0
+    return sorted(range(len(leads)), key=rank)
+
+
+def _minimal_pairs(leads) -> list[tuple]:
+    """(a, b, m) for each element a and each monomial m that minimally
+    generates the ideal of m_ab = lcm(lead_a, lead_b) / lead_a over the
+    b > a with lead in a's component; b is the first such b with m_ab = m."""
+    members: dict = {}
+    for u, lead in enumerate(leads):
+        members.setdefault(lead[0], []).append(u)
+    pairs = []
+    for group in members.values():
+        for i, a in enumerate(group):
+            na = leads[a][2:]
+            first: dict = {}
+            for b in group[i + 1:]:
+                first.setdefault(tuple([y - x if y > x else 0 for x, y in zip(na, leads[b][2:])]), b)
+            minimal: list = []
+            for m in sorted(first, key=sum):
+                if not any(mono_divides(k, m) for k in minimal):
+                    minimal.append(m)
+                    pairs.append((a, first[m], m))
+    return pairs
+
+
+def _frame(greedy, shifts0):
+    """(position, levels) of the Schreyer frame on the greedy's basis G.
+
+    levels[k] lists level k + 1 in frame order as (vector, lead, shift)
+    triples with int coefficients.  levels[0] is G, closed by `_closed`
+    from the greedy's elements and pending pairs (its vectors are not
+    kept), and position[k] is the place in it of the greedy's element k;
+    levels[k] holds the syzygies on levels[k - 1], each of a pair that
+    `_minimal_pairs` names: the syzygy `_closed` found when it closed that
+    pair, or else the S-pair reduced on the level's engine.  Level k + 1 is
+    sorted by `_losing_order` on variable k.
+    """
+    ring, rank, key, pk = greedy.ring, len(shifts0), greedy.key, greedy.pk
+    engine, done = _closed(ring, key, rank, greedy.leads, greedy.pairs,
+                           [{pk.unpack(m): c for m, c in greedy._element(k).items()}
+                            for k in range(len(greedy.elems))])
+    leads = engine.leads
+    vectors = [None] * len(leads)
+    shifts = [sum(lead[2:]) + shifts0[lead[0]] for lead in leads]
+    levels, first = [], None
+    while True:
+        order = _losing_order(leads, len(levels))
+        position = {k: i for i, k in enumerate(order)}
+        first = first or position
+        levels.append([(vectors[k], leads[k], shifts[k]) for k in order])
+        placed = [leads[k] for k in order]
+        pairs = _minimal_pairs(placed)
+        if not pairs:
+            return first, levels
+        if engine is None:
+            engine, done = _closed(ring, key, rank, leads, (), vectors)
+        found = {}
+        for (i, j, lcm), syz in done.items():
+            a = min(position[i], position[j])
+            found.setdefault((a, tuple(x - y for x, y in zip(lcm[2:], placed[a][2:]))), syz)
+        vectors, leads, shifts = [], [], []
+        for a, b, m in pairs:
+            syz = found.get((a, m))
+            if syz is None:
+                lcm = placed[a][:2] + mono_mul(placed[a][2:], m)
+                r, _ = engine._nf(lambda: engine._spoly(order[a], order[b], lcm))
+                if max(r) & engine.pk.cmask < rank:
+                    raise JonqError("the closed basis left an S-pair remainder")
+                syz = engine.pk, r
+            leads.append((a, -a) + m)
+            vectors.append(_syzygy(*syz, rank, leads[-1], ring.modulus, position))
+            shifts.append(levels[-1][a][2] + sum(m))
+        key, rank, engine = _induced_key(key, placed), len(placed), None
+
+
+# tag components `_closed` reserves per element when it has pairs to close;
+# past them the engine widens its packing, which costs a repack
+_TAG_ROOM = 4
+
+
+def _closed(ring: RingSpec, key, rank: int, leads, pairs, vectors):
+    """(engine, syzygies): the vectors of R^rank ordered by `key`, with these
+    leads, closed under `pairs` on an engine whose element g_u carries its
+    own e_u on a tag block below them, and the syzygy of each pair it
+    reduced, keyed by (i, j, lcm), as (packing, remainder) for `_syzygy`.
+
+    A pair's remainder is (h, t).  If h = 0, t is the syzygy.  Otherwise h
+    times a unit c^-1 joins the basis as g_u, and t - c e_u is the syzygy.
+    Each syzygy is m_ij e_i - m_ji e_j - sum q_w e_w up to a unit, with every
+    q_w lead(g_w) below the pair's lcm: Schreyer's syzygy of that pair.  Tag
+    terms are never reduced, so their order only needs the engine's packing.
+    """
+    mod, ringkey, unit = ring.modulus, ring.key, (0,) * ring.nvars
+    pad = (0,) * (len(key((0, 0) + unit)) - len(ringkey(unit)) - 2)
+
+    def tagged(term):
+        if term[0] < rank:
+            return (1,) + key(term)
+        return (0, sum(term[2:])) + ringkey(term[2:]) + (-term[0],) + pad
+    room = _TAG_ROOM * (len(vectors) + 2) if pairs else len(vectors)
+    engine = groebner._Engine(ring, tagged, rank + room, rank)
+    engine.adopt([{**v, (rank + u, -rank - u) + unit: 1} for u, v in enumerate(vectors)])
+    if engine.leads != list(leads):
+        raise JonqError("the order does not lead an element at its Schreyer lead")
+    engine.pairs = [(tagged(lcm), lcm, i, j) for _, lcm, i, j in pairs]
+    done = {}
+    while engine.pairs:
+        u = len(engine.elems)
+        if rank + u >= engine.comps:
+            engine.comps = rank + 2 * u
+            engine._repack(max(engine.pk.bits, engine.comps.bit_length() + 1))
+        keys = [p[0] for p in engine.pairs]
+        _, lcm, i, j = engine.pairs.pop(keys.index(min(keys)))
+        r, _ = engine._nf(lambda: engine._spoly(i, j, lcm))
+        cmask = engine.pk.cmask
+        head = {m: c for m, c in r.items() if m & cmask < rank}
+        if head:
+            new = groebner._normalized(head, mod)
+            top = max(new)
+            tag = engine.pk.pack((rank + u, -rank - u) + unit)
+            engine._insert({**new, tag: 1})
+            r[tag] = -(head[top] // new[top])
+        done[i, j, lcm] = engine.pk, r
+    return engine, done
+
+
+def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
+    """The tag part of the remainder r, packed by pk, as a syzygy
+    {(u, -u) + mono: c}, tag component rank + w becoming u = rename[w];
+    monic at its Schreyer lead over GF(p), a primitive integer vector
+    positive there over Q."""
+    fmask, fields = pk.fmask, pk.fields
+    vec = {}
+    for t, c in r.items():
+        f = [t >> s & fmask for s in fields]
+        if f[0] >= rank:
+            f[0] = rename[f[0] - rank]
+            f[1] = -f[0]
+            vec[tuple(f)] = c
+    c = vec.get(lead)
+    if not c or mod is not None and not c % mod:
+        raise JonqError("a syzygy lacks its Schreyer lead")
+    if mod is not None:
+        inv = pow(c, -1, mod)
+        return {t: a * inv % mod for t, a in vec.items()}
+    g = gcd(*vec.values()) * (1 if c > 0 else -1)
+    return {t: a // g for t, a in vec.items()}
+
+
+def _prune(ring: RingSpec, kept: _Kept, kept_rows, levels) -> Resolution:
+    """The minimal resolution left when the frame's constant entries cancel.
+
+    A unit entry u of the map from level k+1 to level k, in row r and
+    column s, cancels both: every other column t becomes t - (t_r / u) s,
+    row r and column s are dropped, and so is row s of the next map
+    (Gaussian elimination on a complex).  The maps go from the last to the
+    first, so a column that a later pivot cancels as a row of the map above
+    is never updated.  Pivots in the first syzygy map lie only in rows of
+    basis elements that are not kept columns (`kept_rows` are those that
+    are), so the first matrix stays the kept columns.  A column is {row: {monomial: int}} over a denominator (1 over
+    GF(p)), so no fraction appears before the output, and a monomial is an
+    int of fields wide enough for the largest shift, so that multiplying
+    monomials is adding ints.
+    """
+    mod = ring.modulus
+    kept_set = set(kept_rows)
+    width = max(shift for level in levels for _, _, shift in level).bit_length() + 1
+    alive = [[True] * len(level) for level in levels]
+    dens = [[1] * len(level) for level in levels]
+    weights = [0, 0] + [1 << width * i for i in range(ring.nvars)]
+    cols: list = [None]
+    for level in levels[1:]:
+        cols.append([])
+        for v, _, _ in level:
+            col: dict = {}
+            for t, c in v.items():
+                col.setdefault(t[0], {})[sum(map(mul, t, weights))] = c
+            cols[-1].append(col)
+    for k in range(len(levels) - 1, 0, -1):
+        rows, here = alive[k - 1], alive[k]
+        for s, sigma in enumerate(cols[k]):
+            if not here[s]:  # cancelled as a row of the map above
+                continue
+            r = next((r for r, e in sigma.items()
+                      if 0 in e and rows[r] and (k > 1 or r not in kept_set)), None)
+            if r is None:
+                continue
+            u = sigma[r][0]
+            here[s] = rows[r] = False
+            inv = None if mod is None else pow(u, -1, mod)
+            for t_i, tau in enumerate(cols[k]):
+                if here[t_i] and r in tau:
+                    dens[k][t_i] *= _cancel(tau, sigma, r, u, inv, rows, mod)
+    return _output(ring, kept, kept_rows, levels, cols, alive, dens, width)
+
+
+def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:
+    """tau := a tau - (t / g) sigma, t = tau's entry in row r, so that row r
+    of tau vanishes; returns the factor a (1 over GF(p), u / g > 0 over Q
+    with g = +-gcd(u, content of t)), by which tau's denominator grows."""
+    t = tau.pop(r)
+    if mod is None:
+        g = gcd(u, *t.values()) * (1 if u > 0 else -1)
+        a = u // g
+        t = {m: c // g for m, c in t.items()}
+        if a != 1:
+            for e in tau.values():
+                for m in e:
+                    e[m] *= a
+    else:
+        a = 1
+        t = {m: c * inv for m, c in t.items()}
+    for row, e in sigma.items():
+        if not rows[row]:
+            continue
+        target = tau.setdefault(row, {})
+        get = target.get
+        for m1, c1 in t.items():
+            for m2, c2 in e.items():
+                m = m1 + m2
+                target[m] = get(m, 0) - c1 * c2
+        for m, c in list(target.items()):
+            if mod is not None:
+                c %= mod
+            if c:
+                target[m] = c
+            else:
+                del target[m]
+        if not target:
+            del tau[row]
+    return a
+
+
+def _output(ring: RingSpec, kept: _Kept, kept_rows, levels, cols, alive, dens,
+            width: int) -> Resolution:
+    """The Resolution of the frame's surviving elements: the first matrix is
+    the kept columns, whose rows in the next map are scaled by the unit that
+    relates each to its engine element."""
+    mod = ring.modulus
+    engine = kept.engine
+    mask, spans = (1 << width) - 1, range(0, width * ring.nvars, width)
+    units = []
+    for (_, col), k in zip(kept, kept.rows):
+        lead = engine.leads[k]
+        a, c = engine.elems[k][3], col[lead[0]].coefficient(lead[2:])
+        units.append(a * pow(c, -1, mod) % mod if mod is not None else a / c)
+    shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
+    matrices = [tuple(col for _, col in kept)]
+    row_of = {r: i for i, r in enumerate(kept_rows)}
+    for k in range(1, len(levels)):
+        out, next_row = [], {}
+        survivors = sorted((s for s, live in enumerate(alive[k]) if live),
+                           key=lambda s: levels[k][s][2])
+        for s in survivors:
+            next_row[s] = len(out)
+            entries: list[dict] = [{} for _ in row_of]
+            for row, e in cols[k][s].items():
+                i = row_of.get(row)
+                if i is None:
+                    continue
+                scale = units[i] if k == 1 else 1
+                if mod is None:
+                    scale = Fraction(scale) / dens[k][s]
+                else:
+                    scale = scale * pow(dens[k][s], -1, mod) % mod
+                entries[i] = {tuple([m >> at & mask for at in spans]):
+                              c * scale if mod is None else c * scale % mod
+                              for m, c in e.items()}
+            out.append(tuple(Polynomial._from_dict(ring, d) for d in entries))
+        if not out:
+            break
+        matrices.append(tuple(out))
+        shifts.append(tuple(levels[k][s][2] for s in survivors))
+        row_of = next_row
     return Resolution(ring, tuple(shifts), tuple(matrices))
 
 

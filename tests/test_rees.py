@@ -1,5 +1,6 @@
 """Blowup presentation ideal: generation theorem, colon lemmas, cone data."""
 
+import functools
 import hashlib
 import json
 import random
@@ -389,6 +390,11 @@ def test_projdim_frontier_slice():
     for (n, d), expected in (((3, 5), 4), ((4, 3), 4)):
         for _ in range(2):
             assert rees.projdim_probe(dejonq.random_map(n, d, rng)) == expected, (n, d)
+    # the seed-0, trial-0 `jonq explore` maps at (4,6) and (3,7): non-CM,
+    # projdim n+1
+    for (n, d), expected in (((4, 6), 5), ((3, 7), 4)):
+        j = dejonq.random_map(n, d, random.Random(n * 10_007 + d * 101))
+        assert rees.projdim_probe(j) == expected, (n, d)
 
 
 # ---------- specialization ----------
@@ -530,6 +536,22 @@ def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
     for report in (first, second):
         report.pop("runtime_ms")
     assert first == second
+
+
+def test_case_report_computes_each_hilbert_numerator_once(monkeypatch):
+    # the certified J is the last link's basis object itself, so `cone_betti`
+    # reads the numerator that `is_regular` cached on it
+    computed = []
+    cached = gb.GroebnerBasis.__dict__["_hilbert_numerator"]
+
+    def spy(basis):
+        computed.append((basis.ring, basis.basis))
+        return cached.func(basis)
+    spied = functools.cached_property(spy)
+    spied.__set_name__(gb.GroebnerBasis, "_hilbert_numerator")
+    monkeypatch.setattr(gb.GroebnerBasis, "_hilbert_numerator", spied)
+    rees.case_report(dejonq.random_map(3, 4, random.Random(5), 32003), seed=5)
+    assert computed and len(computed) == len(set(computed))
 
 
 def test_case_report_leaves_no_memo_behind_an_error(e3, monkeypatch):

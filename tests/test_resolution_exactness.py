@@ -1,12 +1,13 @@
 """The resolution's shortcuts against the plain algorithm they replace.
 
 `syzygies` forms no S-pair between two tag-block elements, so it returns
-generators of the syzygy module, not a Groebner basis of it, and
+generators of the syzygy module, not a Groebner basis of it;
 `minimal_generators` closes pairs only up to the degree of the column it
-tests.  The reference below is the plain algorithm: the tag-block part of a
-full Groebner basis of the augmented vectors goes to a greedy that closes
-the basis after each column it keeps.  Both must generate the same syzygy
-modules and give the same shifts.
+tests; and `minimal_free_resolution` prunes a Schreyer frame instead of
+resolving level by level.  The reference below is the plain algorithm: the
+tag-block part of a full Groebner basis of the augmented vectors goes to a
+greedy that closes the basis after each column it keeps.  Both must
+generate the same syzygy modules and give the same shifts and first matrix.
 """
 
 import pytest
@@ -15,20 +16,23 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 example, given, settings = hypothesis.example, hypothesis.given, hypothesis.settings
 
-from jonq import groebner  # noqa: E402
+import random  # noqa: E402
+
+from jonq import dejonq, groebner, rees, resolutions  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.polycore import Polynomial, RingSpec, parse_polynomial  # noqa: E402
 from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
     _dict_to_column,
+    _frame,
     _module_key,
     minimal_free_resolution,
     minimal_generators,
     syzygies,
 )
 
-FIELDS = (None, 32003)
+FIELDS = (None, 32003, 7)
 
 
 def reference_greedy(columns, ring, rank, shifts):
@@ -156,6 +160,76 @@ def test_syzygies_generate_the_full_basis_module(gens):
                                              "x2^2 + x1*x3")])
 def test_resolution_matches_full_saturation_reference(gens):
     assert_matches_reference(gens)
+
+
+def section_4_2():
+    """The basis of the linear section `projdim_probe` resolves for a (4,2)
+    map: 10 elements, 7 of them minimal generators."""
+    j = dejonq.random_map(4, 2, random.Random(0))
+    return list(rees._certified_section(rees.rees_ideal(j), j.n).basis)
+
+
+def frame(gens):
+    """The frame levels `minimal_free_resolution` prunes, for ideal input."""
+    kept = minimal_generators([(g,) for g in gens], gens[0].ring, (0,))
+    return kept, _frame(kept.engine, (0,))[1]
+
+
+R3_7 = RingSpec(["x1", "x2", "x3"], 7)
+
+
+@pytest.mark.parametrize("make", [
+    # a (4,2) section: the basis has 10 elements, the minimal generators 7
+    section_4_2,
+    # a (2,6) base ideal over Q: 3 generators, a basis of 7
+    lambda: list(dejonq.random_map(2, 6, random.Random(1), None).base_forms),
+    # x1^2 joins the basis as it stands, with the lead of x1^2 + x2^2, so a
+    # syzygy on the two has unit entries in both of their rows, and the
+    # basis element x2^2 that their S-pair adds is the one to cancel
+    lambda: [parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")],
+], ids=["section-4-2", "base-ideal-2-6-over-Q", "equal-leads-over-GF7"])
+def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make):
+    gens = make()
+    kept, levels = frame(gens)
+    assert len(levels[0]) > len(kept)
+    assert_matches_reference(gens)
+
+
+@pytest.mark.parametrize("modulus", FIELDS)
+def test_closing_past_the_reserved_tags_grows_the_engine(modulus, monkeypatch):
+    # one reserved tag per basis element leaves room for two new ones; the
+    # closing adds more, so the tagged engine must widen its packing
+    monkeypatch.setattr(resolutions, "_TAG_ROOM", 1)
+    ring = RingSpec(["x1", "x2", "x3"], modulus)
+    gens = [parse_polynomial(g, ring) for g in ("x1^2 - x2*x3", "x1*x2 - x3^2", "x2^3 + x1*x3^2")]
+    layouts = {}
+    repack = groebner._Engine._repack
+
+    def recording_repack(self, bits):
+        # the engine is kept as a key, so no later engine reuses its id
+        layouts.setdefault(self, set()).add(self.comps)
+        repack(self, bits)
+    monkeypatch.setattr(groebner._Engine, "_repack", recording_repack)
+    assert_matches_reference(gens)
+    assert any(len(comps) > 1 for comps in layouts.values())
+
+
+def test_frame_of_a_section_loses_a_variable_per_level():
+    gens = section_4_2()
+    _, levels = frame(gens)
+    assert len(levels) <= gens[0].ring.nvars
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals())
+def test_frame_leads_lose_one_variable_per_level(gens):
+    # Eisenbud, Commutative Algebra, Cor. 15.11: level k + 1 (levels[k])
+    # has no lead involving the first k variables
+    ring = gens[0].ring
+    _, levels = frame(gens)
+    for k, level in enumerate(levels):
+        assert not any(e for _, lead, _ in level for e in lead[2:2 + k])
+    assert len(levels) <= ring.nvars + 1
 
 
 def test_primary_syzygies_survive_a_repack(monkeypatch):

@@ -123,11 +123,13 @@ def test_module_column_resolution():
 # sha256 of the two parts of _pinned_outputs(); any change in pair order,
 # reducer choice or output order shows up here even when Betti tables agree.
 # The reduced bases are pinned as computed before the ideal and module
-# Buchberger loops were merged into one engine.  The syzygy columns and
-# resolution matrices are pinned as computed once the syzygy engine stopped
-# forming S-pairs on the tag block; the shifts of every resolution stayed.
+# Buchberger loops were merged into one engine.  The syzygy columns are
+# pinned as computed once the syzygy engine stopped forming S-pairs on the
+# tag block, and the resolution matrices as computed once the resolution
+# came from a pruned Schreyer frame; the shifts and the first matrix of
+# every resolution stayed.
 BASES_DIGEST = "71d94f7056e1de7fd312b25df79f515683653d11c0704747b6b471ba27d1286b"
-RESOLUTIONS_DIGEST = "01c2dda002f54800aa2572ba8263ca1e65efb8d6dba89a3b5dd0efc0e4d7a2c9"
+RESOLUTIONS_DIGEST = "3410d7a9e01c7473d38d52a17b207dfb59051593fe9ca5fd5e35b22e76185e3d"
 
 
 def _pinned_outputs():
