@@ -51,8 +51,10 @@ are bucketed by component.
 `extend` is the one way an ideal's basis is built: given I's reduced basis
 and new forms, the engine adopts I's elements as they stand, closes only
 the pairs the new forms make, and then minimalizes and interreduces
-(`_reduced`).  `buchberger` extends the zero ideal, and `rees.link_bases`
-grows the Rees chain one link at a time.
+(`_reduced`).  The basis it returns keeps those elements packed, with their
+packing, so the next engine on it installs them without packing them again.
+`buchberger` extends the zero ideal, and `rees.link_bases` grows the Rees
+chain one link at a time.
 
 `kernel` is the one elimination-based implicitization routine: the kernel
 of a ring map, by one `eliminate` in the ring of the source-only variables
@@ -319,15 +321,21 @@ class _Engine:
         self._saturate()
         return self
 
-    def adopt(self, vectors) -> "_Engine":
+    def adopt(self, vectors, pk: "_Packing | None" = None) -> "_Engine":
         """Adjoin the monic vectors of a basis already closed under its pairs.
 
         They become elements and reducers, and no pair among them is formed;
-        a later `add` pairs only its own remainder with them.
+        a later `add` pairs only its own remainder with them.  With `pk`,
+        the vectors are normalized dicts packed by it, as `_reduced` leaves
+        them, and are installed as they stand, on that packing.
         """
-        self._fit(vectors)
-        for v in vectors:
-            comp = self._install(self._pack(v)[0])
+        if pk is None:
+            self._fit(vectors)
+            vectors = [self._pack(v)[0] for v in vectors]
+        else:
+            self.pk = pk
+        for d in vectors:
+            comp = self._install(d)
             self.members.setdefault(comp, []).append(len(self.elems) - 1)
         return self
 
@@ -472,20 +480,24 @@ class _Engine:
 
 
 def _reduced(engine: _Engine) -> list[dict]:
-    """The reduced Groebner basis (list of monic dicts) of a closed engine."""
+    """The reduced Groebner basis of a closed engine, as normalized dicts
+    packed by the engine's packing (`_normalized`), ascending by lead."""
     lms = engine.leads
     # minimalize: drop elements whose lead is divisible by another kept lead
     kept: list[int] = []
     for k in sorted(range(len(lms)), key=lambda k: engine.elems[k][1]):
         if not any(mono_divides(lms[i], lms[k]) for i in kept):
             kept.append(k)
-    # interreduce tails; leads stay, so the result ascends by lead like `kept`
-    final = []
-    for k in kept:
-        r, _ = engine._nf(lambda k=k: engine._element(k),
-                          lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
-        final.append(engine._unpack(r, r[max(r)]))
-    return final
+    # interreduce tails; leads stay, so the result ascends by lead like `kept`;
+    # a reduction that widens the packing makes every element packed again
+    while True:
+        pk, final = engine.pk, []
+        for k in kept:
+            r, _ = engine._nf(lambda k=k: engine._element(k),
+                              lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
+            final.append(_normalized(r, engine.ring.modulus))
+        if engine.pk is pk:
+            return final
 
 
 def _to_dict(p: Polynomial) -> dict:
@@ -504,12 +516,16 @@ class GroebnerBasis:
     """Reduced Groebner basis of an ideal under the ring's active order.
 
     Two are equal when their rings and reduced bases are, so whatever
-    generators built them, equal objects are the same ideal.
+    generators built them, equal objects are the same ideal.  `extend`
+    keeps in `packed` the basis as its engine packed it, with that packing,
+    so the next engine on this basis installs those elements as they
+    stand; `packed` takes no part in equality.
     """
 
     ring: RingSpec
     gens: tuple[Polynomial, ...] = dataclass_field(compare=False)
     basis: tuple[Polynomial, ...]
+    packed: tuple | None = dataclass_field(default=None, compare=False, repr=False)
 
     @cached_property
     def _engine(self) -> _Engine:
@@ -559,7 +575,8 @@ def _extension(gb: GroebnerBasis, forms) -> _Engine:
     remainders of `forms` make are closed."""
     if any(p.ring != gb.ring for p in forms):
         raise RingMismatchError("form not in the basis ring")
-    engine = _Engine(gb.ring).adopt([_to_dict(g) for g in gb.basis])
+    vectors, pk = gb.packed or ([_to_dict(g) for g in gb.basis], None)
+    engine = _Engine(gb.ring).adopt(vectors, pk)
     return engine.extend([_to_dict(p) for p in forms])
 
 
@@ -567,9 +584,10 @@ def extend(gb: GroebnerBasis, forms) -> GroebnerBasis:
     """Reduced Groebner basis of (I, forms), `gb` the reduced basis of I, by
     `_extension`; its generators are gb's followed by `forms`."""
     forms = tuple(forms)
-    basis = _reduced(_extension(gb, forms))
-    return GroebnerBasis(gb.ring, gb.gens + forms,
-                         tuple(Polynomial._from_dict(gb.ring, d) for d in basis))
+    engine = _extension(gb, forms)
+    packed = _reduced(engine)
+    basis = tuple(Polynomial._from_dict(gb.ring, engine._unpack(d, d[max(d)])) for d in packed)
+    return GroebnerBasis(gb.ring, gb.gens + forms, basis, (packed, engine.pk))
 
 
 def normal_form(p: Polynomial, gb) -> Polynomial:

@@ -10,6 +10,8 @@ is adding their packed ints (see groebner._Packing).
 
 from __future__ import annotations
 
+from operator import neg
+
 _KINDS = ("grevlex", "lex", "grlex", "elim")
 
 
@@ -42,7 +44,7 @@ class MonomialOrder:
             return lambda m: (sum(m),) + m
         if self.kind == "grevlex":
             def key(m):
-                return (sum(m),) + tuple(-e for e in reversed(m))
+                return (sum(m),) + tuple(map(neg, reversed(m)))
             return key
         k = self.block
         if k >= nvars:
@@ -50,8 +52,8 @@ class MonomialOrder:
 
         def key(m):
             a, b = m[:k], m[k:]
-            return ((sum(a),) + tuple(-e for e in reversed(a))
-                    + (sum(b),) + tuple(-e for e in reversed(b)))
+            return ((sum(a),) + tuple(map(neg, reversed(a)))
+                    + (sum(b),) + tuple(map(neg, reversed(b))))
         return key
 
     def __eq__(self, other):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, le
 
 from .orders import GREVLEX, MonomialOrder
 
@@ -91,7 +91,7 @@ def _is_prime(p: int) -> bool:
 # ---------- monomial helpers (exponent tuples) ----------
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
@@ -105,11 +105,11 @@ def mono_div(a, b):
 
 
 def mono_divides(b, a) -> bool:
-    return all(y <= x for x, y in zip(a, b))
+    return all(map(le, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class RingSpec:

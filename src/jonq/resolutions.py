@@ -57,16 +57,27 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
 - Each level is sorted by lead component and then by descending exponent
   of variable k in the lead, so the leads of level k + 1 lose variable k
   (Eisenbud, Cor. 15.11): the frame has at most nvars + 1 levels.
-- The frame is a free resolution but not a minimal one.  Its constant
-  entries cancel in pairs by Gaussian elimination on the complex: a unit u
-  in row r and column s of a map turns every other column t into
-  t - (t_r / u) s and drops row r, column s, and row s of the next map.
-  Cancelling in a map leaves the maps above it with no new constant entry,
-  so the maps are cleared from the last one down.
+- The frame is a free resolution but not a minimal one, and its minimal
+  Betti numbers are the homology of F (x) k, k = R/m (Eisenbud, *The
+  Geometry of Syzygies*, ch. 1), so they are read off the ranks of the
+  frame's constant entries with nothing cancelled:
+  beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, where f_{i,j} counts the
+  level-i elements of degree j and r_{i,j} is the rank of the degree-j
+  block of the constant part of the map from level i (`_rank_shifts`).
+  Position 0 is R^s and position 1 the kept columns; in the first syzygy
+  map only the rows of basis elements that are not kept columns count, and
+  per degree |G| minus that rank must be the number of kept columns.
+- The matrices are built only when first read (`Resolution.matrices`):
+  the frame's constant entries cancel in pairs by Gaussian elimination on
+  the complex (`_prune`): a unit u in row r and column s of a map turns
+  every other column t into t - (t_r / u) s and drops row r, column s, and
+  row s of the next map.  Cancelling in a map leaves the maps above it with
+  no new constant entry, so the maps are cleared from the last one down.
   In the first syzygy map a pivot lies only in the row of a basis element
   that is not a kept column, so the first matrix stays the greedy's choice
   of the caller's columns.  After that, no constant entry is left, and the
-  complex is the minimal resolution.
+  complex is the minimal resolution; its shifts must be the ones the ranks
+  gave, a second computation of every Betti table whose matrices are read.
 
 A matrix is a tuple of columns.  `is_graded_complex` is the one check that
 such matrices form a graded complex for given shifts; both
@@ -75,6 +86,7 @@ Resolution.verify_complex and dejonq.FreeComplex.verify run it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -253,17 +265,39 @@ class BettiTable:
         return " | ".join(parts)
 
 
+class _OnDemand:
+    """A dataclass field whose value may be given as a function of no
+    arguments, called on the first read; the result replaces it."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class Resolution:
     """A minimal graded free resolution of R^rank0 / im(gens).
 
     matrices[k] presents the map from position k+1 to position k as a tuple
     of columns, each column a tuple of polynomials over position k's rank.
+    `minimal_free_resolution` sets the shifts from ranks and leaves the
+    matrices to be pruned from the frame when first read, so `betti`,
+    `length()` and the shifts cost no cancelling.
     """
 
     ring: RingSpec
     shifts: tuple[tuple[int, ...], ...]
-    matrices: tuple[tuple[tuple[Polynomial, ...], ...], ...]
+    matrices: tuple[tuple[tuple[Polynomial, ...], ...], ...] = _OnDemand()
 
     @property
     def betti(self) -> BettiTable:
@@ -306,8 +340,11 @@ def minimal_free_resolution(gens) -> Resolution:
 
     `gens` is a list of homogeneous polynomials (ideal case) or of
     homogeneous columns.  The first matrix is the columns `minimal_generators`
-    keeps; the rest are the Schreyer frame on the closed basis of its
-    greedy (`_frame`), pruned to a minimal complex (`_prune`).
+    keeps.  The shifts are beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j},
+    read off the Schreyer frame on the closed basis of its greedy (`_frame`)
+    by `_rank_shifts`.  The other matrices are that frame pruned to a
+    minimal complex (`_prune`) on the first read of `matrices`, which raises
+    JonqError unless the pruned shifts are those.
     """
     columns = _columns(gens)
     if not columns:
@@ -318,7 +355,68 @@ def minimal_free_resolution(gens) -> Resolution:
     if not kept:
         return Resolution(ring, (shifts0,), ())
     position, levels = _frame(kept.engine, shifts0)
-    return _prune(ring, kept, [position[k] for k in kept.rows], levels)
+    kept_rows = [position[k] for k in kept.rows]
+    shifts = _rank_shifts(ring, kept, kept_rows, levels)
+
+    def matrices():
+        pruned, out = _prune(ring, kept, kept_rows, levels)
+        if pruned != shifts:
+            raise JonqError("the pruned frame's shifts differ from its rank read-out")
+        return out
+    return Resolution(ring, shifts, matrices)
+
+
+def _rank_shifts(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
+    """The minimal resolution's shifts, from ranks of the frame's constant
+    part: per degree j, levels[k] keeps f_{k,j} - r_{k,j} - r_{k+1,j} of its
+    f_{k,j} elements of degree j, r_{k,j} the rank of their constant entries
+    (in the first syzygy map, k = 1, only in rows that are not `kept_rows`).
+    Raises JonqError unless per degree that leaves G = levels[0] with the
+    kept columns."""
+    zero, skip = (0,) * ring.nvars, set(kept_rows)
+    counts = [Counter(shift for _, _, shift in level) for level in levels]
+    ranks = [Counter()]
+    for k in range(1, len(levels)):
+        blocks: dict = {}
+        for v, _, shift in levels[k]:
+            col = {t[0]: c for t, c in v.items()
+                   if t[2:] == zero and (k > 1 or t[0] not in skip)}
+            if col:
+                blocks.setdefault(shift, []).append(col)
+        ranks.append(Counter({j: _rank(cols, ring.modulus) for j, cols in blocks.items()}))
+    ranks.append(Counter())
+    first = Counter(deg for deg, _ in kept)
+    if any(counts[0][j] - ranks[1][j] != first[j] for j in counts[0]):
+        raise JonqError("the first syzygy map's rank leaves a basis element that is not kept")
+    shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
+    for k in range(1, len(levels)):
+        betti = counts[k] - ranks[k] - ranks[k + 1]
+        if not betti:
+            break
+        shifts.append(tuple(sorted(betti.elements())))
+    return tuple(shifts)
+
+
+def _rank(columns, mod) -> int:
+    """Rank of the sparse int vectors {row: c}: mod p over GF(p), and exact
+    over Q, fraction-free (a vector meeting the pivot a of an earlier one b
+    with entry c becomes a v - c b)."""
+    basis: list = []  # (pivot row, vector), each zero in the pivot rows before it
+    for v in columns:
+        for r, b in basis:
+            c = v.get(r)
+            if c:
+                a, out = b[r], {}
+                for row in v.keys() | b.keys():
+                    e = a * v.get(row, 0) - c * b.get(row, 0)
+                    if mod is not None:
+                        e %= mod
+                    if e:
+                        out[row] = e
+                v = out
+        if v:
+            basis.append((next(iter(v)), v))
+    return len(basis)
 
 
 def _induced_key(key, leads):
@@ -497,8 +595,9 @@ def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
     return {t: a // g for t, a in vec.items()}
 
 
-def _prune(ring: RingSpec, kept: _Kept, kept_rows, levels) -> Resolution:
-    """The minimal resolution left when the frame's constant entries cancel.
+def _prune(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
+    """(shifts, matrices) of the minimal resolution left when the frame's
+    constant entries cancel.
 
     A unit entry u of the map from level k+1 to level k, in row r and
     column s, cancels both: every other column t becomes t - (t_r / u) s,
@@ -582,10 +681,14 @@ def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:
 
 
 def _output(ring: RingSpec, kept: _Kept, kept_rows, levels, cols, alive, dens,
-            width: int) -> Resolution:
-    """The Resolution of the frame's surviving elements: the first matrix is
-    the kept columns, whose rows in the next map are scaled by the unit that
-    relates each to its engine element."""
+            width: int) -> tuple:
+    """(shifts, matrices) of the frame's surviving elements: the first matrix
+    is the kept columns, whose rows in the next map are scaled by the unit
+    that relates each to its engine element.  Raises JonqError unless the
+    basis elements that survived are the kept columns; in the later maps, a
+    row with no output row is an element that was cancelled."""
+    if [r for r, live in enumerate(alive[0]) if live] != sorted(kept_rows):
+        raise JonqError("a surviving basis element is not a kept column")
     mod = ring.modulus
     engine = kept.engine
     mask, spans = (1 << width) - 1, range(0, width * ring.nvars, width)
@@ -622,7 +725,7 @@ def _output(ring: RingSpec, kept: _Kept, kept_rows, levels, cols, alive, dens,
         matrices.append(tuple(out))
         shifts.append(tuple(levels[k][s][2] for s in survivors))
         row_of = next_row
-    return Resolution(ring, tuple(shifts), tuple(matrices))
+    return tuple(shifts), tuple(matrices)
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

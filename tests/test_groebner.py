@@ -120,6 +120,13 @@ def test_exponents_growing_past_the_fields_are_exact():
     RQ = RingSpec(["x", "y"], order=LEX)
     assert gb.normal_form(P("x^100 + 1/2*x", RQ), [P("x - y^3", RQ)]) == \
         P("y^300 + 1/2*y^3", RQ)
+    # here interreducing carries z past the fields, so the basis `extend`
+    # keeps packed must be packed again, all of it, on the widened fields
+    RQ3 = RingSpec(["x", "y", "z"], order=LEX)
+    G = gb.buchberger([P("3*x^8*y^2 + 3*x^3", RQ3), P("3*x^8*y^2*z^7 + 3", RQ3),
+                       P("2*y*z^9 + 2*z^2", RQ3)])
+    assert G.basis == (P("z^77 + 1", RQ3), P("y - z^70", RQ3), P("x - z^49", RQ3))
+    assert G.reduce(P("x*y", RQ3)) == P("-z^42", RQ3)
 
 
 def test_normal_form_idempotent_randomized(R):
@@ -313,6 +320,34 @@ def test_is_regular_closes_only_the_new_pairs(R, monkeypatch):
     ideal = gb.buchberger([P("x1^2 - x2*x3", R), P("x1*x3 - x2^2", R)])
     monkeypatch.setattr(gb, "_reduced", None)
     assert gb.is_regular(ideal, R.variable(2))
+
+
+@pytest.mark.parametrize("modulus", (None, 32003, 7))
+def test_extend_from_a_packed_basis_equals_extend_from_tuples(modulus, monkeypatch):
+    # `extend` leaves its packed basis on the result, and the next engine
+    # installs it as it stands; a copy without it is packed from tuples
+    ring = RingSpec(["x1", "x2", "x3"], modulus)
+    base = gb.buchberger([P("x1^2 - x2*x3", ring), P("2*x1*x3 - x2^2", ring)])
+    assert base.packed is not None
+    repacked = []
+    repack = gb._Engine._repack
+    monkeypatch.setattr(gb._Engine, "_repack",
+                        lambda self, bits: repacked.append(len(self.elems)) or repack(self, bits))
+    # the second form's exponents pass the fields of the first packing, so
+    # the engine repacks the elements it installed
+    for forms in ([P("x2^3 + 3*x1*x3^2", ring)], [P("x3^200 - 5*x1^150*x2^50", ring)]):
+        repacked.clear()
+        packed = gb.extend(base, forms)
+        assert bool(repacked) == (forms[0].total_degree() == 200) and all(repacked)
+        from_tuples = gb.extend(gb.GroebnerBasis(ring, base.gens, base.basis), forms)
+        assert packed == from_tuples and packed.basis == from_tuples.basis
+        assert packed.gens == from_tuples.gens
+        # and again from each result: the packing carries on down a chain
+        more = [P("x1*x2*x3 - x3^3", ring)]
+        assert gb.extend(packed, more).basis == gb.extend(
+            gb.GroebnerBasis(ring, packed.gens, packed.basis), more).basis
+        probe = P("x1^3*x3^2 + x2^5", ring)
+        assert packed.reduce(probe) == from_tuples.reduce(probe)
 
 
 # ---------- coprimality ----------

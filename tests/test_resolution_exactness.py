@@ -8,6 +8,8 @@ resolving level by level.  The reference below is the plain algorithm: the
 tag-block part of a full Groebner basis of the augmented vectors goes to a
 greedy that closes the basis after each column it keeps.  Both must
 generate the same syzygy modules and give the same shifts and first matrix.
+The shifts `minimal_free_resolution` reads off the ranks of the frame's
+constant part must also be those of the pruned frame.
 """
 
 import pytest
@@ -20,13 +22,16 @@ import random  # noqa: E402
 
 from jonq import dejonq, groebner, rees, resolutions  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
-from jonq.polycore import Polynomial, RingSpec, parse_polynomial  # noqa: E402
+from jonq.cli import main  # noqa: E402
+from jonq.polycore import JonqError, Polynomial, RingSpec, parse_polynomial  # noqa: E402
 from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
+    _columns,
     _dict_to_column,
-    _frame,
     _module_key,
+    _prune,
+    _rank_shifts,
     minimal_free_resolution,
     minimal_generators,
     syzygies,
@@ -169,10 +174,18 @@ def section_4_2():
     return list(rees._certified_section(rees.rees_ideal(j), j.n).basis)
 
 
-def frame(gens):
-    """The frame levels `minimal_free_resolution` prunes, for ideal input."""
-    kept = minimal_generators([(g,) for g in gens], gens[0].ring, (0,))
-    return kept, _frame(kept.engine, (0,))[1]
+def frame_parts(gens):
+    """(ring, kept, kept rows, levels) as `minimal_free_resolution` builds
+    them, or None when no column is kept."""
+    columns = _columns(gens)
+    ring = next(p.ring for c in columns for p in c)
+    shifts0 = (0,) * len(columns[0])
+    kept = minimal_generators(columns, ring, shifts0)
+    if not kept:
+        return None
+    # the module's `_frame`, so that a test can replace it
+    position, levels = resolutions._frame(kept.engine, shifts0)
+    return ring, kept, [position[k] for k in kept.rows], levels
 
 
 R3_7 = RingSpec(["x1", "x2", "x3"], 7)
@@ -190,9 +203,60 @@ R3_7 = RingSpec(["x1", "x2", "x3"], 7)
 ], ids=["section-4-2", "base-ideal-2-6-over-Q", "equal-leads-over-GF7"])
 def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make):
     gens = make()
-    kept, levels = frame(gens)
+    _, kept, _, levels = frame_parts(gens)
     assert len(levels[0]) > len(kept)
     assert_matches_reference(gens)
+    assert_rank_read_out_is_pruned(gens)
+
+
+def assert_rank_read_out_is_pruned(gens):
+    res = minimal_free_resolution(gens)
+    parts = frame_parts(gens)
+    if parts is not None:
+        assert _rank_shifts(*parts) == res.shifts == _prune(*parts)[0]
+    # reading the matrices prunes the frame and checks its shifts again
+    assert res.verify_complex()
+
+
+# Over Q the S-pair of x1^2 and x1^2 + N x2^2 adds x2^2 with the unit N, so
+# the frame's one constant entry in a row that is not kept is N: its rank is
+# 1 over Q and 0 modulo any prime that divides N, such as these.
+N = 2 * 3 * 5 * 7 * 11 * 13 * 101 * 32003 * 65521 * (2 ** 31 - 1) * (2 ** 61 - 1)
+BIG_UNIT = [parse_polynomial(g, Q3) for g in ("x1^2", f"x1^2 + {N}*x2^2", "x3^3")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(ideals(), column_sets()))
+@example([parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")])
+@example(BIG_UNIT)
+def test_rank_read_out_matches_the_pruned_shifts(gens):
+    assert_rank_read_out_is_pruned(gens)
+
+
+def test_rank_over_q_is_exact():
+    # x2^2 joins the basis; the ideal is the complete intersection (x1^2, x2^2, x3^3)
+    assert len(frame_parts(BIG_UNIT)[3][0]) == 4
+    assert minimal_free_resolution(BIG_UNIT).shifts == ((0,), (2, 2, 3), (4, 5, 5), (7,))
+
+
+def test_a_basis_element_left_over_is_an_error(monkeypatch):
+    # x2^2 joins the basis, and only a constant entry in its row of the
+    # first syzygy map cancels it; a frame without that entry leaves it over
+    gens = [parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")]
+    build = resolutions._frame
+
+    def broken(greedy, shifts0):
+        position, levels = build(greedy, shifts0)
+        (row,) = [r for r, (_, lead, _) in enumerate(levels[0]) if lead[2:] == (0, 2, 0)]
+        levels[1] = [({t: c for t, c in v.items() if t[0] != row or any(t[2:])}, lead, shift)
+                     for v, lead, shift in levels[1]]
+        return position, levels
+    monkeypatch.setattr(resolutions, "_frame", broken)
+    with pytest.raises(JonqError, match="leaves a basis element"):
+        minimal_free_resolution(gens)
+    # the pruning leaves it over too, and its output refuses it
+    with pytest.raises(JonqError, match="not a kept column"):
+        _prune(*frame_parts(gens))
 
 
 @pytest.mark.parametrize("modulus", FIELDS)
@@ -216,7 +280,7 @@ def test_closing_past_the_reserved_tags_grows_the_engine(modulus, monkeypatch):
 
 def test_frame_of_a_section_loses_a_variable_per_level():
     gens = section_4_2()
-    _, levels = frame(gens)
+    *_, levels = frame_parts(gens)
     assert len(levels) <= gens[0].ring.nvars
 
 
@@ -226,7 +290,7 @@ def test_frame_leads_lose_one_variable_per_level(gens):
     # Eisenbud, Commutative Algebra, Cor. 15.11: level k + 1 (levels[k])
     # has no lead involving the first k variables
     ring = gens[0].ring
-    _, levels = frame(gens)
+    *_, levels = frame_parts(gens)
     for k, level in enumerate(levels):
         assert not any(e for _, lead, _ in level for e in lead[2:2 + k])
     assert len(levels) <= ring.nvars + 1
@@ -331,3 +395,19 @@ def test_shifted_key_packs_in_order(data):
     assert (pk.pack(ta) < pk.pack(tb)) == (pk.key(ta) < pk.key(tb))
     assert pk.key(ta)[0] == sum(a) + shifts[ca]
     assert pk.unpack(pk.pack(ta)) == ta
+
+
+def test_betti_tables_need_no_pruning(monkeypatch, tmp_path, capsys):
+    # the library reads resolutions as numbers only, so no report prunes a
+    # frame; the stand-in returns nothing, so a read of `matrices` would fail
+    pruned = []
+    monkeypatch.setattr(resolutions, "_prune", lambda *parts: pruned.append(parts))
+    report = rees.case_report(dejonq.random_map(4, 2, random.Random(0)), seed=0)
+    assert (report["projdim"], report["theorem"]) == (4, "pass")
+    structural = dejonq.structural_checks(dejonq.random_map(3, 4, random.Random(1), None))
+    assert structural.ok and structural.projdim == 3
+    case = tmp_path / "e1.jonq"
+    case.write_text("n: 2\nd: 2\nfield: rational\nf: x3\ng: x1^2 - x2*x3\n")
+    assert main(["resolve", str(case)]) == 0
+    assert "groebner oracle agrees: True" in capsys.readouterr().out
+    assert not pruned
