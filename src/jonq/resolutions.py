@@ -385,8 +385,7 @@ def _rank_shifts(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
                 blocks.setdefault(shift, []).append(col)
         ranks.append(Counter({j: _rank(cols, ring.modulus) for j, cols in blocks.items()}))
     ranks.append(Counter())
-    first = Counter(deg for deg, _ in kept)
-    if any(counts[0][j] - ranks[1][j] != first[j] for j in counts[0]):
+    if counts[0] - ranks[1] != Counter(deg for deg, _ in kept):
         raise JonqError("the first syzygy map's rank leaves a basis element that is not kept")
     shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
     for k in range(1, len(levels)):
