@@ -1,5 +1,5 @@
 """Groebner-basis engine: Buchberger, elimination, kernels, colon ideals, Hilbert series,
-coprimality.
+a signature-based regularity test, coprimality.
 
 One Buchberger engine (`_Engine`) serves both ideals and submodules of free
 modules.  At its boundary a vector is a {term: coefficient} dict.  For an
@@ -64,11 +64,12 @@ runs `kernel` only when that certificate fails; the implicit equation of a
 specialized map is read off the specialized forms in closed form
 (`rees.specialization_check`).  `kernel` is the test oracle of both.
 
-`is_regular` is the one nonzerodivisor test: it compares Hilbert numerators
-after running that same extension by the form, reading the leads before
-interreducing.
-The colons the library needs are read off Hilbert numerators in the same
-way (`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
+`is_regular` is the one nonzerodivisor test: one incremental signature run
+(Gao, Volny & Wang, Math. Comp. 2016) that reduces by I's reduced basis as
+it stands, returns False at its first reduction to zero, and computes no
+Hilbert numerator.  Its top reductions are `_nf_dict`'s, under a signature
+bound.  The colons the library needs are read off Hilbert numerators
+(`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
 `colon`, `colon_ideal` and `saturate` have no library caller and are the
 tests' oracles.  R/(x_1..x_k) needs no basis: its numerator is (1 - t)^k
 (`variables_numerator`).  `coprime` decides gcd(f, g) = 1 by a common
@@ -77,6 +78,7 @@ variable or a line, and only otherwise by `is_regular(buchberger([f]), g)`.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass, field as dataclass_field
@@ -171,7 +173,8 @@ class _Packing:
         return tuple(f)
 
 
-def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
+def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing,
+             bound: tuple[int, dict, set] | None = None) -> tuple[dict | None, int]:
     """Full normal form of the packed dict `work` (consumed): (remainder, scale).
 
     reducers: component -> list of (lead & lomask, lead, tail, a), a the
@@ -184,8 +187,18 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
     scale, and (c/g) x^shift tail is subtracted.  Each remainder term keeps
     the scale at which it was set aside and is brought to the final one at
     the end.  Raises _Overflow when a term does not fit `pk`.
+
+    With `bound` = (sigma, ratios, tops) it is a signature-safe top
+    reduction instead (see `_signature_run`).  A reducer whose lead lm is a
+    key of `ratios` has the signature lm - ratios[lm], and x^shift times it
+    may cancel the term m only when x^shift times that signature,
+    m - ratios[lm], is below sigma; the other reducers have signature 0 and
+    always may.  The reduction stops at the first term no reducer may
+    cancel: it returns (None, scale) when that lead is in `tops`, and
+    otherwise the lead and the pending terms as they stand.
     """
     lomask, guard, cmask = pk.lomask, pk.guard, pk.cmask
+    sigma, ratios, tops = bound or (None, None, None)
     if any(m & guard for m in work):
         raise _Overflow
     heap = [-m for m in work]
@@ -204,8 +217,22 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing) -> tuple[dict, int]:
         for llo, lm, tail, a in reducers.get(m & cmask, ()):
             d = lo - llo
             if d >= 0 and not d & guard:
-                break
+                if ratios is None or lm not in ratios:
+                    break
+                msig = m - ratios[lm]
+                if msig & guard:
+                    raise _Overflow
+                if msig < sigma:
+                    break
         else:
+            if bound:
+                if m in tops:
+                    return None, scale
+                work[m] = c
+                if mod is not None:
+                    for t in work:
+                        work[t] %= mod
+                return {t: w for t, w in work.items() if w}, scale
             remainder[m] = (c, scale)
             continue
         if a != 1:
@@ -533,7 +560,8 @@ class GroebnerBasis:
 
     @cached_property
     def _hilbert_numerator(self) -> dict[int, int]:
-        """Hilbert numerator of R/I; `is_regular` reads it, the rest get copies."""
+        """Hilbert numerator of R/I, computed once; `hilbert_series_numerator`
+        hands out copies."""
         for g in self.gens if self.gens else self.basis:
             if not g.is_homogeneous():
                 raise InhomogeneousError(f"generator {g} is not homogeneous")
@@ -818,22 +846,129 @@ def numerator_from_colon(num_with_u: dict, e: int, num_colon: dict) -> dict[int,
 def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     """True iff the form u is a nonzerodivisor on R/I, `gb` the reduced basis of I.
 
-    For u of degree e, HS(R/(I, u)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} u)
-    (Stanley, Adv. Math. 1978), so u is regular, I : u = I, exactly when the
-    Hilbert numerators satisfy N(I) = N(I, u) + t^e N(I)
-    (`numerator_from_colon`).  N(I, u) is read off the leads of the engine
-    `extend` runs on `gb` and u, before it interreduces: only a lead ideal
-    is needed, and interreducing would cost more than the pairs u makes.
-    `colon` is the test oracle: u is regular iff I : u = I.
+    u is regular exactly when I : u = I.  The test is one incremental
+    signature run (Gao, Volny & Wang, "A new framework for computing Groebner
+    bases", Math. Comp. 2016), with the criterion of Faugere's F5 (ISSAC
+    2002); `_signature_run` carries it out.  Each element the run makes is
+    f = b u + h with h in I, and its signature is LT(b); I's basis elements
+    (b = 0) rank below every signature.
+
+    Theorem (GVW 2016).  Take the J-pairs in increasing signature and reduce
+    each only by multiples t g with t sig(g) below its signature sigma, so
+    that the signature stays sigma.  Drop a J-pair when sigma lies in LT(I)
+    (the Koszul syzygy g e_u - u e_g has the signature LT(g)), when it is
+    rewritable, or when it ends singular top-reducible.  Once no J-pair is
+    left, LT(I : u) is generated by LT(I) and the signatures of the J-pairs
+    that reduced to zero.
+
+    So the first zero reduction decides False: it gives b u in I with
+    LT(b) = sigma outside LT(I), so b lies in I : u but not in I, and no
+    later pair can undo that.  When the J-pairs run out with no zero
+    reduction, LT(I : u) = LT(I); I lies inside I : u and has the same lead
+    ideal, so the two are equal: True.  No Hilbert numerator is computed,
+    and I need not be homogeneous.  The unit ideal is decided first: R/I = 0,
+    so every u is regular.  `colon` and the Hilbert-series identity
+    HS(R/(I, u)) = (1 - t^e) HS(R/I) (Stanley, Adv. Math. 1978) are the
+    test oracles.
     """
     if u.is_zero():
         raise JonqError("regularity of the zero polynomial")
     if not u.is_homogeneous():
         raise InhomogeneousError(f"form {u} is not homogeneous")
-    numerator = gb._hilbert_numerator
-    leads = _extension(gb, [u]).leads
-    return numerator == numerator_from_colon(_hilb_rec(_mono_minimalize(leads), {}),
-                                             u.total_degree(), numerator)
+    if u.ring != gb.ring:
+        raise RingMismatchError("form not in the basis ring")
+    if any(not g.total_degree() for g in gb.basis):
+        return True
+    engine, v = gb._engine, _to_dict(u)
+    engine._fit((v,))
+    while True:
+        try:
+            return _signature_run(engine, engine._pack(v)[0])
+        except _Overflow:
+            engine._repack(2 * engine.pk.bits)
+
+
+def _signature_run(engine: _Engine, u: dict) -> bool:
+    """`is_regular` on the packed form u, the engine's elements being the
+    reduced basis of I, not the unit ideal: False at the first zero
+    reduction, True when the J-pairs run out.
+
+    Signatures are packed monomials of the engine's packing, compared as
+    ints: one position, above I's.  Element k has the signature sigs[k] and
+    the ratio rats[k] = lead - sigs[k], so at a signature sigma divisible by
+    sigs[k] its multiple has the lead sigma + rats[k].  The J-pair of
+    elements k and j (or of k and one of I's elements, signature 0) is
+    x^(lcm/lead) times the one whose multiple at the lcm of their leads has
+    the larger signature; when both are equal there is none.  The J-pairs
+    popped at sigma are rewritten to the element whose multiple at sigma
+    has the least lead, the latest on ties.  When no J-pair came from that
+    element, its multiple's lead has no signature-safe reducer and there is
+    nothing to do.  Otherwise the multiple is top-reduced (`_nf_dict` with a
+    bound): only leads enter the theorem, so tails are left as they stand.
+    A reduction that ends on the lead of another multiple at sigma is
+    singular top-reducible and is dropped; any other nonzero one is
+    adjoined.  Raises _Overflow when a signature does not fit the packing.
+    """
+    pk, mod = engine.pk, engine.ring.modulus
+    lomask, guard = pk.lomask, pk.guard
+    reducers = list(engine.reducers.get(0, ()))
+    koszul = [entry[0] for entry in reducers]  # I's leads & lomask
+    ratios: dict = {}  # lead of an element -> its ratio, for `_nf_dict`
+    sigs, rats, elems, tuples = [], [], [], []
+    by_ratio: list = []  # (ratio, -k, signature & lomask), ascending
+    pairs: list = []  # heap of (signature, element)
+
+    def adjoin(r: dict, sig: int):
+        d = _normalized(r, mod)
+        lead = max(d)
+        lt, new, ratio = pk.unpack(lead), len(elems), lead - sig
+        jpairs = [(pk.pack(mono_lcm(lt, lg)) - ratio, new) for lg in engine.leads]
+        for j, lj in enumerate(tuples):
+            if rats[j] != ratio:
+                lcm = pk.pack(mono_lcm(lt, lj))
+                jpairs.append(max((lcm - ratio, new), (lcm - rats[j], j)))
+        for s, k in jpairs:
+            if s & guard:
+                raise _Overflow
+            lo = s & lomask
+            if not any(lo >= g and not (lo - g) & guard for g in koszul):
+                heapq.heappush(pairs, (s, k))
+        sigs.append(sig)
+        rats.append(ratio)
+        bisect.insort(by_ratio, (ratio, -new, sig & lomask))
+        elems.append(d)
+        tuples.append(lt)
+        ratios[lead] = ratio
+        reducers.append((lead & lomask, lead, tuple((m, c) for m, c in d.items() if m != lead),
+                         d[lead]))
+
+    r, _ = _nf_dict(u, {0: reducers}, mod, pk)
+    if not r:
+        return False
+    adjoin(r, pk.pack((0,) * engine.ring.nvars))
+    while pairs:
+        sig, k = heapq.heappop(pairs)
+        made = {k}
+        while pairs and pairs[0][0] == sig:
+            made.add(heapq.heappop(pairs)[1])
+        # rewriting: go on only when the least lead at sig is a J-pair's
+        best, lo = min((rats[j], -j) for j in made), sig & lomask
+        for ratio, neg, s in by_ratio:
+            if (ratio, neg) == best or lo >= s and not (lo - s) & guard:
+                break
+        if (ratio, neg) != best:
+            continue
+        k = -neg
+        tops = {sig + ratio for ratio, _, s in by_ratio if lo >= s and not (lo - s) & guard}
+        shift = sig - sigs[k]
+        r, _ = _nf_dict({m + shift: c for m, c in elems[k].items()}, {0: reducers}, mod, pk,
+                        (sig, ratios, tops))
+        if r is None:
+            continue
+        if not r:
+            return False
+        adjoin(r, sig)
+    return True
 
 
 # ---------- coprimality ----------

@@ -79,7 +79,7 @@ def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     y_i -> t F_i from S to k[t, x_1..x_{n+1}].
 
     It is the basis of P = P_{d-1} itself when `_certifies` passes, with the
-    Hilbert numerator that `is_regular` computed on it, and the
+    engine its membership and regularity tests built on it, and the
     t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
     basis, and equal `GroebnerBasis` objects, so the result does not depend
     on the path.

@@ -316,7 +316,8 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     matrices[k] maps position k+1 to position k as a tuple of columns, one
     per generator of position k+1.  Every nonzero entry in row r of column c
     must be homogeneous of degree shifts[k+1][c] - shifts[k][r], and
-    consecutive maps must compose to zero.
+    consecutive maps must compose to zero; each row of a composition is
+    summed over its nonzero products only.
     """
     for k, mat in enumerate(matrices):
         rows, cols = shifts[k], shifts[k + 1]
@@ -330,7 +331,9 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     for k in range(len(matrices) - 1):
         for col in matrices[k + 1]:
             for r in range(len(shifts[k])):
-                if dot(ring, [column[r] for column in matrices[k]], col):
+                nonzero = [(column[r], entry) for column, entry in zip(matrices[k], col)
+                           if column[r] and entry]
+                if nonzero and dot(ring, *zip(*nonzero)):
                     return False
     return True
 

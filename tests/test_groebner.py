@@ -315,11 +315,117 @@ def test_is_regular_edge_cases(R):
 
 
 def test_is_regular_closes_only_the_new_pairs(R, monkeypatch):
-    # the reduced basis of I is adopted as it stands and the extension is
-    # not interreduced: no Buchberger run and no `_reduced`
+    # the signature run reduces by the reduced basis of I as it stands and
+    # never interreduces: no Buchberger run and no `_reduced`
     ideal = gb.buchberger([P("x1^2 - x2*x3", R), P("x1*x3 - x2^2", R)])
     monkeypatch.setattr(gb, "_reduced", None)
     assert gb.is_regular(ideal, R.variable(2))
+
+
+def hilbert_is_regular(ideal, u):
+    """The Hilbert-series nonzerodivisor test, the oracle of `is_regular`.
+
+    For u of degree e, HS(R/(I, u)) = (1 - t^e) HS(R/I) + t^e HS(0 :_{R/I} u)
+    (Stanley, Adv. Math. 1978), so u is regular exactly when the Hilbert
+    numerators satisfy N(I) = N(I, u) + t^e N(I).
+    """
+    numerator = gb.hilbert_series_numerator(ideal)
+    with_u = gb.hilbert_series_numerator(gb.extend(ideal, [u]))
+    return numerator == gb.numerator_from_colon(with_u, u.total_degree(), numerator)
+
+
+def colon_is_regular(ideal, u):
+    """u is regular on R/I iff I : u = I."""
+    return gb.ideal_equal(gb.colon(list(ideal.basis), u), ideal)
+
+
+def sparse_form(ring, degree, rng, terms):
+    # a constant gets one term: over GF(2) two of them may cancel
+    return random_form(ring, degree, rng, terms=1 if degree == 0 else terms)
+
+
+REGULARITY_KINDS = ("random", "planted", "member", "unit", "zero")
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.sampled_from((None, 32003, 7, 2)), st.integers(2, 5), st.sampled_from(REGULARITY_KINDS),
+       st.integers(0, 10 ** 6))
+def test_is_regular_matches_the_hilbert_and_colon_oracles(modulus, n, kind, seed):
+    # u is a form of degree 0-3.  A planted u multiplies the first generator
+    # or every one, which makes it a zero divisor unless it lies in I; u in
+    # I is regular only on the unit ideal, where every u is
+    ring = RingSpec([f"x{i}" for i in range(1, n + 1)], modulus)
+    rng = random.Random(seed)
+    u = sparse_form(ring, rng.randrange(4), rng, rng.randrange(1, 4))
+    gens = [sparse_form(ring, rng.randrange(1, 4), rng, rng.randrange(1, 5))
+            for _ in range(rng.randrange(1, 5))]
+    if kind == "planted":
+        gens = [u * g for g in gens] if rng.random() < 0.5 else [u * gens[0]] + gens[1:]
+    elif kind == "member":
+        gens.append(u)
+    elif kind == "unit":
+        gens.append(ring.one())
+    elif kind == "zero":
+        gens = []
+    ideal = gb.buchberger(gens, ring=ring)
+    verdict = gb.is_regular(ideal, u)
+    assert verdict == hilbert_is_regular(ideal, u) == colon_is_regular(ideal, u), (gens, u)
+    if kind in ("unit", "zero"):
+        assert verdict
+    elif kind == "member":
+        assert verdict == (u.total_degree() == 0)
+
+
+@pytest.mark.parametrize("modulus, gens, u, regular", [
+    # a reducer whose multiple has the J-pair's own signature may cancel that
+    # signature; allowing it (<= for <) gives a false False
+    (7, "x1^2*x3 + 4*x1*x2*x4, x1^3 + 6*x1*x2*x3, x1*x2*x3^2 + 4*x1^2*x2*x4",
+     "5*x1 + 5*x2 + 2*x4", True),
+    # a J-pair that reduces to zero, whose lead is also singular top-reducible:
+    # dropping it before every signature-safe reducer was tried gives a false True
+    (None, "x1^2 + 5/2*x1*x2, x1*x2^3", "8*x1 + 6*x2", False),
+    (7, "x1*x3 + x3^2, x1*x2 + 5*x3^2, x2*x3^2 + 2*x3^3", "2*x1 + 6*x3", False),
+])
+def test_is_regular_on_cases_a_careless_signature_run_gets_wrong(modulus, gens, u, regular):
+    ring = RingSpec(["x1", "x2", "x3", "x4"], modulus)
+    ideal = gb.buchberger([P(g, ring) for g in gens.split(", ")])
+    u = P(u, ring)
+    assert gb.is_regular(ideal, u) == regular
+    assert hilbert_is_regular(ideal, u) == colon_is_regular(ideal, u) == regular
+
+
+def test_is_regular_widens_the_packing_and_starts_again(monkeypatch):
+    # u's exponents fit the basis's 8-bit fields (up to 127), and a J-pair's
+    # multiple here needs more: the run raises _Overflow, widens the fields
+    # and starts again
+    ring = RingSpec(["x1", "x2", "x3"], 7)
+    ideal = gb.buchberger([P("2*x1 + x3", ring), P("2*x2^3 + x1^2*x3", ring)])
+    u = P("x1^117*x3^9 + 3*x1^29*x2^55*x3^42", ring)
+    widths = []
+    repack = gb._Engine._repack
+    monkeypatch.setattr(gb._Engine, "_repack",
+                        lambda engine, bits: widths.append(bits) or repack(engine, bits))
+    assert gb.is_regular(ideal, u)
+    assert widths and widths[-1] > 8
+    assert hilbert_is_regular(ideal, u) and colon_is_regular(ideal, u)
+
+
+def test_is_regular_computes_no_hilbert_numerator(R, monkeypatch):
+    x1, x2, x3 = R.variables()
+    cases = [(gb.buchberger([x1 * x2, x2 * x3 ** 2]), u) for u in (x1 + x3, x2, x3 ** 2)]
+    cases.append((gb.buchberger([P("x1^2 - x2*x3", R), P("x1*x3 - x2^2", R)]), x3))
+    expected = [hilbert_is_regular(ideal, u) for ideal, u in cases]
+    assert True in expected and False in expected
+
+    def forbidden(*args):
+        raise AssertionError("is_regular computed a Hilbert numerator")
+    monkeypatch.setattr(gb, "_hilb_rec", forbidden)
+    assert [gb.is_regular(ideal, u) for ideal, u in cases] == expected
+    # a form of another ring, or an inhomogeneous one, still raises
+    with pytest.raises(RingMismatchError):
+        gb.is_regular(cases[0][0], RingSpec(["y1", "y2"]).variable(0))
+    with pytest.raises(gb.InhomogeneousError):
+        gb.is_regular(cases[0][0], x1 ** 2 + x2)
 
 
 @pytest.mark.parametrize("modulus", (None, 32003, 7))

@@ -539,8 +539,9 @@ def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
 
 
 def test_case_report_computes_each_hilbert_numerator_once(monkeypatch):
-    # the certified J is the last link's basis object itself, so `cone_betti`
-    # reads the numerator that `is_regular` cached on it
+    # the certified J is the last link's basis object itself, and
+    # `is_regular` computes no numerator, so each basis's numerator is
+    # computed once, by the first check that reads it
     computed = []
     cached = gb.GroebnerBasis.__dict__["_hilbert_numerator"]
 
