@@ -2,8 +2,9 @@
 
 Subpackages:
   polycore    exact sparse polynomials over Q / F_p, text grammar
-  groebner    Buchberger engine, elimination, colon ideals, Hilbert series
-  resolutions syzygies and minimal graded free resolutions
+  groebner    Buchberger engine, elimination, colon ideals, Hilbert series,
+              signature-based regularity test (is_regular), coprime
+  resolutions syzygies; Betti tables from a Schreyer frame
   cremona     inversion certificates from four forms, generic composition
   dejonq      identity-support de Jonquieres maps, downgrading, structure
   rees        blowup presentation ideal, structure theorems, conjecture probe

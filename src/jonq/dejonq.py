@@ -12,7 +12,8 @@ The module reads the inverse map off the x-coefficients of the last member
 (one candidate, certified once: the sign of its last coordinate is forced
 because the last member vanishes on the graph of the map), writes down the
 closed-form minimal free resolution of the base ideal (a FreeComplex,
-checked by resolutions.is_graded_complex like the Groebner oracle), and
+whose matrices resolutions.is_graded_complex checks; `jonq resolve` compares
+its Betti table with the Groebner oracle's, which keeps only shifts), and
 checks the structural consequences (saturation, (x_1..x_n) = I : f as the
 associated support prime, Cohen-Macaulayness exactly in the plane case,
 plane multiplicity d(d-1)+1).  Saturation needs no saturation run: by
@@ -205,9 +206,9 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
 class FreeComplex:
     """Explicit graded free complex; matrices[k] maps position k+1 to k.
 
-    Each matrix is stored as a tuple of columns of polynomials, as in
-    resolutions.Resolution; shifts[k] lists the generator degrees of the
-    position-k free module.
+    Each matrix is stored as a tuple of columns of polynomials;
+    shifts[k] lists the generator degrees of the position-k free module,
+    as in resolutions.Resolution.
     """
 
     ring: RingSpec

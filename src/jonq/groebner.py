@@ -1100,7 +1100,8 @@ def dim_and_multiplicity(num: dict, nvars: int) -> tuple[int, int]:
     return (nvars - codim, mult)
 
 
-# re-exported resolution layer (BettiTable, syzygies, minimal_free_resolution)
+# re-exported resolution layer (BettiTable, Resolution, syzygies,
+# minimal_free_resolution)
 from .resolutions import (  # noqa: E402
     BettiTable,
     Resolution,

@@ -67,30 +67,19 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   Position 0 is R^s and position 1 the kept columns; in the first syzygy
   map only the rows of basis elements that are not kept columns count, and
   per degree |G| minus that rank must be the number of kept columns.
-- The matrices are built only when first read (`Resolution.matrices`):
-  the frame's constant entries cancel in pairs by Gaussian elimination on
-  the complex (`_prune`): a unit u in row r and column s of a map turns
-  every other column t into t - (t_r / u) s and drops row r, column s, and
-  row s of the next map.  Cancelling in a map leaves the maps above it with
-  no new constant entry, so the maps are cleared from the last one down.
-  In the first syzygy map a pivot lies only in the row of a basis element
-  that is not a kept column, so the first matrix stays the greedy's choice
-  of the caller's columns.  After that, no constant entry is left, and the
-  complex is the minimal resolution; its shifts must be the ones the ranks
-  gave, a second computation of every Betti table whose matrices are read.
+- A `Resolution` keeps only these shifts: no matrix is built, and the
+  frame is dropped once its ranks are read.
 
 A matrix is a tuple of columns.  `is_graded_complex` is the one check that
-such matrices form a graded complex for given shifts; both
-Resolution.verify_complex and dejonq.FreeComplex.verify run it.
+such matrices form a graded complex for given shifts; dejonq.FreeComplex.verify
+runs it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from operator import mul
 
 from .polycore import (
     JonqError,
@@ -265,39 +254,13 @@ class BettiTable:
         return " | ".join(parts)
 
 
-class _OnDemand:
-    """A dataclass field whose value may be given as a function of no
-    arguments, called on the first read; the result replaces it."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot)  # the field has no default
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True)
 class Resolution:
-    """A minimal graded free resolution of R^rank0 / im(gens).
-
-    matrices[k] presents the map from position k+1 to position k as a tuple
-    of columns, each column a tuple of polynomials over position k's rank.
-    `minimal_free_resolution` sets the shifts from ranks and leaves the
-    matrices to be pruned from the frame when first read, so `betti`,
-    `length()` and the shifts cost no cancelling.
-    """
+    """The shifts of a minimal graded free resolution of R^rank0 / im(gens):
+    shifts[k] lists the generator degrees of position k."""
 
     ring: RingSpec
     shifts: tuple[tuple[int, ...], ...]
-    matrices: tuple[tuple[tuple[Polynomial, ...], ...], ...] = _OnDemand()
 
     @property
     def betti(self) -> BettiTable:
@@ -305,9 +268,6 @@ class Resolution:
 
     def length(self) -> int:
         return len(self.shifts) - 1
-
-    def verify_complex(self) -> bool:
-        return is_graded_complex(self.ring, self.shifts, self.matrices)
 
 
 def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
@@ -342,12 +302,10 @@ def minimal_free_resolution(gens) -> Resolution:
     """Minimal graded free resolution of R/I (or of R^s modulo column span).
 
     `gens` is a list of homogeneous polynomials (ideal case) or of
-    homogeneous columns.  The first matrix is the columns `minimal_generators`
-    keeps.  The shifts are beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j},
-    read off the Schreyer frame on the closed basis of its greedy (`_frame`)
-    by `_rank_shifts`.  The other matrices are that frame pruned to a
-    minimal complex (`_prune`) on the first read of `matrices`, which raises
-    JonqError unless the pruned shifts are those.
+    homogeneous columns.  Position 1's shifts are the degrees of the
+    columns `minimal_generators` keeps.  The shifts are
+    beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, read off the Schreyer frame
+    on the closed basis of its greedy (`_frame`) by `_rank_shifts`.
     """
     columns = _columns(gens)
     if not columns:
@@ -356,17 +314,9 @@ def minimal_free_resolution(gens) -> Resolution:
     shifts0 = (0,) * len(columns[0])
     kept = minimal_generators(columns, ring, shifts0)
     if not kept:
-        return Resolution(ring, (shifts0,), ())
+        return Resolution(ring, (shifts0,))
     position, levels = _frame(kept.engine, shifts0)
-    kept_rows = [position[k] for k in kept.rows]
-    shifts = _rank_shifts(ring, kept, kept_rows, levels)
-
-    def matrices():
-        pruned, out = _prune(ring, kept, kept_rows, levels)
-        if pruned != shifts:
-            raise JonqError("the pruned frame's shifts differ from its rank read-out")
-        return out
-    return Resolution(ring, shifts, matrices)
+    return Resolution(ring, _rank_shifts(ring, kept, [position[k] for k in kept.rows], levels))
 
 
 def _rank_shifts(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
@@ -595,139 +545,6 @@ def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
         return {t: a * inv % mod for t, a in vec.items()}
     g = gcd(*vec.values()) * (1 if c > 0 else -1)
     return {t: a // g for t, a in vec.items()}
-
-
-def _prune(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
-    """(shifts, matrices) of the minimal resolution left when the frame's
-    constant entries cancel.
-
-    A unit entry u of the map from level k+1 to level k, in row r and
-    column s, cancels both: every other column t becomes t - (t_r / u) s,
-    row r and column s are dropped, and so is row s of the next map
-    (Gaussian elimination on a complex).  The maps go from the last to the
-    first, so a column that a later pivot cancels as a row of the map above
-    is never updated.  Pivots in the first syzygy map lie only in rows of
-    basis elements that are not kept columns (`kept_rows` are those that
-    are), so the first matrix stays the kept columns.  A column is {row: {monomial: int}} over a denominator (1 over
-    GF(p)), so no fraction appears before the output, and a monomial is an
-    int of fields wide enough for the largest shift, so that multiplying
-    monomials is adding ints.
-    """
-    mod = ring.modulus
-    kept_set = set(kept_rows)
-    width = max(shift for level in levels for _, _, shift in level).bit_length() + 1
-    alive = [[True] * len(level) for level in levels]
-    dens = [[1] * len(level) for level in levels]
-    weights = [0, 0] + [1 << width * i for i in range(ring.nvars)]
-    cols: list = [None]
-    for level in levels[1:]:
-        cols.append([])
-        for v, _, _ in level:
-            col: dict = {}
-            for t, c in v.items():
-                col.setdefault(t[0], {})[sum(map(mul, t, weights))] = c
-            cols[-1].append(col)
-    for k in range(len(levels) - 1, 0, -1):
-        rows, here = alive[k - 1], alive[k]
-        for s, sigma in enumerate(cols[k]):
-            if not here[s]:  # cancelled as a row of the map above
-                continue
-            r = next((r for r, e in sigma.items()
-                      if 0 in e and rows[r] and (k > 1 or r not in kept_set)), None)
-            if r is None:
-                continue
-            u = sigma[r][0]
-            here[s] = rows[r] = False
-            inv = None if mod is None else pow(u, -1, mod)
-            for t_i, tau in enumerate(cols[k]):
-                if here[t_i] and r in tau:
-                    dens[k][t_i] *= _cancel(tau, sigma, r, u, inv, rows, mod)
-    return _output(ring, kept, kept_rows, levels, cols, alive, dens, width)
-
-
-def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:
-    """tau := a tau - (t / g) sigma, t = tau's entry in row r, so that row r
-    of tau vanishes; returns the factor a (1 over GF(p), u / g > 0 over Q
-    with g = +-gcd(u, content of t)), by which tau's denominator grows."""
-    t = tau.pop(r)
-    if mod is None:
-        g = gcd(u, *t.values()) * (1 if u > 0 else -1)
-        a = u // g
-        t = {m: c // g for m, c in t.items()}
-        if a != 1:
-            for e in tau.values():
-                for m in e:
-                    e[m] *= a
-    else:
-        a = 1
-        t = {m: c * inv for m, c in t.items()}
-    for row, e in sigma.items():
-        if not rows[row]:
-            continue
-        target = tau.setdefault(row, {})
-        get = target.get
-        for m1, c1 in t.items():
-            for m2, c2 in e.items():
-                m = m1 + m2
-                target[m] = get(m, 0) - c1 * c2
-        for m, c in list(target.items()):
-            if mod is not None:
-                c %= mod
-            if c:
-                target[m] = c
-            else:
-                del target[m]
-        if not target:
-            del tau[row]
-    return a
-
-
-def _output(ring: RingSpec, kept: _Kept, kept_rows, levels, cols, alive, dens,
-            width: int) -> tuple:
-    """(shifts, matrices) of the frame's surviving elements: the first matrix
-    is the kept columns, whose rows in the next map are scaled by the unit
-    that relates each to its engine element.  Raises JonqError unless the
-    basis elements that survived are the kept columns; in the later maps, a
-    row with no output row is an element that was cancelled."""
-    if [r for r, live in enumerate(alive[0]) if live] != sorted(kept_rows):
-        raise JonqError("a surviving basis element is not a kept column")
-    mod = ring.modulus
-    engine = kept.engine
-    mask, spans = (1 << width) - 1, range(0, width * ring.nvars, width)
-    units = []
-    for (_, col), k in zip(kept, kept.rows):
-        lead = engine.leads[k]
-        a, c = engine.elems[k][3], col[lead[0]].coefficient(lead[2:])
-        units.append(a * pow(c, -1, mod) % mod if mod is not None else a / c)
-    shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
-    matrices = [tuple(col for _, col in kept)]
-    row_of = {r: i for i, r in enumerate(kept_rows)}
-    for k in range(1, len(levels)):
-        out, next_row = [], {}
-        survivors = sorted((s for s, live in enumerate(alive[k]) if live),
-                           key=lambda s: levels[k][s][2])
-        for s in survivors:
-            next_row[s] = len(out)
-            entries: list[dict] = [{} for _ in row_of]
-            for row, e in cols[k][s].items():
-                i = row_of.get(row)
-                if i is None:
-                    continue
-                scale = units[i] if k == 1 else 1
-                if mod is None:
-                    scale = Fraction(scale) / dens[k][s]
-                else:
-                    scale = scale * pow(dens[k][s], -1, mod) % mod
-                entries[i] = {tuple([m >> at & mask for at in spans]):
-                              c * scale if mod is None else c * scale % mod
-                              for m, c in e.items()}
-            out.append(tuple(Polynomial._from_dict(ring, d) for d in entries))
-        if not out:
-            break
-        matrices.append(tuple(out))
-        shifts.append(tuple(levels[k][s][2] for s in survivors))
-        row_of = next_row
-    return tuple(shifts), tuple(matrices)
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

@@ -3,13 +3,14 @@
 `syzygies` forms no S-pair between two tag-block elements, so it returns
 generators of the syzygy module, not a Groebner basis of it;
 `minimal_generators` closes pairs only up to the degree of the column it
-tests; and `minimal_free_resolution` prunes a Schreyer frame instead of
-resolving level by level.  The reference below is the plain algorithm: the
-tag-block part of a full Groebner basis of the augmented vectors goes to a
-greedy that closes the basis after each column it keeps.  Both must
-generate the same syzygy modules and give the same shifts and first matrix.
-The shifts `minimal_free_resolution` reads off the ranks of the frame's
-constant part must also be those of the pruned frame.
+tests; and `minimal_free_resolution` reads its shifts off the ranks of a
+Schreyer frame's constant part instead of resolving level by level.  The
+reference below is the plain algorithm: the tag-block part of a full
+Groebner basis of the augmented vectors goes to a greedy that closes the
+basis after each column it keeps.  Both must generate the same syzygy
+modules and give the same shifts and first matrix; the matrices are those
+of the frame pruned by `oracles.resolve`, whose shifts must also be the
+rank read-out's.
 """
 
 import pytest
@@ -20,6 +21,7 @@ example, given, settings = hypothesis.example, hypothesis.given, hypothesis.sett
 
 import random  # noqa: E402
 
+import oracles  # noqa: E402
 from jonq import dejonq, groebner, rees, resolutions  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.cli import main  # noqa: E402
@@ -27,10 +29,8 @@ from jonq.polycore import JonqError, Polynomial, RingSpec, parse_polynomial  # n
 from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
-    _columns,
     _dict_to_column,
     _module_key,
-    _prune,
     _rank_shifts,
     minimal_free_resolution,
     minimal_generators,
@@ -94,17 +94,17 @@ def assert_matches_reference(gens):
         ring, columns = gens[0].ring, [(g,) for g in gens if g]
     else:
         ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
-    res = minimal_free_resolution(gens)
+    res, pruned = oracles.resolve(gens)
     # Hilbert's syzygy theorem bounds the length by the number of variables
     assert res.length() <= ring.nvars
     shifts, matrices = reference_resolution(columns, ring, len(columns[0]))
     assert res.shifts == shifts
-    assert res.matrices[:1] == matrices[:1]
+    assert pruned[:1] == matrices[:1]
     # exact: each matrix spans the full syzygy module of the one before it,
     # and the last one has none
-    for prev, mat in zip(res.matrices, res.matrices[1:]):
+    for prev, mat in zip(pruned, pruned[1:]):
         assert same_module(mat, full_syzygies(prev, ring), ring, len(prev))
-    assert not res.matrices or not full_syzygies(res.matrices[-1], ring)
+    assert not pruned or not full_syzygies(pruned[-1], ring)
 
 
 @st.composite
@@ -174,20 +174,6 @@ def section_4_2():
     return list(rees._certified_section(rees.rees_ideal(j), j.n).basis)
 
 
-def frame_parts(gens):
-    """(ring, kept, kept rows, levels) as `minimal_free_resolution` builds
-    them, or None when no column is kept."""
-    columns = _columns(gens)
-    ring = next(p.ring for c in columns for p in c)
-    shifts0 = (0,) * len(columns[0])
-    kept = minimal_generators(columns, ring, shifts0)
-    if not kept:
-        return None
-    # the module's `_frame`, so that a test can replace it
-    position, levels = resolutions._frame(kept.engine, shifts0)
-    return ring, kept, [position[k] for k in kept.rows], levels
-
-
 R3_7 = RingSpec(["x1", "x2", "x3"], 7)
 
 
@@ -203,19 +189,19 @@ R3_7 = RingSpec(["x1", "x2", "x3"], 7)
 ], ids=["section-4-2", "base-ideal-2-6-over-Q", "equal-leads-over-GF7"])
 def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make):
     gens = make()
-    _, kept, _, levels = frame_parts(gens)
+    _, kept, _, levels = oracles.frame_parts(gens)
     assert len(levels[0]) > len(kept)
     assert_matches_reference(gens)
     assert_rank_read_out_is_pruned(gens)
 
 
 def assert_rank_read_out_is_pruned(gens):
-    res = minimal_free_resolution(gens)
-    parts = frame_parts(gens)
+    # the oracle prunes the frame and raises unless its shifts are res.shifts
+    res, matrices = oracles.resolve(gens)
+    parts = oracles.frame_parts(gens)
     if parts is not None:
-        assert _rank_shifts(*parts) == res.shifts == _prune(*parts)[0]
-    # reading the matrices prunes the frame and checks its shifts again
-    assert res.verify_complex()
+        assert _rank_shifts(*parts) == res.shifts
+    assert resolutions.is_graded_complex(res.ring, res.shifts, matrices)
 
 
 # Over Q the S-pair of x1^2 and x1^2 + N x2^2 adds x2^2 with the unit N, so
@@ -235,7 +221,7 @@ def test_rank_read_out_matches_the_pruned_shifts(gens):
 
 def test_rank_over_q_is_exact():
     # x2^2 joins the basis; the ideal is the complete intersection (x1^2, x2^2, x3^3)
-    assert len(frame_parts(BIG_UNIT)[3][0]) == 4
+    assert len(oracles.frame_parts(BIG_UNIT)[3][0]) == 4
     assert minimal_free_resolution(BIG_UNIT).shifts == ((0,), (2, 2, 3), (4, 5, 5), (7,))
 
 
@@ -256,7 +242,7 @@ def test_a_basis_element_left_over_is_an_error(monkeypatch):
         minimal_free_resolution(gens)
     # the pruning leaves it over too, and its output refuses it
     with pytest.raises(JonqError, match="not a kept column"):
-        _prune(*frame_parts(gens))
+        oracles.prune(*oracles.frame_parts(gens))
 
 
 @pytest.mark.parametrize("modulus", FIELDS)
@@ -280,7 +266,7 @@ def test_closing_past_the_reserved_tags_grows_the_engine(modulus, monkeypatch):
 
 def test_frame_of_a_section_loses_a_variable_per_level():
     gens = section_4_2()
-    *_, levels = frame_parts(gens)
+    *_, levels = oracles.frame_parts(gens)
     assert len(levels) <= gens[0].ring.nvars
 
 
@@ -290,7 +276,7 @@ def test_frame_leads_lose_one_variable_per_level(gens):
     # Eisenbud, Commutative Algebra, Cor. 15.11: level k + 1 (levels[k])
     # has no lead involving the first k variables
     ring = gens[0].ring
-    *_, levels = frame_parts(gens)
+    *_, levels = oracles.frame_parts(gens)
     for k, level in enumerate(levels):
         assert not any(e for _, lead, _ in level for e in lead[2:2 + k])
     assert len(levels) <= ring.nvars + 1
@@ -397,11 +383,8 @@ def test_shifted_key_packs_in_order(data):
     assert pk.unpack(pk.pack(ta)) == ta
 
 
-def test_betti_tables_need_no_pruning(monkeypatch, tmp_path, capsys):
-    # the library reads resolutions as numbers only, so no report prunes a
-    # frame; the stand-in returns nothing, so a read of `matrices` would fail
-    pruned = []
-    monkeypatch.setattr(resolutions, "_prune", lambda *parts: pruned.append(parts))
+def test_betti_tables_end_to_end(tmp_path, capsys):
+    # reports and `jonq resolve` read resolutions as shifts only
     report = rees.case_report(dejonq.random_map(4, 2, random.Random(0)), seed=0)
     assert (report["projdim"], report["theorem"]) == (4, "pass")
     structural = dejonq.structural_checks(dejonq.random_map(3, 4, random.Random(1), None))
@@ -410,4 +393,3 @@ def test_betti_tables_need_no_pruning(monkeypatch, tmp_path, capsys):
     case.write_text("n: 2\nd: 2\nfield: rational\nf: x3\ng: x1^2 - x2*x3\n")
     assert main(["resolve", str(case)]) == 0
     assert "groebner oracle agrees: True" in capsys.readouterr().out
-    assert not pruned
