@@ -48,12 +48,11 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   syzygy.  The induced key is linear with a per-component constant, as the
   engine's packing needs.
 - Level 1 is a Groebner basis G of the column module that holds the kept
-  columns as they stand: the greedy's elements with their pending pairs,
-  closed on level 1's engine (`_closed`).  A pair that adds an element g
-  there still gives a syzygy, with -c e_g for the unit c that relates g to
-  the remainder, so level 2 reduces only the pairs the closing did not
-  form.  No level after the first forms a pair update or a new basis
-  element.
+  columns as they stand: the greedy's engine, closed under its pending
+  pairs (`_saturate`).  From there level 1 is built like every other
+  level: its elements go on one tagged engine, and level 2 holds the
+  syzygies of the pairs `_minimal_pairs` names on it.  No level forms a
+  pair update or a new basis element.
 - Each level is sorted by lead component and then by descending exponent
   of variable k in the lead, so the leads of level k + 1 lose variable k
   (Eisenbud, Cor. 15.11): the frame has at most nvars + 1 levels.
@@ -194,6 +193,7 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     exactly, and no pair above the largest column degree is processed.  A
     kept column joins the engine as it stands (`_Engine.add`), so closing
     the engine gives a Groebner basis that holds the kept columns.
+    `_frame` closes `kept.engine` in place and builds the frame on it.
     """
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
@@ -426,21 +426,19 @@ def _minimal_pairs(leads) -> list[tuple]:
 def _frame(greedy, shifts0):
     """(position, levels) of the Schreyer frame on the greedy's basis G.
 
-    levels[k] lists level k + 1 in frame order as (vector, lead, shift)
-    triples with int coefficients.  levels[0] is G, closed by `_closed`
-    from the greedy's elements and pending pairs (its vectors are not
-    kept), and position[k] is the place in it of the greedy's element k;
-    levels[k] holds the syzygies on levels[k - 1], each of a pair that
-    `_minimal_pairs` names: the syzygy `_closed` found when it closed that
-    pair, or else the S-pair reduced on the level's engine.  Level k + 1 is
-    sorted by `_losing_order` on variable k.
+    The greedy's engine is closed first (`_saturate`), so G is its elements,
+    the kept columns among them as they stand.  levels[k] lists level k + 1
+    in frame order as (vector, lead, shift) triples with int coefficients,
+    and position[k] is the place in levels[0] of the greedy's element k.
+    Every level is built one way: its vectors go on one engine with their
+    tags (`_tagged`), and the next level holds, for each pair that
+    `_minimal_pairs` names, the tag part of that S-pair's remainder.  Level
+    k + 1 is sorted by `_losing_order` on variable k.
     """
-    ring, rank, key, pk = greedy.ring, len(shifts0), greedy.key, greedy.pk
-    engine, done = _closed(ring, key, rank, greedy.leads, greedy.pairs,
-                           [{pk.unpack(m): c for m, c in greedy._element(k).items()}
-                            for k in range(len(greedy.elems))])
-    leads = engine.leads
-    vectors = [None] * len(leads)
+    greedy._saturate()
+    ring, rank, key, pk, leads = greedy.ring, len(shifts0), greedy.key, greedy.pk, greedy.leads
+    vectors = [{pk.unpack(m): c for m, c in greedy._element(k).items()}
+               for k in range(len(leads))]
     shifts = [sum(lead[2:]) + shifts0[lead[0]] for lead in leads]
     levels, first = [], None
     while True:
@@ -452,76 +450,41 @@ def _frame(greedy, shifts0):
         pairs = _minimal_pairs(placed)
         if not pairs:
             return first, levels
-        if engine is None:
-            engine, done = _closed(ring, key, rank, leads, (), vectors)
-        found = {}
-        for (i, j, lcm), syz in done.items():
-            a = min(position[i], position[j])
-            found.setdefault((a, tuple(x - y for x, y in zip(lcm[2:], placed[a][2:]))), syz)
+        engine = _tagged(ring, key, rank, leads, vectors)
         vectors, leads, shifts = [], [], []
         for a, b, m in pairs:
-            syz = found.get((a, m))
-            if syz is None:
-                lcm = placed[a][:2] + mono_mul(placed[a][2:], m)
-                r, _ = engine._nf(lambda: engine._spoly(order[a], order[b], lcm))
-                if max(r) & engine.pk.cmask < rank:
-                    raise JonqError("the closed basis left an S-pair remainder")
-                syz = engine.pk, r
+            lcm = placed[a][:2] + mono_mul(placed[a][2:], m)
+            r, _ = engine._nf(lambda: engine._spoly(order[a], order[b], lcm))
+            if max(r) & engine.pk.cmask < rank:
+                raise JonqError("the closed basis left an S-pair remainder")
             leads.append((a, -a) + m)
-            vectors.append(_syzygy(*syz, rank, leads[-1], ring.modulus, position))
+            vectors.append(_syzygy(engine.pk, r, rank, leads[-1], ring.modulus, position))
             shifts.append(levels[-1][a][2] + sum(m))
-        key, rank, engine = _induced_key(key, placed), len(placed), None
+        key, rank = _induced_key(key, placed), len(placed)
 
 
-# tag components `_closed` reserves per element when it has pairs to close;
-# past them the engine widens its packing, which costs a repack
-_TAG_ROOM = 4
+def _tagged(ring: RingSpec, key, rank: int, leads, vectors):
+    """An engine whose element u is vectors[u], a vector of R^rank ordered by
+    `key` with lead leads[u], carrying its own e_u on a tag block below R^rank.
 
-
-def _closed(ring: RingSpec, key, rank: int, leads, pairs, vectors):
-    """(engine, syzygies): the vectors of R^rank ordered by `key`, with these
-    leads, closed under `pairs` on an engine whose element g_u carries its
-    own e_u on a tag block below them, and the syzygy of each pair it
-    reduced, keyed by (i, j, lcm), as (packing, remainder) for `_syzygy`.
-
-    A pair's remainder is (h, t).  If h = 0, t is the syzygy.  Otherwise h
-    times a unit c^-1 joins the basis as g_u, and t - c e_u is the syzygy.
-    Each syzygy is m_ij e_i - m_ji e_j - sum q_w e_w up to a unit, with every
-    q_w lead(g_w) below the pair's lcm: Schreyer's syzygy of that pair.  Tag
-    terms are never reduced, so their order only needs the engine's packing.
+    When the vectors are a Groebner basis, the S-pair of elements u and v
+    reduces on it to a remainder on the tag block alone: Schreyer's syzygy
+    m_uv e_u - m_vu e_v - sum q_w e_w of that pair up to a unit, with every
+    q_w lead_w below the pair's lcm.  Tag terms are never reduced, so their
+    order only needs the engine's packing.
     """
-    mod, ringkey, unit = ring.modulus, ring.key, (0,) * ring.nvars
+    ringkey, unit = ring.key, (0,) * ring.nvars
     pad = (0,) * (len(key((0, 0) + unit)) - len(ringkey(unit)) - 2)
 
     def tagged(term):
         if term[0] < rank:
             return (1,) + key(term)
         return (0, sum(term[2:])) + ringkey(term[2:]) + (-term[0],) + pad
-    room = _TAG_ROOM * (len(vectors) + 2) if pairs else len(vectors)
-    engine = groebner._Engine(ring, tagged, rank + room, rank)
+    engine = groebner._Engine(ring, tagged, rank + len(vectors), rank)
     engine.adopt([{**v, (rank + u, -rank - u) + unit: 1} for u, v in enumerate(vectors)])
     if engine.leads != list(leads):
         raise JonqError("the order does not lead an element at its Schreyer lead")
-    engine.pairs = [(tagged(lcm), lcm, i, j) for _, lcm, i, j in pairs]
-    done = {}
-    while engine.pairs:
-        u = len(engine.elems)
-        if rank + u >= engine.comps:
-            engine.comps = rank + 2 * u
-            engine._repack(max(engine.pk.bits, engine.comps.bit_length() + 1))
-        keys = [p[0] for p in engine.pairs]
-        _, lcm, i, j = engine.pairs.pop(keys.index(min(keys)))
-        r, _ = engine._nf(lambda: engine._spoly(i, j, lcm))
-        cmask = engine.pk.cmask
-        head = {m: c for m, c in r.items() if m & cmask < rank}
-        if head:
-            new = groebner._normalized(head, mod)
-            top = max(new)
-            tag = engine.pk.pack((rank + u, -rank - u) + unit)
-            engine._insert({**new, tag: 1})
-            r[tag] = -(head[top] // new[top])
-        done[i, j, lcm] = engine.pk, r
-    return engine, done
+    return engine
 
 
 def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
@@ -529,14 +492,12 @@ def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
     {(u, -u) + mono: c}, tag component rank + w becoming u = rename[w];
     monic at its Schreyer lead over GF(p), a primitive integer vector
     positive there over Q."""
-    fmask, fields = pk.fmask, pk.fields
     vec = {}
     for t, c in r.items():
-        f = [t >> s & fmask for s in fields]
-        if f[0] >= rank:
-            f[0] = rename[f[0] - rank]
-            f[1] = -f[0]
-            vec[tuple(f)] = c
+        term = pk.unpack(t)
+        if term[0] >= rank:
+            u = rename[term[0] - rank]
+            vec[(u, -u) + term[2:]] = c
     c = vec.get(lead)
     if not c or mod is not None and not c % mod:
         raise JonqError("a syzygy lacks its Schreyer lead")
