@@ -45,8 +45,7 @@ update, which works on the lead tuples `_Engine.leads`.  Pair selection is
 normal, which for homogeneous input is degree-by-degree.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
-component, never on the caller's tag block (see `_Engine`), and reducers
-are bucketed by component.
+component, and reducers are bucketed by component.
 
 `extend` is the one way an ideal's basis is built: given I's reduced basis
 and new forms, the engine adopts I's elements as they stand, closes only
@@ -280,21 +279,15 @@ class _Engine:
     the product criterion is off and reducers and pairs are kept per
     component.
 
-    A module may have a tag block, the components >= `block`, which its key
-    orders below all others (see `resolutions._module_key`).  An element
-    whose lead lies on it is a reducer but forms no pair, so the run is
-    Buchberger off the tag block only (`resolutions.syzygies` says why that
-    suffices).
-
     `_saturate` and `add` take an optional degree limit d.  Under a key
     that leads with the degree, closing only the pairs whose key leads with
     at most d gives a d-truncated Groebner basis of homogeneous input.
     """
 
-    def __init__(self, ring: RingSpec, key=None, comps: int = 0, block: int | None = None):
+    def __init__(self, ring: RingSpec, key=None, comps: int = 0):
         self.ring = ring
         self.key = key or ring.key
-        self.comps, self.block = comps, block
+        self.comps = comps
         self.pk: _Packing | None = None  # sized by the first `_fit`
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
@@ -320,8 +313,8 @@ class _Engine:
         return self._unpack(r, scale * den)
 
     def add(self, v: dict, degree: int | None = None) -> bool:
-        """Adjoin v as it stands, not its remainder; False if it was already
-        in the span (basis unchanged).
+        """Adjoin the remainder of v; False if it is zero, v already in the
+        span (basis unchanged).
 
         With `degree` (the leading key digit of every term of v), only the
         pending pairs up to that degree are closed, before v is reduced:
@@ -330,16 +323,15 @@ class _Engine:
         """
         self._saturate(degree)
         self._fit((v,))
-        pk, d = self.pk, self._pack(v)[0]
-        if not self._nf(lambda: dict(d) if self.pk is pk else self._pack(v)[0])[0]:
+        if not self._insert(self._nf(lambda: self._pack(v)[0])[0]):
             return False
-        self._insert(d if self.pk is pk else self._pack(v)[0])
         if degree is None:
             self._saturate()
         return True
 
     def extend(self, vectors) -> "_Engine":
-        """Adjoin all vectors, in ascending order of lead, then close under pairs."""
+        """Adjoin the remainders of all vectors, in ascending order of lead,
+        then close under pairs."""
         vectors = [v for v in vectors if v]
         self._fit(vectors)
         pack = self.pk.pack
@@ -439,11 +431,10 @@ class _Engine:
         if not r:
             return False
         comp = self._install(_normalized(r, self.ring.modulus))
-        if self.block is None or comp < self.block:
-            new = len(self.elems) - 1
-            members = self.members.setdefault(comp, [])
-            self._update_pairs(new, members)
-            members.append(new)
+        new = len(self.elems) - 1
+        members = self.members.setdefault(comp, [])
+        self._update_pairs(new, members)
+        members.append(new)
         return True
 
     def _update_pairs(self, new: int, members):

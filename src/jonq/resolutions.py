@@ -4,24 +4,14 @@ Module elements run on the Buchberger engine of groebner.py.  An element of
 R^s is a dict {term: coefficient} whose term of component c and monomial m
 is the flat tuple (c, -c) + m.  Syzygies of columns f_1..f_m inside R^s are
 computed by running the engine on the augmented vectors (f_i, e_i) in
-R^(s+m) under an order whose first s components dominate: the basis
-elements supported entirely on the tag block (components s..s+m-1)
-generate the syzygy module.  Each engine is told its layout when it is
-built: s + m components and the tag block from s for `syzygies`, the s
-components of the shifts in the greedy, and a tag block per frame level
-below.  The engine applies only the chain criterion to modules, since the
-product criterion does not hold over free modules.
-
-`syzygies` forms no S-pair between two tag-block elements; they serve only
-as reducers.  This is exact.  A pair needs two leads in one component, so
-no pair mixes a tag-block element with one off the tag block, and tag-block
-terms sit below every other term, so the elements off the tag block are
-those of a full run: a Groebner basis of the column module.  Every
-tag-block element is then reduced from an input vector or from an S-pair
-off the tag block, and differs from that pair's lifted syzygy only by
-earlier tag-block elements.  By induction the tag-block elements span what
-those lifts span, which by Schreyer's theorem is the whole syzygy module.
-They generate it but are not a Groebner basis of it.
+R^(s+m) under an order whose first s components dominate the tag block
+(components s..s+m-1): like an elimination order, it makes the basis
+elements supported entirely on the tag block a Groebner basis of the
+syzygy module.  Each engine is told its number of components when it is
+built: s + m for `syzygies`, the s components of the shifts in the greedy,
+and s plus a tag block per frame level below.  The engine applies only the
+chain criterion to modules, since the product criterion does not hold over
+free modules.
 
 `minimal_generators` is the ascending-degree greedy: a column is kept iff
 it is not in the span of the columns before it, so the kept columns are
@@ -47,8 +37,8 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   e_u on a tag block below F; the tag part of the remainder is the
   syzygy.  The induced key is linear with a per-component constant, as the
   engine's packing needs.
-- Level 1 is a Groebner basis G of the column module that holds the kept
-  columns as they stand: the greedy's engine, closed under its pending
+- Level 1 is a Groebner basis G of the column module: the greedy's engine,
+  which holds the remainder of each kept column, closed under its pending
   pairs (`_saturate`).  From there level 1 is built like every other
   level: its elements go on one tagged engine, and level 2 holds the
   syzygies of the pairs `_minimal_pairs` names on it.  No level forms a
@@ -63,9 +53,8 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, where f_{i,j} counts the
   level-i elements of degree j and r_{i,j} is the rank of the degree-j
   block of the constant part of the map from level i (`_rank_shifts`).
-  Position 0 is R^s and position 1 the kept columns; in the first syzygy
-  map only the rows of basis elements that are not kept columns count, and
-  per degree |G| minus that rank must be the number of kept columns.
+  Position 0 is R^s and position 1 the kept columns: per degree, |G| minus
+  the rank of the first syzygy map must be the number of kept columns.
 - A `Resolution` keeps only these shifts: no matrix is built, and the
   frame is dropped once its ranks are read.
 
@@ -94,9 +83,9 @@ from .polycore import (
 def _module_key(ring: RingSpec, block: int | None, shifts=None):
     """Sort key on module terms (c, -c) + mono; components c < block dominate.
 
-    The components c >= block are the tag block, which the caller also
-    names to the engine.  With `shifts` (and no block) the key leads with
-    the shifted degree |mono| + shifts[c], one shift per component.
+    The components c >= block are the tag block.  With `shifts` (and no
+    block) the key leads with the shifted degree |mono| + shifts[c], one
+    shift per component.
     """
     ringkey = ring.key
     if shifts is not None:
@@ -156,8 +145,9 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
 
     `gens` is either a list of polynomials (syzygies of an ideal's
     generators) or a list of equal-length polynomial columns.  Returns a
-    list of syzygy columns of length len(gens) that generate the syzygy
-    module; they are not a Groebner basis of it (see the module docstring).
+    list of syzygy columns of length len(gens): the tag-block elements of
+    a full run on the augmented vectors, a Groebner basis of the syzygy
+    module (see the module docstring).
     """
     columns = _columns(gens)
     if not columns:
@@ -170,7 +160,7 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
         v = _column_to_dict(col, ring)
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
-    gb = groebner._Engine(ring, _module_key(ring, rank), rank + m, rank).extend(augmented)
+    gb = groebner._Engine(ring, _module_key(ring, rank), rank + m).extend(augmented)
     # components below rank dominate the order: an element lies on the tag
     # block iff its lead does
     return [_dict_to_column(gb.element(k), ring, rank, m)
@@ -179,8 +169,7 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
 
 class _Kept(list):
     """The (degree, column) pairs `minimal_generators` keeps.  `engine` is
-    its greedy's engine and `rows[i]` the engine element that is the i-th
-    kept column, as it stands up to a unit."""
+    its greedy's engine, which holds their remainders."""
 
 
 def minimal_generators(columns, ring: RingSpec, shifts):
@@ -191,8 +180,8 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     degree d is tested, only the pending pairs up to degree d are closed,
     under a key that leads with the shifted degree: that decides membership
     exactly, and no pair above the largest column degree is processed.  A
-    kept column joins the engine as it stands (`_Engine.add`), so closing
-    the engine gives a Groebner basis that holds the kept columns.
+    kept column's remainder joins the engine (`_Engine.add`), so closing
+    the engine gives a Groebner basis of the kept columns' module.
     `_frame` closes `kept.engine` in place and builds the frame on it.
     """
     degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
@@ -200,11 +189,9 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     degreed.sort(key=lambda t: (t[0], t[1]))
     kept = _Kept()
     kept.engine = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
-    kept.rows = []
     for deg, _, col in degreed:
         if kept.engine.add(_column_to_dict(col, ring), deg):
             kept.append((deg, col))
-            kept.rows.append(len(kept.engine.elems) - 1)
     return kept
 
 
@@ -226,12 +213,6 @@ class BettiTable:
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(r for _, r in row) for row in self.rows)
-
-    def shifts(self, i: int) -> dict[int, int]:
-        return dict(self.rows[i])
-
-    def length(self) -> int:
-        return len(self.rows) - 1
 
     def alternating_numerator(self) -> dict[int, int]:
         """Sum_i (-1)^i sum_shifts rank * t^shift; equals the Hilbert numerator
@@ -315,25 +296,24 @@ def minimal_free_resolution(gens) -> Resolution:
     kept = minimal_generators(columns, ring, shifts0)
     if not kept:
         return Resolution(ring, (shifts0,))
-    position, levels = _frame(kept.engine, shifts0)
-    return Resolution(ring, _rank_shifts(ring, kept, [position[k] for k in kept.rows], levels))
+    return Resolution(ring, _rank_shifts(ring, kept, _frame(kept.engine, shifts0)))
 
 
-def _rank_shifts(ring: RingSpec, kept: _Kept, kept_rows, levels) -> tuple:
+def _rank_shifts(ring: RingSpec, kept: _Kept, levels) -> tuple:
     """The minimal resolution's shifts, from ranks of the frame's constant
     part: per degree j, levels[k] keeps f_{k,j} - r_{k,j} - r_{k+1,j} of its
-    f_{k,j} elements of degree j, r_{k,j} the rank of their constant entries
-    (in the first syzygy map, k = 1, only in rows that are not `kept_rows`).
-    Raises JonqError unless per degree that leaves G = levels[0] with the
-    kept columns."""
-    zero, skip = (0,) * ring.nvars, set(kept_rows)
+    f_{k,j} elements of degree j, r_{k,j} the rank of their constant entries.
+    Raises JonqError unless per degree that leaves G = levels[0] with as
+    many elements as kept columns: G generates the column module, so by
+    theory the constant part of the first syzygy map has rank |G| minus
+    the number of minimal generators."""
+    zero = (0,) * ring.nvars
     counts = [Counter(shift for _, _, shift in level) for level in levels]
     ranks = [Counter()]
     for k in range(1, len(levels)):
         blocks: dict = {}
         for v, _, shift in levels[k]:
-            col = {t[0]: c for t, c in v.items()
-                   if t[2:] == zero and (k > 1 or t[0] not in skip)}
+            col = {t[0]: c for t, c in v.items() if t[2:] == zero}
             if col:
                 blocks.setdefault(shift, []).append(col)
         ranks.append(Counter({j: _rank(cols, ring.modulus) for j, cols in blocks.items()}))
@@ -424,32 +404,30 @@ def _minimal_pairs(leads) -> list[tuple]:
 
 
 def _frame(greedy, shifts0):
-    """(position, levels) of the Schreyer frame on the greedy's basis G.
+    """The levels of the Schreyer frame on the greedy's basis G.
 
-    The greedy's engine is closed first (`_saturate`), so G is its elements,
-    the kept columns among them as they stand.  levels[k] lists level k + 1
-    in frame order as (vector, lead, shift) triples with int coefficients,
-    and position[k] is the place in levels[0] of the greedy's element k.
-    Every level is built one way: its vectors go on one engine with their
-    tags (`_tagged`), and the next level holds, for each pair that
-    `_minimal_pairs` names, the tag part of that S-pair's remainder.  Level
-    k + 1 is sorted by `_losing_order` on variable k.
+    The greedy's engine is closed first (`_saturate`), so G is its elements.
+    levels[k] lists level k + 1 in frame order as (vector, lead, shift)
+    triples with int coefficients.  Every level is built one way: its
+    vectors go on one engine with their tags (`_tagged`), and the next level
+    holds, for each pair that `_minimal_pairs` names, the tag part of that
+    S-pair's remainder.  Level k + 1 is sorted by `_losing_order` on
+    variable k.
     """
     greedy._saturate()
     ring, rank, key, pk, leads = greedy.ring, len(shifts0), greedy.key, greedy.pk, greedy.leads
     vectors = [{pk.unpack(m): c for m, c in greedy._element(k).items()}
                for k in range(len(leads))]
     shifts = [sum(lead[2:]) + shifts0[lead[0]] for lead in leads]
-    levels, first = [], None
+    levels = []
     while True:
         order = _losing_order(leads, len(levels))
         position = {k: i for i, k in enumerate(order)}
-        first = first or position
         levels.append([(vectors[k], leads[k], shifts[k]) for k in order])
         placed = [leads[k] for k in order]
         pairs = _minimal_pairs(placed)
         if not pairs:
-            return first, levels
+            return levels
         engine = _tagged(ring, key, rank, leads, vectors)
         vectors, leads, shifts = [], [], []
         for a, b, m in pairs:
@@ -480,7 +458,7 @@ def _tagged(ring: RingSpec, key, rank: int, leads, vectors):
         if term[0] < rank:
             return (1,) + key(term)
         return (0, sum(term[2:])) + ringkey(term[2:]) + (-term[0],) + pad
-    engine = groebner._Engine(ring, tagged, rank + len(vectors), rank)
+    engine = groebner._Engine(ring, tagged, rank + len(vectors))
     engine.adopt([{**v, (rank + u, -rank - u) + unit: 1} for u, v in enumerate(vectors)])
     if engine.leads != list(leads):
         raise JonqError("the order does not lead an element at its Schreyer lead")

@@ -11,10 +11,10 @@ The frame's constant entries cancel in pairs by Gaussian elimination on the
 complex: a unit u in row r and column s of a map turns every other column t
 into t - (t_r / u) s and drops row r, column s, and row s of the next map.
 Cancelling in a map leaves the maps above it with no new constant entry, so
-the maps are cleared from the last one down.  In the first syzygy map a
-pivot lies only in the row of a basis element that is not a kept column, so
-the first matrix stays the greedy's choice of the caller's columns.  After
-that, no constant entry is left, and the complex is the minimal resolution.
+the maps are cleared from the last one down; the map into R^s only loses
+the columns cancelled as rows.  After that, no constant entry is left, and
+the complex is the minimal resolution: its first matrix is the basis
+elements that survived, minimal generators of the column module.
 """
 
 from fractions import Fraction
@@ -26,8 +26,8 @@ from jonq.polycore import JonqError, Polynomial, RingSpec
 
 
 def frame_parts(gens):
-    """(ring, kept, kept rows, levels) as `minimal_free_resolution` builds
-    them, or None when no column is kept."""
+    """(ring, kept, levels) as `minimal_free_resolution` builds them, or
+    None when no column is kept."""
     columns = resolutions._columns(gens)
     ring = next(p.ring for c in columns for p in c)
     shifts0 = (0,) * len(columns[0])
@@ -35,8 +35,7 @@ def frame_parts(gens):
     if not kept:
         return None
     # the module's `_frame`, so that a test can replace it
-    position, levels = resolutions._frame(kept.engine, shifts0)
-    return ring, kept, [position[k] for k in kept.rows], levels
+    return ring, kept, resolutions._frame(kept.engine, shifts0)
 
 
 def resolve(gens):
@@ -61,7 +60,7 @@ def verify_complex(gens) -> bool:
     return resolutions.is_graded_complex(res.ring, res.shifts, matrices)
 
 
-def prune(ring: RingSpec, kept, kept_rows, levels) -> tuple:
+def prune(ring: RingSpec, kept, levels) -> tuple:
     """(shifts, matrices) of the minimal resolution left when the frame's
     constant entries cancel.
 
@@ -70,22 +69,19 @@ def prune(ring: RingSpec, kept, kept_rows, levels) -> tuple:
     row r and column s are dropped, and so is row s of the next map
     (Gaussian elimination on a complex).  The maps go from the last to the
     first, so a column that a later pivot cancels as a row of the map above
-    is never updated.  Pivots in the first syzygy map lie only in rows of
-    basis elements that are not kept columns (`kept_rows` are those that
-    are), so the first matrix stays the kept columns.  A column is
-    {row: {monomial: int}} over a denominator (1 over GF(p)), so no fraction
-    appears before the output, and a monomial is an int of fields wide
-    enough for the largest shift, so that multiplying monomials is adding
-    ints.
+    is never updated.  A column is {row: {monomial: int}} over a
+    denominator (1 over GF(p)), so no fraction appears before the output,
+    and a monomial is an int of fields wide enough for the largest shift,
+    so that multiplying monomials is adding ints; level 1's rows are the
+    components of R^s.
     """
     mod = ring.modulus
-    kept_set = set(kept_rows)
     width = max(shift for level in levels for _, _, shift in level).bit_length() + 1
     alive = [[True] * len(level) for level in levels]
     dens = [[1] * len(level) for level in levels]
     weights = [0, 0] + [1 << width * i for i in range(ring.nvars)]
-    cols: list = [None]
-    for level in levels[1:]:
+    cols: list = []
+    for level in levels:
         cols.append([])
         for v, _, _ in level:
             col: dict = {}
@@ -97,8 +93,7 @@ def prune(ring: RingSpec, kept, kept_rows, levels) -> tuple:
         for s, sigma in enumerate(cols[k]):
             if not here[s]:  # cancelled as a row of the map above
                 continue
-            r = next((r for r, e in sigma.items()
-                      if 0 in e and rows[r] and (k > 1 or r not in kept_set)), None)
+            r = next((r for r, e in sigma.items() if 0 in e and rows[r]), None)
             if r is None:
                 continue
             u = sigma[r][0]
@@ -107,7 +102,7 @@ def prune(ring: RingSpec, kept, kept_rows, levels) -> tuple:
             for t_i, tau in enumerate(cols[k]):
                 if here[t_i] and r in tau:
                     dens[k][t_i] *= _cancel(tau, sigma, r, u, inv, rows, mod)
-    return _output(ring, kept, kept_rows, levels, cols, alive, dens, width)
+    return _output(ring, len(kept[0][1]), levels, cols, alive, dens, width)
 
 
 def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:
@@ -147,42 +142,28 @@ def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:
     return a
 
 
-def _output(ring: RingSpec, kept, kept_rows, levels, cols, alive, dens,
-            width: int) -> tuple:
-    """(shifts, matrices) of the frame's surviving elements: the first matrix
-    is the kept columns, whose rows in the next map are scaled by the unit
-    that relates each to its engine element.  Raises JonqError unless the
-    basis elements that survived are the kept columns; in the later maps, a
-    row with no output row is an element that was cancelled."""
-    if [r for r, live in enumerate(alive[0]) if live] != sorted(kept_rows):
-        raise JonqError("a surviving basis element is not a kept column")
+def _output(ring: RingSpec, rank0: int, levels, cols, alive, dens, width: int) -> tuple:
+    """(shifts, matrices) of the frame's surviving elements, each level sorted
+    by shift; a row with no output row is an element that was cancelled."""
     mod = ring.modulus
-    engine = kept.engine
     mask, spans = (1 << width) - 1, range(0, width * ring.nvars, width)
-    units = []
-    for (_, col), k in zip(kept, kept.rows):
-        lead = engine.leads[k]
-        a, c = engine.elems[k][3], col[lead[0]].coefficient(lead[2:])
-        units.append(a * pow(c, -1, mod) % mod if mod is not None else a / c)
-    shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
-    matrices = [tuple(col for _, col in kept)]
-    row_of = {r: i for i, r in enumerate(kept_rows)}
-    for k in range(1, len(levels)):
+    shifts, matrices = [(0,) * rank0], []
+    row_of = {r: r for r in range(rank0)}
+    for k in range(len(levels)):
         out, next_row = [], {}
         survivors = sorted((s for s, live in enumerate(alive[k]) if live),
                            key=lambda s: levels[k][s][2])
         for s in survivors:
             next_row[s] = len(out)
             entries: list[dict] = [{} for _ in row_of]
+            if mod is None:
+                scale = Fraction(1, dens[k][s])
+            else:
+                scale = pow(dens[k][s], -1, mod)
             for row, e in cols[k][s].items():
                 i = row_of.get(row)
                 if i is None:
                     continue
-                scale = units[i] if k == 1 else 1
-                if mod is None:
-                    scale = Fraction(scale) / dens[k][s]
-                else:
-                    scale = scale * pow(dens[k][s], -1, mod) % mod
                 entries[i] = {tuple([m >> at & mask for at in spans]):
                               c * scale if mod is None else c * scale % mod
                               for m, c in e.items()}

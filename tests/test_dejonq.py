@@ -342,7 +342,7 @@ def test_resolution_matches_oracle(e1, e2, e3):
         oracle = gb.minimal_free_resolution(list(j.base_forms))
         assert fc.betti() == oracle.betti
         # Auslander-Buchsbaum: projdim n forces depth 1 over n+1 variables
-        assert oracle.betti.length() == j.n
+        assert oracle.length() == j.n
 
 
 def test_resolution_verify_rejects_wrong_degree_and_nonzero_composition(e2):

@@ -1,16 +1,14 @@
 """The resolution's shortcuts against the plain algorithm they replace.
 
-`syzygies` forms no S-pair between two tag-block elements, so it returns
-generators of the syzygy module, not a Groebner basis of it;
 `minimal_generators` closes pairs only up to the degree of the column it
-tests; and `minimal_free_resolution` reads its shifts off the ranks of a
+tests, and `minimal_free_resolution` reads its shifts off the ranks of a
 Schreyer frame's constant part instead of resolving level by level.  The
-reference below is the plain algorithm: the tag-block part of a full
-Groebner basis of the augmented vectors goes to a greedy that closes the
-basis after each column it keeps.  Both must generate the same syzygy
-modules and give the same shifts and first matrix; the matrices are those
-of the frame pruned by `oracles.resolve`, whose shifts must also be the
-rank read-out's.
+reference below is the plain algorithm: the syzygies of each level
+(`syzygies`, a Groebner basis of the syzygy module, checked here against
+Hilbert functions) go to a greedy that closes the basis after each column
+it keeps.  Both must give the same shifts and span the same modules; the
+matrices are those of the frame pruned by `oracles.resolve`, whose shifts
+must also be the rank read-out's.
 """
 
 import pytest
@@ -20,16 +18,23 @@ st = hypothesis.strategies
 example, given, settings = hypothesis.example, hypothesis.given, hypothesis.settings
 
 import random  # noqa: E402
+from itertools import combinations_with_replacement  # noqa: E402
 
 import oracles  # noqa: E402
 from jonq import dejonq, groebner, rees, resolutions  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.cli import main  # noqa: E402
-from jonq.polycore import JonqError, Polynomial, RingSpec, parse_polynomial  # noqa: E402
+from jonq.polycore import (  # noqa: E402
+    JonqError,
+    Polynomial,
+    RingSpec,
+    dot,
+    mono_divides,
+    parse_polynomial,
+)
 from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
-    _dict_to_column,
     _module_key,
     _rank_shifts,
     minimal_free_resolution,
@@ -54,19 +59,6 @@ def reference_greedy(columns, ring, rank, shifts):
     return kept, rejected
 
 
-def full_syzygies(columns, ring):
-    """The tag-block elements of a full Groebner basis of the augmented
-    vectors (f_i, e_i): a Groebner basis of the syzygy module of `columns`."""
-    rank, m = len(columns[0]), len(columns)
-    # the engine is not told of the tag block, so it closes every pair
-    engine = groebner._Engine(ring, _module_key(ring, rank), rank + m)
-    unit = (0,) * ring.nvars
-    engine.extend([{**_column_to_dict(col, ring), (rank + i, -rank - i) + unit: ring.coeff(1)}
-                   for i, col in enumerate(columns)])
-    return [_dict_to_column(engine.element(k), ring, rank, m)
-            for k, lead in enumerate(engine.leads) if lead[0] >= rank]
-
-
 def same_module(a, b, ring, rank):
     """True iff the column lists a and b span the same submodule of R^rank."""
     def inside(columns, span):
@@ -84,7 +76,7 @@ def reference_resolution(columns, ring, rank0):
     while current:
         matrices.append(tuple(col for _, col in current))
         shifts.append(tuple(deg for deg, _ in current))
-        current, _ = reference_greedy(full_syzygies([col for _, col in current], ring),
+        current, _ = reference_greedy(syzygies([col for _, col in current]),
                                       ring, len(shifts[-1]), shifts[-1])
     return tuple(shifts), tuple(matrices)
 
@@ -99,12 +91,15 @@ def assert_matches_reference(gens):
     assert res.length() <= ring.nvars
     shifts, matrices = reference_resolution(columns, ring, len(columns[0]))
     assert res.shifts == shifts
-    assert pruned[:1] == matrices[:1]
-    # exact: each matrix spans the full syzygy module of the one before it,
-    # and the last one has none
+    # the first matrix is minimal generators of the column module: the
+    # frame's basis elements that survive, not necessarily the kept columns
+    assert len(pruned) == len(matrices)
+    assert not pruned or same_module(pruned[0], matrices[0], ring, len(columns[0]))
+    # exact: each matrix spans the syzygy module of the one before it, and
+    # the last one has none
     for prev, mat in zip(pruned, pruned[1:]):
-        assert same_module(mat, full_syzygies(prev, ring), ring, len(prev))
-    assert not pruned or not full_syzygies(pruned[-1], ring)
+        assert same_module(mat, syzygies(prev), ring, len(prev))
+    assert not pruned or not syzygies(pruned[-1])
 
 
 @st.composite
@@ -151,14 +146,45 @@ CLOSING = [[parse_polynomial(g, RingSpec(["x1", "x2", "x3"], modulus))
             for g in ("x1^2 - x2*x3", "x1*x2 - x3^2", "x2^3 + x1*x3^2")] for modulus in FIELDS]
 
 
+def standard_terms(leads, shifts, degree, nvars):
+    """The number of terms m e_c of R^len(shifts), |m| + shifts[c] = degree,
+    that no lead (c, -c) + monomial of component c divides."""
+    count = 0
+    for c, s in enumerate(shifts):
+        if degree < s:
+            continue
+        for combo in combinations_with_replacement(range(nvars), degree - s):
+            m = tuple(combo.count(v) for v in range(nvars))
+            count += not any(lead[0] == c and mono_divides(lead[2:], m) for lead in leads)
+    return count
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(ideals(), column_sets()))
-def test_syzygies_generate_the_full_basis_module(gens):
+def test_syzygies_are_a_groebner_basis_of_the_syzygy_module(gens):
+    # Z = syz(f_1..f_m) is the kernel of F = sum R(-deg f_i) -> N, so
+    # dim (F/Z)_t = dim N_t; the leads L of the returned columns S lie in
+    # the lead module of Z, so (F/L)_t has that dimension iff S is a
+    # Groebner basis of Z, under the order `syzygies` uses on the tag block
     if isinstance(gens[0], Polynomial):
         ring, columns = gens[0].ring, [(g,) for g in gens]
     else:
         ring, columns = gens[0][0].ring, [tuple(c) for c in gens]
-    assert same_module(syzygies(gens), full_syzygies(columns, ring), ring, len(columns))
+    rank = len(columns[0])
+    # a zero column's e_i is itself a syzygy, so any degree serves for it
+    degrees = [_column_degree(c, (0,) * rank) if any(c) else 0 for c in columns]
+    syz = syzygies(gens)
+    for col in syz:
+        assert len(col) == len(columns)
+        for row in range(rank):
+            assert not dot(ring, col, [c[row] for c in columns])
+    key = _module_key(ring, None)
+    leads = [max(_column_to_dict(col, ring), key=key) for col in syz]
+    basis = groebner._Engine(ring, key, rank).extend([_column_to_dict(c, ring) for c in columns])
+    for t in range(max(degrees) + 4):
+        image = (standard_terms([], (0,) * rank, t, ring.nvars)
+                 - standard_terms(basis.leads, (0,) * rank, t, ring.nvars))
+        assert standard_terms(leads, degrees, t, ring.nvars) == image, t
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,23 +207,37 @@ def section_4_2():
     return list(rees._certified_section(rees.rees_ideal(j), j.n).basis)
 
 
+def base_ideal(f, g):
+    """The base forms x1 f, x2 f, g of the (2,3) map with these f and g over Q."""
+    return list(dejonq.construct(parse_polynomial(f, Q3), parse_polynomial(g, Q3), 2).base_forms)
+
+
 R3_7 = RingSpec(["x1", "x2", "x3"], 7)
+# x1^2 joins the greedy's engine as its remainder x2^2, not with the lead of
+# x1^2 + x2^2, so the basis is (x1^2, x2^2, x3^3) and the frame minimal
+EQUAL_LEADS_7 = [parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")]
+# the S-pair of x1^2 and x1*x2 + x2^2 adds x2^3 to the basis, which the
+# frame's first syzygy map cancels with a constant entry
+EXCESS_7 = [parse_polynomial(g, R3_7) for g in ("x1^2", "x1*x2 + x2^2", "x3^3")]
 
 
-@pytest.mark.parametrize("make", [
+@pytest.mark.parametrize("make, larger", [
     # a (4,2) section: the basis has 10 elements, the minimal generators 7
-    section_4_2,
+    (section_4_2, True),
     # a (2,6) base ideal over Q: 3 generators, a basis of 7
-    lambda: list(dejonq.random_map(2, 6, random.Random(1), None).base_forms),
-    # x1^2 joins the basis as it stands, with the lead of x1^2 + x2^2, so a
-    # syzygy on the two has unit entries in both of their rows, and the
-    # basis element x2^2 that their S-pair adds is the one to cancel
-    lambda: [parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")],
-], ids=["section-4-2", "base-ideal-2-6-over-Q", "equal-leads-over-GF7"])
-def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make):
+    (lambda: list(dejonq.random_map(2, 6, random.Random(1), None).base_forms), True),
+    (lambda: EQUAL_LEADS_7, False),
+    (lambda: EXCESS_7, True),
+    # two (2,3) base ideals over Q with Betti numbers 3 and 2: e3's frame is
+    # minimal, and this map's has 6, 7 and 2 elements
+    (lambda: base_ideal("x1*x3 + x2^2", "x1^2*x3 + x2^3"), False),
+    (lambda: base_ideal("x1^2 + x2*x3", "x1^3 + x1^2*x3"), True),
+], ids=["section-4-2", "base-ideal-2-6-over-Q", "equal-leads-over-GF7", "s-pair-over-GF7",
+        "base-ideal-e3", "base-ideal-with-excess"])
+def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make, larger):
     gens = make()
-    _, kept, _, levels = oracles.frame_parts(gens)
-    assert len(levels[0]) > len(kept)
+    _, kept, levels = oracles.frame_parts(gens)
+    assert (len(levels[0]) > len(kept)) == larger
     assert_matches_reference(gens)
     assert_rank_read_out_is_pruned(gens)
 
@@ -211,45 +251,50 @@ def assert_rank_read_out_is_pruned(gens):
     assert resolutions.is_graded_complex(res.ring, res.shifts, matrices)
 
 
-# Over Q the S-pair of x1^2 and x1^2 + N x2^2 adds x2^2 with the unit N, so
-# the frame's one constant entry in a row that is not kept is N: its rank is
-# 1 over Q and 0 modulo any prime that divides N, such as these.
+# Over Q the S-pair of x1^2 and x1*x2 + N x2^2 reduces to N^2 x2^3, so the
+# frame's one constant entry, in x2^3's row, is -N^2: its rank is 1 over Q
+# and 0 modulo any prime that divides N, such as these.
 N = 2 * 3 * 5 * 7 * 11 * 13 * 101 * 32003 * 65521 * (2 ** 31 - 1) * (2 ** 61 - 1)
-BIG_UNIT = [parse_polynomial(g, Q3) for g in ("x1^2", f"x1^2 + {N}*x2^2", "x3^3")]
+BIG_UNIT = [parse_polynomial(g, Q3) for g in ("x1^2", f"x1*x2 + {N}*x2^2", "x3^3")]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(ideals(), column_sets()))
-@example([parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")])
+@example(EQUAL_LEADS_7)
+@example(EXCESS_7)
 @example(BIG_UNIT)
 def test_rank_read_out_matches_the_pruned_shifts(gens):
     assert_rank_read_out_is_pruned(gens)
 
 
 def test_rank_over_q_is_exact():
-    # x2^2 joins the basis; the ideal is the complete intersection (x1^2, x2^2, x3^3)
-    assert len(oracles.frame_parts(BIG_UNIT)[3][0]) == 4
+    # x2^3 joins the basis, and the first syzygy map's constant entry -N^2
+    # cancels it: the ideal is a complete intersection of degrees 2, 2, 3
+    zero = (0,) * 3
+    _, _, levels = oracles.frame_parts(BIG_UNIT)
+    assert [len(level) for level in levels] == [4, 5, 2]
+    assert [c for v, _, _ in levels[1] for t, c in v.items() if t[2:] == zero] == [-N ** 2]
     assert minimal_free_resolution(BIG_UNIT).shifts == ((0,), (2, 2, 3), (4, 5, 5), (7,))
 
 
 def test_a_basis_element_left_over_is_an_error(monkeypatch):
-    # x2^2 joins the basis, and only a constant entry in its row of the
+    # x2^3 joins the basis, and only a constant entry in its row of the
     # first syzygy map cancels it; a frame without that entry leaves it over
-    gens = [parse_polynomial(g, R3_7) for g in ("x1^2 + x2^2", "x1^2", "x3^3")]
     build = resolutions._frame
 
     def broken(greedy, shifts0):
-        position, levels = build(greedy, shifts0)
-        (row,) = [r for r, (_, lead, _) in enumerate(levels[0]) if lead[2:] == (0, 2, 0)]
+        levels = build(greedy, shifts0)
+        (row,) = [r for r, (_, lead, _) in enumerate(levels[0]) if lead[2:] == (0, 3, 0)]
         levels[1] = [({t: c for t, c in v.items() if t[0] != row or any(t[2:])}, lead, shift)
                      for v, lead, shift in levels[1]]
-        return position, levels
+        return levels
     monkeypatch.setattr(resolutions, "_frame", broken)
     with pytest.raises(JonqError, match="leaves a basis element"):
-        minimal_free_resolution(gens)
-    # the pruning leaves it over too, and its output refuses it
-    with pytest.raises(JonqError, match="not a kept column"):
-        oracles.prune(*oracles.frame_parts(gens))
+        minimal_free_resolution(EXCESS_7)
+    # the pruning leaves it over too: one more generator than the kept columns
+    ring, kept, levels = oracles.frame_parts(EXCESS_7)
+    shifts, _ = oracles.prune(ring, kept, levels)
+    assert shifts[1] == (2, 2, 3, 3) and len(kept) == 3
 
 
 def test_frame_of_a_section_loses_a_variable_per_level():
@@ -349,6 +394,18 @@ def test_truncated_minimal_generators_match_reference(case):
 def test_minimal_generator_count_matches_reference(gens):
     kept, _ = reference_greedy([(g,) for g in gens], gens[0].ring, 1, (0,))
     assert len(minimal_generators([(g,) for g in gens], gens[0].ring, (0,))) == len(kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ideals(), column_sets()))
+@example(EQUAL_LEADS_7)
+def test_greedy_leads_divide_no_other_lead(gens):
+    columns = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
+    ring = columns[0][0].ring
+    leads = minimal_generators(columns, ring, (0,) * len(columns[0])).engine.leads
+    for i, a in enumerate(leads):
+        for b in leads[i + 1:]:
+            assert a[0] != b[0] or not (mono_divides(a[2:], b[2:]) or mono_divides(b[2:], a[2:]))
 
 
 NVARS, BITS = 3, 6
