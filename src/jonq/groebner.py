@@ -22,8 +22,8 @@ is evaluated only when the packing is built, and packing a term is one dot
 product of its exponents with per-variable ints.  An engine builds its
 packing on its first input, with exponent fields sized from those terms.  A
 reduction that carries a field into its guard bit raises `_Overflow`; the
-engine then widens its fields and redoes that reduction, so exponents never
-wrap.
+engine then widens its fields, up to _MAX_BITS, and redoes that reduction,
+so exponents never wrap.
 
 Coefficients are ints.  One reduction loop serves both fields (`_nf_dict`):
 pending coefficients are plain ints, and the field is applied once, when a
@@ -40,9 +40,12 @@ rational multiple of the monic one and the reducer chosen depends only on
 supports, so bases and syzygies are those of monic arithmetic.
 
 Tuples remain at the boundary (`Polynomial.terms`, `GroebnerBasis.basis`,
-`_Engine.element`/`reduce`/`add`/`extend`) and in the Gebauer-Moeller pair
+`_Engine.element`/`reduce`/`extend`) and in the Gebauer-Moeller pair
 update, which works on the lead tuples `_Engine.leads`.  Pair selection is
-normal, which for homogeneous input is degree-by-degree.  The chain rule
+normal, which for homogeneous input is degree-by-degree, and
+`_Engine.extend`, the one way to adjoin vectors, interleaves them with it:
+each vector meets a basis closed up to its degree, so `extend` reports
+exactly the vectors outside the span of those before them.  The chain rule
 applies to both kinds; the coprime-leading-terms (product) criterion holds
 only for ideals.  Module pairs are formed only between elements of one
 component, and reducers are bucketed by component.
@@ -110,6 +113,9 @@ class InhomogeneousError(JonqError):
 
 class _Overflow(Exception):
     """A reduction carried an exponent field into its guard bit."""
+
+
+_MAX_BITS = 1024  # the widest exponent field (`_Engine._widening`)
 
 
 class _Packing:
@@ -278,10 +284,6 @@ class _Engine:
     `comps` > 0, terms are module terms (c, -c) + monomial, 0 <= c < comps:
     the product criterion is off and reducers and pairs are kept per
     component.
-
-    `_saturate` and `add` take an optional degree limit d.  Under a key
-    that leads with the degree, closing only the pairs whose key leads with
-    at most d gives a d-truncated Groebner basis of homogeneous input.
     """
 
     def __init__(self, ring: RingSpec, key=None, comps: int = 0):
@@ -312,39 +314,26 @@ class _Engine:
         r, scale = self._nf(make)
         return self._unpack(r, scale * den)
 
-    def add(self, v: dict, degree: int | None = None) -> bool:
-        """Adjoin the remainder of v; False if it is zero, v already in the
-        span (basis unchanged).
-
-        With `degree` (the leading key digit of every term of v), only the
-        pending pairs up to that degree are closed, before v is reduced:
-        for homogeneous input that decides membership exactly, and the
-        pairs above it stay pending.  Without it the basis is closed.
-        """
-        self._saturate(degree)
-        self._fit((v,))
-        if not self._insert(self._nf(lambda: self._pack(v)[0])[0]):
-            return False
-        if degree is None:
-            self._saturate()
-        return True
-
-    def extend(self, vectors) -> "_Engine":
-        """Adjoin the remainders of all vectors, in ascending order of lead,
-        then close under pairs."""
-        vectors = [v for v in vectors if v]
+    def extend(self, vectors) -> list[bool]:
+        """Adjoin the remainders of the vectors, stably by the leading key
+        digit of their leads, closing the pending pairs whose key leads with
+        at most that digit before each; then close the basis.  Returns, per
+        vector, whether its remainder joined the basis."""
         self._fit(vectors)
-        pack = self.pk.pack
-        for v in sorted(vectors, key=lambda v: max(map(pack, v))):
-            self._insert(self._nf(lambda: self._pack(v)[0])[0])
+        pack, unpack, key = self.pk.pack, self.pk.unpack, self.key
+        digits = {i: key(unpack(max(map(pack, v))))[0] for i, v in enumerate(vectors) if v}
+        added = [False] * len(vectors)
+        for i in sorted(digits, key=digits.get):
+            self._saturate(digits[i])
+            added[i] = self._insert(self._nf(lambda: self._pack(vectors[i])[0])[0])
         self._saturate()
-        return self
+        return added
 
     def adopt(self, vectors, pk: "_Packing | None" = None) -> "_Engine":
         """Adjoin the monic vectors of a basis already closed under its pairs.
 
         They become elements and reducers, and no pair among them is formed;
-        a later `add` pairs only its own remainder with them.  With `pk`,
+        a later `extend` pairs only its own remainders with them.  With `pk`,
         the vectors are normalized dicts packed by it, as `_reduced` leaves
         them, and are installed as they stand, on that packing.
         """
@@ -402,15 +391,20 @@ class _Engine:
 
     def _nf(self, make, reducers=None) -> tuple[dict, int]:
         """(remainder, scale) of the packed dict make() builds, modulo reducers()
-        or the basis (see `_nf_dict`).
+        or the basis (see `_nf_dict`), widening the fields on overflow."""
+        return self._widening(lambda: _nf_dict(make(), reducers() if reducers else self.reducers,
+                                               self.ring.modulus, self.pk))
 
-        On overflow the fields are widened, and the dict rebuilt and reduced again.
-        """
+    def _widening(self, run):
+        """run(), which reads the packing afresh, run again on doubled fields
+        after each `_Overflow`; past _MAX_BITS, JonqError, since a term may
+        overflow at every width (a negative exponent does)."""
         while True:
             try:
-                return _nf_dict(make(), reducers() if reducers else self.reducers,
-                                self.ring.modulus, self.pk)
+                return run()
             except _Overflow:
+                if 2 * self.pk.bits > _MAX_BITS:
+                    raise JonqError(f"exponents overflow {_MAX_BITS}-bit fields") from None
                 self._repack(2 * self.pk.bits)
 
     def _install(self, d: dict) -> int:
@@ -486,12 +480,12 @@ class _Engine:
             out[m2] = out.get(m2, 0) - cj * c
         return out
 
-    def _saturate(self, degree: int | None = None):
-        """Close the basis under its pairs, or only those up to `degree`."""
+    def _saturate(self, digit: int | None = None):
+        """Close the basis under its pairs, or those whose key leads with at most `digit`."""
         while self.pairs:
             keys = [p[0] for p in self.pairs]
             k = keys.index(min(keys))  # ties go to the earliest pair
-            if degree is not None and keys[k][0] > degree:
+            if digit is not None and keys[k][0] > digit:
                 return
             _, lcm, i, j = self.pairs.pop(k)
             self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0])
@@ -596,7 +590,8 @@ def _extension(gb: GroebnerBasis, forms) -> _Engine:
         raise RingMismatchError("form not in the basis ring")
     vectors, pk = gb.packed or ([_to_dict(g) for g in gb.basis], None)
     engine = _Engine(gb.ring).adopt(vectors, pk)
-    return engine.extend([_to_dict(p) for p in forms])
+    engine.extend([_to_dict(p) for p in forms])
+    return engine
 
 
 def extend(gb: GroebnerBasis, forms) -> GroebnerBasis:
@@ -872,11 +867,7 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
         return True
     engine, v = gb._engine, _to_dict(u)
     engine._fit((v,))
-    while True:
-        try:
-            return _signature_run(engine, engine._pack(v)[0])
-        except _Overflow:
-            engine._repack(2 * engine.pk.bits)
+    return engine._widening(lambda: _signature_run(engine, engine._pack(v)[0]))
 
 
 def _signature_run(engine: _Engine, u: dict) -> bool:

@@ -16,9 +16,10 @@ free modules.
 `minimal_generators` is the ascending-degree greedy: a column is kept iff
 it is not in the span of the columns before it, so the kept columns are
 minimal generators by graded Nakayama.  Membership of a homogeneous column
-of degree d needs only a d-truncated Groebner basis: before each test the
-greedy closes the pending pairs up to d, under a key that leads with the
-shifted degree.
+of degree d needs only a d-truncated Groebner basis, and that is what
+`_Engine.extend` reduces it by under a key that leads with the shifted
+degree: the greedy is one `extend` call, which reports the columns it kept
+and leaves the engine closed.
 
 `minimal_free_resolution` resolves from a Schreyer frame (Schreyer's
 theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
@@ -37,10 +38,10 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   e_u on a tag block below F; the tag part of the remainder is the
   syzygy.  The induced key is linear with a per-component constant, as the
   engine's packing needs.
-- Level 1 is a Groebner basis G of the column module: the greedy's engine,
-  which holds the remainder of each kept column, closed under its pending
-  pairs (`_saturate`).  From there level 1 is built like every other
-  level: its elements go on one tagged engine, and level 2 holds the
+- Level 1 is a Groebner basis G of the column module: the elements of the
+  greedy's engine, which holds the remainder of each kept column and which
+  `_Engine.extend` left closed.  From there level 1 is built like every
+  other level: its elements go on one tagged engine, and level 2 holds the
   syzygies of the pairs `_minimal_pairs` names on it.  No level forms a
   pair update or a new basis element.
 - Each level is sorted by lead component and then by descending exponent
@@ -91,9 +92,6 @@ def _module_key(ring: RingSpec, block: int | None, shifts=None):
     if shifts is not None:
         def key(term):
             return (sum(term[2:]) + shifts[term[0]],) + ringkey(term[2:]) + (term[1],)
-    elif block is None:
-        def key(term):
-            return ringkey(term[2:]) + (term[1],)
     else:
         def key(term):
             return (1 if term[0] < block else 0,) + ringkey(term[2:]) + (term[1],)
@@ -160,7 +158,8 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
         v = _column_to_dict(col, ring)
         v[(rank + i, -rank - i) + zero_mono] = ring.coeff(1)
         augmented.append(v)
-    gb = groebner._Engine(ring, _module_key(ring, rank), rank + m).extend(augmented)
+    gb = groebner._Engine(ring, _module_key(ring, rank), rank + m)
+    gb.extend(augmented)
     # components below rank dominate the order: an element lies on the tag
     # block iff its lead does
     return [_dict_to_column(gb.element(k), ring, rank, m)
@@ -176,22 +175,21 @@ def minimal_generators(columns, ring: RingSpec, shifts):
     """Minimal generating subset of homogeneous columns (ascending degree greedy).
 
     Columns go in (shifted degree, index) order, and a column is kept iff
-    it is not in the span of the columns before it.  Before a column of
-    degree d is tested, only the pending pairs up to degree d are closed,
-    under a key that leads with the shifted degree: that decides membership
-    exactly, and no pair above the largest column degree is processed.  A
-    kept column's remainder joins the engine (`_Engine.add`), so closing
-    the engine gives a Groebner basis of the kept columns' module.
-    `_frame` closes `kept.engine` in place and builds the frame on it.
+    it is not in the span of the columns before it.  One `_Engine.extend`
+    call decides that, under a key that leads with the shifted degree:
+    before a column of degree d it closes only the pending pairs up to
+    degree d, which decides membership exactly, and it reports the columns
+    whose remainders joined.  Then it closes the engine, so `kept.engine`
+    holds a Groebner basis of the kept columns' module, and `_frame` builds
+    on it.
     """
-    degreed = [( _column_degree(c, shifts), i, c) for i, c in enumerate(columns)
+    degreed = [(_column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                if any(p for p in c)]
     degreed.sort(key=lambda t: (t[0], t[1]))
-    kept = _Kept()
-    kept.engine = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
-    for deg, _, col in degreed:
-        if kept.engine.add(_column_to_dict(col, ring), deg):
-            kept.append((deg, col))
+    engine = groebner._Engine(ring, _module_key(ring, None, shifts), len(shifts))
+    added = engine.extend([_column_to_dict(col, ring) for _, _, col in degreed])
+    kept = _Kept((deg, col) for (deg, _, col), new in zip(degreed, added) if new)
+    kept.engine = engine
     return kept
 
 
@@ -404,9 +402,9 @@ def _minimal_pairs(leads) -> list[tuple]:
 
 
 def _frame(greedy, shifts0):
-    """The levels of the Schreyer frame on the greedy's basis G.
+    """The levels of the Schreyer frame on the greedy's basis G, the
+    elements of its closed engine.
 
-    The greedy's engine is closed first (`_saturate`), so G is its elements.
     levels[k] lists level k + 1 in frame order as (vector, lead, shift)
     triples with int coefficients.  Every level is built one way: its
     vectors go on one engine with their tags (`_tagged`), and the next level
@@ -414,7 +412,6 @@ def _frame(greedy, shifts0):
     S-pair's remainder.  Level k + 1 is sorted by `_losing_order` on
     variable k.
     """
-    greedy._saturate()
     ring, rank, key, pk, leads = greedy.ring, len(shifts0), greedy.key, greedy.pk, greedy.leads
     vectors = [{pk.unpack(m): c for m, c in greedy._element(k).items()}
                for k in range(len(leads))]

@@ -27,7 +27,8 @@ from jonq.polycore import JonqError, Polynomial, RingSpec
 
 def frame_parts(gens):
     """(ring, kept, levels) as `minimal_free_resolution` builds them, or
-    None when no column is kept."""
+    None when no column is kept: the greedy's one `extend` call leaves its
+    engine closed, and `_frame` builds on that basis."""
     columns = resolutions._columns(gens)
     ring = next(p.ring for c in columns for p in c)
     shifts0 = (0,) * len(columns[0])

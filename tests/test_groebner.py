@@ -12,8 +12,8 @@ given, settings = hypothesis.given, hypothesis.settings
 from jonq import groebner as gb  # noqa: E402
 from jonq.orders import LEX  # noqa: E402
 from jonq.polycore import (  # noqa: E402
-    Polynomial, RingMismatchError, RingSpec, mono_div, mono_divides, parse_polynomial,
-    random_form)
+    JonqError, Polynomial, RingMismatchError, RingSpec, mono_div, mono_divides,
+    parse_polynomial, random_form)
 
 
 @pytest.fixture
@@ -127,6 +127,16 @@ def test_exponents_growing_past_the_fields_are_exact():
                        P("2*y*z^9 + 2*z^2", RQ3)])
     assert G.basis == (P("z^77 + 1", RQ3), P("y - z^70", RQ3), P("x - z^49", RQ3))
     assert G.reduce(P("x*y", RQ3)) == P("-z^42", RQ3)
+
+
+def test_a_term_that_overflows_at_every_width_is_an_error(R):
+    # a negative exponent borrows into a guard bit at every field width, so
+    # the engine stops widening at _MAX_BITS instead of doubling forever
+    engine = gb._Engine(R)
+    engine.extend([{(1, 0, 0): Fraction(1)}])
+    with pytest.raises(JonqError, match="overflow"):
+        engine._nf(lambda: {engine.pk.pack((-1, 1, 0)): 1})
+    assert engine.pk.bits == gb._MAX_BITS
 
 
 def test_normal_form_idempotent_randomized(R):

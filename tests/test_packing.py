@@ -27,8 +27,8 @@ COMPS = 5
 ORDERS = [GREVLEX, LEX, GRLEX, elimination_order(1), elimination_order(3)]
 # (key, comps): ideal keys have no components, module keys comps > 0
 SCHEMES = ([(o.key_function(NVARS), 0) for o in ORDERS]
-           + [(_module_key(RingSpec([f"x{i}" for i in range(NVARS)], order=o), block), COMPS)
-              for o in (GREVLEX, LEX) for block in (None, 2)])
+           + [(_module_key(RingSpec([f"x{i}" for i in range(NVARS)], order=o), *args), COMPS)
+              for o in (GREVLEX, LEX) for args in ((None, (0,) * COMPS), (2,))])
 PACKINGS = [_Packing(key, NVARS, comps, BITS) for key, comps in SCHEMES]
 
 schemes = st.sampled_from(range(len(SCHEMES)))

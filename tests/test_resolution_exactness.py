@@ -1,12 +1,13 @@
 """The resolution's shortcuts against the plain algorithm they replace.
 
-`minimal_generators` closes pairs only up to the degree of the column it
-tests, and `minimal_free_resolution` reads its shifts off the ranks of a
-Schreyer frame's constant part instead of resolving level by level.  The
-reference below is the plain algorithm: the syzygies of each level
-(`syzygies`, a Groebner basis of the syzygy module, checked here against
-Hilbert functions) go to a greedy that closes the basis after each column
-it keeps.  Both must give the same shifts and span the same modules; the
+`minimal_generators` is one `_Engine.extend` call, which closes pairs only
+up to the degree of the column it tests, and `minimal_free_resolution`
+reads its shifts off the ranks of a Schreyer frame's constant part instead
+of resolving level by level.  The reference below is the plain algorithm:
+the syzygies of each level (`syzygies`, a Groebner basis of the syzygy
+module, checked here against Hilbert functions) go to a greedy that
+reduces each column by a basis of the kept columns closed under all its
+pairs.  Both must give the same shifts and span the same modules; the
 matrices are those of the frame pruned by `oracles.resolve`, whose shifts
 must also be the rank read-out's.
 """
@@ -46,13 +47,18 @@ FIELDS = (None, 32003, 7)
 
 
 def reference_greedy(columns, ring, rank, shifts):
-    """(kept (degree, column) pairs, rejected columns), closing the basis fully."""
+    """(kept (degree, column) pairs, rejected columns): each column is
+    reduced by a basis of the kept columns that is closed under all its
+    pairs, never by one truncated at the column's degree."""
     degreed = sorted(((_column_degree(c, shifts), i, c) for i, c in enumerate(columns)
                       if any(c)), key=lambda t: t[:2])
-    gb = groebner._Engine(ring, _module_key(ring, None), rank)
+    gb = groebner._Engine(ring, _module_key(ring, None, (0,) * rank), rank)
     kept, rejected = [], []
     for deg, _, col in degreed:
-        if gb.add(_column_to_dict(col, ring)):
+        v = _column_to_dict(col, ring)
+        if gb.reduce(v):
+            # one vector on a closed basis: no pending pair to truncate
+            gb.extend([v])
             kept.append((deg, col))
         else:
             rejected.append(col)
@@ -62,7 +68,7 @@ def reference_greedy(columns, ring, rank, shifts):
 def same_module(a, b, ring, rank):
     """True iff the column lists a and b span the same submodule of R^rank."""
     def inside(columns, span):
-        basis = groebner._Engine(ring, _module_key(ring, None), rank)
+        basis = groebner._Engine(ring, _module_key(ring, None, (0,) * rank), rank)
         basis.extend([_column_to_dict(c, ring) for c in span])
         return all(not basis.reduce(_column_to_dict(c, ring)) for c in columns)
     return inside(a, b) and inside(b, a)
@@ -178,9 +184,10 @@ def test_syzygies_are_a_groebner_basis_of_the_syzygy_module(gens):
         assert len(col) == len(columns)
         for row in range(rank):
             assert not dot(ring, col, [c[row] for c in columns])
-    key = _module_key(ring, None)
+    key = _module_key(ring, None, (0,) * len(columns))
     leads = [max(_column_to_dict(col, ring), key=key) for col in syz]
-    basis = groebner._Engine(ring, key, rank).extend([_column_to_dict(c, ring) for c in columns])
+    basis = groebner._Engine(ring, _module_key(ring, None, (0,) * rank), rank)
+    basis.extend([_column_to_dict(c, ring) for c in columns])
     for t in range(max(degrees) + 4):
         image = (standard_terms([], (0,) * rank, t, ring.nvars)
                  - standard_terms(basis.leads, (0,) * rank, t, ring.nvars))
@@ -189,8 +196,8 @@ def test_syzygies_are_a_groebner_basis_of_the_syzygy_module(gens):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(ideals(), column_sets()))
-# an exponent above the initial 8-bit field cap: the greedy's engine repacks
-# when that column arrives, after S-pair elements exist
+# an exponent above the initial 8-bit field cap: the engines size their
+# fields from every column at once
 @example([parse_polynomial(g, Q3) for g in ("x1^130 - x2^129*x3", "x1*x2 - x3^2",
                                              "x2^2 + x1*x3")])
 @example(CLOSING[0])
@@ -316,8 +323,9 @@ def test_frame_leads_lose_one_variable_per_level(gens):
 
 
 def test_primary_syzygies_survive_a_repack(monkeypatch):
-    # exponents stay below 64, but the syzygy run overflows the initial
-    # 8-bit fields, so the engine repacks after S-pair elements exist
+    # exponents stay below 64, but the syzygy run and the greedy's closing
+    # overflow the initial 8-bit fields, so each engine repacks after
+    # S-pair elements exist
     repacked_with = []
     repack = groebner._Engine._repack
 
@@ -331,9 +339,10 @@ def test_primary_syzygies_survive_a_repack(monkeypatch):
         gens = [parse_polynomial(g, ring) for g in (
             "x1^38*x2^12*x3^13 - x1^17*x2^13*x3^33", "x1^3*x2^25*x3^35 - x1^27*x2^24*x3^12",
             "x1^50*x2^5*x3^8 - x1^17*x2^3*x3^43")]
-        repacked_with.clear()
-        syzygies(gens)
-        assert any(count > len(gens) for count in repacked_with)
+        for run in (syzygies, lambda gens: minimal_generators([(g,) for g in gens], ring, (0,))):
+            repacked_with.clear()
+            run(gens)
+            assert any(count > len(gens) for count in repacked_with)
         assert_matches_reference(gens)
 
 

@@ -73,7 +73,7 @@ def test_syzygies_generate_randomized():
     for _ in range(25):
         gens = [random_form(R, rng.randrange(1, 3), rng, terms=2) for _ in range(3)]
         syz = syzygies(gens)
-        gbm = _Engine(R, _module_key(R, None), 3)
+        gbm = _Engine(R, _module_key(R, None, (0,) * 3), 3)
         gbm.extend([_column_to_dict(col, R) for col in syz])
         for i in range(3):
             for j in range(i + 1, 3):
@@ -140,9 +140,16 @@ def test_module_column_resolution():
 # syzygy columns became the tag-block elements of a full run, a Groebner
 # basis of the syzygy module, and the first matrix the frame's surviving
 # basis elements rather than the caller's columns; the shifts of all six
-# inputs stayed.
+# inputs stayed.  Once `_Engine.extend` closed the pending pairs up to each
+# vector's leading key digit before adjoining it, the syzygy engine, whose
+# key leads with the block flag, closed all pairs before each augmented
+# vector: only the syzygy columns changed, still a Groebner basis of the
+# syzygy module, from 3, 16, 5, 3, 8, 11 columns on the six inputs to
+# 6, 9, 10, 4, 8, 10; every shift and pruned matrix stayed.
+# RESOLUTIONS_DIGEST was 64047e2ab005dbfbee289da6814bce826cc5882be103736ca84ab293c8a2f93a
+# before that change.
 BASES_DIGEST = "71d94f7056e1de7fd312b25df79f515683653d11c0704747b6b471ba27d1286b"
-RESOLUTIONS_DIGEST = "64047e2ab005dbfbee289da6814bce826cc5882be103736ca84ab293c8a2f93a"
+RESOLUTIONS_DIGEST = "518c2b8d32055d26bbed594cfa88e6d6249cc8c213d1e4fa7e411c9a9a4a222c"
 
 
 def _pinned_outputs():
