@@ -102,6 +102,7 @@ from .polycore import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_minimal,
     mono_mul,
     transport,
 )
@@ -262,10 +263,11 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing,
     return {m: c * (scale // s) for m, (c, s) in remainder.items()}, scale
 
 
-def _normalized(d: dict, mod) -> dict:
-    """The nonzero packed dict d made monic over GF(p), or over Q made a
-    primitive integer vector with a positive lead coefficient."""
-    c = d[max(d)]
+def _normalized(d: dict, mod, lead=None) -> dict:
+    """The nonzero int dict d made monic at `lead` over GF(p), or over Q made
+    a primitive integer vector positive at `lead`; `lead` defaults to max(d),
+    the lead of a packed dict."""
+    c = d[max(d) if lead is None else lead]
     if mod is None:
         g = gcd(*d.values())
         if c < 0:
@@ -294,7 +296,6 @@ class _Engine:
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
-        self.members: dict = {}  # component -> basis indices that form pairs
         self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
 
     def element(self, k: int) -> dict:
@@ -318,14 +319,18 @@ class _Engine:
         """Adjoin the remainders of the vectors, stably by the leading key
         digit of their leads, closing the pending pairs whose key leads with
         at most that digit before each; then close the basis.  Returns, per
-        vector, whether its remainder joined the basis."""
+        vector, whether its remainder joined the basis.  Each vector is packed
+        once, and that dict is reduced unless the packing has widened since."""
         self._fit(vectors)
-        pack, unpack, key = self.pk.pack, self.pk.unpack, self.key
-        digits = {i: key(unpack(max(map(pack, v))))[0] for i, v in enumerate(vectors) if v}
+        pk = self.pk
+        packed = {i: self._pack(v)[0] for i, v in enumerate(vectors) if v}
+        digits = {i: self.key(pk.unpack(max(d)))[0] for i, d in packed.items()}
         added = [False] * len(vectors)
         for i in sorted(digits, key=digits.get):
             self._saturate(digits[i])
-            added[i] = self._insert(self._nf(lambda: self._pack(vectors[i])[0])[0])
+            # `_nf_dict` consumes the dict, so a retry, on a wider packing, packs afresh
+            r, _ = self._nf(lambda: packed[i] if self.pk is pk else self._pack(vectors[i])[0])
+            added[i] = self._insert(r)
         self._saturate()
         return added
 
@@ -343,8 +348,7 @@ class _Engine:
         else:
             self.pk = pk
         for d in vectors:
-            comp = self._install(d)
-            self.members.setdefault(comp, []).append(len(self.elems) - 1)
+            self._install(d)
         return self
 
     def _pack(self, v: dict) -> tuple[dict, int]:
@@ -407,35 +411,27 @@ class _Engine:
                     raise JonqError(f"exponents overflow {_MAX_BITS}-bit fields") from None
                 self._repack(2 * self.pk.bits)
 
-    def _install(self, d: dict) -> int:
-        """Append the normalized packed dict d as an element and reducer; returns
-        its component."""
+    def _install(self, d: dict):
+        """Append the normalized packed dict d as an element and reducer."""
         pk = self.pk
         lead = max(d)
         entry = (lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead),
                  d[lead])
-        comp = lead & pk.cmask
         self.elems.append(entry)
         self.leads.append(pk.unpack(lead))
-        self.reducers.setdefault(comp, []).append(entry)
-        return comp
+        self.reducers.setdefault(lead & pk.cmask, []).append(entry)
 
     def _insert(self, r: dict) -> bool:
         """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
         if not r:
             return False
-        comp = self._install(_normalized(r, self.ring.modulus))
-        new = len(self.elems) - 1
-        members = self.members.setdefault(comp, [])
-        self._update_pairs(new, members)
-        members.append(new)
+        self._install(_normalized(r, self.ring.modulus))
+        self._update_pairs(len(self.elems) - 1)
         return True
 
-    def _update_pairs(self, new: int, members):
-        """Gebauer-Moeller pair update after appending basis element `new`.
-
-        members: earlier basis indices in the component of `new`.
-        """
+    def _update_pairs(self, new: int):
+        """Gebauer-Moeller pair update after appending basis element `new`,
+        which pairs with every earlier element of its component."""
         lms, key = self.leads, self.key
         lmf = lms[new]
         kept = []
@@ -446,13 +442,10 @@ class _Engine:
                     or mono_lcm(lms[j], lmf) == lij):
                 kept.append(pair)
         groups: dict = {}
-        for i in members:
-            groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
-        minimal = []
-        for lcm in sorted(groups, key=key):
-            if not any(mono_divides(m, lcm) for m in minimal):
-                minimal.append(lcm)
-        for lcm in minimal:
+        for i in range(new):
+            if not self.comps or lms[i][0] == lmf[0]:
+                groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
+        for lcm in mono_minimal(groups, key):
             grp = groups[lcm]
             if not self.comps and any(
                     mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
@@ -494,12 +487,9 @@ class _Engine:
 def _reduced(engine: _Engine) -> list[dict]:
     """The reduced Groebner basis of a closed engine, as normalized dicts
     packed by the engine's packing (`_normalized`), ascending by lead."""
-    lms = engine.leads
-    # minimalize: drop elements whose lead is divisible by another kept lead
-    kept: list[int] = []
-    for k in sorted(range(len(lms)), key=lambda k: engine.elems[k][1]):
-        if not any(mono_divides(lms[i], lms[k]) for i in kept):
-            kept.append(k)
+    # minimalize by lead; the leads are distinct, each element being a remainder
+    index = {lead: k for k, lead in enumerate(engine.leads)}
+    kept = [index[lead] for lead in mono_minimal(engine.leads, engine.pk.pack)]
     # interreduce tails; leads stay, so the result ascends by lead like `kept`;
     # a reduction that widens the packing makes every element packed again
     while True:
@@ -550,7 +540,7 @@ class GroebnerBasis:
         for g in self.gens if self.gens else self.basis:
             if not g.is_homogeneous():
                 raise InhomogeneousError(f"generator {g} is not homogeneous")
-        return _hilb_rec(_mono_minimalize([g.lm() for g in self.basis]), {})
+        return _hilb_rec(mono_minimal([g.lm() for g in self.basis], _by_degree), {})
 
     def reduce(self, p: Polynomial) -> Polynomial:
         if p.ring != self.ring:
@@ -736,13 +726,9 @@ def saturate(gens, gens_j) -> GroebnerBasis:
 
 # ---------- Hilbert series ----------
 
-def _mono_minimalize(monos) -> tuple:
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
-    kept: list = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return tuple(kept)
+def _by_degree(m) -> tuple:
+    """The key `_hilb_rec` orders its minimal generators by."""
+    return sum(m), m
 
 
 def _p1_mul(a: dict, b: dict) -> dict:
@@ -791,9 +777,10 @@ def _hilb_rec(gens: tuple, cache: dict) -> dict:
             out = _p1_mul(out, {0: 1, sum(m): -1})
     else:
         unit = tuple(1 if i == pivot else 0 for i in range(nv))
-        j1 = _mono_minimalize([unit] + [m for m in gens if m[pivot] == 0])
-        j2 = _mono_minimalize(
-            [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m)) for m in gens])
+        j1 = mono_minimal([unit] + [m for m in gens if m[pivot] == 0], _by_degree)
+        j2 = mono_minimal(
+            [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m)) for m in gens],
+            _by_degree)
         out = _p1_add(_hilb_rec(j1, cache), _p1_shift(_hilb_rec(j2, cache), 1))
     cache[gens] = out
     return out

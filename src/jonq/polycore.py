@@ -112,6 +112,18 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def mono_minimal(monos, key) -> tuple:
+    """The monomials no other one divides, in `key` order: sorted by `key`,
+    each is kept unless a kept one divides it.  `key` must rank a monomial
+    after its proper divisors, as a degree-compatible order does; of equal
+    monomials the first is kept."""
+    kept: list = []
+    for m in sorted(monos, key=key):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return tuple(kept)
+
+
 class RingSpec:
     """A polynomial ring: named variables over Q or F_p with an active order.
 
@@ -430,15 +442,21 @@ def dot(ring: RingSpec, ps, qs) -> Polynomial:
         scaled.append((_numerators(a), _numerators(b)))
     den = lcm(*(da * db for (_, da), (_, db) in scaled))
     d: dict = {}
-    get = d.get
     for (at, da), (bt, db) in scaled:
-        k = den // (da * db)
-        for m1, c1 in at:
-            c1 *= k
-            for m2, c2 in bt:
-                m = tuple(map(add, m1, m2))
-                d[m] = get(m, 0) + c1 * c2
+        _accumulate(d, at, bt, den // (da * db))
     return _from_numerators(ring, d, den)
+
+
+def _accumulate(out: dict, at, bt, k: int) -> dict:
+    """Add k times the product of at and bt, (monomial, int) pairs, into the
+    {monomial: int} dict `out`, and return it."""
+    get = out.get
+    for m1, c1 in at:
+        c1 *= k
+        for m2, c2 in bt:
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 def substitute(p: Polynomial, assignment: dict) -> Polynomial:
@@ -489,13 +507,7 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
 
     def times(a: tuple, b: tuple) -> tuple:
         (da, na), (db, nb) = a, b
-        out: dict = {}
-        get = out.get
-        for m1, c1 in da.items():
-            for m2, c2 in db.items():
-                m = tuple(map(add, m1, m2))
-                out[m] = get(m, 0) + c1 * c2
-        return out, na * nb
+        return _accumulate({}, da.items(), db.items(), 1), na * nb
 
     def power(i: int, e: int) -> tuple:
         got = powers.get((i, e))

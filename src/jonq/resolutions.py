@@ -36,8 +36,9 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   of the syzygies, so they are a Groebner basis of it.  Each pair is
   reduced once, on one engine per level whose element f_u carries its own
   e_u on a tag block below F; the tag part of the remainder is the
-  syzygy.  The induced key is linear with a per-component constant, as the
-  engine's packing needs.
+  syzygy.  `_induced_key` is that definition of the induced order; it is
+  linear with a per-component constant, so the engine's packing, which
+  alone evaluates it, makes it a linear form.
 - Level 1 is a Groebner basis G of the column module: the elements of the
   greedy's engine, which holds the remainder of each kept column and which
   `_Engine.extend` left closed.  From there level 1 is built like every
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from .polycore import (
     JonqError,
@@ -76,7 +76,7 @@ from .polycore import (
     RingSpec,
     RingMismatchError,
     dot,
-    mono_divides,
+    mono_minimal,
     mono_mul,
 )
 
@@ -100,12 +100,17 @@ def _module_key(ring: RingSpec, block: int | None, shifts=None):
 
 # ---------- columns <-> module dicts ----------
 
-def _columns(gens) -> list[tuple]:
-    """`gens`, polynomials or equal-length polynomial columns, as columns."""
+def _columns(gens) -> tuple[list[tuple], RingSpec | None]:
+    """(columns, ring): `gens`, polynomials or equal-length polynomial
+    columns, as columns, and the ring of their entries (None for no
+    column); raises JonqError when there are columns but no entry."""
     columns = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
     if any(len(c) != len(columns[0]) for c in columns):
         raise JonqError("columns have inconsistent lengths")
-    return columns
+    ring = next((p.ring for c in columns for p in c), None)
+    if columns and ring is None:
+        raise JonqError("the columns have no entry to name their ring")
+    return columns, ring
 
 
 def _column_to_dict(column, ring: RingSpec) -> dict:
@@ -147,11 +152,10 @@ def syzygies(gens) -> list[tuple[Polynomial, ...]]:
     a full run on the augmented vectors, a Groebner basis of the syzygy
     module (see the module docstring).
     """
-    columns = _columns(gens)
+    columns, ring = _columns(gens)
     if not columns:
         return []
     rank, m = len(columns[0]), len(columns)
-    ring = next(p.ring for c in columns for p in c)
     zero_mono = (0,) * ring.nvars
     augmented = []
     for i, col in enumerate(columns):
@@ -201,13 +205,7 @@ class BettiTable:
 
     @classmethod
     def from_shift_lists(cls, shift_lists) -> "BettiTable":
-        rows = []
-        for shifts in shift_lists:
-            counts: dict[int, int] = {}
-            for s in shifts:
-                counts[s] = counts.get(s, 0) + 1
-            rows.append(tuple(sorted(counts.items())))
-        return cls(tuple(rows))
+        return cls(tuple(tuple(sorted(Counter(shifts).items())) for shifts in shift_lists))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(sum(r for _, r in row) for row in self.rows)
@@ -217,13 +215,7 @@ class BettiTable:
         of the resolved module when the rows come from one of its resolutions."""
         out: dict[int, int] = {}
         for i, row in enumerate(self.rows):
-            sign = -1 if i % 2 else 1
-            for shift, rank in row:
-                nc = out.get(shift, 0) + sign * rank
-                if nc:
-                    out[shift] = nc
-                else:
-                    out.pop(shift, None)
+            out = groebner._p1_add(out, {shift: (-1) ** i * rank for shift, rank in row})
         return out
 
     def __str__(self):
@@ -256,8 +248,11 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     per generator of position k+1.  Every nonzero entry in row r of column c
     must be homogeneous of degree shifts[k+1][c] - shifts[k][r], and
     consecutive maps must compose to zero; each row of a composition is
-    summed over its nonzero products only.
+    summed over its nonzero products only.  There must be one more shift
+    list than matrices.
     """
+    if len(shifts) != len(matrices) + 1:
+        return False
     for k, mat in enumerate(matrices):
         rows, cols = shifts[k], shifts[k + 1]
         if len(mat) != len(cols) or any(len(col) != len(rows) for col in mat):
@@ -286,10 +281,9 @@ def minimal_free_resolution(gens) -> Resolution:
     beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, read off the Schreyer frame
     on the closed basis of its greedy (`_frame`) by `_rank_shifts`.
     """
-    columns = _columns(gens)
+    columns, ring = _columns(gens)
     if not columns:
         raise JonqError("need at least one generator")
-    ring = next(p.ring for c in columns for p in c)
     shifts0 = (0,) * len(columns[0])
     kept = minimal_generators(columns, ring, shifts0)
     if not kept:
@@ -353,20 +347,10 @@ def _induced_key(key, leads):
     """Schreyer's order on the free module with one basis element e_u per
     lead: m e_u ranks as the term m lead_u does under `key`, and a tie goes
     to the smaller u.  It is linear with a per-component constant, as `key`
-    is, so the engine packs it; it is evaluated as that linear form, the
-    constants and slopes read off `key` once."""
-    zero = leads[0][:2] + (0,) * (len(leads[0]) - 2)
-    base = key(zero)
-    slopes = [tuple(a - b for a, b in zip(key(zero[:i] + (1,) + zero[i + 1:]), base)) + (0,)
-              for i in range(2, len(zero))]
-    consts = [key(lead) + (-u,) for u, lead in enumerate(leads)]
-
+    is, so the engine packs it."""
     def induced(term):
-        out = consts[term[0]]
-        for e, slope in zip(term[2:], slopes):
-            if e:
-                out = tuple([a + e * b for a, b in zip(out, slope)])
-        return out
+        u = term[0]
+        return key(leads[u][:2] + mono_mul(leads[u][2:], term[2:])) + (-u,)
     return induced
 
 
@@ -393,11 +377,7 @@ def _minimal_pairs(leads) -> list[tuple]:
             first: dict = {}
             for b in group[i + 1:]:
                 first.setdefault(tuple([y - x if y > x else 0 for x, y in zip(na, leads[b][2:])]), b)
-            minimal: list = []
-            for m in sorted(first, key=sum):
-                if not any(mono_divides(k, m) for k in minimal):
-                    minimal.append(m)
-                    pairs.append((a, first[m], m))
+            pairs += [(a, first[m], m) for m in mono_minimal(first, sum)]
     return pairs
 
 
@@ -473,14 +453,9 @@ def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
         if term[0] >= rank:
             u = rename[term[0] - rank]
             vec[(u, -u) + term[2:]] = c
-    c = vec.get(lead)
-    if not c or mod is not None and not c % mod:
+    if lead not in vec:
         raise JonqError("a syzygy lacks its Schreyer lead")
-    if mod is not None:
-        inv = pow(c, -1, mod)
-        return {t: a * inv % mod for t, a in vec.items()}
-    g = gcd(*vec.values()) * (1 if c > 0 else -1)
-    return {t: a // g for t, a in vec.items()}
+    return groebner._normalized(vec, mod, lead)
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

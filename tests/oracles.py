@@ -29,8 +29,7 @@ def frame_parts(gens):
     """(ring, kept, levels) as `minimal_free_resolution` builds them, or
     None when no column is kept: the greedy's one `extend` call leaves its
     engine closed, and `_frame` builds on that basis."""
-    columns = resolutions._columns(gens)
-    ring = next(p.ring for c in columns for p in c)
+    columns, ring = resolutions._columns(gens)
     shifts0 = (0,) * len(columns[0])
     kept = resolutions.minimal_generators(columns, ring, shifts0)
     if not kept:

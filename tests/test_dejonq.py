@@ -327,6 +327,16 @@ def test_resolution_e1_shifts(e1):
     assert fc.verify()
 
 
+def test_complex_missing_a_shift_list_does_not_verify(e1):
+    fc = dejonq.resolution(e1)
+    assert not replace(fc, shifts=fc.shifts[:-1]).verify()
+
+
+def test_complex_with_a_shift_list_past_its_maps_does_not_verify(e1):
+    fc = dejonq.resolution(e1)
+    assert not replace(fc, shifts=fc.shifts + ((4,),)).verify()
+
+
 def test_resolution_e2_shifts(e2):
     fc = dejonq.resolution(e2)
     assert fc.shifts == ((0,), (2, 2, 2, 2), (3, 3, 3, 3), (4,))

@@ -24,6 +24,8 @@ from jonq.polycore import (  # noqa: E402
     exact_div,
     format_polynomial,
     gcd,
+    mono_divides,
+    mono_minimal,
     parse_polynomial,
     random_form,
     substitute,
@@ -524,3 +526,13 @@ def test_lex_order_differs_from_grevlex():
     RL = RingSpec(["x1", "x2", "x3"], order=LEX)
     p = parse_polynomial("x1 + x2^2", RL)
     assert [m for m, _ in p.terms] == [(1, 0, 0), (0, 2, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), unique=True, max_size=12),
+       st.sampled_from([lambda m: (sum(m), m), RingSpec(["x1", "x2", "x3"]).key]))
+@example([(1, 1, 0), (1, 0, 0)], lambda m: (sum(m), m))
+def test_mono_minimal_keeps_the_monomials_no_other_divides(monos, key):
+    # under a degree-compatible key, whatever order the monomials come in
+    minimal = [m for m in monos if not any(o != m and mono_divides(o, m) for o in monos)]
+    assert mono_minimal(monos, key) == tuple(sorted(minimal, key=key))

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jonq
 import oracles
 from jonq import groebner as gb
-from jonq.polycore import RingSpec, format_polynomial, parse_polynomial, random_form
+from jonq.polycore import JonqError, RingSpec, format_polynomial, parse_polynomial, random_form
 from jonq.resolutions import (
     BettiTable,
     Resolution,
@@ -106,6 +108,15 @@ def test_resolution_randomized_consistency():
         assert res.length() <= 3
         assert is_graded_complex(res.ring, res.shifts, matrices)
         assert res.betti.alternating_numerator() == gb.hilbert_series_numerator(gens)
+
+
+@pytest.mark.parametrize("call, gens", [(minimal_free_resolution, [()]),
+                                        (minimal_free_resolution, [(), ()]),
+                                        (syzygies, [()])])
+def test_columns_without_entries_are_an_error(call, gens):
+    # no entry names the ring
+    with pytest.raises(JonqError):
+        call(gens)
 
 
 def test_betti_table_helpers():
