@@ -12,12 +12,13 @@ Case files are UTF-8 text with `key: value` lines (# starts a comment):
 
 Any other key, or a key given twice, is a parse error.
 Exit codes: 0 success, 1 parse error, 2 rejected map, 3 computation error
-or failed check.  `explore` exits 3 when some report fails a check, else 2
-when some case has no map (none exists at n = 1, d >= 3; `random_map` draws
-none over GF(2) at d = 2): such cases become records with a `rejected`
-reason, and the other reports and the summary table are still printed.  A
-modulus that is no prime is an error for the whole sweep (exit 3, nothing
-printed to stdout), as it is for a single case.
+or failed check.  `explore` exits 3 when some report fails a check or some
+case raises a computation error, else 2 when some case has no map (none
+exists at n = 1, d >= 3; `random_map` draws none over GF(2) at d = 2): such
+cases become records with an `error` or a `rejected` reason, and the other
+reports and the summary table are still printed.  A modulus that is no
+prime is an error for the whole sweep (exit 3, nothing printed to stdout),
+as it is for a single case.
 Single-case subcommands print readable text (or JSON with --json); sweeps
 write one JSON line per case followed by a summary table.  The prime used
 for `fp` fields comes from, in order: the case file, --modulus, the
@@ -259,13 +260,16 @@ def _parse_range(text: str, least: int) -> tuple[int, int]:
 
 def _explore_case(task):
     n, d, trial, case_seed, modulus, checks = task
-    rng = random.Random(case_seed)
+    case = {"n": n, "d": d, "seed": case_seed}
     try:
-        j = dejonq.random_map(n, d, rng, modulus)
+        j = dejonq.random_map(n, d, random.Random(case_seed), modulus)
     except JonqError as exc:
-        return {"case": {"n": n, "d": d, "seed": case_seed}, "modulus": modulus,
-                "rejected": str(exc)}
-    return rees.case_report(j, seed=case_seed, checks=checks)
+        return {"case": case, "modulus": modulus, "rejected": str(exc)}
+    try:
+        return rees.case_report(j, seed=case_seed, checks=checks)
+    except JonqError as exc:
+        case.update(f=str(j.f), g=str(j.g))
+        return {"case": case, "modulus": modulus, "error": str(exc)}
 
 
 def cmd_explore(args) -> int:
@@ -306,7 +310,7 @@ def cmd_explore(args) -> int:
     print(f"{'n':>3} {'d':>3} {'cm':>4} {'non-cm':>7} {'counterexamples':>16}")
     for (n, d), (cm, noncm, cx) in sorted(summary.items()):
         print(f"{n:>3} {d:>3} {cm:>4} {noncm:>7} {cx:>16}")
-    if any(_failed(rep) for rep in reports):
+    if any(_failed(rep) or "error" in rep for rep in reports):
         return 3
     return 2 if any("rejected" in rep for rep in reports) else 0
 

@@ -33,11 +33,11 @@ primitive integer vector with a positive lead coefficient, a reduction step
 scales the pending terms by a / gcd(a, c) instead of dividing by the
 reducer's lead a, and an S-pair cross-multiplies by the two lead
 coefficients over their gcd.  Fractions appear only at the boundary: `_pack`
-clears denominators and returns their lcm, `element` and the interreduced
-basis are made monic, and `reduce` divides by that lcm times the tracked
-scale, so it returns the exact normal form.  Every intermediate is a nonzero
-rational multiple of the monic one and the reducer chosen depends only on
-supports, so bases and syzygies are those of monic arithmetic.
+clears denominators, `element` and the interreduced basis are made monic,
+and `reduce` divides by their lcm times the tracked scale, so it returns the
+exact normal form.  Every intermediate is a nonzero rational multiple of the
+monic one and the reducer chosen depends only on supports, so bases and
+syzygies are those of monic arithmetic.
 
 Tuples remain at the boundary (`Polynomial.terms`, `GroebnerBasis.basis`,
 `_Engine.element`/`reduce`/`extend`) and in the Gebauer-Moeller pair
@@ -180,7 +180,7 @@ class _Packing:
 
 
 def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing,
-             bound: tuple[int, dict, set] | None = None) -> tuple[dict | None, int]:
+             bound: tuple[int, dict] | None = None) -> tuple[dict, int]:
     """Full normal form of the packed dict `work` (consumed): (remainder, scale).
 
     reducers: component -> list of (lead & lomask, lead, tail, a), a the
@@ -194,17 +194,16 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing,
     the scale at which it was set aside and is brought to the final one at
     the end.  Raises _Overflow when a term does not fit `pk`.
 
-    With `bound` = (sigma, ratios, tops) it is a signature-safe top
-    reduction instead (see `_signature_run`).  A reducer whose lead lm is a
-    key of `ratios` has the signature lm - ratios[lm], and x^shift times it
-    may cancel the term m only when x^shift times that signature,
+    With `bound` = (sigma, ratios) it is a signature-safe top reduction
+    instead (see `_signature_run`).  A reducer whose lead lm is a key of
+    `ratios` has the signature lm - ratios[lm], and x^shift times it may
+    cancel the term m only when x^shift times that signature,
     m - ratios[lm], is below sigma; the other reducers have signature 0 and
     always may.  The reduction stops at the first term no reducer may
-    cancel: it returns (None, scale) when that lead is in `tops`, and
-    otherwise the lead and the pending terms as they stand.
+    cancel and returns that lead and the pending terms as they stand.
     """
     lomask, guard, cmask = pk.lomask, pk.guard, pk.cmask
-    sigma, ratios, tops = bound or (None, None, None)
+    sigma, ratios = bound or (None, None)
     if any(m & guard for m in work):
         raise _Overflow
     heap = [-m for m in work]
@@ -232,8 +231,6 @@ def _nf_dict(work: dict, reducers: dict, mod, pk: _Packing,
                     break
         else:
             if bound:
-                if m in tops:
-                    return None, scale
                 work[m] = c
                 if mod is not None:
                     for t in work:
@@ -305,15 +302,8 @@ class _Engine:
     def reduce(self, v: dict) -> dict:
         """The normal form of v modulo the basis."""
         self._fit((v,))
-        den = 1
-
-        def make():
-            nonlocal den
-            d, den = self._pack(v)
-            return d
-
-        r, scale = self._nf(make)
-        return self._unpack(r, scale * den)
+        r, scale = self._nf(lambda: self._pack(v))
+        return self._unpack(r, scale * lcm(*(c.denominator for c in v.values())))
 
     def extend(self, vectors) -> list[bool]:
         """Adjoin the remainders of the vectors, stably by the leading key
@@ -323,13 +313,13 @@ class _Engine:
         once, and that dict is reduced unless the packing has widened since."""
         self._fit(vectors)
         pk = self.pk
-        packed = {i: self._pack(v)[0] for i, v in enumerate(vectors) if v}
+        packed = {i: self._pack(v) for i, v in enumerate(vectors) if v}
         digits = {i: self.key(pk.unpack(max(d)))[0] for i, d in packed.items()}
         added = [False] * len(vectors)
         for i in sorted(digits, key=digits.get):
             self._saturate(digits[i])
             # `_nf_dict` consumes the dict, so a retry, on a wider packing, packs afresh
-            r, _ = self._nf(lambda: packed[i] if self.pk is pk else self._pack(vectors[i])[0])
+            r, _ = self._nf(lambda: packed[i] if self.pk is pk else self._pack(vectors[i]))
             added[i] = self._insert(r)
         self._saturate()
         return added
@@ -344,21 +334,20 @@ class _Engine:
         """
         if pk is None:
             self._fit(vectors)
-            vectors = [self._pack(v)[0] for v in vectors]
+            vectors = [self._pack(v) for v in vectors]
         else:
             self.pk = pk
         for d in vectors:
             self._install(d)
         return self
 
-    def _pack(self, v: dict) -> tuple[dict, int]:
-        """(v with packed terms times den, den): over Q, den is the lcm of
-        v's denominators; over GF(p) it is 1."""
+    def _pack(self, v: dict) -> dict:
+        """v with packed terms; over Q, times the lcm of its denominators."""
         pack = self.pk.pack
         if self.ring.modulus is not None:
-            return {pack(t): c for t, c in v.items()}, 1
+            return {pack(t): c for t, c in v.items()}
         den = lcm(*(c.denominator for c in v.values()))
-        return {pack(t): c.numerator * (den // c.denominator) for t, c in v.items()}, den
+        return {pack(t): c.numerator * (den // c.denominator) for t, c in v.items()}
 
     def _unpack(self, d: dict, divisor: int = 1) -> dict:
         """The packed dict d with tuple terms; over Q, divided by `divisor`."""
@@ -391,13 +380,12 @@ class _Engine:
         self.leads.clear()
         self.reducers.clear()
         for d in old:
-            self._install(self._pack(d)[0])
+            self._install(self._pack(d))
 
-    def _nf(self, make, reducers=None) -> tuple[dict, int]:
-        """(remainder, scale) of the packed dict make() builds, modulo reducers()
-        or the basis (see `_nf_dict`), widening the fields on overflow."""
-        return self._widening(lambda: _nf_dict(make(), reducers() if reducers else self.reducers,
-                                               self.ring.modulus, self.pk))
+    def _nf(self, make) -> tuple[dict, int]:
+        """(remainder, scale) of the packed dict make() builds, modulo the
+        reducers (see `_nf_dict`), widening the fields on overflow."""
+        return self._widening(lambda: _nf_dict(make(), self.reducers, self.ring.modulus, self.pk))
 
     def _widening(self, run):
         """run(), which reads the packing afresh, run again on doubled fields
@@ -447,8 +435,7 @@ class _Engine:
                 groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
         for lcm in mono_minimal(groups, key):
             grp = groups[lcm]
-            if not self.comps and any(
-                    mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in grp):
+            if not self.comps and any(lcm == mono_mul(lms[i], lmf) for i in grp):
                 continue
             kept.append((key(lcm), lcm, min(grp), new))
         self.pairs = kept
@@ -485,18 +472,22 @@ class _Engine:
 
 
 def _reduced(engine: _Engine) -> list[dict]:
-    """The reduced Groebner basis of a closed engine, as normalized dicts
-    packed by the engine's packing (`_normalized`), ascending by lead."""
+    """The reduced Groebner basis of a closed engine, which this spends, as
+    normalized dicts packed by the engine's packing (`_normalized`),
+    ascending by lead."""
     # minimalize by lead; the leads are distinct, each element being a remainder
     index = {lead: k for k, lead in enumerate(engine.leads)}
     kept = [index[lead] for lead in mono_minimal(engine.leads, engine.pk.pack)]
-    # interreduce tails; leads stay, so the result ascends by lead like `kept`;
-    # a reduction that widens the packing makes every element packed again
+    # reduce each tail by the kept elements; no tail term reaches its own lead;
+    # a reduction that widens the packing packs every element again and makes
+    # each a reducer, so the pass is redone
     while True:
         pk, final = engine.pk, []
+        engine.reducers = {0: [engine.elems[k] for k in kept]}
         for k in kept:
-            r, _ = engine._nf(lambda k=k: engine._element(k),
-                              lambda k=k: {0: [engine.elems[i] for i in kept if i != k]})
+            r, scale = engine._nf(lambda k=k: dict(engine.elems[k][2]))
+            _, lead, _, a = engine.elems[k]
+            r[lead] = a * scale
             final.append(_normalized(r, engine.ring.modulus))
         if engine.pk is pk:
             return final
@@ -830,7 +821,8 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
     each only by multiples t g with t sig(g) below its signature sigma, so
     that the signature stays sigma.  Drop a J-pair when sigma lies in LT(I)
     (the Koszul syzygy g e_u - u e_g has the signature LT(g)), when it is
-    rewritable, or when it ends singular top-reducible.  Once no J-pair is
+    rewritable, or when it ends singular top-reducible; under the rewrite
+    rule here the last never happens (`_signature_run`).  Once no J-pair is
     left, LT(I : u) is generated by LT(I) and the signatures of the J-pairs
     that reduced to zero.
 
@@ -854,7 +846,7 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
         return True
     engine, v = gb._engine, _to_dict(u)
     engine._fit((v,))
-    return engine._widening(lambda: _signature_run(engine, engine._pack(v)[0]))
+    return engine._widening(lambda: _signature_run(engine, engine._pack(v)))
 
 
 def _signature_run(engine: _Engine, u: dict) -> bool:
@@ -870,13 +862,19 @@ def _signature_run(engine: _Engine, u: dict) -> bool:
     x^(lcm/lead) times the one whose multiple at the lcm of their leads has
     the larger signature; when both are equal there is none.  The J-pairs
     popped at sigma are rewritten to the element whose multiple at sigma
-    has the least lead, the latest on ties.  When no J-pair came from that
-    element, its multiple's lead has no signature-safe reducer and there is
-    nothing to do.  Otherwise the multiple is top-reduced (`_nf_dict` with a
-    bound): only leads enter the theorem, so tails are left as they stand.
-    A reduction that ends on the lead of another multiple at sigma is
-    singular top-reducible and is dropped; any other nonzero one is
-    adjoined.  Raises _Overflow when a signature does not fit the packing.
+    has the least lead, the latest on ties: the first entry of `by_ratio`
+    whose signature divides sigma, since every element a J-pair at sigma
+    came from has such a signature.  When no J-pair came from that element,
+    its multiple's lead has no signature-safe reducer and there is nothing
+    to do.  Otherwise the multiple is top-reduced (`_nf_dict` with a bound):
+    only leads enter the theorem, so tails are left as they stand.  A
+    nonzero result is adjoined; none is singular top-reducible.  The J-pair
+    that chose the element k pairs it with one whose lead divides sigma +
+    rats[k] at a signature below sigma (pairs of equal ratio are never
+    formed, and I's elements have signature 0), so the reduction takes at
+    least one step; every step lowers the lead, so the final one lies below
+    sigma + rats[k], the least lead of a multiple at sigma, and is none of
+    them.  Raises _Overflow when a signature does not fit the packing.
     """
     pk, mod = engine.pk, engine.ring.modulus
     lomask, guard = pk.lomask, pk.guard
@@ -921,19 +919,13 @@ def _signature_run(engine: _Engine, u: dict) -> bool:
         while pairs and pairs[0][0] == sig:
             made.add(heapq.heappop(pairs)[1])
         # rewriting: go on only when the least lead at sig is a J-pair's
-        best, lo = min((rats[j], -j) for j in made), sig & lomask
-        for ratio, neg, s in by_ratio:
-            if (ratio, neg) == best or lo >= s and not (lo - s) & guard:
-                break
-        if (ratio, neg) != best:
+        lo = sig & lomask
+        k = next(-neg for _, neg, s in by_ratio if lo >= s and not (lo - s) & guard)
+        if k not in made:
             continue
-        k = -neg
-        tops = {sig + ratio for ratio, _, s in by_ratio if lo >= s and not (lo - s) & guard}
         shift = sig - sigs[k]
         r, _ = _nf_dict({m + shift: c for m, c in elems[k].items()}, {0: reducers}, mod, pk,
-                        (sig, ratios, tops))
-        if r is None:
-            continue
+                        (sig, ratios))
         if not r:
             return False
         adjoin(r, sig)

@@ -218,12 +218,6 @@ class RingSpec:
             return self
         return RingSpec(self.names, self.modulus, self.split, order)
 
-    def bidegree_of(self, mono) -> tuple[int, int]:
-        if self.split is None:
-            raise JonqError("ring has no bigrading split")
-        nx = self.split[0]
-        return (sum(mono[:nx]), sum(mono[nx:]))
-
     def __eq__(self, other):
         return (isinstance(other, RingSpec) and self.names == other.names
                 and self.modulus == other.modulus and self.split == other.split
@@ -314,11 +308,9 @@ class Polynomial:
         """(x-degree, y-degree) if bihomogeneous and nonzero, else None."""
         if not self.terms or self.ring.split is None:
             return None
-        bd = self.ring.bidegree_of(self.terms[0][0])
-        for m, _ in self.terms[1:]:
-            if self.ring.bidegree_of(m) != bd:
-                return None
-        return bd
+        nx = self.ring.split[0]
+        bds = {(sum(m[:nx]), sum(m[nx:])) for m, _ in self.terms}
+        return bds.pop() if len(bds) == 1 else None
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -345,25 +337,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check(other)
-        d = dict(self.terms)
-        p = self.ring.modulus
-        for m, c in other.terms:
-            nc = d.get(m, 0) + c
-            if p is not None:
-                nc %= p
-            if nc:
-                d[m] = nc
-            else:
-                d.pop(m, None)
-        return Polynomial._from_dict(self.ring, d)
+        return Polynomial(self.ring, self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.modulus
-        if p is None:
-            return Polynomial._raw(self.ring, tuple((m, -c) for m, c in self.terms))
-        return Polynomial._raw(self.ring, tuple((m, (-c) % p) for m, c in self.terms))
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):

@@ -7,6 +7,7 @@ import pytest
 
 from jonq import rees
 from jonq.cli import main, parse_case_file, CaseFileError
+from jonq.polycore import JonqError
 
 E1_CASE = """\
 # plane map of degree 2
@@ -23,6 +24,15 @@ d: 2
 field: rational
 f: x4
 g: x1*x2 - x3*x4
+"""
+
+
+E3_CASE = """\
+n: 2
+d: 3
+field: rational
+f: x1*x3 + x2^2
+g: x1^2*x3 + x2^3
 """
 
 
@@ -158,6 +168,23 @@ def test_resolve_e1(e1_file, capsys):
     assert "1 | 3 | 2" in out
     assert "2^3" in out and "3^2" in out
     assert "agrees: True" in out
+
+
+def test_downgrade_and_resolve_json_e3(tmp_path, capsys):
+    path = tmp_path / "e3.jonq"
+    path.write_text(E3_CASE)
+    code, out, _ = run(capsys, "downgrade", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "bidegrees": [[2, 1], [1, 2]],
+        "forms": ["-x1*x3*y1 - x2^2*y2 + x2^2*y3 + x1*x3*y3",
+                  "-x3*y1^2 - x2*y2^2 + x3*y1*y3 + x2*y2*y3"],
+        "modulus": None, "q": ["x1*x3", "x2^2"]}
+    code, out, _ = run(capsys, "resolve", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "betti_ranks": [1, 3, 2], "matches_groebner": True, "modulus": None,
+        "shifts": [[[0, 1]], [[3, 3]], [[4, 1], [5, 1]]]}
 
 
 # ---------- rees ----------
@@ -388,6 +415,44 @@ def test_explore_failed_check_exits_3(capsys, monkeypatch):
     lines = _json_lines(out)
     assert "rejected" in lines[1]
     assert all(rep["theorem"] == "fail" for k, rep in enumerate(lines) if k != 1)
+
+
+def test_explore_records_a_case_that_raises(capsys, monkeypatch):
+    # the second of four cases raises: it becomes an `error` record, the
+    # other three reports and the summary are still printed, and the exit is 3
+    probe, calls = rees.projdim_probe, []
+
+    def flaky(j):
+        calls.append(j)
+        if len(calls) == 2:
+            raise JonqError("no linear form is regular")
+        return probe(j)
+
+    monkeypatch.setattr(rees, "projdim_probe", flaky)
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2..3",
+                         "--trials", "2", "--checks", "projdim", "--jobs", "1")
+    assert code == 3 and err == ""
+    lines = _json_lines(out)
+    assert len(lines) == 4
+    failed = lines[1]
+    assert set(failed) == {"case", "modulus", "error"}
+    assert set(failed["case"]) == {"n", "d", "seed", "f", "g"}
+    assert failed["case"]["f"] == str(calls[1].f)
+    assert (failed["modulus"], failed["error"]) == (32003, "no linear form is regular")
+    assert all(rep["projdim"] == 2 for k, rep in enumerate(lines) if k != 1)
+    assert "non-cm" in out
+
+
+def test_explore_counts_a_conjecture_counterexample(capsys, monkeypatch):
+    # a map at d <= n + 1 with projdim n + 1 is not CM, against the conjecture
+    monkeypatch.setattr(rees, "projdim_probe", lambda j: j.n + 1)
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                         "--trials", "1", "--checks", "projdim", "--jobs", "1")
+    assert code == 0 and err == ""
+    [report] = _json_lines(out)
+    assert (report["projdim"], report["cm"]) == (3, False)
+    assert report["conjecture_counterexample"] is True
+    assert out.splitlines()[-1].split() == ["2", "2", "0", "1", "1"]
 
 
 def test_explore_records_grid_points_without_valid_maps(capsys):
