@@ -240,7 +240,7 @@ def cmd_rees(args) -> int:
 
 
 def _failed(report: dict) -> bool:
-    return any(report.get(k) == "fail" for k in rees.VERDICT_KEYS)
+    return "skipped" in report or any(report.get(k) == "fail" for k in rees.VERDICT_KEYS)
 
 
 def _parse_range(text: str, least: int) -> tuple[int, int]:

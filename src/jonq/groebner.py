@@ -1,4 +1,4 @@
-"""Groebner-basis engine: Buchberger, elimination, kernels, colon ideals, Hilbert series,
+"""Groebner-basis engine: Buchberger, elimination, colon ideals, Hilbert series,
 a signature-based regularity test, coprimality.
 
 One Buchberger engine (`_Engine`) serves both ideals and submodules of free
@@ -58,22 +58,18 @@ packing, so the next engine on it installs them without packing them again.
 `buchberger` extends the zero ideal, and `rees.link_bases` grows the Rees
 chain one link at a time.
 
-`kernel` is the one elimination-based implicitization routine: the kernel
-of a ring map, by one `eliminate` in the ring of the source-only variables
-followed by the target's.  The presentation ideal of a blowup is such a
-kernel, but `rees.rees_ideal` certifies its predicted generators instead and
-runs `kernel` only when that certificate fails; the implicit equation of a
-specialized map is read off the specialized forms in closed form
-(`rees.specialization_check`).  `kernel` is the test oracle of both.
-
 `is_regular` is the one nonzerodivisor test: one incremental signature run
 (Gao, Volny & Wang, Math. Comp. 2016) that reduces by I's reduced basis as
 it stands, returns False at its first reduction to zero, and computes no
 Hilbert numerator.  Its top reductions are `_nf_dict`'s, under a signature
 bound.  The colons the library needs are read off Hilbert numerators
-(`dejonq.structural_checks`, `rees.colon_lemma_checks`); `intersect`,
-`colon`, `colon_ideal` and `saturate` have no library caller and are the
-tests' oracles.  R/(x_1..x_k) needs no basis: its numerator is (1 - t)^k
+(`dejonq.structural_checks`, `rees.colon_lemma_checks`), and no library path
+eliminates: `rees.rees_ideal` certifies the presentation ideal instead, and
+the implicit equation of a specialized map is read off in closed form
+(`rees.specialization_check`).  `eliminate`, `intersect`, `colon`,
+`colon_ideal` and `saturate` have no library caller and are the tests'
+oracles; so is the `kernel` of tests/oracles.py, one `eliminate`.
+R/(x_1..x_k) needs no basis: its numerator is (1 - t)^k
 (`variables_numerator`).  `coprime` decides gcd(f, g) = 1 by a common
 variable or a line, and only otherwise by `is_regular(buchberger([f]), g)`.
 """
@@ -634,27 +630,6 @@ def eliminate(gens, nblock: int) -> list[Polynomial]:
     keyf = ring.key
     out.sort(key=lambda p: keyf(p.lm()))
     return out
-
-
-def kernel(target: RingSpec, images: dict) -> list[Polynomial]:
-    """Reduced grevlex basis, in `target`, of the kernel of a ring map.
-
-    `images` sends target variable names to polynomials of one source ring;
-    every other target variable goes to the source variable of the same name,
-    as in `polycore.substitute`.  The kernel is (y - image(y)) contracted to
-    the target variables, in the ring of the source-only variables followed
-    by `target`'s (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
-    3.3).  The part of the reduced elimination basis free of the source-only
-    variables is itself the reduced grevlex basis of the contraction, so one
-    `eliminate` and no second Buchberger run is needed.
-    """
-    source = _common_ring(list(images.values()))
-    if any(nm in source.names for nm in images):
-        raise JonqError("a mapped target variable must not name a source variable")
-    extra = tuple(nm for nm in source.names if nm not in target.names)
-    big = RingSpec(extra + target.names, target.modulus)
-    gens = [big.variable(nm) - transport(img, big) for nm, img in images.items()]
-    return [transport(p, target) for p in eliminate(gens, len(extra))]
 
 
 def intersect(gens_a, gens_b) -> list[Polynomial]:

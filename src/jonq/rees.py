@@ -7,13 +7,11 @@ of the generic (x | y) matrix and P_{i+1} = (P_i, F_i) along the downgraded
 sequence F_0..F_{d-2}, so P_1 is the symmetric-algebra part and P_{d-1} the
 predicted generating set.  `link_bases` holds their reduced bases, each
 link's extending the one before (`groebner.extend`), and every check reads
-them.  `rees_ideal` returns the reduced basis of P = P_{d-1} when a
-certificate shows P = J: with a = x_1 f, P lies in J, a y_{n+1} - g y_1
-lies in P, and x_1 and f are nonzerodivisors on S/P (`groebner.is_regular`),
-so J = P : a^infinity = P (see `_certifies`).
-Only when the certificate fails is t eliminated from
-(y_i - t x_i f, y_{n+1} - t g) (`groebner.kernel`); that elimination is also
-the tests' oracle for J.
+them.  A certificate is the one route to J: with a = x_1 f, P = P_{d-1}
+lies in J, a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors
+on S/P (`groebner.is_regular`) exactly when P = J (see `_uncertified`).
+`rees_ideal` returns P's reduced basis, or raises `NotCertified` naming the
+first failing clause; then the theorem fails.
 `case_report` builds J once per map: while it runs, `link_bases` and
 `rees_ideal` are computed on the first call for its map and looked up on the
 later ones (`_once_per_case`).  The memo is dropped when `case_report`
@@ -73,25 +71,29 @@ def _once_per_case(fn):
     return memoized
 
 
+class NotCertified(JonqError):
+    """The certificate failed, so the predicted set P is not J."""
+
+
 @_once_per_case
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     """Reduced Groebner basis of the presentation ideal J, the kernel of
     y_i -> t F_i from S to k[t, x_1..x_{n+1}].
 
-    It is the basis of P = P_{d-1} itself when `_certifies` passes, with the
-    engine its membership and regularity tests built on it, and the
-    t-elimination of `_eliminated` otherwise.  Both give J's unique reduced
-    basis, and equal `GroebnerBasis` objects, so the result does not depend
-    on the path.
+    It is the basis of P = P_{d-1} itself, with the engine its membership
+    and regularity tests built on it, once `_uncertified` shows P = J; else
+    P != J and NotCertified names the first failing clause.
     """
     predicted = link_bases(j)[-1]
-    if _certifies(j, predicted):
-        return predicted
-    return _eliminated(j)
+    clause = _uncertified(j, predicted)
+    if clause is not None:
+        raise NotCertified(clause)
+    return predicted
 
 
-def _certifies(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> bool:
-    """True when P = J, `predicted` the reduced basis of P = P_{d-1}.
+def _uncertified(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> str | None:
+    """None when P = J, `predicted` the reduced basis of P = P_{d-1}; else
+    the first failing clause.
 
     With a = x_1 f, the first base form: (a) P lies in J, checked by y -> F
     on each generator; (b) a y_{n+1} - g y_1 lies in P; (c) x_1 and f are
@@ -99,27 +101,25 @@ def _certifies(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> bool:
     generated by the a y_i - F_i y_1 (Vasconcelos, Arithmetic of Blowup
     Algebras, 1994), and for 1 < i <= n these are f (x_1 y_i - x_i y_1), in
     P_0.  With (a) and (b), J S_a = P S_a; J is prime and a is not in J, so
-    J = P : a^infinity, which is P by (c).  Conversely all three hold when
-    P = J, so a failure means P != J.
+    J = P : a^infinity, which is P by (c).  Conversely, let P = J: (a) is
+    trivial; a y_{n+1} - g y_1 goes to x_1 f t g - g t x_1 f = 0, which is
+    (b); and J meets k[x] only in 0 (x_i -> x_i), so x_1 and f are nonzero
+    in the domain S/J, which is (c).  So a failing clause means P != J.
     """
     ring = predicted.ring
     images = dict(zip(j.target.names, j.base_forms))
     x1, f = ring.variable(0), transport(j.f, ring)
     y1, top = ring.variable(j.target.names[0]), ring.variable(j.target.names[-1])
-    return (all(substitute(p, images).is_zero() for p in predicted.gens)
-            and predicted.contains(x1 * f * top - transport(j.g, ring) * y1)
-            and groebner.is_regular(predicted, x1)
-            and groebner.is_regular(predicted, f))
-
-
-def _eliminated(j: DeJonquieresMap) -> groebner.GroebnerBasis:
-    """J by eliminating t from (y_i - t F_i) (`groebner.kernel`)."""
-    s_ring = j.working_ring()
-    tx = RingSpec(("t",) + j.source.names, s_ring.modulus)
-    t = tx.variable("t")
-    basis = tuple(groebner.kernel(s_ring, {
-        name: t * transport(form, tx) for name, form in zip(j.target.names, j.base_forms)}))
-    return groebner.GroebnerBasis(s_ring, basis, basis)
+    for p in predicted.gens:
+        if not substitute(p, images).is_zero():
+            return f"predicted generator not in J: {p}"
+    if not predicted.contains(x1 * f * top - transport(j.g, ring) * y1):
+        return "a y_{n+1} - g y_1 is not in P"
+    if not groebner.is_regular(predicted, x1):
+        return "x_1 is a zero divisor on S/P"
+    if not groebner.is_regular(predicted, f):
+        return "f is a zero divisor on S/P"
+    return None
 
 
 def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
@@ -171,10 +171,9 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     """Predicted generators equal the presentation ideal, minimally, with
     count C(n,2) + d - 1.
 
-    On the certified path `rees_ideal` returns the reduced basis of the
-    predicted set itself, so `ideal_matches` rests on its certificate (P in
-    J, a y_{n+1} - g y_1 in P, x_1 and f regular on S/P); the t-elimination
-    decides it only when the certificate fails, and is the tests' oracle.
+    `ideal_matches` says that `rees_ideal` did not raise: its certificate
+    (P in J, a y_{n+1} - g y_1 in P, x_1 and f regular on S/P) holds exactly
+    when P = J, and a failing clause is the witness.
 
     Minimality is read off `link_bases`: the form a link adds is redundant
     exactly when the link's basis equals the one before, i.e. when the form
@@ -184,26 +183,19 @@ def verify_main_theorem(j: DeJonquieresMap) -> TheoremReport:
     ascending-degree greedy, which keeps beta_0 forms by graded Nakayama.
     """
     bases = link_bases(j)
-    pred_gb = bases[-1]
-    predicted = pred_gb.gens
-    eliminated = rees_ideal(j)
     witnesses = []
-
-    matches = groebner.ideal_equal(pred_gb, eliminated)
-    if not matches:
-        for p in predicted:
-            if not eliminated.contains(p):
-                witnesses.append(f"predicted generator not in the ideal: {p}")
-        for p in eliminated.basis:
-            if not pred_gb.contains(p):
-                witnesses.append(f"ideal element not generated: {p}")
+    try:
+        rees_ideal(j)
+    except NotCertified as exc:
+        witnesses.append(f"P != J: {exc}")
+    matches = not witnesses
 
     redundant = [form for here, after in zip(bases, bases[1:]) if after.basis == here.basis
                  for form in after.gens[len(here.gens):]]
     witnesses.extend(f"redundant generator: {p}" for p in redundant)
     minimal = not redundant
 
-    count = len(predicted)
+    count = len(bases[-1].gens)
     expected = comb(j.n, 2) + j.d - 1
     if count != expected:
         witnesses.append(f"generator count {count} != {expected}")
@@ -323,6 +315,9 @@ def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.Groebn
     The k = 1 cut always passes: J, the kernel of S -> k[t, x], is prime and
     holds no linear form (x_1 f..x_n f, g are linearly independent), so every
     nonzero linear form is regular on S/J.  A k = 1 mismatch raises JonqError.
+    The forms go into J's generators (for `rees_ideal`, the chain's C(n,2) +
+    d - 1 forms), not its longer reduced basis: both generate J, so the
+    section and its reduced basis are the same.
     """
     ring = ideal.ring
     numerator = groebner.hilbert_series_numerator(ideal)
@@ -332,7 +327,7 @@ def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.Groebn
         forms = {name: Polynomial(keep, zip([v.lm() for v in keep.variables()],
                                             _random_point(keep, rng)))
                  for name in ring.names[ring.nvars - k:]}
-        section = groebner.buchberger([substitute(p, forms) for p in ideal.basis], ring=keep)
+        section = groebner.buchberger([substitute(p, forms) for p in ideal.gens], ring=keep)
         if groebner.hilbert_series_numerator(section) == numerator:
             return section
     raise JonqError("no linear form is regular on S/J: the ideal is not the prime J")
@@ -450,7 +445,8 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
     """JSON-ready report for one map; schema used by the CLI and the probe.
 
     The checks share one J: while they run, `link_bases` and `rees_ideal`
-    are computed once for j (`_once_per_case`).
+    are computed once for j (`_once_per_case`).  When J is not certified,
+    cone and projdim are "skipped"; the raise is not memoized.
     """
     import time
 
@@ -472,15 +468,18 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
             report["theorem"] = "pass" if verify_main_theorem(j).ok else "fail"
         if "colon" in checks:
             report["colon"] = "pass" if colon_lemma_checks(j).ok else "fail"
-        if "cone" in checks:
-            report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
-        if "projdim" in checks:
-            pd = projdim_probe(j)
-            report["projdim"] = pd
-            report["cm"] = is_cohen_macaulay(j, pd)
-            report["conjecture_expected_cm"] = j.d <= j.n + 1
-            if report["cm"] != report["conjecture_expected_cm"]:
-                report["conjecture_counterexample"] = True
+        try:
+            if "cone" in checks:
+                report["cone_hilbert"] = "pass" if cone_betti(j).ok else "fail"
+            if "projdim" in checks:
+                pd = projdim_probe(j)
+                report["projdim"] = pd
+                report["cm"] = is_cohen_macaulay(j, pd)
+                report["conjecture_expected_cm"] = j.d <= j.n + 1
+                if report["cm"] != report["conjecture_expected_cm"]:
+                    report["conjecture_counterexample"] = True
+        except NotCertified:
+            report["skipped"] = "J not certified"
         if "special" in checks:
             rng = random.Random(seed if seed is not None else 0)
             report["special"] = "pass" if specialization_check(j, rng=rng).ok else "fail"

@@ -15,14 +15,51 @@ the maps are cleared from the last one down; the map into R^s only loses
 the columns cancelled as rows.  After that, no constant entry is left, and
 the complex is the minimal resolution: its first matrix is the basis
 elements that survived, minimal generators of the column module.
+
+`kernel` is the elimination-based implicitization of a ring map, and
+`eliminated` the presentation ideal J of a de Jonquieres map by that route:
+the library certifies J's predicted generators instead (`rees.rees_ideal`)
+and reads the implicit equation of a specialized map in closed form
+(`rees.specialization_check`).
 """
 
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from jonq import resolutions
-from jonq.polycore import JonqError, Polynomial, RingSpec
+from jonq import groebner, resolutions
+from jonq.polycore import JonqError, Polynomial, RingSpec, transport
+
+
+def kernel(target: RingSpec, images: dict) -> list[Polynomial]:
+    """Reduced grevlex basis, in `target`, of the kernel of a ring map.
+
+    `images` sends target variable names to polynomials of one source ring;
+    every other target variable goes to the source variable of the same name,
+    as in `polycore.substitute`.  The kernel is (y - image(y)) contracted to
+    the target variables, in the ring of the source-only variables followed
+    by `target`'s (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    3.3).  The part of the reduced elimination basis free of the source-only
+    variables is itself the reduced grevlex basis of the contraction, so one
+    `groebner.eliminate` and no second Buchberger run is needed.
+    """
+    source = groebner._common_ring(list(images.values()))
+    if any(nm in source.names for nm in images):
+        raise JonqError("a mapped target variable must not name a source variable")
+    extra = tuple(nm for nm in source.names if nm not in target.names)
+    big = RingSpec(extra + target.names, target.modulus)
+    gens = [big.variable(nm) - transport(img, big) for nm, img in images.items()]
+    return [transport(p, target) for p in groebner.eliminate(gens, len(extra))]
+
+
+def eliminated(j) -> groebner.GroebnerBasis:
+    """J, the kernel of y_i -> t F_i, by eliminating t (`kernel`)."""
+    s_ring = j.working_ring()
+    tx = RingSpec(("t",) + j.source.names, s_ring.modulus)
+    t = tx.variable("t")
+    basis = tuple(kernel(s_ring, {
+        name: t * transport(form, tx) for name, form in zip(j.target.names, j.base_forms)}))
+    return groebner.GroebnerBasis(s_ring, basis, basis)
 
 
 def frame_parts(gens):

@@ -417,6 +417,18 @@ def test_explore_failed_check_exits_3(capsys, monkeypatch):
     assert all(rep["theorem"] == "fail" for k, rep in enumerate(lines) if k != 1)
 
 
+def test_explore_uncertified_j_exits_3(capsys, monkeypatch):
+    # a chain cut to the minors P_0 is not J: projdim is skipped, which is
+    # a failure even when the theorem check is not run
+    real = rees.chain
+    monkeypatch.setattr(rees, "chain", lambda j: real(j)[:1])
+    code, out, err = run(capsys, "explore", "--n-range", "2", "--d-range", "2",
+                         "--trials", "1", "--checks", "projdim", "--jobs", "1")
+    assert code == 3 and err == ""
+    [rep] = _json_lines(out)
+    assert rep["skipped"] == "J not certified" and "projdim" not in rep
+
+
 def test_explore_records_a_case_that_raises(capsys, monkeypatch):
     # the second of four cases raises: it becomes an `error` record, the
     # other three reports and the summary are still printed, and the exit is 3

@@ -4,7 +4,7 @@
 x_{n+1} = lam, takes lam exactly when f_H = f(x, lam) and g_H = g(x, lam)
 are coprime, and then reads the implicit equation of
 F_H = F(x, lam) as h = f_H(y') y_{n+1} - g_H(y').  Elimination is the
-oracle: the kernel's reduced basis (`groebner.kernel`) must be (monic h),
+oracle: the kernel's reduced basis (`oracles.kernel`) must be (monic h),
 and it must have more than one form in degree d when the cut is rejected;
 `groebner.is_regular` on R/I is the oracle of which cuts are taken.  The
 one-ring elimination is itself checked against the blowup construction,
@@ -23,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+import oracles  # noqa: E402
 from conftest import make_map  # noqa: E402
 from jonq import dejonq, groebner, rees  # noqa: E402
 from jonq.polycore import Polynomial, RingSpec, substitute, transport  # noqa: E402
@@ -97,8 +98,8 @@ def cut_images(j, lam):
 
 
 def kernel_of(j, lam):
-    """Reduced basis of the kernel of y -> F(x, lam), by `groebner.kernel`."""
-    return groebner.buchberger(groebner.kernel(j.target, cut_images(j, lam)))
+    """Reduced basis of the kernel of y -> F(x, lam), by `oracles.kernel`."""
+    return groebner.buchberger(oracles.kernel(j.target, cut_images(j, lam)))
 
 
 def ell_on_inverse(j, lam):

@@ -8,6 +8,8 @@ from math import comb
 
 import pytest
 
+import oracles
+from conftest import make_map
 from jonq import dejonq, groebner as gb, rees, resolutions
 from jonq.polycore import JonqError, RingSpec, parse_polynomial, substitute, transport
 
@@ -74,9 +76,9 @@ def _spy_eliminate(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("modulus", [None, 32003])
+@pytest.mark.parametrize("modulus", [None, 32003, 7])
 def test_certified_rees_ideal_is_the_eliminated_ideal(modulus, monkeypatch):
-    # oracle: the t-elimination (groebner.kernel); the certified path runs none
+    # oracle: the t-elimination (oracles.eliminated); the library runs none
     rng = random.Random(17)
     maps = [dejonq.random_map(n, d, rng, modulus)
             for n, d in ((1, 2), (2, 3), (2, 5), (3, 4), (4, 2), (4, 4))]
@@ -84,7 +86,7 @@ def test_certified_rees_ideal_is_the_eliminated_ideal(modulus, monkeypatch):
     for j in maps:
         certified = rees.rees_ideal(j)
         assert calls == [], (j.n, j.d)
-        assert certified == rees._eliminated(j), (j.n, j.d)
+        assert certified == oracles.eliminated(j), (j.n, j.d)
         calls.clear()
 
 
@@ -98,46 +100,63 @@ def test_zero_divisor_f_on_p1_without_f1(e3):
     assert gb.is_regular(gb.buchberger(links[2]), f)
 
 
-def _falls_back(j, predicted, monkeypatch):
-    """rees_ideal with P replaced by `predicted`: the t-elimination's J."""
+def _rejects(j, predicted, clause, monkeypatch):
+    """rees_ideal with P replaced by `predicted` raises NotCertified naming
+    `clause`, and the oracle agrees that P is not J."""
     monkeypatch.setattr(rees, "chain", lambda j: (tuple(predicted),))
-    calls = _spy_eliminate(monkeypatch)
-    got = rees.rees_ideal(j)
-    assert calls, "the certificate accepted a P other than J"
-    return got
+    with pytest.raises(rees.NotCertified) as raised:
+        rees.rees_ideal(j)
+    assert str(raised.value) == clause
+    assert gb.buchberger(predicted) != oracles.eliminated(j)
 
 
-def test_rees_ideal_falls_back_without_the_last_link(e3, monkeypatch):
-    # P_1 lies in J and holds a y_3 - g y_1, but f is a zero divisor on it
-    expected = rees.rees_ideal(e3)
-    assert _falls_back(e3, rees.chain(e3)[1], monkeypatch) == expected
+def test_rees_ideal_rejects_without_the_last_link(e3, monkeypatch):
+    # P_1 lies in J and holds a y_3 - g y_1, but x_1 F_1 lies in P_1 and F_1
+    # does not, so x_1 is already a zero divisor, as f is
+    p1 = gb.buchberger(rees.chain(e3)[1])
+    assert not gb.is_regular(p1, transport(e3.f, p1.ring))
+    _rejects(e3, p1.gens, "x_1 is a zero divisor on S/P", monkeypatch)
 
 
-def test_rees_ideal_falls_back_without_f0(e1, e3, monkeypatch):
+def test_rees_ideal_rejects_without_f0(e1, e3, monkeypatch):
     # P_0, the minors, is a prime ideal inside J that x_1 f avoids; only the
     # check that a y_{n+1} - g y_1 lies in P rejects it
     for j in (e1, e3):
-        expected = rees.rees_ideal(j)
         p0 = gb.buchberger(rees.chain(j)[0])
         ring = p0.ring
         assert gb.is_regular(p0, ring.variable(0))
         assert gb.is_regular(p0, transport(j.f, ring))
         with monkeypatch.context() as patch:
-            assert _falls_back(j, p0.gens, patch) == expected
+            _rejects(j, p0.gens, "a y_{n+1} - g y_1 is not in P", patch)
 
 
-def test_rees_ideal_falls_back_on_a_generator_outside_j(e1, e3, monkeypatch):
+def test_rees_ideal_rejects_a_generator_outside_j(e1, e3, monkeypatch):
     # (P, x_2 + y_3) holds a y_3 - g y_1, and x_1 and f are regular on it;
     # only the check that P lies in J rejects it
     for j in (e1, e3):
-        expected = rees.rees_ideal(j)
-        ring = expected.ring
+        ideal = rees.rees_ideal(j)
+        ring = ideal.ring
         outside = gb.buchberger(rees.chain(j)[-1] + (P("x2 + y3", ring),))
-        assert not expected.contains(outside.gens[-1])
+        assert not ideal.contains(outside.gens[-1])
         assert gb.is_regular(outside, ring.variable(0))
         assert gb.is_regular(outside, transport(j.f, ring))
         with monkeypatch.context() as patch:
-            assert _falls_back(j, outside.gens, patch) == expected
+            _rejects(j, outside.gens, "predicted generator not in J: x2 + y3", patch)
+
+
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_certificate_rejects_j_cut_by_f_and_y1(modulus):
+    # P' = J meet (f, y_1) lies in J and holds a y_{n+1} - g y_1, and x_1 is
+    # regular on it, so only the f clause rejects it: f J lies in P', J not
+    maps = [make_map(2, "x3", "x1^2 - x2*x3", modulus),
+            make_map(2, "x1*x3 + x2^2", "x1^2*x3 + x2^3", modulus)]
+    for j in maps:
+        ideal = rees.rees_ideal(j)
+        ring = ideal.ring
+        f = transport(j.f, ring)
+        cut = gb.buchberger(gb.intersect(list(ideal.basis), [f, ring.variable("y1")]))
+        assert cut != ideal and gb.is_regular(cut, ring.variable(0))
+        assert rees._uncertified(j, cut) == "f is a zero divisor on S/P"
 
 
 # ---------- main generation theorem ----------
@@ -192,23 +211,22 @@ def test_main_theorem_names_redundant_generator(e2, monkeypatch):
 
 def test_main_theorem_names_ideal_mismatch(e3, monkeypatch):
     # e3 has d = 3, so the predicted set is P_2 = (P_1, F_1)
-    real_chain = rees.chain
-    links = real_chain(e3)
-    f1 = links[-1][-1]
+    links = rees.chain(e3)
 
-    # without F_1 the predicted set misses the ideal's element -F_1
+    # without F_1 the predicted set P_1 misses J's element F_1, and x_1 F_1
+    # lies in P_1: the certificate names its x_1 clause
     monkeypatch.setattr(rees, "chain", lambda j: links[:-1] + (links[1],))
     report = rees.verify_main_theorem(e3)
     assert not report.ideal_matches and not report.ok
-    assert report.witnesses == (f"ideal element not generated: {-f1}",
+    assert report.witnesses == ("P != J: x_1 is a zero divisor on S/P",
                                 "generator count 2 != 3")
 
-    # an ideal that stops at P_1 does not contain F_1
-    monkeypatch.setattr(rees, "chain", real_chain)
-    monkeypatch.setattr(rees, "rees_ideal", lambda j: gb.buchberger(links[1]))
+    # x2 + y3 in place of F_1 is a generator outside J
+    outside = P("x2 + y3", e3.working_ring())
+    monkeypatch.setattr(rees, "chain", lambda j: links[:-1] + (links[1] + (outside,),))
     report = rees.verify_main_theorem(e3)
     assert not report.ideal_matches and not report.ok
-    assert report.witnesses == (f"predicted generator not in the ideal: {f1}",)
+    assert report.witnesses == (f"P != J: predicted generator not in J: {outside}",)
 
 
 def test_presentation_chain(e3):
@@ -366,6 +384,18 @@ def test_certified_section_keeps_the_betti_table(n, d, modulus):
         assert full.length() == ideal.ring.nvars - cut
 
 
+@pytest.mark.parametrize("modulus", [None, 32003, 7])
+def test_certified_section_of_generators_is_that_of_the_basis(modulus):
+    # J's generators and its reduced basis generate one ideal, so the same
+    # cuts give one section
+    rng = random.Random(41)
+    for n, d in ((2, 2), (2, 4), (3, 3)):
+        ideal = rees.rees_ideal(dejonq.random_map(n, d, rng, modulus))
+        of_basis = gb.GroebnerBasis(ideal.ring, ideal.basis, ideal.basis)
+        assert ideal.gens != ideal.basis
+        assert rees._certified_section(ideal, n) == rees._certified_section(of_basis, n)
+
+
 def test_projdim_raises_when_no_section_matches(monkeypatch):
     # J is prime and holds no linear form, so the k = 1 cut always matches
     # J's numerator; a mismatch there breaks that invariant and must raise,
@@ -456,7 +486,7 @@ def test_specialization_equation_is_the_kernel_without_elimination(e1, e3, monke
         lam = transport(report.lam, cut)
         images = {y: substitute(form, {j.source.names[j.n]: lam})
                   for y, form in zip(j.target.names, j.base_forms)}
-        assert [equation.monic()] == gb.kernel(j.target, images), (j.n, j.d)
+        assert [equation.monic()] == oracles.kernel(j.target, images), (j.n, j.d)
         assert report.scalar == equation.lc()
 
 
@@ -565,8 +595,19 @@ def test_case_report_leaves_no_memo_behind_an_error(e3, monkeypatch):
         chains.append(j)
         return real(j)
     monkeypatch.setattr(rees, "chain", spy)
-    assert rees.rees_ideal(e3) == rees._eliminated(e3)
+    assert rees.rees_ideal(e3) == oracles.eliminated(e3)
     assert chains == [e3]
+
+
+def test_case_report_skips_cone_and_projdim_when_j_is_not_certified(e3, monkeypatch):
+    # the predicted set P_1 of e3 is not J: the theorem fails, and no check
+    # that reads J runs
+    p1 = rees.chain(e3)[1]
+    monkeypatch.setattr(rees, "chain", lambda j: (p1[:-1], p1))
+    report = rees.case_report(e3)
+    assert report["theorem"] == "fail" and report["skipped"] == "J not certified"
+    assert not {"cone_hilbert", "projdim", "cm"} & set(report)
+    assert report["colon"] == "pass" and report["special"] == "pass"
 
 
 # sha256 of the case_report JSON lines (runtime_ms removed) of e1, e2, e3 and
