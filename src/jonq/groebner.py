@@ -112,7 +112,7 @@ class _Overflow(Exception):
     """A reduction carried an exponent field into its guard bit."""
 
 
-_MAX_BITS = 1024  # the widest exponent field (`_Engine._widening`)
+_MAX_BITS = 1024  # the widest exponent field (`_widening`)
 
 
 class _Packing:
@@ -144,6 +144,8 @@ class _Packing:
         self.fields = range(0, self.lobits, bits)
         self.guard = sum(1 << (s + bits - 1) for s in self.fields)
         self.cmask = self.fmask if comps else 0
+        if key is None:  # the caller weighs it and sets its bases (resolutions._layout)
+            return
         zero = (0,) * nvars
         unit_terms = [zero[:i] + (1,) + zero[i + 1:] for i in range(nvars)]
         if comps:
@@ -151,17 +153,24 @@ class _Packing:
             unit_terms = [(0, 0) + u for u in unit_terms]
         else:
             consts = [key(zero)]
-        slopes = [[a - b for a, b in zip(key(u), consts[0])] for u in unit_terms]
-        weights = []
-        w = 1 << self.lobits
-        for k, s in reversed(list(zip(zip(*consts), zip(*slopes)))):
-            weights.append(w)
-            w *= 2 * (max(map(abs, k)) + self.cap * sum(map(abs, s))) + 1
-        self.weights = weights[::-1]
+        self._weigh([max(map(abs, k)) for k in zip(*consts)],
+                    [[a - b for a, b in zip(key(u), consts[0])] for u in unit_terms])
         lows = [c + ((comps - 1 - c) << bits) for c in range(comps)] or [0]
         self.bases = [sum(map(mul, k, self.weights)) + lo for k, lo in zip(consts, lows)]
-        first = 2 if comps else 0
-        self.units = [0] * first + [sum(map(mul, s, self.weights)) + (1 << bits * (first + i))
+
+    def _weigh(self, reach, slopes):
+        """The weights and units: digit i's radix is
+        2 * (reach[i] + cap * sum_j |slopes[j][i]|) + 1, reach[i] bounding
+        |digit i| at every component's zero term and slopes[j] the digits'
+        slopes in variable j."""
+        weights = []
+        w = 1 << self.lobits
+        for r, s in reversed(list(zip(reach, zip(*slopes)))):
+            weights.append(w)
+            w *= 2 * (r + self.cap * sum(map(abs, s))) + 1
+        self.weights = weights[::-1]
+        first = 2 if self.comps else 0
+        self.units = [0] * first + [sum(map(mul, s, self.weights)) + (1 << self.bits * (first + i))
                                     for i, s in enumerate(slopes)]
 
     def pack(self, t) -> int:
@@ -270,6 +279,48 @@ def _normalized(d: dict, mod, lead=None) -> dict:
         return d
     inv = pow(c, mod - 2, mod)
     return {m: co * inv % mod for m, co in d.items()}
+
+
+def _entry(pk: _Packing, d: dict) -> tuple:
+    """The normalized packed dict d as a reducer: (lead & lomask, lead, tail, a),
+    a the lead coefficient, as `_nf_dict` reads it."""
+    lead = max(d)
+    return lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead), d[lead]
+
+
+def _spoly(ei: tuple, ej: tuple, gamma: int) -> dict:
+    """S-polynomial of the reducers ei and ej (`_entry`), from their tails.
+
+    `gamma` is the lcm of their leads, packed.  The elements are
+    cross-multiplied by their lead coefficients over their gcd, which over
+    GF(p), where both are 1, changes nothing.  Coefficients are plain ints,
+    possibly zero; `_nf_dict` applies the field.
+    """
+    _, li, ti, ai = ei
+    _, lj, tj, aj = ej
+    si, sj = gamma - li, gamma - lj
+    g = gcd(ai, aj)
+    ci, cj = aj // g, ai // g
+    out = {si + m: ci * c for m, c in ti}
+    for m, c in tj:
+        m2 = sj + m
+        out[m2] = out.get(m2, 0) - cj * c
+    return out
+
+
+def _widening(run, bits: int, repack):
+    """run(), which reads the packing afresh, and after each `_Overflow`
+    repack(2 * bits), on doubled fields, and run() again; past _MAX_BITS,
+    JonqError, since a term may overflow at every width (a negative exponent
+    does)."""
+    while True:
+        try:
+            return run()
+        except _Overflow:
+            bits *= 2
+            if bits > _MAX_BITS:
+                raise JonqError(f"exponents overflow {_MAX_BITS}-bit fields") from None
+            repack(bits)
 
 
 class _Engine:
@@ -381,29 +432,15 @@ class _Engine:
     def _nf(self, make) -> tuple[dict, int]:
         """(remainder, scale) of the packed dict make() builds, modulo the
         reducers (see `_nf_dict`), widening the fields on overflow."""
-        return self._widening(lambda: _nf_dict(make(), self.reducers, self.ring.modulus, self.pk))
-
-    def _widening(self, run):
-        """run(), which reads the packing afresh, run again on doubled fields
-        after each `_Overflow`; past _MAX_BITS, JonqError, since a term may
-        overflow at every width (a negative exponent does)."""
-        while True:
-            try:
-                return run()
-            except _Overflow:
-                if 2 * self.pk.bits > _MAX_BITS:
-                    raise JonqError(f"exponents overflow {_MAX_BITS}-bit fields") from None
-                self._repack(2 * self.pk.bits)
+        return _widening(lambda: _nf_dict(make(), self.reducers, self.ring.modulus, self.pk),
+                         self.pk.bits, self._repack)
 
     def _install(self, d: dict):
         """Append the normalized packed dict d as an element and reducer."""
-        pk = self.pk
-        lead = max(d)
-        entry = (lead & pk.lomask, lead, tuple((m, c) for m, c in d.items() if m != lead),
-                 d[lead])
+        entry = _entry(self.pk, d)
         self.elems.append(entry)
-        self.leads.append(pk.unpack(lead))
-        self.reducers.setdefault(lead & pk.cmask, []).append(entry)
+        self.leads.append(self.pk.unpack(entry[1]))
+        self.reducers.setdefault(entry[1] & self.pk.cmask, []).append(entry)
 
     def _insert(self, r: dict) -> bool:
         """Adjoin the reduced packed dict r as a basis element, if it is nonzero."""
@@ -436,26 +473,6 @@ class _Engine:
             kept.append((key(lcm), lcm, min(grp), new))
         self.pairs = kept
 
-    def _spoly(self, i: int, j: int, lcm: tuple) -> dict:
-        """S-polynomial of the basis elements i and j, from their tails.
-
-        `lcm` is the lcm of their leads, as a tuple.  The elements are
-        cross-multiplied by their lead coefficients over their gcd, which
-        over GF(p), where both are 1, changes nothing.  Coefficients are
-        plain ints, possibly zero; `_nf_dict` applies the field.
-        """
-        _, li, ti, ai = self.elems[i]
-        _, lj, tj, aj = self.elems[j]
-        gamma = self.pk.pack(lcm)
-        si, sj = gamma - li, gamma - lj
-        g = gcd(ai, aj)
-        ci, cj = aj // g, ai // g
-        out = {si + m: ci * c for m, c in ti}
-        for m, c in tj:
-            m2 = sj + m
-            out[m2] = out.get(m2, 0) - cj * c
-        return out
-
     def _saturate(self, digit: int | None = None):
         """Close the basis under its pairs, or those whose key leads with at most `digit`."""
         while self.pairs:
@@ -464,7 +481,8 @@ class _Engine:
             if digit is not None and keys[k][0] > digit:
                 return
             _, lcm, i, j = self.pairs.pop(k)
-            self._insert(self._nf(lambda: self._spoly(i, j, lcm))[0])
+            self._insert(self._nf(
+                lambda: _spoly(self.elems[i], self.elems[j], self.pk.pack(lcm)))[0])
 
 
 def _reduced(engine: _Engine) -> list[dict]:
@@ -821,7 +839,8 @@ def is_regular(gb: GroebnerBasis, u: Polynomial) -> bool:
         return True
     engine, v = gb._engine, _to_dict(u)
     engine._fit((v,))
-    return engine._widening(lambda: _signature_run(engine, engine._pack(v)))
+    return _widening(lambda: _signature_run(engine, engine._pack(v)), engine.pk.bits,
+                     engine._repack)
 
 
 def _signature_run(engine: _Engine, u: dict) -> bool:
@@ -881,8 +900,7 @@ def _signature_run(engine: _Engine, u: dict) -> bool:
         elems.append(d)
         tuples.append(lt)
         ratios[lead] = ratio
-        reducers.append((lead & lomask, lead, tuple((m, c) for m, c in d.items() if m != lead),
-                         d[lead]))
+        reducers.append(_entry(pk, d))
 
     r, _ = _nf_dict(u, {0: reducers}, mod, pk)
     if not r:

@@ -58,7 +58,7 @@ _case_memo: tuple[DeJonquieresMap, dict] | None = None
 def _once_per_case(fn):
     """fn(j), computed once for the map of the running `case_report` and
     looked up on later calls; computed afresh for any other map or outside
-    `case_report`."""
+    `case_report`.  A NotCertified raise is kept too, and raised again."""
     @functools.wraps(fn)
     def memoized(j):
         memo = _case_memo  # read once: a report in another thread may swap it
@@ -66,7 +66,12 @@ def _once_per_case(fn):
             return fn(j)
         results = memo[1]
         if fn not in results:
-            results[fn] = fn(j)
+            try:
+                results[fn] = fn(j)
+            except NotCertified as exc:
+                results[fn] = exc
+        if isinstance(results[fn], NotCertified):
+            raise results[fn]
         return results[fn]
     return memoized
 
@@ -445,8 +450,8 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
     """JSON-ready report for one map; schema used by the CLI and the probe.
 
     The checks share one J: while they run, `link_bases` and `rees_ideal`
-    are computed once for j (`_once_per_case`).  When J is not certified,
-    cone and projdim are "skipped"; the raise is not memoized.
+    are computed once for j (`_once_per_case`), and so is a failing
+    certificate.  When J is not certified, cone and projdim are "skipped".
     """
     import time
 

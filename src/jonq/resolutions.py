@@ -8,10 +8,9 @@ R^(s+m) under an order whose first s components dominate the tag block
 (components s..s+m-1): like an elimination order, it makes the basis
 elements supported entirely on the tag block a Groebner basis of the
 syzygy module.  Each engine is told its number of components when it is
-built: s + m for `syzygies`, the s components of the shifts in the greedy,
-and s plus a tag block per frame level below.  The engine applies only the
-chain criterion to modules, since the product criterion does not hold over
-free modules.
+built: s + m for `syzygies` and the s components of the shifts in the
+greedy.  The engine applies only the chain criterion to modules, since the
+product criterion does not hold over free modules.
 
 `minimal_generators` is the ascending-degree greedy: a column is kept iff
 it is not in the span of the columns before it, so the kept columns are
@@ -34,17 +33,23 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   (Schreyer).  Only the pairs whose m_uv minimally generate the ideal of
   such monomials for u are formed: their leads generate the lead module
   of the syzygies, so they are a Groebner basis of it.  Each pair is
-  reduced once, on one engine per level whose element f_u carries its own
-  e_u on a tag block below F; the tag part of the remainder is the
-  syzygy.  `_induced_key` is that definition of the induced order; it is
-  linear with a per-component constant, so the engine's packing, which
-  alone evaluates it, makes it a linear form.
+  reduced once by the level's elements, f_u carrying its own e_u, and the
+  e_u part of the remainder is the syzygy.
 - Level 1 is a Groebner basis G of the column module: the elements of the
   greedy's engine, which holds the remainder of each kept column and which
-  `_Engine.extend` left closed.  From there level 1 is built like every
-  other level: its elements go on one tagged engine, and level 2 holds the
-  syzygies of the pairs `_minimal_pairs` names on it.  No level forms a
-  pair update or a new basis element.
+  `_Engine.extend` left closed.  Every lead of the frame is known from G's
+  leads before any reduction (`_skeleton`): a syzygy's lead is its pair's
+  m_uv e_u.  No level forms a pair update or a new basis element.
+- The whole frame runs on one packing (`_layout`; Monagan & Pearce's
+  packed exponents, see groebner.py).  Unrolled, the induced orders are
+  one linear order: m e_u ranks by the key of m times the product of the
+  leads down to R^s, then by the frame positions of that chain.  So the
+  packed m e_u is base(e_u) + packed(m), with base(e_u) the key digits of
+  u's packed lead, u's tie digit and u's component field; a term m e_u
+  ranks just below m lead(f_u), and no e_u meets a reducer on its own
+  level.  The e_u part of each remainder is then the next level's vector
+  as it stands, reduced on without a repack, and each vector is unpacked
+  once, for the caller.
 - Each level is sorted by lead component and then by descending exponent
   of variable k in the lead, so the leads of level k + 1 lose variable k
   (Eisenbud, Cor. 15.11): the frame has at most nvars + 1 levels.
@@ -69,6 +74,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .polycore import (
     JonqError,
@@ -77,7 +84,6 @@ from .polycore import (
     RingMismatchError,
     dot,
     mono_minimal,
-    mono_mul,
 )
 
 
@@ -343,17 +349,6 @@ def _rank(columns, mod) -> int:
     return len(basis)
 
 
-def _induced_key(key, leads):
-    """Schreyer's order on the free module with one basis element e_u per
-    lead: m e_u ranks as the term m lead_u does under `key`, and a tie goes
-    to the smaller u.  It is linear with a per-component constant, as `key`
-    is, so the engine packs it."""
-    def induced(term):
-        u = term[0]
-        return key(leads[u][:2] + mono_mul(leads[u][2:], term[2:])) + (-u,)
-    return induced
-
-
 def _losing_order(leads, variable: int) -> list[int]:
     """Frame order of a level with these leads: by lead component, then by
     descending exponent of `variable` in the lead."""
@@ -381,81 +376,143 @@ def _minimal_pairs(leads) -> list[tuple]:
     return pairs
 
 
+def _skeleton(leads) -> list[tuple]:
+    """(order, placed, pairs) per level of the frame whose level 1 has these
+    leads: `_losing_order` on variable k puts level k + 1 in frame order,
+    placed[i] = leads[order[i]], and `_minimal_pairs` names its pairs.  The
+    Schreyer leads (a, -a) + m of the pairs are the next level's leads, so
+    every level is known before any reduction."""
+    levels = []
+    while True:
+        order = _losing_order(leads, len(levels))
+        placed = [leads[k] for k in order]
+        pairs = _minimal_pairs(placed)
+        levels.append((order, placed, pairs))
+        if not pairs:
+            return levels
+        leads = [(a, -a) + m for a, _, m in pairs]
+
+
+def _layout(key, nvars: int, rank: int, skeleton, bits: int):
+    """One packing for the terms of every free module of the frame, with
+    `offsets` naming where each module's components start: e_c of R^rank is
+    component c, and the element at frame position u of level k + 1 is
+    component offsets[k + 1] + u, for each level that forms a pair.
+
+    Unrolled, Schreyer's order ranks m e_u by `key` on m total_u, total_u
+    the product of the leads from u down to R^rank, and then by the frame
+    positions along that chain, the smaller first: one tie digit per level,
+    -w - 1 for the chain's element w on that level and 0 past u's level, so
+    that m e_u ranks just below m lead_u.  bases[g] is the key digits of
+    g's packed lead plus its tie digit and component fields; the key is
+    read at R^rank's components alone.  Digit i's reach is its value at
+    R^rank's zero terms plus sum_j |slope_ij| times the largest exponent of
+    variable j in a level-1 lead: a syzygy's total is the lcm of its pair's,
+    so every total is an lcm of level-1 leads.
+    """
+    zero = (0,) * nvars
+    sizes = [len(placed) for _, placed, _ in skeleton[:-1]]
+    comps, ntie = rank + sum(sizes), len(sizes)
+    pk = groebner._Packing(None, nvars, comps, max(bits, comps.bit_length() + 1))
+    pk.offsets = list(accumulate([0, rank] + sizes))[:ntie + 1]
+    consts = [key((c, -c) + zero) for c in range(rank)]
+    slopes = [[a - b for a, b in zip(key((0, 0) + zero[:i] + (1,) + zero[i + 1:]), consts[0])]
+              + [0] * ntie for i in range(nvars)]
+    top = [max(e) for e in zip(*(lead[2:] for lead in skeleton[0][1]))]
+    pk._weigh([max(map(abs, k)) + sum(map(mul, map(abs, s), top))
+               for k, s in zip(zip(*consts), zip(*slopes))] + sizes, slopes)
+    ties, units = pk.weights[len(consts[0]):], pk.units[2:]
+    digits = [sum(map(mul, k, pk.weights)) for k in consts]
+    for k, (_, placed, _) in enumerate(skeleton[:-1]):
+        for u, lead in enumerate(placed):
+            lead = digits[pk.offsets[k] + lead[0]] + sum(map(mul, lead[2:], units))
+            digits.append((lead & ~pk.lomask) - (u + 1) * ties[k])
+    pk.bases = [d + g + ((comps - 1 - g) << pk.bits) for g, d in enumerate(digits)]
+    return pk
+
+
 def _frame(greedy, shifts0):
     """The levels of the Schreyer frame on the greedy's basis G, the
     elements of its closed engine.
 
     levels[k] lists level k + 1 in frame order as (vector, lead, shift)
-    triples with int coefficients.  Every level is built one way: its
-    vectors go on one engine with their tags (`_tagged`), and the next level
-    holds, for each pair that `_minimal_pairs` names, the tag part of that
-    S-pair's remainder.  Level k + 1 is sorted by `_losing_order` on
-    variable k.
+    triples with int coefficients.  `_skeleton` gives every level's leads
+    and pairs, and `_layout` one packing for the whole frame.  Each level is
+    reduced on as it stands: its element at position u carries its own e_u,
+    and the S-pair of each pair `_minimal_pairs` names reduces to a
+    remainder on the e_u alone, the next level's packed vector, which
+    `_syzygy` also unpacks once for the caller.  Reducers keep the order in
+    which their level was made, and the frame position only names
+    components.  An overflow redoes the frame on doubled fields
+    (`groebner._widening`).
     """
-    ring, rank, key, pk, leads = greedy.ring, len(shifts0), greedy.key, greedy.pk, greedy.leads
-    vectors = [{pk.unpack(m): c for m, c in greedy._element(k).items()}
-               for k in range(len(leads))]
-    shifts = [sum(lead[2:]) + shifts0[lead[0]] for lead in leads]
-    levels = []
-    while True:
-        order = _losing_order(leads, len(levels))
-        position = {k: i for i, k in enumerate(order)}
-        levels.append([(vectors[k], leads[k], shifts[k]) for k in order])
-        placed = [leads[k] for k in order]
-        pairs = _minimal_pairs(placed)
-        if not pairs:
-            return levels
-        engine = _tagged(ring, key, rank, leads, vectors)
-        vectors, leads, shifts = [], [], []
-        for a, b, m in pairs:
-            lcm = placed[a][:2] + mono_mul(placed[a][2:], m)
-            r, _ = engine._nf(lambda: engine._spoly(order[a], order[b], lcm))
-            if max(r) & engine.pk.cmask < rank:
-                raise JonqError("the closed basis left an S-pair remainder")
-            leads.append((a, -a) + m)
-            vectors.append(_syzygy(engine.pk, r, rank, leads[-1], ring.modulus, position))
-            shifts.append(levels[-1][a][2] + sum(m))
-        key, rank = _induced_key(key, placed), len(placed)
+    ring, rank = greedy.ring, len(shifts0)
+    vectors = [{greedy.pk.unpack(m): c for m, c in greedy._element(k).items()}
+               for k in range(len(greedy.leads))]
+    skeleton = _skeleton(greedy.leads)
+
+    def build(pk):
+        units, cmask, mod, monos = pk.units[2:], pk.cmask, ring.modulus, {}
+        order, placed, _ = skeleton[0]
+        levels = [[(vectors[i], lead, sum(lead[2:]) + shifts0[lead[0]])
+                   for i, lead in zip(order, placed)]]
+        current = [{pk.pack(t): c for t, c in v.items()} for v in vectors]
+        for (order, _, pairs), (next_order, next_placed, _), tags in zip(
+                skeleton, skeleton[1:], pk.offsets[1:]):
+            entries = [None] * len(order)
+            reducers: dict = {}
+            for u, i in enumerate(order):
+                entries[i] = groebner._entry(pk, {**current[i], pk.bases[tags + u]: 1})
+            for e in entries:
+                reducers.setdefault(e[1] & cmask, []).append(e)
+            current, renamed = [], []
+            for a, b, m in pairs:
+                shift = sum(map(mul, m, units))
+                ea = entries[order[a]]
+                r, _ = groebner._nf_dict(groebner._spoly(ea, entries[order[b]], ea[1] + shift),
+                                         reducers, mod, pk)
+                d, v = _syzygy(pk, r, tags, pk.bases[tags + a] + shift, mod, order, monos)
+                current.append(d)
+                renamed.append(v)
+            shifts = [levels[-1][a][2] + sum(m) for a, _, m in pairs]
+            levels.append([(renamed[i], lead, shifts[i])
+                           for i, lead in zip(next_order, next_placed)])
+        return levels
+    layouts = [_layout(greedy.key, ring.nvars, rank, skeleton, greedy.pk.bits)]
+    return groebner._widening(
+        lambda: build(layouts[-1]), layouts[0].bits,
+        lambda bits: layouts.append(_layout(greedy.key, ring.nvars, rank, skeleton, bits)))
 
 
-def _tagged(ring: RingSpec, key, rank: int, leads, vectors):
-    """An engine whose element u is vectors[u], a vector of R^rank ordered by
-    `key` with lead leads[u], carrying its own e_u on a tag block below R^rank.
-
-    When the vectors are a Groebner basis, the S-pair of elements u and v
-    reduces on it to a remainder on the tag block alone: Schreyer's syzygy
-    m_uv e_u - m_vu e_v - sum q_w e_w of that pair up to a unit, with every
-    q_w lead_w below the pair's lcm.  Tag terms are never reduced, so their
-    order only needs the engine's packing.
+def _syzygy(pk, r: dict, tags: int, lead: int, mod, order, monos: dict):
+    """(packed, renamed): the remainder r of an S-pair as its syzygy, the
+    next level's packed vector, and as {(u, -u) + mono: c}, component
+    tags + u becoming u.  r must lie on the components from `tags` on and
+    be led by `lead`; the syzygy is made monic there over GF(p), primitive
+    and positive there over Q.  The renamed terms go by descending mono,
+    then by ascending order[u], the place in which u was made, the order
+    `tests/oracles.prune` takes its pivots in; `monos` keeps the monomial
+    tuples made so far.
     """
-    ringkey, unit = ring.key, (0,) * ring.nvars
-    pad = (0,) * (len(key((0, 0) + unit)) - len(ringkey(unit)) - 2)
-
-    def tagged(term):
-        if term[0] < rank:
-            return (1,) + key(term)
-        return (0, sum(term[2:])) + ringkey(term[2:]) + (-term[0],) + pad
-    engine = groebner._Engine(ring, tagged, rank + len(vectors))
-    engine.adopt([{**v, (rank + u, -rank - u) + unit: 1} for u, v in enumerate(vectors)])
-    if engine.leads != list(leads):
-        raise JonqError("the order does not lead an element at its Schreyer lead")
-    return engine
-
-
-def _syzygy(pk, r: dict, rank: int, lead, mod, rename) -> dict:
-    """The tag part of the remainder r, packed by pk, as a syzygy
-    {(u, -u) + mono: c}, tag component rank + w becoming u = rename[w];
-    monic at its Schreyer lead over GF(p), a primitive integer vector
-    positive there over Q."""
-    vec = {}
-    for t, c in r.items():
-        term = pk.unpack(t)
-        if term[0] >= rank:
-            u = rename[term[0] - rank]
-            vec[(u, -u) + term[2:]] = c
-    if lead not in vec:
-        raise JonqError("a syzygy lacks its Schreyer lead")
-    return groebner._normalized(vec, mod, lead)
+    if max(r, default=None) != lead:
+        raise JonqError("a syzygy is not led by its Schreyer lead")
+    d = groebner._normalized(r, mod, lead)
+    bases, cmask, n, lo, fmask = pk.bases, pk.cmask, len(order), pk.fields[2:], pk.fmask
+    keyed = []
+    for t, c in d.items():
+        g = t & cmask
+        if g < tags:
+            raise JonqError("the closed basis left an S-pair remainder")
+        m = t - bases[g]  # mono alone, packed: distinct monos differ by at least 1
+        keyed.append((m * n - order[g - tags], m, g, c))
+    keyed.sort(reverse=True)
+    renamed = {}
+    for _, m, g, c in keyed:
+        mono = monos.get(m)
+        if mono is None:
+            mono = monos[m] = tuple([m >> s & fmask for s in lo])
+        renamed[(g - tags, tags - g) + mono] = c
+    return d, renamed
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

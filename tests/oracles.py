@@ -16,6 +16,9 @@ the columns cancelled as rows.  After that, no constant entry is left, and
 the complex is the minimal resolution: its first matrix is the basis
 elements that survived, minimal generators of the column module.
 
+`induced_key` is Schreyer's order as its definition, level by level; the
+frame packs it for all levels at once (`resolutions._layout`).
+
 `kernel` is the elimination-based implicitization of a ring map, and
 `eliminated` the presentation ideal J of a de Jonquieres map by that route:
 the library certifies J's predicted generators instead (`rees.rees_ideal`)
@@ -28,7 +31,18 @@ from math import gcd
 from operator import mul
 
 from jonq import groebner, resolutions
-from jonq.polycore import JonqError, Polynomial, RingSpec, transport
+from jonq.polycore import JonqError, Polynomial, RingSpec, mono_mul, transport
+
+
+def induced_key(key, leads):
+    """Schreyer's order on the free module with one basis element e_u per
+    lead, from the order `key` on the module the leads live in: m e_u ranks
+    as the term m lead_u does under `key`, and a tie goes to the smaller u
+    (La Scala & Stillman, JSC 1998)."""
+    def induced(term):
+        u = term[0]
+        return key(leads[u][:2] + mono_mul(leads[u][2:], term[2:])) + (-u,)
+    return induced
 
 
 def kernel(target: RingSpec, images: dict) -> list[Polynomial]:

@@ -604,10 +604,18 @@ def test_case_report_skips_cone_and_projdim_when_j_is_not_certified(e3, monkeypa
     # that reads J runs
     p1 = rees.chain(e3)[1]
     monkeypatch.setattr(rees, "chain", lambda j: (p1[:-1], p1))
+    uncertified, calls = rees._uncertified, []
+
+    def spy(j, predicted):
+        calls.append(j)
+        return uncertified(j, predicted)
+    monkeypatch.setattr(rees, "_uncertified", spy)
     report = rees.case_report(e3)
     assert report["theorem"] == "fail" and report["skipped"] == "J not certified"
     assert not {"cone_hilbert", "projdim", "cm"} & set(report)
     assert report["colon"] == "pass" and report["special"] == "pass"
+    # the failing certificate runs once: cone reads the memoized raise
+    assert calls == [e3]
 
 
 # sha256 of the case_report JSON lines (runtime_ms removed) of e1, e2, e3 and

@@ -30,7 +30,10 @@ from jonq.polycore import (  # noqa: E402
     Polynomial,
     RingSpec,
     dot,
+    mono_div,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 from jonq.resolutions import (  # noqa: E402
@@ -147,7 +150,7 @@ def column_sets(draw):
 
 Q3 = RingSpec(["x1", "x2", "x3"])
 # closing the greedy's engine adds four elements to these three generators,
-# each with its own tag on level 1's engine
+# each an element of the frame's level 1
 CLOSING = [[parse_polynomial(g, RingSpec(["x1", "x2", "x3"], modulus))
             for g in ("x1^2 - x2*x3", "x1*x2 - x3^2", "x2^3 + x1*x3^2")] for modulus in FIELDS]
 
@@ -322,6 +325,119 @@ def test_frame_leads_lose_one_variable_per_level(gens):
     assert len(levels) <= ring.nvars + 1
 
 
+# The greedy closes these on 8-bit fields, exponents up to 127, but the
+# frame's S-pairs multiply tails by exponents near 60 as well
+WIDENING = [(None, ("2*x1^5*x2^39*x3^11 - x1^16*x2^4*x3^35",
+                    "2*x1^35*x2^9*x3^11 + 2*x1^27*x2*x3^27",
+                    "2*x1^29*x2*x3^25 + x1^11*x2^3*x3^41")),
+            (7, ("6*x1^16*x2^40*x3 + 2*x1^14*x2^4*x3^39",
+                 "x1^15*x2^30*x3^12 + x1^12*x2^12*x3^33",
+                 "2*x1^56*x2 + 2*x1^3*x2^28*x3^26")),
+            (32003, ("x1^33*x2^3*x3^5 + 2*x2^34*x3^7",
+                     "32002*x1^10*x2^13*x3^18 + 2*x1^2*x2*x3^38",
+                     "2*x1^38*x2^2*x3 + 2*x1^12*x2^24*x3^5"))]
+WIDE = [[parse_polynomial(g, RingSpec(["x1", "x2", "x3"], modulus)) for g in gens]
+        for modulus, gens in WIDENING]
+
+
+def greedy_case(gens):
+    """(ring, rank, leads, bits) of the closed basis the frame builds on, or
+    None when no column is kept."""
+    columns, ring = resolutions._columns(gens)
+    rank = len(columns[0])
+    kept = minimal_generators(columns, ring, (0,) * rank)
+    return kept and (ring, rank, kept.engine.leads, kept.engine.pk.bits)
+
+
+@st.composite
+def lead_cases(draw):
+    """(ring, rank, leads, 8): up to five leads with exponents up to 100 in
+    two or three variables, near the 8-bit field cap."""
+    ring = RingSpec(["x1", "x2", "x3"][:draw(st.integers(2, 3))], draw(st.sampled_from(FIELDS)))
+    rank = draw(st.integers(1, 2))
+    terms = draw(st.lists(st.tuples(st.integers(0, rank - 1),
+                                    st.tuples(*[st.integers(0, 100)] * ring.nvars)),
+                          min_size=2, max_size=5, unique=True))
+    return ring, rank, [(c, -c) + m for c, m in terms], 8
+
+
+def frame_chain(skeleton, rank, nvars):
+    """Per module of the frame, R^rank's and then each level's that forms a
+    pair: (component of R^rank, total monomial) of each basis element, the
+    total being the product of its chain of Schreyer leads."""
+    chains = [[(c, (0,) * nvars) for c in range(rank)]]
+    for _, placed, _ in skeleton[:-1]:
+        chains.append([(chains[-1][lead[0]][0], mono_mul(chains[-1][lead[0]][1], lead[2:]))
+                       for lead in placed])
+    return chains
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.one_of(ideals(), column_sets()).map(greedy_case).filter(bool),
+                 lead_cases()),
+       st.data())
+@example(greedy_case(CLOSING[0]), None)
+@example(greedy_case(CLOSING[2]), None)
+def test_layout_packs_schreyer_order(case, data):
+    # the frame's one packing against Schreyer's order by its definition,
+    # level by level (oracles.induced_key), on the leads of closed bases
+    # over Q, GF(32003) and GF(7) and on drawn leads: two terms of one
+    # module, drawn freely or with equal m lead in R^rank, so that only tie
+    # digits decide, on the level of the terms or on one below; and a term
+    # m e_u, a tag of the reduction that makes the next level, against a
+    # term of the module before, where it must rank just below m lead_u
+    ring, rank, leads, bits = case
+    key = _module_key(ring, None, (0,) * rank)
+    skeleton = resolutions._skeleton(leads)
+    pk = resolutions._layout(key, ring.nvars, rank, skeleton, bits)
+    keys = [key]
+    for _, placed, _ in skeleton[:-1]:
+        keys.append(oracles.induced_key(keys[-1], placed))
+    chains = frame_chain(skeleton, rank, ring.nvars)
+    assert len(keys) == len(chains) == len(pk.offsets)
+    if data is None:  # the examples: every pair of equal-total terms
+        draws = [(k, u, v) for k, chain in enumerate(chains)
+                 for u in range(len(chain)) for v in range(len(chain))]
+    else:
+        k = data.draw(st.integers(0, len(chains) - 1))
+        elements = st.integers(0, len(chains[k]) - 1)
+        draws = [(k, data.draw(elements), data.draw(elements))]
+    # exponents up to the field cap, where a digit reaches past the key's
+    # value at R^rank's zero terms by cap times the total
+    monos = st.tuples(*[st.integers(0, 4) | st.integers(pk.cap - 4, pk.cap)] * ring.nvars)
+
+    def packed(k, u, m):
+        g = pk.offsets[k] + u
+        return pk.pack((g, -g) + m)
+
+    def term(u, m):
+        return (u, -u) + m
+    for k, u, v in draws:
+        (cu, tu), (cv, tv) = chains[k][u], chains[k][v]
+        pairs = []
+        if cu == cv:
+            lcm = mono_lcm(tu, tv)
+            pairs.append((mono_div(lcm, tu), mono_div(lcm, tv)))
+        if data is not None:
+            pairs.append((data.draw(monos), data.draw(monos)))
+        for m, n in pairs:
+            if max(m + n) > pk.cap:
+                continue
+            a, b = keys[k](term(u, m)), keys[k](term(v, n))
+            assert (packed(k, u, m) < packed(k, v, n)) == (a < b)
+            assert (packed(k, u, m) == packed(k, v, n)) == (a == b)
+            if k and data is not None:
+                # m e_u against m lead_u and a term t of the module before
+                lead = skeleton[k - 1][1][u]
+                w = data.draw(st.integers(0, len(chains[k - 1]) - 1))
+                t, below = data.draw(monos), mono_mul(lead[2:], m)
+                if max(below) > pk.cap:
+                    continue
+                assert packed(k - 1, lead[0], below) > packed(k, u, m)
+                above = keys[k - 1](term(w, t)) >= keys[k - 1](lead[:2] + below)
+                assert (packed(k - 1, w, t) > packed(k, u, m)) == above
+
+
 def test_primary_syzygies_survive_a_repack(monkeypatch):
     # exponents stay below 64, but the syzygy run and the greedy's closing
     # overflow the initial 8-bit fields, so each engine repacks after
@@ -344,6 +460,49 @@ def test_primary_syzygies_survive_a_repack(monkeypatch):
             run(gens)
             assert any(count > len(gens) for count in repacked_with)
         assert_matches_reference(gens)
+
+
+@pytest.mark.parametrize("modulus, gens", WIDENING, ids=["Q", "GF7", "GF32003"])
+def test_frame_widens_partway_to_the_oracle_shifts(monkeypatch, modulus, gens):
+    # the frame overflows its 8-bit fields after it has made syzygies, and
+    # redoes itself on 16-bit ones, one layout for the whole frame each time
+    gens = WIDE[[m for m, _ in WIDENING].index(modulus)]
+    layout, syzygy, events = resolutions._layout, resolutions._syzygy, []
+
+    def recording_layout(*args):
+        pk = layout(*args)
+        events.append(pk.bits)
+        return pk
+
+    def recording_syzygy(*args):
+        events.append("syzygy")
+        return syzygy(*args)
+    monkeypatch.setattr(resolutions, "_layout", recording_layout)
+    monkeypatch.setattr(resolutions, "_syzygy", recording_syzygy)
+    shifts = minimal_free_resolution(gens).shifts
+    assert events[0] == 8 and events.count(16) == 1 and "syzygy" in events[:events.index(16)]
+    assert [e for e in events if e != "syzygy"] == [8, 16]
+    res, _ = oracles.resolve(gens)
+    assert res.shifts == shifts
+    assert_matches_reference(gens)
+
+
+def test_a_frame_term_that_overflows_at_every_width_raises(monkeypatch):
+    # a negative exponent borrows into a guard bit at every width: the frame
+    # doubles its fields up to groebner._MAX_BITS and then raises
+    ring = RingSpec(["x1", "x2", "x3"], 32003)
+    gens = [parse_polynomial(g, ring) for g in ("x1^2", "x1*x2", "x2^3", "x3^2")]
+    kept = minimal_generators([(g,) for g in gens], ring, (0,))
+    nf, widths = groebner._nf_dict, []
+
+    def negative(work, reducers, mod, pk, bound=None):
+        widths.append(pk.bits)
+        work[pk.bases[0] - pk.units[2]] = 1  # x1^-1 e_0
+        return nf(work, reducers, mod, pk, bound)
+    monkeypatch.setattr(groebner, "_nf_dict", negative)
+    with pytest.raises(JonqError, match="overflow"):
+        resolutions._frame(kept.engine, (0,))
+    assert widths == [8 << k for k in range(8)] and widths[-1] == groebner._MAX_BITS
 
 
 @st.composite
