@@ -6,16 +6,18 @@ constructively: composing a candidate inverse with the map must return the
 identity up to a single nonzero form, the inversion factor.  Given the four
 forms of the map and its candidate inverse, the first n coordinates of the
 composition hold by construction and one identity of degree about 2d - 1 is
-left to check (inversion_certificate); `compose`, the generic coordinatewise
-composition of two tuples of forms, is the reference the tests compare it
-against.
+left to check (inversion_certificate), by pulling forms back through the
+shape (`pullback`), as the Rees certificate tests P in J; `compose`, the
+generic coordinatewise composition of two tuples of forms, is the reference
+the tests compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .polycore import Polynomial, RingMismatchError, dot, substitute
+from .polycore import Polynomial, RingMismatchError, dot, substitution
 
 
 @dataclass(frozen=True)
@@ -39,39 +41,44 @@ def compose(outer, inner) -> tuple[Polynomial, ...]:
     ring = outer[0].ring
     if len(inner) != ring.nvars:
         raise RingMismatchError("the inner map needs one form per variable of the outer ring")
-    assignment = dict(zip(ring.names, inner))
-    return tuple(substitute(p, assignment) for p in outer)
+    image_of = substitution(ring, dict(zip(ring.names, inner)))
+    return tuple(image_of(p) for p in outer)
 
 
-def _ladder(p: Polynomial):
-    """power(e) = p ** e; each power is built once, from the one below it."""
-    powers = [p.ring.one()]
+def ladder(h: Polynomial, k: Polynomial):
+    """power(a, b) = h^a k^b; each is built once, from one below it."""
+    built = {(0, 0): h.ring.one()}
 
-    def power(e: int) -> Polynomial:
-        while len(powers) <= e:
-            powers.append(powers[-1] * p)
-        return powers[e]
+    def power(a: int, b: int) -> Polynomial:
+        got = built.get((a, b))
+        if got is None:
+            got = built[(a, b)] = power(a - 1, b) * h if a else power(0, b - 1) * k
+        return got
     return power
 
 
-def _pullback(u: Polynomial, hpow, kpow) -> tuple[int, Polynomial]:
-    """(e, P) with u(x_1 h, .., x_n h, k) = h^e P for a form u in n+1 variables.
-
-    hpow and kpow give the powers of h and k (see _ladder).  With
-    u = sum_j u_j(y_1..y_n) y_{n+1}^j of degree t and top power m,
-    u(x' h, k) = h^(t-m) sum_j u_j(x') h^(m-j) k^j; variable i of u's ring
-    goes to variable i of h's ring."""
-    ring = hpow(0).ring
+def pullback(u: Polynomial, power) -> tuple[int, Polynomial]:
+    """(s, P) with u(x, x_1 h, .., x_n h, k) = h^s P, power(a, b) = h^a k^b
+    (see `ladder`).  u's ring is k[y_1..y_{n+1}] or k[x, y], x the n+1
+    variables of h's ring, which stay.  A term x^a y'^b y_{n+1}^e goes to
+    x^a x'^b h^|b| k^e; with u_{e,t} the terms of y_{n+1}-degree e and
+    y'-degree t, read with y' as x', and s the least t,
+    P = sum u_{e,t}(x, x') h^(t - s) k^e.  For h != 0, u goes to 0 exactly
+    when P = 0, k[x] being a domain."""
+    ring = power(0, 0).ring
     if not u:
         return 0, ring.zero()
     n = ring.nvars - 1
-    parts: dict[int, list] = {}
+    nx = u.ring.nvars - n - 1  # 0, or n+1: the x that stay
+    no_x = (0,) * (n + 1)
+    parts: dict[tuple[int, int], list] = {}
     for mono, c in u.terms:
-        parts.setdefault(mono[n], []).append((mono[:n] + (0,), c))
-    top = max(parts)
-    return (sum(u.terms[0][0]) - top,
-            dot(ring, [Polynomial(ring, terms) for terms in parts.values()],
-                [hpow(top - j) * kpow(j) for j in parts]))
+        ys = mono[nx:]
+        parts.setdefault((ys[n], sum(ys[:n])), []).append(
+            (tuple(map(add, mono[:nx] or no_x, ys[:n] + (0,))), c))
+    low = min(s for _, s in parts)
+    return low, dot(ring, [Polynomial(ring, terms) for terms in parts.values()],
+                    [power(s - low, e) for e, s in parts])
 
 
 def inversion_certificate(f: Polynomial, g: Polynomial,
@@ -84,7 +91,7 @@ def inversion_certificate(f: Polynomial, g: Polynomial,
     variable i of it is sent to coordinate i of J.  G(J)_i = x_i f f'(J) for
     i <= n, so the factor is f f'(J) and the one identity left is
     g'(J) = f f'(J) x_{n+1}.  Both sides are pulled back through the shape,
-    f'(J) = f^ea pa and g'(J) = f^eb pb (see _pullback), and the common
+    f'(J) = f^ea pa and g'(J) = f^eb pb (see `pullback`), and the common
     power of f is cancelled before comparing; that is exact because k[x] is
     a domain and f != 0 once the factor is nonzero.  The check runs in
     degree about 2d - 1 instead of the d^2 of the composed coordinates.
@@ -98,16 +105,16 @@ def inversion_certificate(f: Polynomial, g: Polynomial,
             or fprime.ring.modulus != ring.modulus):
         raise RingMismatchError(
             "f' and g' need one ring with as many variables as the ring of f, over its field")
-    fpow, gpow = _ladder(f), _ladder(g)
-    ea, pa = _pullback(fprime, fpow, gpow)
-    eb, pb = _pullback(gprime, fpow, gpow)
-    factor = fpow(ea + 1) * pa
+    power = ladder(f, g)
+    ea, pa = pullback(fprime, power)
+    eb, pb = pullback(gprime, power)
+    factor = power(ea + 1, 0) * pa
     n = ring.nvars - 1
     if not factor:
-        if fpow(eb) * pb:
+        if power(eb, 0) * pb:
             return CertificateFailure(n, "coordinate is not proportional")
         return CertificateFailure(0, "composition is identically zero")
     common = min(ea + 1, eb)
-    if fpow(eb - common) * pb != fpow(ea + 1 - common) * pa * ring.variable(n):
+    if power(eb - common, 0) * pb != power(ea + 1 - common, 0) * pa * ring.variable(n):
         return CertificateFailure(n, "coordinate is not proportional")
     return InversionCertificate(factor, int(factor.total_degree()))

@@ -7,7 +7,8 @@ exactly 1) with g inside (x_1,..,x_n); the map is (x_1 f : .. : x_n f : g).
 
 The downgraded sequence F_0,..,F_{d-2} in the bigraded ring k[x, y] starts
 at F_0 = f y_{n+1} - sum q_i y_i and trades the greedy x-content of each
-form for y-variables; `downgraded_sequence` is the one downgrading loop.
+form for y-variables; `downgraded_sequence` is the one downgrading loop, run
+once per `case_scope` (one Rees case report) through `shared_sequence`.
 The module reads the inverse map off the x-coefficients of the last member
 (one candidate, certified once: the sign of its last coordinate is forced
 because the last member vanishes on the graph of the map), writes down the
@@ -26,6 +27,8 @@ resolution's Betti table (see `structural_checks`).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -168,6 +171,48 @@ def downgraded_sequence(j: DeJonquieresMap) -> DowngradedSequence:
     return DowngradedSequence(q=q, forms=tuple(forms), content=tuple(content))
 
 
+# (map, {function: result}) while `case_scope` is open on that map, else None
+_case_memo: tuple[DeJonquieresMap, dict] | None = None
+
+
+@contextlib.contextmanager
+def case_scope(j: DeJonquieresMap):
+    """While open, `once_per_case` functions compute once for j; the memo is
+    dropped on exit, a raise included."""
+    global _case_memo
+    _case_memo = (j, {})
+    try:
+        yield
+    finally:
+        _case_memo = None
+
+
+def once_per_case(fn):
+    """fn(j), computed once for the map of the open `case_scope`, and afresh
+    for any other map or outside a scope; a JonqError raise is kept too."""
+    @functools.wraps(fn)
+    def memoized(j):
+        memo = _case_memo  # read once: a scope in another thread may swap it
+        if memo is None or memo[0] is not j:
+            return fn(j)
+        results = memo[1]
+        if fn not in results:
+            try:
+                results[fn] = fn(j)
+            except JonqError as exc:
+                results[fn] = exc
+        if isinstance(results[fn], JonqError):
+            raise results[fn]
+        return results[fn]
+    return memoized
+
+
+@once_per_case
+def shared_sequence(j: DeJonquieresMap) -> DowngradedSequence:
+    """`downgraded_sequence(j)`, shared by the Rees chain and `inverse`."""
+    return downgraded_sequence(j)
+
+
 class InverseError(JonqError):
     pass
 
@@ -187,7 +232,7 @@ def inverse(j: DeJonquieresMap) -> tuple[DeJonquieresMap, InversionCertificate]:
     g'(J) = f f'(J) x_{n+1}; neither map is expanded into its n+1
     coordinates.
     """
-    last = downgraded_sequence(j).forms[-1]
+    last = shared_sequence(j).forms[-1]
     work = last.ring
     n = j.n
     *coefficients, fprime_w = x_decompose(last, block=j.source.names)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, le
 
@@ -59,6 +60,7 @@ ZERO_DEGREE = ZeroDegree(-1)
 _PRIME_BOUND = 3317044064679887385961981
 
 
+@lru_cache  # every RingSpec asks; a raise is never cached, so it fires every time
 def _is_prime(p: int) -> bool:
     if p >= _PRIME_BOUND:
         raise JonqError(f"modulus {p} is not below {_PRIME_BOUND}, "
@@ -438,22 +440,21 @@ def _accumulate(out: dict, at, bt, k: int) -> dict:
     return out
 
 
-def substitute(p: Polynomial, assignment: dict) -> Polynomial:
-    """Image of p under the ring morphism sending variables per `assignment`.
+def substitution(src: RingSpec, assignment: dict):
+    """image_of(p), the image of any p in `src` under the ring morphism
+    sending variables per `assignment`, which is prepared once.
 
-    Keys are variable names (or indices) of p's ring; values are polynomials
+    Keys are variable names (or indices) of `src`; values are polynomials
     in one common target ring.  Unassigned variables must exist by name in
     the target ring.
 
-    The image is expanded into one {monomial: coefficient} dict.  Each image
+    An image is expanded into one {monomial: coefficient} dict.  Each value
     is scaled to integer coefficients over a denominator (1 over GF(p)), and
-    each power image(x_i)^e and the image of each prefix (e_1..e_k) of p's
-    monomials is cached as a dict over its denominator, so terms sharing a
-    prefix share its product.  Coefficients are reduced mod p, or put over
-    their common denominator over Q, once at the end, and the result is
-    sorted once.
+    each power value(x_i)^e and the image of each monomial prefix (e_1..e_k)
+    is cached as a dict over its denominator, for all the polynomials mapped.
+    Coefficients are reduced mod p, or put over their common denominator
+    over Q, once per image, and each image is sorted once.
     """
-    src = p.ring
     images: dict[int, Polynomial] = {}
     target = None
     for var, val in assignment.items():
@@ -494,23 +495,32 @@ def substitute(p: Polynomial, assignment: dict) -> Polynomial:
             got = powers[(i, e)] = times(power(i, e - 1), powers[(i, 1)])
         return got
 
-    parts = []
-    for mono, c in p.terms:
-        image = prefixes[()]
-        for k, e in enumerate(mono, 1):
-            got = prefixes.get(mono[:k])
-            if got is None:
-                got = prefixes[mono[:k]] = times(image, power(k - 1, e)) if e else image
-            image = got
-        parts.append((c, image))
-    den = lcm(*(c.denominator * d for c, (_, d) in parts))
-    out: dict = {}
-    get = out.get
-    for c, (terms, d) in parts:
-        c = c.numerator * (den // (c.denominator * d))
-        for m, v in terms.items():
-            out[m] = get(m, 0) + c * v
-    return _from_numerators(target, out, den)
+    def image_of(p: Polynomial) -> Polynomial:
+        if p.ring != src:
+            raise RingMismatchError("polynomial not in the source ring of the substitution")
+        parts = []
+        for mono, c in p.terms:
+            image = prefixes[()]
+            for k, e in enumerate(mono, 1):
+                got = prefixes.get(mono[:k])
+                if got is None:
+                    got = prefixes[mono[:k]] = times(image, power(k - 1, e)) if e else image
+                image = got
+            parts.append((c, image))
+        den = lcm(*(c.denominator * d for c, (_, d) in parts))
+        out: dict = {}
+        get = out.get
+        for c, (terms, d) in parts:
+            c = c.numerator * (den // (c.denominator * d))
+            for m, v in terms.items():
+                out[m] = get(m, 0) + c * v
+        return _from_numerators(target, out, den)
+    return image_of
+
+
+def substitute(p: Polynomial, assignment: dict) -> Polynomial:
+    """The one-polynomial case of `substitution`."""
+    return substitution(p.ring, assignment)(p)
 
 
 def transport(p: Polynomial, target: RingSpec) -> Polynomial:

@@ -5,16 +5,18 @@ y_1..y_{n+1}]: it is the kernel of y_i -> t F_i.  `chain` builds every
 generator set the checks use: P_0 = the 2-minors p_ij = x_j y_i - x_i y_j
 of the generic (x | y) matrix and P_{i+1} = (P_i, F_i) along the downgraded
 sequence F_0..F_{d-2}, so P_1 is the symmetric-algebra part and P_{d-1} the
-predicted generating set.  `link_bases` holds their reduced bases, each
-link's extending the one before (`groebner.extend`), and every check reads
-them.  A certificate is the one route to J: with a = x_1 f, P = P_{d-1}
-lies in J, a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors
+predicted generating set.  `link_bases` holds their reduced bases, P_0's
+in closed form and each later link's extending the one before
+(`groebner.extend`), and every check reads them.  A certificate is the one
+route to J: with a = x_1 f, P = P_{d-1} lies in J (read at the map's own
+degrees), a y_{n+1} - g y_1 lies in P, and x_1 and f are nonzerodivisors
 on S/P (`groebner.is_regular`) exactly when P = J (see `_uncertified`).
 `rees_ideal` returns P's reduced basis, or raises `NotCertified` naming the
 first failing clause; then the theorem fails.
-`case_report` builds J once per map: while it runs, `link_bases` and
-`rees_ideal` are computed on the first call for its map and looked up on the
-later ones (`_once_per_case`).  The memo is dropped when `case_report`
+`case_report` builds J once per map: while it runs, the downgraded
+sequence, `link_bases` and `rees_ideal` are computed on the first call for
+its map and looked up on the later ones (`dejonq.case_scope`).  The memo is
+dropped when `case_report`
 returns or raises, so a check called alone builds J from j.
 Verification compares reduced bases, reads minimality off the link bases
 (a form is redundant exactly when its link leaves the basis unchanged), and
@@ -32,55 +34,24 @@ and ell on the inverse coordinates must be a multiple of h (see
 
 from __future__ import annotations
 
-import functools
 import logging
 import random
 from dataclasses import dataclass
 from math import comb
 
 from . import groebner
-from .dejonq import DeJonquieresMap, downgraded_sequence, inverse
-from .polycore import (
-    JonqError,
-    Polynomial,
-    RingSpec,
-    substitute,
-    transport,
-)
+from .cremona import ladder, pullback
+from .dejonq import DeJonquieresMap, case_scope, inverse, once_per_case, shared_sequence
+from .polycore import JonqError, Polynomial, RingSpec, substitute, substitution, transport
 
 
 log = logging.getLogger(__name__)
-
-# (map, {function: result}) while `case_report` runs on that map, else None
-_case_memo: tuple[DeJonquieresMap, dict] | None = None
-
-
-def _once_per_case(fn):
-    """fn(j), computed once for the map of the running `case_report` and
-    looked up on later calls; computed afresh for any other map or outside
-    `case_report`.  A NotCertified raise is kept too, and raised again."""
-    @functools.wraps(fn)
-    def memoized(j):
-        memo = _case_memo  # read once: a report in another thread may swap it
-        if memo is None or memo[0] is not j:
-            return fn(j)
-        results = memo[1]
-        if fn not in results:
-            try:
-                results[fn] = fn(j)
-            except NotCertified as exc:
-                results[fn] = exc
-        if isinstance(results[fn], NotCertified):
-            raise results[fn]
-        return results[fn]
-    return memoized
-
 
 class NotCertified(JonqError):
     """The certificate failed, so the predicted set P is not J."""
 
 
-@_once_per_case
+@once_per_case
 def rees_ideal(j: DeJonquieresMap) -> groebner.GroebnerBasis:
     """Reduced Groebner basis of the presentation ideal J, the kernel of
     y_i -> t F_i from S to k[t, x_1..x_{n+1}].
@@ -100,23 +71,25 @@ def _uncertified(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> str |
     """None when P = J, `predicted` the reduced basis of P = P_{d-1}; else
     the first failing clause.
 
-    With a = x_1 f, the first base form: (a) P lies in J, checked by y -> F
-    on each generator; (b) a y_{n+1} - g y_1 lies in P; (c) x_1 and f are
-    nonzerodivisors on S/P.  Inverting a makes I the unit ideal, so J S_a is
-    generated by the a y_i - F_i y_1 (Vasconcelos, Arithmetic of Blowup
-    Algebras, 1994), and for 1 < i <= n these are f (x_1 y_i - x_i y_1), in
-    P_0.  With (a) and (b), J S_a = P S_a; J is prime and a is not in J, so
+    With a = x_1 f, the first base form: (a) P lies in J, read off the
+    pullback p(x, x' f, g) = f^s P_p of each generator (`cremona.pullback`,
+    the powers f^a g^b shared), which is 0 exactly when the form P_p, of
+    degree about 2d - 1, is; (b) a y_{n+1} - g y_1 lies in P; (c) x_1 and f
+    are nonzerodivisors on S/P.  Inverting a makes I the unit ideal, so
+    J S_a is generated by the a y_i - F_i y_1 (Vasconcelos, Arithmetic of
+    Blowup Algebras, 1994), and for 1 < i <= n these are f (x_1 y_i -
+    x_i y_1), in P_0.  With (a) and (b), J S_a = P S_a; J is prime and a is not in J, so
     J = P : a^infinity, which is P by (c).  Conversely, let P = J: (a) is
     trivial; a y_{n+1} - g y_1 goes to x_1 f t g - g t x_1 f = 0, which is
     (b); and J meets k[x] only in 0 (x_i -> x_i), so x_1 and f are nonzero
     in the domain S/J, which is (c).  So a failing clause means P != J.
     """
     ring = predicted.ring
-    images = dict(zip(j.target.names, j.base_forms))
     x1, f = ring.variable(0), transport(j.f, ring)
     y1, top = ring.variable(j.target.names[0]), ring.variable(j.target.names[-1])
+    power = ladder(j.f, j.g)
     for p in predicted.gens:
-        if not substitute(p, images).is_zero():
+        if pullback(p, power)[1]:
             return f"predicted generator not in J: {p}"
     if not predicted.contains(x1 * f * top - transport(j.g, ring) * y1):
         return "a y_{n+1} - g y_1 is not in P"
@@ -135,23 +108,26 @@ def chain(j: DeJonquieresMap) -> tuple[tuple[Polynomial, ...], ...]:
     ys = [s_ring.variable(nm) for nm in j.target.names]
     links = [tuple(xs[k] * ys[i] - xs[i] * ys[k]
                    for i in range(j.n) for k in range(i + 1, j.n))]
-    for form in downgraded_sequence(j).forms:
+    for form in shared_sequence(j).forms:
         links.append(links[-1] + (form,))
     return tuple(links)
 
 
-@_once_per_case
+@once_per_case
 def link_bases(j: DeJonquieresMap) -> tuple[groebner.GroebnerBasis, ...]:
     """Reduced bases of P_0..P_{d-1}, whose `.gens` are the links of `chain`.
 
-    Each link after P_0 adds one form, F_i of total degree d, so the forms
-    come in ascending degree.  Each link's basis extends the one before by
-    the forms the link adds (`groebner.extend`), so the pairs of P_i are
-    never formed again; the last is the basis of the predicted generating
-    set P = P_{d-1}.
+    P_0's is its minors, sorted, with no Buchberger run: the maximal minors
+    of a generic matrix are a universal Groebner basis (Sturmfels &
+    Zelevinsky, Adv. Math. 98, 1993), and these are monic with lead
+    x_j y_i, i < j, dividing no other term, so reduced.  Each later link
+    adds one form, F_i of total degree d, in ascending degree, and its basis
+    extends the one before by it (`groebner.extend`), so the pairs of P_i
+    are never formed again; the last is the basis of P = P_{d-1}.
     """
-    links = chain(j)
-    bases = [groebner.buchberger(links[0], ring=j.working_ring())]
+    links, ring = chain(j), j.working_ring()
+    bases = [groebner.GroebnerBasis(ring, links[0], tuple(sorted(
+        links[0], key=lambda p: ring.key(p.lm()))))]
     for link in links[1:]:
         bases.append(groebner.extend(bases[-1], link[len(bases[-1].gens):]))
     return tuple(bases)
@@ -332,7 +308,7 @@ def _certified_section(ideal: groebner.GroebnerBasis, n: int) -> groebner.Groebn
         forms = {name: Polynomial(keep, zip([v.lm() for v in keep.variables()],
                                             _random_point(keep, rng)))
                  for name in ring.names[ring.nvars - k:]}
-        section = groebner.buchberger([substitute(p, forms) for p in ideal.gens], ring=keep)
+        section = groebner.buchberger(map(substitution(ring, forms), ideal.gens), ring=keep)
         if groebner.hilbert_series_numerator(section) == numerator:
             return section
     raise JonqError("no linear form is regular on S/J: the ideal is not the prime J")
@@ -419,8 +395,8 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
 
     rejected, regular = [], False
     for cand in ((lam,) if lam is not None else random_candidates()):
-        on_cut = {last: transport(cand, cut)}
-        fh, gh = substitute(j.f, on_cut), substitute(j.g, on_cut)
+        on_cut = substitution(ring, {last: transport(cand, cut)})
+        fh, gh = on_cut(j.f), on_cut(j.g)
         if fh and gh and groebner.coprime(fh, gh):
             lam, regular = cand, True
             break
@@ -431,8 +407,8 @@ def specialization_check(j: DeJonquieresMap, lam: Polynomial | None = None,
         inv, _ = inverse(j)
         ell = ring.variable(last) - lam
         ell_of_inverse = substitute(ell, dict(zip(ring.names, inv.base_forms)))
-        to_y = dict(zip(cut.names, j.target.variables()))
-        h = substitute(fh, to_y) * j.target.variable(n) - substitute(gh, to_y)
+        to_y = substitution(cut, dict(zip(cut.names, j.target.variables())))
+        h = to_y(fh) * j.target.variable(n) - to_y(gh)
         degree_ok = ell_of_inverse.monic() == h.monic()
         scalar = ell_of_inverse.lc() if degree_ok else None
         verdict = "pass" if degree_ok else "equation differs"
@@ -449,13 +425,13 @@ VERDICT_KEYS = ("theorem", "colon", "cone_hilbert", "special")
 def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
     """JSON-ready report for one map; schema used by the CLI and the probe.
 
-    The checks share one J: while they run, `link_bases` and `rees_ideal`
-    are computed once for j (`_once_per_case`), and so is a failing
-    certificate.  When J is not certified, cone and projdim are "skipped".
+    The checks share one J: while they run, the downgraded sequence,
+    `link_bases` and `rees_ideal` are computed once for j (`dejonq.case_scope`),
+    and so is a failing certificate.  When J is not certified, cone and
+    projdim are "skipped".
     """
     import time
 
-    global _case_memo
     start = time.monotonic()
     report: dict = {
         "case": {
@@ -467,8 +443,7 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
         },
         "modulus": j.source.modulus,
     }
-    _case_memo = (j, {})
-    try:
+    with case_scope(j):
         if "theorem" in checks:
             report["theorem"] = "pass" if verify_main_theorem(j).ok else "fail"
         if "colon" in checks:
@@ -488,7 +463,5 @@ def case_report(j: DeJonquieresMap, seed=None, checks=REPORT_CHECKS) -> dict:
         if "special" in checks:
             rng = random.Random(seed if seed is not None else 0)
             report["special"] = "pass" if specialization_check(j, rng=rng).ok else "fail"
-    finally:
-        _case_memo = None
     report["runtime_ms"] = int((time.monotonic() - start) * 1000)
     return report

@@ -17,9 +17,14 @@ input where the criteria still apply, to make the checks fail:
 `groebner.colon` is the oracle for both.  The generation theorem's
 minimality is read off the same link bases; a planted extra link whose form
 lies in the link before it must be named, with the module greedy
-`resolutions.minimal_generators` as the oracle.  The last property checks the
+`resolutions.minimal_generators` as the oracle.  Another property checks the
 fact `rees._certified_section` rests on at k = 1: any cut of the last
-variable of S by a linear form in the others keeps J's numerator.
+variable of S by a linear form in the others keeps J's numerator.  The last
+checks the certificate's clause (a), P in J, which pulls each generator back
+through the shape of the map (`cremona.pullback`) instead of expanding
+y -> F: the full substitution is the oracle, on P's generators, which lie
+in J, and on a generator plus a random form of its bidegree, which mostly
+does not.
 """
 
 import random
@@ -33,6 +38,7 @@ st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
 from jonq import dejonq, groebner as gb, rees  # noqa: E402
+from jonq.cremona import ladder, pullback  # noqa: E402
 from jonq.polycore import Polynomial, RingSpec, substitute  # noqa: E402
 from jonq.resolutions import minimal_generators  # noqa: E402
 
@@ -146,3 +152,34 @@ def test_one_cut_form_is_always_regular_on_the_rees_algebra(point, modulus, seed
                                                 coefficients))}
     section = gb.buchberger([substitute(p, cut) for p in ideal.basis], ring=keep)
     assert gb.hilbert_series_numerator(section) == gb.hilbert_series_numerator(ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4))),
+       st.sampled_from((None, 32003, 7)), st.integers(0, 10 ** 6), st.data())
+def test_pullback_membership_matches_the_full_substitution(point, modulus, seed, data):
+    # p(x, x' f, g) = f^s P, so over the domain k[x] p lies in J, the kernel
+    # of y -> F, exactly when P = 0
+    n, d = point
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    gens = rees.chain(j)[-1]
+    p = gens[data.draw(st.integers(0, len(gens) - 1))]
+    member = data.draw(st.booleans())
+    if not member:
+        ring, (a, b) = p.ring, p.bidegree()
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        terms = []
+        for _ in range(rng.randrange(1, 5)):
+            mono = [0] * ring.nvars
+            for lo, hi, k in ((0, n + 1, a), (n + 1, 2 * n + 2, b)):
+                for _ in range(k):
+                    mono[rng.randrange(lo, hi)] += 1
+            terms.append((mono, rng.randrange(1, 1000)))
+        p = p + Polynomial(ring, terms)
+    power = ladder(j.f, j.g)
+    s, pulled = pullback(p, power)
+    image = substitute(p, dict(zip(j.target.names, j.base_forms)))
+    assert image == power(s, 0) * pulled
+    assert pulled.is_zero() == image.is_zero()
+    if member:
+        assert pulled.is_zero()

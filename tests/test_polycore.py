@@ -16,6 +16,7 @@ from jonq.polycore import (  # noqa: E402
     JonqError,
     ParseError,
     Polynomial,
+    RingMismatchError,
     RingSpec,
     ZERO_DEGREE,
     ZeroDegree,
@@ -29,6 +30,7 @@ from jonq.polycore import (  # noqa: E402
     parse_polynomial,
     random_form,
     substitute,
+    substitution,
     transport,
     x_decompose,
     xprime_order,
@@ -92,8 +94,11 @@ def test_ring_rejects_the_strong_pseudoprime_to_bases_2_to_37():
 def test_ring_rejects_a_modulus_beyond_the_exact_primality_bound():
     # the test is exact below 3317044064679887385961981, a strong
     # pseudoprime to every base 2..41
-    with pytest.raises(JonqError, match="not below 3317044064679887385961981"):
-        RingSpec(["x1"], modulus=3317044064679887385961981)
+    # the primality test is memoized, but a raise is never cached: it fires
+    # on every ring
+    for _ in range(2):
+        with pytest.raises(JonqError, match="not below 3317044064679887385961981"):
+            RingSpec(["x1"], modulus=3317044064679887385961981)
 
 
 def test_ring_rejects_bad_split():
@@ -286,6 +291,20 @@ def test_substitute_matches_termwise_products(case):
     # the target's order
     p, assignment = case
     assert substitute(p, assignment) == reference_substitute(p, assignment)
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+def test_one_substitution_maps_many_polynomials(case):
+    # the prepared form caches powers and prefix images across the
+    # polynomials it maps; each image is still exactly the termwise one
+    p, assignment = case
+    one = substitution(p.ring, assignment)
+    for q in (p, p * p, p + p.ring.one(), -p, p.ring.zero()):
+        assert one(q) == reference_substitute(q, assignment)
+    other = RingSpec(["z"] + list(p.ring.names), p.ring.modulus)
+    with pytest.raises(RingMismatchError):
+        one(other.variable(0))
 
 
 # ---------- degree_in / xprime_order ----------

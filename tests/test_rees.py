@@ -229,6 +229,20 @@ def test_main_theorem_names_ideal_mismatch(e3, monkeypatch):
     assert report.witnesses == (f"P != J: predicted generator not in J: {outside}",)
 
 
+@pytest.mark.parametrize("modulus", [None, 32003])
+def test_p0_basis_in_closed_form_is_the_buchberger_basis(modulus):
+    # the 2-minors of the generic 2 x n matrix are a universal Groebner
+    # basis, and reduced under grevlex: `link_bases` takes them, sorted, for
+    # P_0's reduced basis with no Buchberger run
+    for n in range(1, 9):
+        j = dejonq.random_map(n, 2, random.Random(n), modulus)
+        minors = rees.chain(j)[0]
+        closed = rees.link_bases(j)[0]
+        run = gb.buchberger(minors, ring=j.working_ring())
+        assert (closed, closed.basis, closed.gens) == (run, run.basis, run.gens)
+        assert len(closed.basis) == comb(n, 2)
+
+
 def test_presentation_chain(e3):
     links = rees.chain(e3)
     eliminated = rees.rees_ideal(e3)
@@ -535,10 +549,10 @@ def test_case_report_schema(e1):
 
 
 def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
-    # within one case_report, chain's downgrading runs once (the other
-    # downgrading is the inverse's) and each link basis P_0..P_{d-1} is built
-    # once, P_0 by extending the zero ideal and every later one by extending
-    # the link before; a second call on the same map object builds them again
+    # within one case_report, the downgrading runs once, shared by chain and
+    # the inverse, and each link basis P_0..P_{d-1} is built once: P_0 in
+    # closed form, with no `extend`, and every later one by extending the
+    # link before; a second call on the same map object builds them again
     j = dejonq.random_map(3, 4, random.Random(5), 32003)
     links = rees.chain(j)
     downgradings, built = [], []
@@ -553,14 +567,13 @@ def test_case_report_builds_the_rees_ideal_once_per_call(monkeypatch):
         if out.gens in links:
             built.append((basis.gens, out.gens))
         return out
-    for module in (dejonq, rees):
-        monkeypatch.setattr(module, "downgraded_sequence", spy_downgrade)
+    monkeypatch.setattr(dejonq, "downgraded_sequence", spy_downgrade)
     monkeypatch.setattr(gb, "extend", spy_extend)
-    once = list(zip(((),) + links, links))
+    once = list(zip(links, links[1:]))
     first = rees.case_report(j, seed=5)
-    assert (len(downgradings), built) == (2, once)
+    assert (len(downgradings), built) == (1, once)
     second = rees.case_report(j, seed=5)
-    assert (len(downgradings), built) == (4, once + once)
+    assert (len(downgradings), built) == (2, once + once)
     for report in (first, second):
         report.pop("runtime_ms")
     assert first == second
