@@ -72,8 +72,11 @@ class DeJonquieresMap:
     source: RingSpec
     target: RingSpec
 
-    @property
+    @functools.cached_property
     def base_forms(self) -> tuple[Polynomial, ...]:
+        """(x_1 f, .., x_n f, g), built once per map: a frozen dataclass
+        still has an instance dict, which the cache writes past __setattr__
+        and which equality and hashing, read off the fields, never see."""
         xs = self.source.variables()
         return tuple(xs[i] * self.f for i in range(self.n)) + (self.g,)
 

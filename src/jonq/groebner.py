@@ -176,6 +176,14 @@ class _Packing:
     def pack(self, t) -> int:
         return self.bases[t[0] if self.comps else 0] + sum(map(mul, t, self.units))
 
+    def lead_digit(self, m: int) -> int:
+        """The first digit of the key of the packed term m.  What lies below
+        weights[0], the other digits and the fields, spans one window of
+        weights[0] ints that starts at -(weights[0] - 2^lobits) / 2, so the
+        digit is a floor division."""
+        w = self.weights[0]
+        return (m + (w - (1 << self.lobits)) // 2) // w
+
     def unpack(self, m: int) -> tuple:
         fmask = self.fmask
         f = [m >> s & fmask for s in self.fields]
@@ -340,7 +348,7 @@ class _Engine:
         self.elems: list[tuple] = []  # basis index -> (lead & lomask, lead, tail, lc)
         self.leads: list[tuple] = []
         self.reducers: dict = {}  # component -> [elems entries]
-        self.pairs: list[tuple] = []  # (key(lcm), lcm, i, j)
+        self.pairs: list[tuple] = []  # (packed lcm, lcm, i, j)
 
     def element(self, k: int) -> dict:
         """Basis element k as a monic {term: coefficient} dict."""
@@ -361,7 +369,7 @@ class _Engine:
         self._fit(vectors)
         pk = self.pk
         packed = {i: self._pack(v) for i, v in enumerate(vectors) if v}
-        digits = {i: self.key(pk.unpack(max(d)))[0] for i, d in packed.items()}
+        digits = {i: pk.lead_digit(max(d)) for i, d in packed.items()}
         added = [False] * len(vectors)
         for i in sorted(digits, key=digits.get):
             self._saturate(digits[i])
@@ -428,6 +436,7 @@ class _Engine:
         self.reducers.clear()
         for d in old:
             self._install(self._pack(d))
+        self.pairs = [(self.pk.pack(lcm), lcm, i, j) for _, lcm, i, j in self.pairs]
 
     def _nf(self, make) -> tuple[dict, int]:
         """(remainder, scale) of the packed dict make() builds, modulo the
@@ -452,25 +461,27 @@ class _Engine:
 
     def _update_pairs(self, new: int):
         """Gebauer-Moeller pair update after appending basis element `new`,
-        which pairs with every earlier element of its component."""
-        lms, key = self.leads, self.key
+        which pairs with every earlier element of its component.  The lcms
+        go by degree, which ranks a monomial after its divisors, and each
+        pair's lcm is packed once: pairs compare by that int."""
+        lms = self.leads
         lmf = lms[new]
+        lcms = {i: mono_lcm(lms[i], lmf) for i in range(new)
+                if not self.comps or lms[i][0] == lmf[0]}
         kept = []
         for pair in self.pairs:
             _, lij, i, j = pair
-            if (not mono_divides(lmf, lij)
-                    or mono_lcm(lms[i], lmf) == lij
-                    or mono_lcm(lms[j], lmf) == lij):
+            # lmf divides no lcm of another component, so lcms has i and j
+            if not mono_divides(lmf, lij) or lcms[i] == lij or lcms[j] == lij:
                 kept.append(pair)
         groups: dict = {}
-        for i in range(new):
-            if not self.comps or lms[i][0] == lmf[0]:
-                groups.setdefault(mono_lcm(lms[i], lmf), []).append(i)
-        for lcm in mono_minimal(groups, key):
+        for i, lcm in lcms.items():
+            groups.setdefault(lcm, []).append(i)
+        for lcm in mono_minimal(groups, sum):
             grp = groups[lcm]
             if not self.comps and any(lcm == mono_mul(lms[i], lmf) for i in grp):
                 continue
-            kept.append((key(lcm), lcm, min(grp), new))
+            kept.append((self.pk.pack(lcm), lcm, min(grp), new))
         self.pairs = kept
 
     def _saturate(self, digit: int | None = None):
@@ -478,7 +489,7 @@ class _Engine:
         while self.pairs:
             keys = [p[0] for p in self.pairs]
             k = keys.index(min(keys))  # ties go to the earliest pair
-            if digit is not None and keys[k][0] > digit:
+            if digit is not None and self.pk.lead_digit(keys[k]) > digit:
                 return
             _, lcm, i, j = self.pairs.pop(k)
             self._insert(self._nf(

@@ -22,7 +22,10 @@ and leaves the engine closed.
 
 `minimal_free_resolution` resolves from a Schreyer frame (Schreyer's
 theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
-"Strategies for computing minimal free resolutions", JSC 1998):
+"Strategies for computing minimal free resolutions", JSC 1998), built on a
+Groebner basis G of the module: a `GroebnerBasis`'s own reduced basis, or,
+for a list of polynomials or columns, the closed basis of the greedy
+(`_closed_basis`):
 
 - Level k + 1 comes from the elements f_1..f_M of level k, vectors of the
   free module F with basis e_1.. ordered by a key.  The induced order on
@@ -35,11 +38,13 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   of the syzygies, so they are a Groebner basis of it.  Each pair is
   reduced once by the level's elements, f_u carrying its own e_u, and the
   e_u part of the remainder is the syzygy.
-- Level 1 is a Groebner basis G of the column module: the elements of the
-  greedy's engine, which holds the remainder of each kept column and which
-  `_Engine.extend` left closed.  Every lead of the frame is known from G's
-  leads before any reduction (`_skeleton`): a syzygy's lead is its pair's
-  m_uv e_u.  No level forms a pair update or a new basis element.
+- Level 1 is G.  The greedy's engine holds the remainder of each kept
+  column, and `_Engine.extend` left it closed; a GroebnerBasis is adopted
+  as it stands, with no greedy, since a homogeneous reduced basis under
+  any ring order is one under the degree-led module key too.  Every lead
+  of the frame is known from G's leads before any reduction (`_skeleton`):
+  a syzygy's lead is its pair's m_uv e_u.  No level forms a pair update or
+  a new basis element.
 - The whole frame runs on one packing (`_layout`; Monagan & Pearce's
   packed exponents, see groebner.py).  Unrolled, the induced orders are
   one linear order: m e_u ranks by the key of m times the product of the
@@ -48,8 +53,9 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   u's packed lead, u's tie digit and u's component field; a term m e_u
   ranks just below m lead(f_u), and no e_u meets a reducer on its own
   level.  The e_u part of each remainder is then the next level's vector
-  as it stands, reduced on without a repack, and each vector is unpacked
-  once, for the caller.
+  as it stands, reduced on without a repack, and no vector is unpacked: G
+  moves from its engine's packing to the layout once, and the frame is
+  read packed.
 - Each level is sorted by lead component and then by descending exponent
   of variable k in the lead, so the leads of level k + 1 lose variable k
   (Eisenbud, Cor. 15.11): the frame has at most nvars + 1 levels.
@@ -59,9 +65,10 @@ theorem, Eisenbud, *Commutative Algebra*, Thm 15.10; La Scala & Stillman,
   frame's constant entries with nothing cancelled:
   beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, where f_{i,j} counts the
   level-i elements of degree j and r_{i,j} is the rank of the degree-j
-  block of the constant part of the map from level i (`_rank_shifts`).
-  Position 0 is R^s and position 1 the kept columns: per degree, |G| minus
-  the rank of the first syzygy map must be the number of kept columns.
+  block of the constant part of the map from level i (`_rank_shifts`).  A
+  packed term is constant iff it equals its component's base.  Position 0
+  is R^s and position 1 is |G_j| - r_{1,j}; on a list, that must be the
+  degrees of the kept columns.
 - A `Resolution` keeps only these shifts: no matrix is built, and the
   frame is dropped once its ranks are read.
 
@@ -281,49 +288,72 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
 def minimal_free_resolution(gens) -> Resolution:
     """Minimal graded free resolution of R/I (or of R^s modulo column span).
 
-    `gens` is a list of homogeneous polynomials (ideal case) or of
-    homogeneous columns.  Position 1's shifts are the degrees of the
-    columns `minimal_generators` keeps.  The shifts are
-    beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, read off the Schreyer frame
-    on the closed basis of its greedy (`_frame`) by `_rank_shifts`.
+    `gens` is the `GroebnerBasis` of a homogeneous ideal, or a list of
+    homogeneous polynomials (ideal case) or of homogeneous columns.  The
+    shifts are beta_{i,j} = f_{i,j} - r_{i,j} - r_{i+1,j}, read off the
+    Schreyer frame (`_frame`) on a Groebner basis G of the module by
+    `_rank_shifts`; position 1 is |G_j| - r_{1,j}.  G is a GroebnerBasis's
+    own basis, or the closed basis of the greedy on a list, whose kept
+    columns must then have position 1's degrees (`_closed_basis`).
     """
+    ring, rank, kept, basis = _closed_basis(gens)
+    shifts = ((0,) * rank,)
+    if basis.elems:
+        _, pk, levels = _frame(basis)
+        shifts += _rank_shifts(pk, levels, ring.modulus)
+        if kept is not None and shifts[1] != tuple(deg for deg, _ in kept):
+            raise JonqError("the first syzygy map's rank leaves a basis element that is not kept")
+    return Resolution(ring, shifts)
+
+
+def _closed_basis(gens):
+    """(ring, rank, kept, basis): `basis` an engine whose elements are a
+    Groebner basis of the module to resolve, a submodule of R^rank.
+
+    A GroebnerBasis is adopted as it stands (`GroebnerBasis._engine`), with
+    no greedy, and kept is None: a homogeneous reduced basis under the
+    ring's order, whatever it is, is one under the degree-led module key
+    as well, since on a form both orders pick the same lead.  A list goes
+    to `minimal_generators`, whose kept columns are `kept`, and its closed
+    engine is `basis`.
+    """
+    if isinstance(gens, groebner.GroebnerBasis):
+        if not all(g.is_homogeneous() for g in gens.basis):
+            raise JonqError("the basis is not homogeneous")
+        return gens.ring, 1, None, gens._engine
     columns, ring = _columns(gens)
     if not columns:
         raise JonqError("need at least one generator")
-    shifts0 = (0,) * len(columns[0])
-    kept = minimal_generators(columns, ring, shifts0)
-    if not kept:
-        return Resolution(ring, (shifts0,))
-    return Resolution(ring, _rank_shifts(ring, kept, _frame(kept.engine, shifts0)))
+    rank = len(columns[0])
+    kept = minimal_generators(columns, ring, (0,) * rank)
+    return ring, rank, kept, kept.engine
 
 
-def _rank_shifts(ring: RingSpec, kept: _Kept, levels) -> tuple:
-    """The minimal resolution's shifts, from ranks of the frame's constant
-    part: per degree j, levels[k] keeps f_{k,j} - r_{k,j} - r_{k+1,j} of its
-    f_{k,j} elements of degree j, r_{k,j} the rank of their constant entries.
-    Raises JonqError unless per degree that leaves G = levels[0] with as
-    many elements as kept columns: G generates the column module, so by
-    theory the constant part of the first syzygy map has rank |G| minus
-    the number of minimal generators."""
-    zero = (0,) * ring.nvars
-    counts = [Counter(shift for _, _, shift in level) for level in levels]
-    ranks = [Counter()]
-    for k in range(1, len(levels)):
+def _rank_shifts(pk, levels, mod) -> tuple:
+    """Positions 1.. of the minimal resolution's shifts, from ranks of the
+    frame's constant part: per degree j, levels[k] keeps
+    f_{k,j} - r_{k,j} - r_{k+1,j} of its f_{k,j} elements of degree j,
+    r_{k,j} the rank of their constant entries (r_{0,j} = 0).  A packed
+    term is constant iff it is its component's base,
+    t == pk.bases[t & pk.cmask], and that component is its row."""
+    bases, cmask = pk.bases, pk.cmask
+    ranks: list = [{}]
+    for level in levels[1:]:
         blocks: dict = {}
-        for v, _, shift in levels[k]:
-            col = {t[0]: c for t, c in v.items() if t[2:] == zero}
+        for v, shift in level:
+            col = {t & cmask: c for t, c in v.items() if t == bases[t & cmask]}
             if col:
                 blocks.setdefault(shift, []).append(col)
-        ranks.append(Counter({j: _rank(cols, ring.modulus) for j, cols in blocks.items()}))
-    ranks.append(Counter())
-    if counts[0] - ranks[1] != Counter(deg for deg, _ in kept):
-        raise JonqError("the first syzygy map's rank leaves a basis element that is not kept")
-    shifts = [(0,) * len(kept[0][1]), tuple(deg for deg, _ in kept)]
-    for k in range(1, len(levels)):
-        betti = counts[k] - ranks[k] - ranks[k + 1]
+        ranks.append({j: _rank(cols, mod) for j, cols in blocks.items()})
+    ranks.append({})
+    shifts = []
+    for level, here, above in zip(levels, ranks, ranks[1:]):
+        betti = []
+        for j, f in sorted(Counter(shift for _, shift in level).items()):
+            betti += [j] * (f - here.get(j, 0) - above.get(j, 0))
         if not betti:
             break
-        shifts.append(tuple(sorted(betti.elements())))
+        shifts.append(tuple(betti))
     return tuple(shifts)
 
 
@@ -431,33 +461,37 @@ def _layout(key, nvars: int, rank: int, skeleton, bits: int):
     return pk
 
 
-def _frame(greedy, shifts0):
-    """The levels of the Schreyer frame on the greedy's basis G, the
-    elements of its closed engine.
+def _frame(basis):
+    """(skeleton, pk, levels): the Schreyer frame on the elements G of the
+    closed engine `basis` (`_closed_basis`), an ideal's as the module R^1.
 
-    levels[k] lists level k + 1 in frame order as (vector, lead, shift)
-    triples with int coefficients.  `_skeleton` gives every level's leads
-    and pairs, and `_layout` one packing for the whole frame.  Each level is
-    reduced on as it stands: its element at position u carries its own e_u,
-    and the S-pair of each pair `_minimal_pairs` names reduces to a
-    remainder on the e_u alone, the next level's packed vector, which
-    `_syzygy` also unpacks once for the caller.  Reducers keep the order in
-    which their level was made, and the frame position only names
-    components.  An overflow redoes the frame on doubled fields
+    levels[k] lists level k + 1 in frame order as (vector, shift) pairs,
+    the vectors packed by pk with int coefficients: level 1's rows are the
+    components of R^rank, and level k + 1's are pk.offsets[k] + u for the
+    frame positions u of level k.  `_skeleton` gives every level's leads
+    and pairs, and `_layout` one packing for the whole frame, to which G
+    moves from the engine's packing (`_repacked`).  Each level is reduced
+    on as it stands: its element at position u carries its own e_u, and
+    the S-pair of each pair `_minimal_pairs` names reduces to a remainder
+    on the e_u alone, the next level's vector (`_syzygy`).  Reducers keep
+    the order in which their level was made, and the frame position only
+    names components.  An overflow redoes the frame on doubled fields
     (`groebner._widening`).
     """
-    ring, rank = greedy.ring, len(shifts0)
-    vectors = [{greedy.pk.unpack(m): c for m, c in greedy._element(k).items()}
-               for k in range(len(greedy.leads))]
-    skeleton = _skeleton(greedy.leads)
+    ring, src = basis.ring, basis.pk
+    if basis.comps:
+        key, rank, leads = basis.key, basis.comps, basis.leads
+    else:
+        key, rank, leads = _module_key(ring, None, (0,)), 1, [(0, 0) + m for m in basis.leads]
+    elements = [basis._element(k) for k in range(len(leads))]
+    skeleton = _skeleton(leads)
 
     def build(pk):
-        units, cmask, mod, monos = pk.units[2:], pk.cmask, ring.modulus, {}
+        units, cmask, mod = pk.units[2:], pk.cmask, ring.modulus
         order, placed, _ = skeleton[0]
-        levels = [[(vectors[i], lead, sum(lead[2:]) + shifts0[lead[0]])
-                   for i, lead in zip(order, placed)]]
-        current = [{pk.pack(t): c for t, c in v.items()} for v in vectors]
-        for (order, _, pairs), (next_order, next_placed, _), tags in zip(
+        current = [_repacked(src, pk, d) for d in elements]
+        levels = [[(current[i], sum(lead[2:])) for i, lead in zip(order, placed)]]
+        for (order, _, pairs), (next_order, _, _), tags in zip(
                 skeleton, skeleton[1:], pk.offsets[1:]):
             entries = [None] * len(order)
             reducers: dict = {}
@@ -465,54 +499,43 @@ def _frame(greedy, shifts0):
                 entries[i] = groebner._entry(pk, {**current[i], pk.bases[tags + u]: 1})
             for e in entries:
                 reducers.setdefault(e[1] & cmask, []).append(e)
-            current, renamed = [], []
+            current = []
             for a, b, m in pairs:
                 shift = sum(map(mul, m, units))
                 ea = entries[order[a]]
                 r, _ = groebner._nf_dict(groebner._spoly(ea, entries[order[b]], ea[1] + shift),
                                          reducers, mod, pk)
-                d, v = _syzygy(pk, r, tags, pk.bases[tags + a] + shift, mod, order, monos)
-                current.append(d)
-                renamed.append(v)
-            shifts = [levels[-1][a][2] + sum(m) for a, _, m in pairs]
-            levels.append([(renamed[i], lead, shifts[i])
-                           for i, lead in zip(next_order, next_placed)])
+                current.append(_syzygy(pk, r, tags, pk.bases[tags + a] + shift, mod))
+            shifts = [levels[-1][a][1] + sum(m) for a, _, m in pairs]
+            levels.append([(current[i], shifts[i]) for i in next_order])
         return levels
-    layouts = [_layout(greedy.key, ring.nvars, rank, skeleton, greedy.pk.bits)]
-    return groebner._widening(
+    layouts = [_layout(key, ring.nvars, rank, skeleton, src.bits)]
+    levels = groebner._widening(
         lambda: build(layouts[-1]), layouts[0].bits,
-        lambda bits: layouts.append(_layout(greedy.key, ring.nvars, rank, skeleton, bits)))
+        lambda bits: layouts.append(_layout(key, ring.nvars, rank, skeleton, bits)))
+    return skeleton, layouts[-1], levels
 
 
-def _syzygy(pk, r: dict, tags: int, lead: int, mod, order, monos: dict):
-    """(packed, renamed): the remainder r of an S-pair as its syzygy, the
-    next level's packed vector, and as {(u, -u) + mono: c}, component
-    tags + u becoming u.  r must lie on the components from `tags` on and
-    be led by `lead`; the syzygy is made monic there over GF(p), primitive
-    and positive there over Q.  The renamed terms go by descending mono,
-    then by ascending order[u], the place in which u was made, the order
-    `tests/oracles.prune` takes its pivots in; `monos` keeps the monomial
-    tuples made so far.
-    """
+def _repacked(src, pk, d: dict) -> dict:
+    """The dict d, packed by the engine packing `src`, packed by the layout
+    pk instead: component c of R^rank stays c (an ideal's terms go to 0)."""
+    fields = src.fields[2:] if src.comps else src.fields
+    fmask, cmask, bases, units = src.fmask, src.cmask, pk.bases, pk.units[2:]
+    return {bases[m & cmask] + sum(map(mul, [m >> s & fmask for s in fields], units)): c
+            for m, c in d.items()}
+
+
+def _syzygy(pk, r: dict, tags: int, lead: int, mod) -> dict:
+    """The remainder r of an S-pair as its syzygy, the next level's packed
+    vector.  r must be led by `lead` and lie on the components from `tags`
+    on, which fails when the frame's level 1 is not a Groebner basis; the
+    syzygy is made monic there over GF(p), primitive and positive there
+    over Q."""
     if max(r, default=None) != lead:
         raise JonqError("a syzygy is not led by its Schreyer lead")
-    d = groebner._normalized(r, mod, lead)
-    bases, cmask, n, lo, fmask = pk.bases, pk.cmask, len(order), pk.fields[2:], pk.fmask
-    keyed = []
-    for t, c in d.items():
-        g = t & cmask
-        if g < tags:
-            raise JonqError("the closed basis left an S-pair remainder")
-        m = t - bases[g]  # mono alone, packed: distinct monos differ by at least 1
-        keyed.append((m * n - order[g - tags], m, g, c))
-    keyed.sort(reverse=True)
-    renamed = {}
-    for _, m, g, c in keyed:
-        mono = monos.get(m)
-        if mono is None:
-            mono = monos[m] = tuple([m >> s & fmask for s in lo])
-        renamed[(g - tags, tags - g) + mono] = c
-    return d, renamed
+    if min(map(pk.cmask.__and__, r)) < tags:
+        raise JonqError("the closed basis left an S-pair remainder")
+    return groebner._normalized(r, mod, lead)
 
 
 # Imported last: groebner re-exports names of this module at its own end, so

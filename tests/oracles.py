@@ -1,11 +1,11 @@
 """Test oracles: computations the library no longer makes, kept to check it.
 
 `minimal_free_resolution` reads its Betti table off the ranks of a Schreyer
-frame's constant part and keeps no matrices.  `resolve` rebuilds that frame
-with the library's own `minimal_generators` and `_frame`, prunes it to the
-matrices of the minimal resolution (`prune`), and raises unless the pruned
-shifts are the rank read-out's, so every Betti table a test builds through
-it keeps a second computation.
+frame's constant part, packed, and keeps no matrices.  `resolve` rebuilds
+that frame with the library's own `_closed_basis` and `_frame`, unpacks it
+(`frame_parts`), prunes it to the matrices of the minimal resolution
+(`prune`), and raises unless the pruned shifts are the rank read-out's, so
+every Betti table a test builds through it keeps a second computation.
 
 The frame's constant entries cancel in pairs by Gaussian elimination on the
 complex: a unit u in row r and column s of a map turns every other column t
@@ -77,16 +77,42 @@ def eliminated(j) -> groebner.GroebnerBasis:
 
 
 def frame_parts(gens):
-    """(ring, kept, levels) as `minimal_free_resolution` builds them, or
-    None when no column is kept: the greedy's one `extend` call leaves its
-    engine closed, and `_frame` builds on that basis."""
-    columns, ring = resolutions._columns(gens)
-    shifts0 = (0,) * len(columns[0])
-    kept = resolutions.minimal_generators(columns, ring, shifts0)
-    if not kept:
+    """(ring, rank, levels) of the frame `minimal_free_resolution(gens)`
+    reads, or None when the module is zero: levels[k] lists level k + 1 in
+    frame order as (vector, lead, shift) triples, the vectors unpacked.
+
+    A syzygy's rows are renamed from the frame's components tags + u to
+    u, and its terms go by descending monomial, then by ascending order[u],
+    the place in which u was made: the order in which the tag-block engines
+    the frame replaced popped them, and in which `prune` takes its pivots.
+    RESOLUTIONS_DIGEST pins that order."""
+    ring, rank, _, basis = resolutions._closed_basis(gens)
+    if not basis.elems:
         return None
     # the module's `_frame`, so that a test can replace it
-    return ring, kept, resolutions._frame(kept.engine, shifts0)
+    skeleton, pk, packed = resolutions._frame(basis)
+    levels = [[({pk.unpack(t): c for t, c in v.items()}, lead, shift)
+               for (v, shift), lead in zip(packed[0], skeleton[0][1])]]
+    for (order, _, _), (_, placed, _), tags, level in zip(
+            skeleton, skeleton[1:], pk.offsets[1:], packed[1:]):
+        levels.append([(_renamed(pk, v, tags, order), lead, shift)
+                       for (v, shift), lead in zip(level, placed)])
+    return ring, rank, levels
+
+
+def _renamed(pk, v: dict, tags: int, order) -> dict:
+    """The packed syzygy v as {(u, -u) + mono: c}, in the order `frame_parts`
+    names.  A packed mono is an int, and distinct ones differ by at least 1,
+    so m * len(order) - order[u] sorts by mono and then by order[u]."""
+    keyed = []
+    for t, c in v.items():
+        g = t & pk.cmask
+        m = t - pk.bases[g]
+        keyed.append((m * len(order) - order[g - tags], g - tags, m, c))
+    keyed.sort(reverse=True)
+    exponents = pk.fields[2:]
+    return {(u, -u) + tuple([m >> s & pk.fmask for s in exponents]): c
+            for _, u, m, c in keyed}
 
 
 def resolve(gens):
@@ -111,7 +137,7 @@ def verify_complex(gens) -> bool:
     return resolutions.is_graded_complex(res.ring, res.shifts, matrices)
 
 
-def prune(ring: RingSpec, kept, levels) -> tuple:
+def prune(ring: RingSpec, rank: int, levels) -> tuple:
     """(shifts, matrices) of the minimal resolution left when the frame's
     constant entries cancel.
 
@@ -153,7 +179,7 @@ def prune(ring: RingSpec, kept, levels) -> tuple:
             for t_i, tau in enumerate(cols[k]):
                 if here[t_i] and r in tau:
                     dens[k][t_i] *= _cancel(tau, sigma, r, u, inv, rows, mod)
-    return _output(ring, len(kept[0][1]), levels, cols, alive, dens, width)
+    return _output(ring, rank, levels, cols, alive, dens, width)
 
 
 def _cancel(tau: dict, sigma: dict, r: int, u: int, inv, rows, mod) -> int:

@@ -1,11 +1,14 @@
 """Identity-support maps: construction, sequences, inverses, resolutions."""
 
+import pickle
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from jonq import cremona, dejonq, groebner as gb, polycore, rees, resolutions
+from jonq.cli import main
 from jonq.cremona import CertificateFailure, InversionCertificate, inversion_certificate
 from jonq.dejonq import ConstructionError
 from jonq.polycore import degree_in, parse_polynomial, substitute, transport, xprime_order
@@ -26,6 +29,32 @@ def test_construct_e1(e1):
     assert (e1.n, e1.d) == (2, 2)
     R = e1.source
     assert e1.base_forms == (P("x1*x3", R), P("x2*x3", R), P("x1^2 - x2*x3", R))
+
+
+def test_base_forms_are_built_once_per_map(capsys):
+    # the same tuple comes back; equality and hashing read the fields alone,
+    # with or without the cached forms; `replace` builds a map of its own,
+    # with forms of its own
+    j = make_map(3, "x1*x4 + x2^2", "x1^2*x4 + x3^3")
+    fresh = make_map(3, "x1*x4 + x2^2", "x1^2*x4 + x3^3")
+    forms = j.base_forms
+    assert j.base_forms is forms and len(forms) == 4
+    assert j == fresh and hash(j) == hash(fresh)
+    assert fresh.base_forms == forms and fresh.base_forms is not forms
+    other = replace(j, g=parse_polynomial("x1^2*x4 + x2^3", j.source))
+    assert other.base_forms[:3] == forms[:3] and other.base_forms[3] == other.g != j.g
+    # a map does not pickle, the ring's order key being a closure, before
+    # its forms are built or after; explore's workers pickle reports, and
+    # two of them print what one does
+    for m in (j, make_map(2, "x3", "x1^2 - x2*x3")):
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(m)
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["explore", "--n-range", "2", "--d-range", "2..3", "--trials", "2",
+                     "--seed", "0", "--jobs", jobs]) == 0
+        outputs.append(re.sub(r', "runtime_ms": [0-9]+', "", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_construct_rejects_common_factor():

@@ -58,6 +58,8 @@ def test_pack_is_the_key_digit_sum(k, c, mono):
     fields = (c, COMPS - 1 - c) + mono if pk.comps else mono
     lo = sum(f << BITS * i for i, f in enumerate(fields))
     assert pk.pack(t) == sum(map(mul, key(t), pk.weights)) + lo
+    # the engine's degree truncation reads the first digit off the int
+    assert pk.lead_digit(pk.pack(t)) == key(t)[0]
 
 
 @given(schemes, comps, monos, comps, monos)

@@ -25,6 +25,7 @@ import oracles  # noqa: E402
 from jonq import dejonq, groebner, rees, resolutions  # noqa: E402
 from jonq.groebner import _Packing  # noqa: E402
 from jonq.cli import main  # noqa: E402
+from jonq.orders import GREVLEX, LEX, elimination_order  # noqa: E402
 from jonq.polycore import (  # noqa: E402
     JonqError,
     Polynomial,
@@ -40,7 +41,6 @@ from jonq.resolutions import (  # noqa: E402
     _column_degree,
     _column_to_dict,
     _module_key,
-    _rank_shifts,
     minimal_free_resolution,
     minimal_generators,
     syzygies,
@@ -246,8 +246,8 @@ EXCESS_7 = [parse_polynomial(g, R3_7) for g in ("x1^2", "x1*x2 + x2^2", "x3^3")]
         "base-ideal-e3", "base-ideal-with-excess"])
 def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make, larger):
     gens = make()
-    _, kept, levels = oracles.frame_parts(gens)
-    assert (len(levels[0]) > len(kept)) == larger
+    _, _, levels = oracles.frame_parts(gens)
+    assert (len(levels[0]) > len(minimal_free_resolution(gens).shifts[1])) == larger
     assert_matches_reference(gens)
     assert_rank_read_out_is_pruned(gens)
 
@@ -255,9 +255,6 @@ def test_frame_larger_than_the_minimal_resolution_prunes_to_it(make, larger):
 def assert_rank_read_out_is_pruned(gens):
     # the oracle prunes the frame and raises unless its shifts are res.shifts
     res, matrices = oracles.resolve(gens)
-    parts = oracles.frame_parts(gens)
-    if parts is not None:
-        assert _rank_shifts(*parts) == res.shifts
     assert resolutions.is_graded_complex(res.ring, res.shifts, matrices)
 
 
@@ -277,6 +274,69 @@ def test_rank_read_out_matches_the_pruned_shifts(gens):
     assert_rank_read_out_is_pruned(gens)
 
 
+@st.composite
+def ordered_ideals(draw):
+    """Homogeneous ideals in 2..4 variables under grevlex, lex or an
+    elimination order, over Q, GF(32003) or GF(7)."""
+    nvars = draw(st.integers(2, 4))
+    block = draw(st.integers(1, nvars - 1))
+    order = draw(st.sampled_from((GREVLEX, LEX, elimination_order(block))))
+    ring = RingSpec([f"x{i}" for i in range(1, nvars + 1)], draw(st.sampled_from(FIELDS)),
+                    order=order)
+    return [draw(forms(ring, draw(st.integers(1, 3)))) for _ in range(draw(st.integers(1, 5)))]
+
+
+def assert_basis_input_resolves_alike(gb):
+    # the frame on the reduced basis as it stands, the greedy's closed basis
+    # of the same generators, and the pruned frame give one Betti table
+    by_basis = minimal_free_resolution(gb)
+    by_list = minimal_free_resolution(list(gb.basis) or [gb.ring.zero()])
+    res, matrices = oracles.resolve(gb)
+    assert by_basis.shifts == by_list.shifts == res.shifts
+    assert resolutions.is_graded_complex(res.ring, res.shifts, matrices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ordered_ideals())
+def test_basis_input_matches_list_input(gens):
+    assert_basis_input_resolves_alike(groebner.buchberger(gens))
+
+
+@pytest.mark.parametrize("make", [
+    # 10 basis elements and 7 minimal generators: position 1 is |G_j| - r_{1,j}
+    lambda: groebner.buchberger(section_4_2()),
+    lambda: groebner.buchberger([], ring=Q3),
+    lambda: groebner.buchberger([Q3.one()]),
+    lambda: groebner.buchberger(EXCESS_7),
+], ids=["section-4-2", "zero-ideal", "unit-ideal", "s-pair-over-GF7"])
+def test_basis_input_pinned(make):
+    gb = make()
+    assert_basis_input_resolves_alike(gb)
+    if len(gb.basis) == 10:
+        assert len(minimal_free_resolution(gb).shifts[1]) == 7
+
+
+def test_basis_input_must_be_a_homogeneous_groebner_basis():
+    # a hand-made GroebnerBasis whose S-pair leaves a remainder on R^1, and
+    # one that is not homogeneous
+    x1, x2, x3 = Q3.variables()
+    gens = (x1 ** 2 - x2 * x3, x1 * x2 - x3 ** 2)
+    with pytest.raises(JonqError, match="S-pair remainder"):
+        minimal_free_resolution(groebner.GroebnerBasis(Q3, gens, gens))
+    with pytest.raises(JonqError, match="not homogeneous"):
+        minimal_free_resolution(groebner.buchberger([x1 ** 2 - x2]))
+
+
+def test_certified_section_resolves_alike_as_basis_and_list():
+    # the section projdim_probe resolves, a reduced basis under an
+    # elimination order, has the same shifts whichever way it goes in
+    j = dejonq.random_map(4, 2, random.Random(0))
+    section = rees._certified_section(rees.rees_ideal(j), j.n)
+    res = minimal_free_resolution(section)
+    assert res.shifts == minimal_free_resolution(list(section.basis)).shifts
+    assert res.length() == rees.projdim_probe(j) == 4
+
+
 def test_rank_over_q_is_exact():
     # x2^3 joins the basis, and the first syzygy map's constant entry -N^2
     # cancels it: the ideal is a complete intersection of degrees 2, 2, 3
@@ -289,22 +349,25 @@ def test_rank_over_q_is_exact():
 
 def test_a_basis_element_left_over_is_an_error(monkeypatch):
     # x2^3 joins the basis, and only a constant entry in its row of the
-    # first syzygy map cancels it; a frame without that entry leaves it over
+    # first syzygy map cancels it; a frame without that entry leaves it
+    # over.  Level 2's row of level 1's element u is component offsets[1] + u,
+    # and its constant term there is that component's base
     build = resolutions._frame
 
-    def broken(greedy, shifts0):
-        levels = build(greedy, shifts0)
-        (row,) = [r for r, (_, lead, _) in enumerate(levels[0]) if lead[2:] == (0, 3, 0)]
-        levels[1] = [({t: c for t, c in v.items() if t[0] != row or any(t[2:])}, lead, shift)
-                     for v, lead, shift in levels[1]]
-        return levels
+    def broken(basis):
+        skeleton, pk, levels = build(basis)
+        (u,) = [u for u, lead in enumerate(skeleton[0][1]) if lead[2:] == (0, 3, 0)]
+        constant = pk.bases[pk.offsets[1] + u]
+        levels[1] = [({t: c for t, c in v.items() if t != constant}, shift)
+                     for v, shift in levels[1]]
+        return skeleton, pk, levels
     monkeypatch.setattr(resolutions, "_frame", broken)
     with pytest.raises(JonqError, match="leaves a basis element"):
         minimal_free_resolution(EXCESS_7)
     # the pruning leaves it over too: one more generator than the kept columns
-    ring, kept, levels = oracles.frame_parts(EXCESS_7)
-    shifts, _ = oracles.prune(ring, kept, levels)
-    assert shifts[1] == (2, 2, 3, 3) and len(kept) == 3
+    shifts, _ = oracles.prune(*oracles.frame_parts(EXCESS_7))
+    assert shifts[1] == (2, 2, 3, 3)
+    assert len(minimal_generators([(g,) for g in EXCESS_7], R3_7, (0,))) == 3
 
 
 def test_frame_of_a_section_loses_a_variable_per_level():
@@ -501,7 +564,7 @@ def test_a_frame_term_that_overflows_at_every_width_raises(monkeypatch):
         return nf(work, reducers, mod, pk, bound)
     monkeypatch.setattr(groebner, "_nf_dict", negative)
     with pytest.raises(JonqError, match="overflow"):
-        resolutions._frame(kept.engine, (0,))
+        resolutions._frame(kept.engine)
     assert widths == [8 << k for k in range(8)] and widths[-1] == groebner._MAX_BITS
 
 
