@@ -32,7 +32,8 @@ elements are monic.  Over Q the engine is fraction-free: every element is a
 primitive integer vector with a positive lead coefficient, a reduction step
 scales the pending terms by a / gcd(a, c) instead of dividing by the
 reducer's lead a, and an S-pair cross-multiplies by the two lead
-coefficients over their gcd.  Fractions appear only at the boundary: `_pack`
+coefficients over their gcd.  Fractions appear only at the boundary, and
+only where a coefficient is not integral (`polycore._rational`): `_pack`
 clears denominators, `element` and the interreduced basis are made monic,
 and `reduce` divides by their lcm times the tracked scale, so it returns the
 exact normal form.  Every intermediate is a nonzero rational multiple of the
@@ -94,6 +95,7 @@ from .polycore import (
     RingSpec,
     RingMismatchError,
     _numerators,
+    _rational,
     exact_div,
     mono_div,
     mono_divides,
@@ -409,7 +411,7 @@ class _Engine:
         unpack = self.pk.unpack
         if self.ring.modulus is not None:
             return {unpack(m): c for m, c in d.items()}
-        return {unpack(m): Fraction(c, divisor) for m, c in d.items()}
+        return {unpack(m): _rational(Fraction(c, divisor)) for m, c in d.items()}
 
     def _element(self, k: int) -> dict:
         _, lead, tail, a = self.elems[k]

@@ -3,8 +3,10 @@
 A polynomial is a tuple of (monomial, coefficient) pairs kept in strictly
 descending order under the ring's active monomial order; a monomial is an
 exponent tuple with one nonnegative int per ring variable.  Coefficients
-are `fractions.Fraction` over Q and plain ints in [1, p) over F_p; zero
-coefficients are never stored.
+are plain ints in [1, p) over F_p; over Q a coefficient is an int when it is
+integral and a `fractions.Fraction` with denominator > 1 otherwise
+(`_rational` applies this rule wherever a coefficient is made), so integral
+polynomials are computed on in ints.  Zero coefficients are never stored.
 
 Rings and polynomials are immutable after construction, so values can be
 shared freely between threads; every operation is a pure function.
@@ -126,6 +128,12 @@ def mono_minimal(monos, key) -> tuple:
     return tuple(kept)
 
 
+def _rational(c):
+    """c, an int or a Fraction, as a coefficient over Q: an int when c is
+    integral, else c."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class RingSpec:
     """A polynomial ring: named variables over Q or F_p with an active order.
 
@@ -174,11 +182,12 @@ class RingSpec:
     def coeff(self, value):
         """Coerce an int/Fraction into the coefficient field (may be zero).
 
-        A fraction whose denominator the modulus divides has no image in
-        F_p and raises JonqError.
+        Over Q an integral value becomes an int (`_rational`).  A fraction
+        whose denominator the modulus divides has no image in F_p and raises
+        JonqError.
         """
         if self.modulus is None:
-            return value if isinstance(value, Fraction) else Fraction(value)
+            return _rational(value if isinstance(value, (int, Fraction)) else Fraction(value))
         if isinstance(value, Fraction):
             num = value.numerator % self.modulus
             den = value.denominator % self.modulus
@@ -189,7 +198,7 @@ class RingSpec:
 
     def cinv(self, value):
         if self.modulus is None:
-            return 1 / value
+            return _rational(Fraction(1, value))
         return pow(value, self.modulus - 2, self.modulus)
 
     def zero(self) -> "Polynomial":
@@ -249,9 +258,7 @@ class Polynomial:
                 raise ArityError(f"negative exponent in {mono}")
             c = ring.coeff(c)
             if mono in merged:
-                c = merged[mono] + c
-                if ring.modulus is not None:
-                    c %= ring.modulus
+                c = ring.coeff(merged[mono] + c)
             if c:
                 merged[mono] = c
             else:
@@ -361,7 +368,8 @@ class Polynomial:
                 return self.ring.zero()
             p = self.ring.modulus
             if p is None:
-                return Polynomial._raw(self.ring, tuple((m, co * c) for m, co in self.terms))
+                return Polynomial._raw(self.ring,
+                                       tuple((m, _rational(co * c)) for m, co in self.terms))
             return Polynomial._raw(self.ring, tuple((m, co * c % p) for m, co in self.terms))
         return dot(self.ring, (self,), (other,))
 
@@ -394,50 +402,69 @@ class Polynomial:
 
 def _numerators(p: Polynomial) -> tuple:
     """(terms of den * p with int coefficients, den): den is the lcm of p's
-    denominators over Q and 1 over GF(p)."""
-    if p.ring.modulus is not None:
-        return p.terms, 1
-    den = lcm(*(c.denominator for _, c in p.terms))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+    denominators over Q and 1 over GF(p).  With den 1 they are p's own
+    terms, whose coefficients are ints by the coefficient rule."""
+    if p.ring.modulus is None:
+        den = lcm(*(c.denominator for _, c in p.terms))
+        if den > 1:
+            return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+    return p.terms, 1
+
+
+def _nonzero(d: dict, mod: int | None, k: int = 1) -> dict:
+    """The nonzero terms of k * d, d an {monomial: int} dict, reduced mod p
+    over GF(p): over one field, two such dicts over denominators a and b
+    are equal exactly when _nonzero(d_a, mod, b) == _nonzero(d_b, mod, a)."""
+    if mod is None:
+        return {m: v * k for m, v in d.items() if v}
+    return {m: r for m, v in d.items() if (r := v * k % mod)}
 
 
 def _from_numerators(ring: RingSpec, d: dict, den: int) -> Polynomial:
     """The polynomial d / den, d an {monomial: int} dict: the field applies here, once."""
-    mod = ring.modulus
-    if mod is None:
-        return Polynomial._from_dict(ring, {m: Fraction(v, den) for m, v in d.items() if v})
-    return Polynomial._from_dict(ring, {m: r for m, v in d.items() if (r := v % mod)})
+    d = _nonzero(d, ring.modulus)
+    if den > 1:
+        d = {m: _rational(Fraction(v, den)) for m, v in d.items()}
+    return Polynomial._from_dict(ring, d)
 
 
 def dot(ring: RingSpec, ps, qs) -> Polynomial:
     """sum_i ps[i] * qs[i] in `ring`, merged in one dict and sorted once.
 
     Each factor is scaled to integer coefficients (`_numerators`), the
-    products are summed as ints over the common denominator, and the field
-    applies once per output term.
+    products are summed as ints over the common denominator
+    (`_dot_numerators`), and the field applies once per output term.
     """
     scaled = []
     for a, b in zip(ps, qs):
         if a.ring != ring or b.ring != ring:
             raise RingMismatchError("polynomials live in different rings")
         scaled.append((_numerators(a), _numerators(b)))
-    den = lcm(*(da * db for (_, da), (_, db) in scaled))
+    return _from_numerators(ring, *_dot_numerators(scaled))
+
+
+def _dot_numerators(pairs) -> tuple:
+    """(d, den), d / den the sum of the products a * b over `pairs`, each
+    factor a (monomial, int) pair sequence over its denominator, as
+    `_numerators` gives: d is an unreduced {monomial: int} dict."""
+    den = lcm(*(da * db for (_, da), (_, db) in pairs))
     d: dict = {}
-    for (at, da), (bt, db) in scaled:
-        _accumulate(d, at, bt, den // (da * db))
-    return _from_numerators(ring, d, den)
+    get = d.get
+    for (at, da), (bt, db) in pairs:
+        k = den // (da * db)
+        for m1, c1 in at:
+            c1 *= k
+            for m2, c2 in bt:
+                m = tuple(map(add, m1, m2))
+                d[m] = get(m, 0) + c1 * c2
+    return d, den
 
 
-def _accumulate(out: dict, at, bt, k: int) -> dict:
-    """Add k times the product of at and bt, (monomial, int) pairs, into the
-    {monomial: int} dict `out`, and return it."""
-    get = out.get
-    for m1, c1 in at:
-        c1 *= k
-        for m2, c2 in bt:
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
-    return out
+def _product(a: tuple, b: tuple) -> tuple:
+    """The product of two ({monomial: int} dict, denominator) pairs, the one
+    product of such pairs (`substitution`'s powers, `cremona.ladder`)."""
+    (da, na), (db, nb) = a, b
+    return _dot_numerators([((da.items(), na), (db.items(), nb))])
 
 
 def substitution(src: RingSpec, assignment: dict):
@@ -485,14 +512,10 @@ def substitution(src: RingSpec, assignment: dict):
         powers[(i, 1)] = (dict(terms), den)
     prefixes: dict = {(): ({zero: 1}, 1)}
 
-    def times(a: tuple, b: tuple) -> tuple:
-        (da, na), (db, nb) = a, b
-        return _accumulate({}, da.items(), db.items(), 1), na * nb
-
     def power(i: int, e: int) -> tuple:
         got = powers.get((i, e))
         if got is None:
-            got = powers[(i, e)] = times(power(i, e - 1), powers[(i, 1)])
+            got = powers[(i, e)] = _product(power(i, e - 1), powers[(i, 1)])
         return got
 
     def image_of(p: Polynomial) -> Polynomial:
@@ -504,7 +527,7 @@ def substitution(src: RingSpec, assignment: dict):
             for k, e in enumerate(mono, 1):
                 got = prefixes.get(mono[:k])
                 if got is None:
-                    got = prefixes[mono[:k]] = times(image, power(k - 1, e)) if e else image
+                    got = prefixes[mono[:k]] = _product(image, power(k - 1, e)) if e else image
                 image = got
             parts.append((c, image))
         den = lcm(*(c.denominator * d for c, (_, d) in parts))
@@ -712,7 +735,7 @@ def parse_polynomial(text: str, ring: RingSpec) -> Polynomial:
         if i >= len(toks):
             fail("dangling sign", toks[-1][2])
         term_at = toks[i][2]
-        coeff: object = Fraction(sign)
+        coeff: object = sign
         mono = [0] * nv
         saw_factor = False
         while i < len(toks):
@@ -774,7 +797,7 @@ def format_polynomial(p: Polynomial) -> str:
     names = p.ring.names
     parts = []
     for k, (mono, c) in enumerate(p.terms):
-        if isinstance(c, Fraction) and c < 0:
+        if c < 0:
             sep = "-" if k == 0 else " - "
             c = -c
         else:

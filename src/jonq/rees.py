@@ -43,6 +43,7 @@ from . import groebner
 from .cremona import ladder, pullback
 from .dejonq import DeJonquieresMap, case_scope, inverse, once_per_case, shared_sequence
 from .polycore import JonqError, Polynomial, RingSpec, substitute, substitution, transport
+from .polycore import _nonzero
 
 
 log = logging.getLogger(__name__)
@@ -74,8 +75,9 @@ def _uncertified(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> str |
     With a = x_1 f, the first base form: (a) P lies in J, read off the
     pullback p(x, x' f, g) = f^s P_p of each generator (`cremona.pullback`,
     the powers f^a g^b shared), which is 0 exactly when the form P_p, of
-    degree about 2d - 1, is; (b) a y_{n+1} - g y_1 lies in P; (c) x_1 and f
-    are nonzerodivisors on S/P.  Inverting a makes I the unit ideal, so
+    degree about 2d - 1 and kept as an int dict, is 0 in the field; (b)
+    a y_{n+1} - g y_1 lies in P; (c) x_1 and f are nonzerodivisors on S/P.
+    Inverting a makes I the unit ideal, so
     J S_a is generated by the a y_i - F_i y_1 (Vasconcelos, Arithmetic of
     Blowup Algebras, 1994), and for 1 < i <= n these are f (x_1 y_i -
     x_i y_1), in P_0.  With (a) and (b), J S_a = P S_a; J is prime and a is not in J, so
@@ -89,7 +91,7 @@ def _uncertified(j: DeJonquieresMap, predicted: groebner.GroebnerBasis) -> str |
     y1, top = ring.variable(j.target.names[0]), ring.variable(j.target.names[-1])
     power = ladder(j.f, j.g)
     for p in predicted.gens:
-        if pullback(p, power)[1]:
+        if _nonzero(pullback(p, power)[1][0], ring.modulus):
             return f"predicted generator not in J: {p}"
     if not predicted.contains(x1 * f * top - transport(j.g, ring) * y1):
         return "a y_{n+1} - g y_1 is not in P"

@@ -89,7 +89,9 @@ from .polycore import (
     Polynomial,
     RingSpec,
     RingMismatchError,
-    dot,
+    _dot_numerators,
+    _nonzero,
+    _numerators,
     mono_minimal,
 )
 
@@ -261,8 +263,10 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
     per generator of position k+1.  Every nonzero entry in row r of column c
     must be homogeneous of degree shifts[k+1][c] - shifts[k][r], and
     consecutive maps must compose to zero; each row of a composition is
-    summed over its nonzero products only.  There must be one more shift
-    list than matrices.
+    summed over its nonzero products only, into an int dict
+    (`polycore._dot_numerators`) that is tested for zero in the field.
+    There must be one more shift list than matrices, and every entry lies
+    in `ring` (RingMismatchError otherwise).
     """
     if len(shifts) != len(matrices) + 1:
         return False
@@ -272,15 +276,18 @@ def is_graded_complex(ring: RingSpec, shifts, matrices) -> bool:
             return False
         for col, top in zip(mat, cols):
             for entry, low in zip(col, rows):
+                if entry and entry.ring != ring:
+                    raise RingMismatchError("matrix entries live in different rings")
                 if entry and (not entry.is_homogeneous()
                               or entry.total_degree() != top - low):
                     return False
+    scaled = [[[_numerators(entry) for entry in col] for col in mat] for mat in matrices]
     for k in range(len(matrices) - 1):
-        for col in matrices[k + 1]:
+        for col in scaled[k + 1]:
             for r in range(len(shifts[k])):
-                nonzero = [(column[r], entry) for column, entry in zip(matrices[k], col)
-                           if column[r] and entry]
-                if nonzero and dot(ring, *zip(*nonzero)):
+                nonzero = [(column[r], entry) for column, entry in zip(scaled[k], col)
+                           if column[r][0] and entry[0]]
+                if _nonzero(_dot_numerators(nonzero)[0], ring.modulus):
                     return False
     return True
 

@@ -35,6 +35,16 @@ f: x1*x3 + x2^2
 g: x1^2*x3 + x2^3
 """
 
+# fractional and negative coefficients: integral ones are ints over Q, the
+# others Fractions, and every printed form is as with Fractions alone
+RATIONAL_CASE = """\
+n: 2
+d: 3
+field: rational
+f: -3*x1*x3 + 2/3*x2^2
+g: x1^2*x3 - 5*x2^3
+"""
+
 
 @pytest.fixture
 def e1_file(tmp_path):
@@ -139,6 +149,18 @@ def test_invert_e2(e2_file, capsys):
     assert code == 0
     assert "delta = x1*x2*x4" in out
     assert "y1*y2" in out
+
+
+def test_invert_and_resolve_a_rational_case(tmp_path, capsys):
+    path = tmp_path / "rational.jonq"
+    path.write_text(RATIONAL_CASE)
+    code, out, _ = run(capsys, "invert", str(path))
+    assert code == 0
+    assert ("delta = -8/27*x1^2*x2^6 + 20/3*x1*x2^7 + 8/3*x1^3*x2^4*x3 - 60*x1^2*x2^5*x3"
+            " - 6*x1^4*x2^2*x3^2 + 135*x1^3*x2^3*x3^2") in out.splitlines()
+    code, out, _ = run(capsys, "resolve", str(path))
+    assert code == 0
+    assert {"shifts: 0 | 3^3 | 4,5", "groebner oracle agrees: True"} <= set(out.splitlines())
 
 
 def test_invert_json_round_trips(e1_file, capsys):

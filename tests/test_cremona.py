@@ -1,6 +1,7 @@
 """Composition and inversion certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -171,3 +172,50 @@ def test_certificate_degenerate_compositions(rx, ry):
         2, "coordinate is not proportional")
     assert compose(shape(*last_only), shape(*e1_forms(rx))) == (
         rx.zero(), rx.zero(), P("x1^2*x3^2", rx))
+
+
+def expanded_certificate(j, g):
+    """Reference over the expanded composition of two shapes: the factor D
+    is coordinate 1 over x_1; a failure names the first coordinate that is
+    not D times its variable, or 0 when every coordinate is 0."""
+    comp = compose(g, j)
+    if not any(comp):
+        return CertificateFailure(0, "composition is identically zero")
+    xs = j[0].ring.variables()
+    factor = exact_div(comp[0], xs[0])
+    bad = next((i for i, c in enumerate(comp) if factor is None or c != factor * xs[i]), None)
+    if bad is None:
+        return InversionCertificate(factor, int(factor.total_degree()))
+    return CertificateFailure(bad, "coordinate is not proportional")
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(st.sampled_from(((1, 2), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3))),
+                  st.sampled_from((None, 32003, 7)), st.integers(0, 10 ** 6),
+                  st.sampled_from(("valid", "scaled", "f'", "g'", "no f'", "no g'", "neither")),
+                  st.integers(1, 6), st.data())
+def test_certificate_matches_the_expanded_composition(point, modulus, seed, change, c, data):
+    # over GF(p) the int dicts must be compared reduced mod p: their unreduced
+    # ints differ on valid inverses
+    n, d = point
+    j = dejonq.random_map(n, d, random.Random(seed), modulus)
+    inv, _ = dejonq.inverse(j)
+    ry, fprime, gprime = inv.source, inv.f, inv.g
+    bump = Fraction(c, 2) * ry.variable(data.draw(st.integers(0, n))) ** (d - 1)
+    fprime, gprime = {
+        "valid": (fprime, gprime),
+        "scaled": (fprime * Fraction(c, 2), gprime * Fraction(c, 2)),
+        "f'": (fprime + bump, gprime),
+        "g'": (fprime, gprime + bump * ry.variable(n)),
+        "no f'": (ry.zero(), gprime),
+        "no g'": (fprime, ry.zero()),
+        "neither": (ry.zero(), ry.zero()),
+    }[change]
+    expected = expanded_certificate(j.base_forms, shape(fprime, gprime))
+    assert inversion_certificate(j.f, j.g, fprime, gprime) == expected
+    if change in ("valid", "scaled"):
+        assert isinstance(expected, InversionCertificate)

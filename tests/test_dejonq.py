@@ -1,5 +1,6 @@
 """Identity-support maps: construction, sequences, inverses, resolutions."""
 
+import hashlib
 import pickle
 import random
 import re
@@ -514,3 +515,26 @@ def test_random_map_rejects_n1_beyond_degree_2_before_sampling(d):
 
     with pytest.raises(ConstructionError, match=r"no valid map for n = 1.*divides both f and g"):
         dejonq.random_map(1, d, NoDraws())
+
+
+# sha256 of the exact path over Q at the certify-q grid points: each map,
+# its inverse, the inversion factor D and its degree, the closed-form and
+# oracle Betti tables, verify() and the structural report.  Computed with
+# every coefficient a Fraction; integral coefficients are ints now, and
+# every printed form must stay byte for byte.
+Q_PATH_DIGEST = "1df991e668c56e4a233a352800e5daa9948dbb5cda63ce663b0a12e0c323a155"
+
+
+def test_pinned_q_path():
+    lines = []
+    for n, d in ((2, 6), (3, 4), (4, 3)):
+        for seed in range(4):
+            j = dejonq.random_map(n, d, random.Random(seed), None)
+            inv, cert = dejonq.inverse(j)
+            closed = dejonq.resolution(j)
+            oracle = gb.minimal_free_resolution(list(j.base_forms))
+            lines.append(" | ".join([
+                f"({n},{d}) seed {seed}", str(j.f), str(j.g), str(inv.f), str(inv.g),
+                str(cert.factor), str(cert.degree), str(closed.betti()), str(oracle.betti),
+                str(closed.verify()), repr(dejonq.structural_checks(j))]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == Q_PATH_DIGEST
